@@ -1,12 +1,12 @@
-"""Compiled batched backend — fused kernels vs the interpretive vectorizer.
+"""Compiled batched backend — the compiled kernel vs the interpretive vectorizer.
 
 The compiled backend exists to remove per-site interpreter dispatch and,
 above all, the interpretive runtime's *group re-execution*: when a lockstep
 particle population diverges at a branch, ``ParticleVectorizer`` re-runs
 each subgroup from scratch (replaying recorded values), paying the whole
-prefix's kernel cost once per split level.  The fused kernel partitions
-index sets and dispatches compiled sub-kernels instead, so its total lane
-work stays linear in the program size.
+prefix's kernel cost once per split level.  The compiled kernel partitions
+index sets and schedules every arm inside one emitted function instead, so
+its total lane work stays linear in the program size.
 
 This harness pins the claim on the divergent-control-flow library models:
 
@@ -40,7 +40,7 @@ from repro.models import all_benchmarks, get_benchmark
 NUM_PARTICLES = 3_000 if os.environ.get("REPRO_FAST_BENCH") else 10_000
 MIN_SPEEDUP = 3.0
 
-#: Divergent-control-flow models where compiled sub-kernel dispatch must
+#: Divergent-control-flow models where the compiled path-tree schedule must
 #: beat interpretive group re-execution by the headline margin.
 HEADLINE_MODELS = ("switching", "jump")
 
@@ -94,84 +94,13 @@ def test_compiled_backend_at_least_3x_on_divergent_models(name: str):
     assert speedup >= MIN_SPEEDUP
 
 
-#: Floor for the megakernel-vs-fused gate.  Both tiers execute *identical*
-#: kernel calls (same densities, same RNG draws, same widths); the megakernel
-#: only eliminates the Python dispatch between sub-kernels, so its margin —
-#: measured around 2x on the headline models, up to ~2.4x on a quiet machine
-#: — sits on top of a shared irreducible NumPy cost and wobbles with load.
-#: The gate floors well under the measured value (same spirit as the 3x
-#: floor on a measured ~4x above); the artifact records the actual ratio so
-#: the trajectory stays visible.
-MIN_MEGA_SPEEDUP = 1.7
-
-
-@pytest.mark.parametrize("name", HEADLINE_MODELS)
-def test_megakernel_beats_subkernel_dispatch(name: str):
-    """The ``jit="mega"`` tier: one emitted function scheduling the whole
-    path tree must beat per-sub-kernel dispatch at 10k particles in the
-    IS/SMC mode (score ledgers elided), while staying bitwise-identical to
-    it (and hence to the interpreter)."""
-    bench = get_benchmark(name)
-    obs = tuple(tr.ValP(v) for v in bench.obs_values)
-    guide_args = tuple(bench.guide_param_inits.values()) if bench.guide_param_inits else ()
-    common = dict(
-        model_program=bench.model_program(), guide_program=bench.guide_program(),
-        model_entry=bench.model_entry, guide_entry=bench.guide_entry,
-        obs_trace=obs, guide_args=guide_args, trim_site_scores=True,
-    )
-    fused = make_particle_runner(backend="compiled", **common)
-    mega = make_particle_runner(backend="compiled", jit="mega", **common)
-    assert type(mega).__name__ == "MegaParticleRunner", (
-        f"{name} unexpectedly fell back: {getattr(mega, 'fallback_reason', None)}"
-    )
-
-    # Interleave the two runners inside one measurement loop: a background
-    # load burst then slows *both* sides of the ratio instead of whichever
-    # phase it happened to land on.  Up to three rounds on top, so a burst
-    # longer than one round still reads as a dip, not a regression.
-    import time
-
-    def _interleaved_best(repeats):
-        fused_best = mega_best = float("inf")
-        fused_r = mega_r = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fused_r = fused.run(NUM_PARTICLES, np.random.default_rng(0))
-            t1 = time.perf_counter()
-            mega_r = mega.run(NUM_PARTICLES, np.random.default_rng(0))
-            t2 = time.perf_counter()
-            fused_best = min(fused_best, t1 - t0)
-            mega_best = min(mega_best, t2 - t1)
-        return fused_best, fused_r, mega_best, mega_r
-
-    for attempt in range(3):
-        fused_s, fused_run, mega_s, mega_run = _interleaved_best(5)
-        speedup = fused_s / mega_s
-        if speedup >= MIN_MEGA_SPEEDUP:
-            break
-    print(
-        f"\n{name} @ {NUM_PARTICLES} particles: fused {fused_s * 1e3:.1f}ms, "
-        f"mega {mega_s * 1e3:.1f}ms -> {speedup:.2f}x"
-    )
-    _record.record(
-        suite="compiled_backend", model=name, engine="is", backend="compiled",
-        jit="mega", particles=NUM_PARTICLES, wall_time_s=mega_s,
-        speedup=speedup, baseline="compiled",
-        compiled_wall_time_s=fused_s,
-    )
-
-    assert np.array_equal(fused_run.model_log_weights, mega_run.model_log_weights)
-    assert np.array_equal(fused_run.guide_log_weights, mega_run.guide_log_weights)
-    assert speedup >= MIN_MEGA_SPEEDUP
-
-
 def test_compiled_backend_recorded_across_library():
     """Record compiled-vs-interp timings for every compilable library model.
 
     No speedup floor here — on shared-control-flow models the NumPy kernels
     (RNG draws, densities) dominate both backends and the margin is modest;
     the artifact keeps the trajectory visible.  Bitwise agreement *is*
-    asserted for every model the fused compiler accepts.
+    asserted for every model the compiler accepts.
     """
     measured = 0
     for bench in all_benchmarks():

@@ -64,7 +64,7 @@ def test_four_workers_at_least_2x_over_one_worker():
     if not pool_available(WORKERS):
         pytest.skip("no multiprocessing pool in this environment")
     session = _session()
-    session.fused_kernel()  # compile once outside the timed region
+    session.compiled_kernel()  # compile once outside the timed region
     _run(session, WORKERS)  # warm the pool (fork, per-worker kernel caches)
 
     one_seconds, one_result = _record.best_of(3, lambda: _run(session, 1))

@@ -52,10 +52,10 @@ class EvaluateConfig:
 def curve_key(point: dict) -> str:
     """The curve a sweep point belongs to.
 
-    The backend segment carries the JIT tier as a ``+tier`` suffix (matching
-    the runner's point keys), so ``compiled`` and ``compiled+mega`` gate as
-    separate curves.  Points from runs predating the tier field stay on
-    their historical keys.
+    Points from historical runs that swept compiled-backend tiers carry a
+    ``jit`` field; their non-default tier is read back as a ``+tier`` suffix
+    on the backend segment (``compiled+mega``), so such runs still gate as
+    separate curves.  Current runs never write the field.
     """
     jit = point.get("jit", "none")
     backend = point["backend"] if jit == "none" else f"{point['backend']}+{jit}"
@@ -104,7 +104,7 @@ def build_curves(results_doc: dict) -> List[dict]:
                 "model": first["model"],
                 "engine": first["engine"],
                 "backend": first["backend"],
-                "jit": first.get("jit", "none"),
+                **({"jit": first["jit"]} if first.get("jit", "none") != "none" else {}),
                 "shards": first["shards"],
                 "points": curve_points,
             }

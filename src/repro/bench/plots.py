@@ -1,7 +1,7 @@
 """``repro bench plot``: scaling-curve SVGs, rendered by hand.
 
 The benchmark suite's curves (see :mod:`repro.bench.evaluate`) are small —
-a handful of points per ``(model, engine, backend[, +jit], shards)`` slice —
+a handful of points per ``(model, engine, backend, shards)`` slice —
 so this module renders them as standalone SVG documents with no plotting
 dependency: pure string assembly, deterministic output (byte-identical for
 identical curves), safe to commit next to the docs.
@@ -13,9 +13,9 @@ Each model gets one figure with two log-log panels sharing the x-axis
 * **max golden error** — only curves whose points carry golden-site stats;
   the Monte-Carlo convergence everything is supposed to share.
 
-Colors key on the curve's engine; the backend tier picks the dash pattern,
-so ``interp`` / ``compiled`` / ``compiled+mega`` for one engine read as one
-hue in three line styles.
+Colors key on the curve's engine; the backend picks the dash pattern, so
+``interp`` / ``compiled`` for one engine read as one hue in two line styles
+(historical ``compiled+mega`` curves keep a third style).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _ENGINE_COLORS = {
 }
 _FALLBACK_COLOR = "#7f7f7f"
 
-#: Backend tier → stroke-dasharray ("" = solid).
+#: Backend → stroke-dasharray ("" = solid); ``compiled+mega`` is historical.
 _TIER_DASHES = {
     "interp": "",
     "compiled": "6 3",

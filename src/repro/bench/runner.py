@@ -55,11 +55,6 @@ class RunnerConfig:
     particles: Tuple[int, ...] = (250, 1000, 4000)
     engines: Tuple[str, ...] = SWEEP_ENGINES
     backends: Tuple[str, ...] = ("interp", "compiled")
-    #: Compiled-backend JIT tiers to sweep.  ``"none"`` keeps the historical
-    #: point keys (and hence point seeds) unchanged; other tiers append a
-    #: ``+tier`` suffix to the backend segment of the key.  The interp
-    #: backend has no tiers and always runs once.
-    jits: Tuple[str, ...] = ("none", "mega")
     shards: Tuple[int, ...] = (1, 2)
     repeats: int = 2
     #: Optional instance-name filter (None = every in-sweep snapshot entry).
@@ -115,13 +110,12 @@ def _best_of(repeats: int, thunk):
 
 
 def _request_kwargs(engine: str, entry: dict, particles: int, backend: str,
-                    jit: str, shards: int, seed: int) -> dict:
+                    shards: int, seed: int) -> dict:
     kwargs = dict(
         num_particles=particles,
         obs_values=tuple(entry["obs_values"]) or None,
         seed=seed,
         backend=backend,
-        jit=jit,
         shards=shards,
         guide_args=tuple(entry["guide_args"]),
     )
@@ -212,45 +206,38 @@ def run_sweep(
             sessions[name] = session
         for engine in config.engines:
             for backend in config.backends:
-                # interp has no JIT tiers; compiled sweeps every configured one.
-                tiers = config.jits if backend == "compiled" else ("none",)
-                for jit in tiers:
-                    backend_key = backend if jit == "none" else f"{backend}+{jit}"
-                    for shards in config.shards:
-                        for particles in config.particles:
-                            key = f"{name}/{engine}/{backend_key}/shards={shards}/particles={particles}"
-                            seed = point_seed(config.seed, key)
-                            kwargs = _request_kwargs(
-                                engine, entry, particles, backend, jit, shards, seed
-                            )
-                            wall, result = _best_of(
-                                config.repeats, lambda: session.infer(engine, **kwargs)
-                            )
-                            diagnostics = result.diagnostics()
-                            point = {
-                                "model": name,
-                                "engine": engine,
-                                "backend": backend,
-                                "jit": jit,
-                                "shards": shards,
-                                "particles": particles,
-                                "seed": seed,
-                                "wall_time_s": wall,
-                                "backend_used": diagnostics.get("backend", "interp"),
-                                "fallback_reason": diagnostics.get("fallback_reason"),
-                                "quality_atol": entry.get("quality_atol"),
-                                "stats": _point_stats(result, entry),
-                            }
-                            points.append(point)
-                            if progress is not None:
-                                progress(
-                                    f"{key}: wall={wall * 1e3:.1f}ms"
-                                    + (
-                                        f" max_err={max(s['abs_err'] for s in point['stats']['sites'].values()):.4f}"
-                                        if "sites" in point["stats"]
-                                        else ""
-                                    )
+                for shards in config.shards:
+                    for particles in config.particles:
+                        key = f"{name}/{engine}/{backend}/shards={shards}/particles={particles}"
+                        seed = point_seed(config.seed, key)
+                        kwargs = _request_kwargs(engine, entry, particles, backend, shards, seed)
+                        wall, result = _best_of(
+                            config.repeats, lambda: session.infer(engine, **kwargs)
+                        )
+                        diagnostics = result.diagnostics()
+                        point = {
+                            "model": name,
+                            "engine": engine,
+                            "backend": backend,
+                            "shards": shards,
+                            "particles": particles,
+                            "seed": seed,
+                            "wall_time_s": wall,
+                            "backend_used": diagnostics.get("backend", "interp"),
+                            "fallback_reason": diagnostics.get("fallback_reason"),
+                            "quality_atol": entry.get("quality_atol"),
+                            "stats": _point_stats(result, entry),
+                        }
+                        points.append(point)
+                        if progress is not None:
+                            progress(
+                                f"{key}: wall={wall * 1e3:.1f}ms"
+                                + (
+                                    f" max_err={max(s['abs_err'] for s in point['stats']['sites'].values()):.4f}"
+                                    if "sites" in point["stats"]
+                                    else ""
                                 )
+                            )
 
     document = {
         "snapshot": snapshot.get("snapshot"),

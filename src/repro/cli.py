@@ -126,9 +126,7 @@ def _print_backend(session, diagnostics: dict) -> None:
     if reason is not None:
         print(f"backend                 : interp (compiled fallback: {reason})")
     elif backend is not None:
-        jit = diagnostics.get("jit", "none")
-        suffix = f" (jit={jit})" if jit not in (None, "none") else ""
-        print(f"backend                 : {backend}{suffix}")
+        print(f"backend                 : {backend}")
 
 
 def _print_sharding(args: argparse.Namespace) -> None:
@@ -212,7 +210,6 @@ def cmd_run_is(args: argparse.Namespace) -> int:
             obs_values=args.obs or None,  # empty --obs means prior predictive
             seed=args.seed,
             backend=args.backend,
-            jit=args.jit,
             **_shard_kwargs(args),
         )
         _print_engine_summary(result, num_particles)
@@ -244,7 +241,6 @@ def cmd_run_smc(args: argparse.Namespace) -> int:
             ess_threshold=args.ess_threshold,
             rejuvenate=not args.no_rejuvenation,
             backend=args.backend,
-            jit=args.jit,
             **_shard_kwargs(args),
         )
         _print_engine_summary(result, num_particles)
@@ -314,7 +310,6 @@ def cmd_run_svi(args: argparse.Namespace) -> int:
             rao_blackwellize=args.rao_blackwellize,
             final_particles=args.final_particles,
             backend=args.backend,
-            jit=args.jit,
             **_shard_kwargs(args),
         )
         diagnostics = result.diagnostics()
@@ -520,8 +515,6 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
         overrides["engines"] = parse_csv(args.engines)
     if args.backends:
         overrides["backends"] = parse_csv(args.backends)
-    if args.jits:
-        overrides["jits"] = parse_csv(args.jits)
     if args.shards:
         overrides["shards"] = tuple(int(s) for s in parse_csv(args.shards))
     if args.repeats is not None:
@@ -677,15 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="run even if the pair is not certified")
         p.add_argument("--backend", choices=["interp", "compiled"], default="interp",
-                       help="particle runtime: the lockstep interpreter, or fused "
-                            "batched kernels compiled per model/guide pair "
+                       help="particle runtime: the lockstep interpreter, or a "
+                            "batched kernel compiled per model/guide pair "
                             "(bitwise-identical results; falls back to interp "
                             "for recursive programs)")
-        p.add_argument("--jit", choices=["none", "mega"], default="none",
-                       help="compiled-backend tier: 'none' dispatches per-group "
-                            "sub-kernels, 'mega' schedules the whole path tree "
-                            "inside one emitted megakernel (bitwise-identical; "
-                            "also compiles the SVI rescoring pass)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for sharded execution (1 = in-process). "
                             "Results depend on the shard plan, not the pool size — "
@@ -763,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--tenant-burst", type=float, default=None,
                          help="per-tenant burst capacity (default: max(1, tenant-rate))")
     p_serve.add_argument("--kernel-cache", type=int, default=None,
-                         help="fused-kernel LRU capacity (default 64)")
+                         help="compiled-kernel LRU capacity (default 64)")
     p_serve.add_argument("--session-cache", type=int, default=None,
                          help="prepared-session LRU capacity (default 64)")
     p_serve.add_argument("--session-ttl", type=float, default=600.0,
@@ -882,9 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated engine override (default is,smc,svi)")
     p_run.add_argument("--backends", default=None,
                        help="comma-separated backend override (default interp,compiled)")
-    p_run.add_argument("--jits", default=None,
-                       help="comma-separated compiled-backend JIT tiers to sweep "
-                            "(default none,mega; interp points ignore this)")
     p_run.add_argument("--shards", default=None,
                        help="comma-separated shard-count override")
     p_run.add_argument("--repeats", type=int, default=None,

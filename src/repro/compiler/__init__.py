@@ -15,14 +15,14 @@ uses Python generators for coroutine switching:
 """
 
 from repro.compiler.codegen import (
+    CompiledKernel,
     CompiledModule,
-    FusedKernel,
-    compile_fused_pair,
+    compile_kernel_pair,
     compile_pair,
     compile_program,
-    fused_unsupported_reason,
+    compiled_unsupported_reason,
     load_compiled,
-    load_fused,
+    load_kernel,
 )
 from repro.compiler.runtime import (
     CompiledImportanceResults,
@@ -32,10 +32,10 @@ from repro.compiler.runtime import (
 )
 
 __all__ = [
-    "FusedKernel",
-    "compile_fused_pair",
-    "fused_unsupported_reason",
-    "load_fused",
+    "CompiledKernel",
+    "compile_kernel_pair",
+    "compiled_unsupported_reason",
+    "load_kernel",
     "compile_program",
     "compile_pair",
     "load_compiled",

@@ -1,15 +1,15 @@
-"""Runtime support for fused batched kernels (the compiled backend).
+"""Runtime support for compiled batched kernels (the compiled backend).
 
-:func:`repro.compiler.codegen.compile_fused_pair` emits, for a model/guide
-pair, one straight-line Python function over ``(rng, n)`` that resolves every
-sample site with a single batched call and accumulates per-particle
-log-weights in preallocated arrays.  This module is the emitted code's
-standard library: expression helpers that mirror the vectorized evaluator's
-semantics (:func:`repro.engine.vectorize.eval_expr_vec`), per-family sample
-and score helpers that consume the RNG and compute densities *bitwise
-identically* to the interpretive runtime's :class:`~repro.engine.batched.BatchedDist`,
-and the branch-partitioning machinery that dispatches divergent particle
-groups through compiled sub-kernels.
+:func:`repro.compiler.codegen.compile_kernel_pair` emits, for a model/guide
+pair, one Python function over ``(rng, n)`` that resolves every sample site
+with a single batched call and accumulates per-particle log-weights in
+arrays.  This module is the emitted code's standard library: expression
+helpers that mirror the vectorized evaluator's semantics
+(:func:`repro.engine.vectorize.eval_expr_vec`), per-family sample and score
+helpers that consume the RNG and compute densities *bitwise identically* to
+the interpretive runtime's :class:`~repro.engine.batched.BatchedDist`, the
+gathers that split divergent particle groups, and the replay helpers of the
+compiled rescore pass.
 
 Bitwise contract
 ----------------
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Tuple
 
-from repro.xp import np
+import numpy as np
 
 from repro.core import ast
 from repro.core.semantics import traces as tr
@@ -301,8 +301,8 @@ def chk_pois(rate) -> None:
     )
 
 
-# Single-parameter variants for the megakernel tier: when provenance proves
-# one parameter of a two-parameter family, only the other needs its check.
+# Single-parameter variants: when provenance proves one parameter of a
+# two-parameter family, only the other needs its check.
 # Each reproduces the corresponding ``_require_all`` call of the combined
 # ``chk_*`` above verbatim (same predicate, same message), so skipping a
 # *proven* parameter's check is unobservable — a proven parameter passes it
@@ -535,7 +535,7 @@ def score_full(kind: ast.DistKind, params: Sequence[object], value, n: int) -> n
 
 
 # ---------------------------------------------------------------------------
-# Branch resolution and group partitioning
+# Branch resolution and recorded messages
 # ---------------------------------------------------------------------------
 
 
@@ -549,41 +549,6 @@ def uniform_or_none(pred: object) -> Optional[bool]:
     if not pred.any():
         return False
     return None
-
-
-def take(value: object, mask: np.ndarray) -> object:
-    """Slice one live variable down to a subgroup (tuples recurse)."""
-    if isinstance(value, np.ndarray):
-        return value[mask]
-    if isinstance(value, tuple):
-        return tuple(take(item, mask) for item in value)
-    return value
-
-
-def slc_msgs(
-    messages: list,
-    mask: np.ndarray,
-    dir_provider: Optional[bool] = None,
-    selection: bool = False,
-) -> list:
-    """Slice a recorded-message column set for a subgroup.
-
-    When the split is a communicated branch, the subgroup's log additionally
-    carries the branch selection — exactly what the interpretive partitioner
-    appends before re-execution.
-    """
-    out = [message.sliced(mask) for message in messages]
-    if dir_provider is not None:
-        out.append(VecMessage("dir", dir_provider, selection))
-    return out
-
-
-def slc_arrs(arrays: list, mask: np.ndarray) -> list:
-    return [a[mask] if isinstance(a, np.ndarray) else a for a in arrays]
-
-
-def slc_led(ledger: list, mask: np.ndarray) -> list:
-    return [(channel, scores[mask]) for channel, scores in ledger]
 
 
 def val_msg(provider: bool, payload: object) -> VecMessage:
@@ -641,10 +606,12 @@ def make_leaf(
     obs_scores: list,
     model_value: object,
     guide_value: object,
-    model_site_scores: list,
-    guide_site_scores: list,
+    model_site_scores: Optional[list],
+    guide_site_scores: Optional[list],
+    path_id: int,
 ) -> _Leaf:
-    return _Leaf(
+    """A finished group, stamped with its compile-time path id for rescoring."""
+    leaf = _Leaf(
         indices=indices,
         model_log_weights=lw_model,
         guide_log_weights=lw_guide,
@@ -655,20 +622,20 @@ def make_leaf(
         model_site_scores=model_site_scores,
         guide_site_scores=guide_site_scores,
     )
+    leaf.path_id = path_id
+    return leaf
 
 
 # ---------------------------------------------------------------------------
-# Megakernel support: integer gathers, path stamps, and compiled rescoring
+# Subgroup gathers and compiled rescoring
 # ---------------------------------------------------------------------------
 #
-# The ``gat*`` helpers are the megakernel's counterparts to the ``slc*``
-# mask slicers above.  They take integer *positions* (``np.flatnonzero`` of
-# the arm mask, computed once per fork arm) instead of a boolean mask, so
-# each state array pays O(subgroup) gather work rather than an O(parent)
-# mask scan — NumPy fancy indexing makes the two bitwise-identical.  The
-# recorded-message logs need no runtime gathering at all: the megakernel
-# compiler tracks them symbolically and the generated leaves materialize
-# the message lists from already-gathered payload variables.
+# At a mixed branch the kernel computes each arm's particle *positions*
+# (``np.flatnonzero`` of the arm mask, once per arm) and integer-gathers
+# every state array, so each array pays O(subgroup) work.  The
+# recorded-message logs need no runtime gathering at all: the compiler
+# tracks them symbolically and the generated leaves materialize the message
+# lists from already-gathered payload variables.
 
 
 def gat(value: object, positions: np.ndarray) -> object:
@@ -684,34 +651,13 @@ def gat_led(ledger: list, positions: np.ndarray) -> list:
     return [(channel, scores[positions]) for channel, scores in ledger]
 
 
-def mega_leaf(
-    indices: np.ndarray,
-    lw_model: np.ndarray,
-    lw_guide: np.ndarray,
-    recorded: dict,
-    obs_scores: list,
-    model_value: object,
-    guide_value: object,
-    model_site_scores: list,
-    guide_site_scores: list,
-    path_id: int,
-) -> _Leaf:
-    """A leaf stamped with its compile-time path id for compiled rescoring."""
-    leaf = make_leaf(
-        indices, lw_model, lw_guide, recorded, obs_scores,
-        model_value, guide_value, model_site_scores, guide_site_scores,
-    )
-    leaf.mega_path = path_id
-    return leaf
-
-
 class RescoreDivert(Exception):
     """The compiled rescore pass cannot replay this leaf on its straight line.
 
     Raised when a re-evaluated pure branch predicate no longer uniformly
     selects the compiled arm (the interpretive rescorer would split, follow
     the flipped arm, or fail its log checks) or when a leaf carries no
-    megakernel path stamp.  Callers delegate the *whole leaf* to the
+    compiled path stamp.  Callers delegate the *whole leaf* to the
     interpretive :meth:`~repro.engine.vectorize.ParticleVectorizer.rescore_group`,
     which reproduces the exact interpreter semantics for every divergent case.
     """

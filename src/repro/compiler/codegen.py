@@ -25,12 +25,13 @@ import math
 import re
 import textwrap
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.core import ast
 from repro.errors import CompilationError
-from repro.xp import np
 
 _DIST_CONSTRUCTORS = {
     ast.DistKind.BER: "Bernoulli",
@@ -375,35 +376,53 @@ def svi(obs_values=None, num_steps=50, num_particles=2, learning_rate=0.05, seed
 
 
 # ---------------------------------------------------------------------------
-# Fused batched backend: model/guide pair -> one straight-line NumPy kernel
+# Compiled batched backend: model/guide pair -> one batched NumPy kernel
 # ---------------------------------------------------------------------------
 #
 # The generator-based codegen above targets the mini-Pyro substrate: every
 # sample site round-trips through a yielded op tuple that a scheduler
-# resolves one at a time.  The fused compiler below removes that dispatch
+# resolves one at a time.  The kernel compiler below removes that dispatch
 # entirely for the vectorized particle engine: it *symbolically executes*
 # the model/guide coroutine pair at compile time — mirroring the interpretive
 # scheduler (:class:`repro.engine.vectorize._VecScheduler`) operation by
-# operation — and emits one Python function over ``(rng, n)`` per control-flow
-# path that calls the batched distribution API on whole-array operands,
-# accumulating per-particle log-weights in preallocated arrays.  Guide→model
-# message routing is resolved at compile time from the channel protocol, so
-# the generated code contains no generators, queues, or op dispatch.
+# operation — and emits one Python function over ``(rng, n)`` that calls the
+# batched distribution API on whole-array operands, accumulating
+# per-particle log-weights in arrays.  Guide→model message routing is
+# resolved at compile time from the channel protocol, so the generated code
+# contains no generators, queues, or op dispatch.  The path tree is lowered
+# into that one function:
 #
-# On a branch whose predicate may diverge across particles, the kernel calls
-# ``_rt.uniform_or_none``: a uniform selection continues in lockstep through
-# the matching compiled arm, a mixed predicate partitions the particle
-# indices and dispatches each subgroup through the arm sub-kernels (false
-# subgroup first, matching the interpretive splitter's LIFO order, so the
-# RNG stream stays identical).  Programs outside the supported fragment —
-# recursion, higher-order functions, first-class distributions — are
-# rejected by :func:`fused_unsupported_reason` and fall back to the
-# interpretive vectorizer.
+# * every branch arm becomes a *segment*, and an explicit LIFO worklist of
+#   ``(segment, state...)`` tuples schedules them (true arm pushed first,
+#   false arm second, so the false arm pops first — the interpretive
+#   splitter's order, which is what keeps the RNG stream bitwise-identical);
+# * at a branch, ``_rt.uniform_or_none`` decides: a uniform selection stays
+#   in the same frame (dispatch is a segment-id assignment), a mixed one
+#   computes each arm's particle positions once with ``np.flatnonzero`` and
+#   integer-gathers every state array into the arm's worklist entry;
+# * the recorded logs are tracked *symbolically* during compilation — the
+#   compiler knows exactly which payload variables each path records, so
+#   the descent threads raw arrays through the live set and each leaf
+#   materializes its message lists once (no per-fork message gathering);
+# * the per-site score ledgers (read only by Rao-Blackwellized SVI) are
+#   gated behind a ``ledgers`` flag so IS/SMC runs skip that work entirely.
 #
-# The emitted code is bitwise-compatible with the interpretive backend: same
-# RNG calls in the same order, same density kernels (masked checks dropped
-# only when value provenance proves them to be the identity).  See
-# :mod:`repro.compiler.batched_runtime` for the contract.
+# Every leaf is stamped with its compile-time path id, and a second emitted
+# function (the rescore pass, compiled on first use) replays that exact
+# path for SVI's group rescoring — recorded values consumed at statically
+# known log positions, branch selections masked exactly as the interpretive
+# scheduler masks them.  A replay the straight-line path cannot represent (a
+# *pure* branch predicate flipping under perturbed arguments) raises
+# ``RescoreDivert`` and the runner delegates that leaf to the interpretive
+# ``rescore_group``.
+#
+# Programs outside the supported fragment — recursion, higher-order
+# functions, first-class distributions — are rejected by
+# :func:`compiled_unsupported_reason` and fall back to the interpretive
+# vectorizer.  The emitted code is bitwise-compatible with the interpretive
+# backend: same RNG calls in the same order, same density kernels (masked
+# checks dropped only when value provenance proves them to be the
+# identity).  See :mod:`repro.compiler.batched_runtime` for the contract.
 
 
 _FAMILY_VALUE_FLAGS = {
@@ -475,7 +494,7 @@ _CHK_PARAM_FN = {
 }
 
 _MAX_FORK_DEPTH = 16
-_MAX_FUSED_LINES = 50_000
+_MAX_KERNEL_LINES = 50_000
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -557,7 +576,7 @@ def load_compiled(source: str, module_name: str = "repro_generated") -> Compiled
 
 
 # ---------------------------------------------------------------------------
-# Fused backend: supported-fragment check
+# Compiled backend: supported-fragment check
 # ---------------------------------------------------------------------------
 
 
@@ -639,7 +658,7 @@ def _expr_fragment_reason(expr: ast.Expr, is_dist_position: bool) -> Optional[st
     return next(filter(None, (_expr_fragment_reason(c, False) for c in children)), None)
 
 
-def fused_unsupported_reason(
+def compiled_unsupported_reason(
     model_program: ast.Program,
     guide_program: ast.Program,
     model_entry: str,
@@ -647,7 +666,7 @@ def fused_unsupported_reason(
     latent_channel: str = "latent",
     obs_channel: str = "obs",
 ) -> Optional[str]:
-    """Why this pair cannot run on the fused batched backend (``None`` = it can).
+    """Why this pair cannot run on the compiled backend (``None`` = it can).
 
     The check is conservative: everything it admits compiles to code whose
     results are bitwise-identical to the interpretive vectorizer; everything
@@ -703,7 +722,7 @@ def _command_fragment_reason(cmd: ast.Command, side: str, obs_channel: str) -> O
 
 
 # ---------------------------------------------------------------------------
-# Fused backend: pure-expression compilation (mirrors eval_expr_vec)
+# Compiled backend: pure-expression compilation (mirrors eval_expr_vec)
 # ---------------------------------------------------------------------------
 
 
@@ -775,7 +794,7 @@ def _compile_expr_vec(expr: ast.Expr, env: Mapping[str, _Sym]) -> _Sym:
         value = _compile_expr_vec(expr.tuple_expr, env)
         return _Sym(f"_rt.proj({value.code}, {expr.index})", frozenset())
 
-    raise CompilationError(f"cannot compile expression node {expr!r} for the fused backend")
+    raise CompilationError(f"cannot compile expression node {expr!r} for the compiled backend")
 
 
 def _compile_primop_vec(expr: ast.PrimOp, env: Mapping[str, _Sym]) -> _Sym:
@@ -802,7 +821,7 @@ def _compile_primop_vec(expr: ast.PrimOp, env: Mapping[str, _Sym]) -> _Sym:
 
 
 # ---------------------------------------------------------------------------
-# Fused backend: symbolic scheduling and code emission
+# Compiled backend: symbolic scheduling and code emission
 # ---------------------------------------------------------------------------
 
 
@@ -878,12 +897,14 @@ class _SchedState:
     chan: _SymChannel
     obs_pos: int
     order: Tuple[str, str]
-    #: Megakernel-only: compile-time mirror of the recorded logs, so the
-    #: generated code can defer materializing message lists to the leaves.
+    #: Compile-time mirror of the recorded logs, so the generated code can
+    #: defer materializing message lists to the leaves.
     #: ``{"lat": [...], "obs": [...], "sc": [...]}`` where log entries are
     #: ``("val", provider_sent, var, lane)`` | ``("dir", provider_sent,
     #: selection)`` | ``("fold",)`` and ``sc`` holds obs-score var names.
-    rec_sym: Optional[Dict[str, List[tuple]]] = None
+    rec_sym: Dict[str, List[tuple]] = field(
+        default_factory=lambda: {"lat": [], "obs": [], "sc": []}
+    )
 
     def clone(self) -> "_SchedState":
         return _SchedState(
@@ -891,33 +912,31 @@ class _SchedState:
             chan=self.chan.clone(),
             obs_pos=self.obs_pos,
             order=self.order,
-            rec_sym=(
-                {key: list(entries) for key, entries in self.rec_sym.items()}
-                if self.rec_sym is not None
-                else None
-            ),
+            rec_sym={key: list(entries) for key, entries in self.rec_sym.items()},
         )
 
 
 class _Emitter:
-    """Indentation-aware line sink with a global size guard."""
+    """Indentation-aware line sink; all segments share one size budget."""
 
-    def __init__(self, lines: List[str]):
+    def __init__(self, lines: List[str], budget: List[int], indent: int):
         self.lines = lines
-        self.indent = 1
+        self.budget = budget
+        self.indent = indent
 
     def ln(self, code: str) -> None:
-        if len(self.lines) > _MAX_FUSED_LINES:
+        self.budget[0] += 1
+        if self.budget[0] > _MAX_KERNEL_LINES:
             raise CompilationError(
-                "fused kernel exceeds the generated-code size budget "
-                f"({_MAX_FUSED_LINES} lines); too many divergent branch sites"
+                "compiled kernel exceeds the generated-code size budget "
+                f"({_MAX_KERNEL_LINES} lines); too many divergent branch sites"
             )
         self.lines.append("    " * self.indent + code)
 
 
 @dataclass
 class _DistInfo:
-    """How one distribution expression is realised in the fused kernel."""
+    """How one distribution expression is realised in the compiled kernel."""
 
     mode: str  # "const" | "fast" | "generic"
     kind: Optional[ast.DistKind]
@@ -926,26 +945,38 @@ class _DistInfo:
     value_flags: frozenset
 
 
-_FUSED_HEADER = '''"""Fused batched kernel generated by repro.compiler.codegen — do not edit."""
+_KERNEL_HEADER = '''"""Batched kernel generated by repro.compiler.codegen — do not edit."""
+
+import numpy as np
 
 from repro.compiler import batched_runtime as _rt
 from repro.core.ast import DistKind
-from repro.xp import np
 
 '''
 
-_STATE_PARAMS = "idx, lw_m, lw_g, rec_lat, rec_obs, obs_sc, led_m, led_g"
+_STATE = "idx, lw_m, lw_g, led_m, led_g, _live"
 
 
-class _FusedCompiler:
-    """Compile a model/guide pair into one fused batched kernel.
+class _KernelCompiler:
+    """Compile a model/guide pair into the forward pass of its batched kernel.
 
     The compiler *is* the scheduler: it steps two symbolic tasks under the
     exact round-robin discipline of the interpretive
     :class:`~repro.engine.vectorize._VecScheduler` and emits code for every
     op it resolves, so the generated kernel performs the same RNG draws and
-    the same density evaluations in the same order.
+    the same density evaluations in the same order.  Each branch arm
+    becomes a segment of one emitted function, driven by an explicit LIFO
+    worklist (see the section comment above).
     """
+
+    #: Segment bodies sit inside ``while _stack: ... while True:`` (depth 4);
+    #: the rescore pass overrides both (its chain sits one loop shallower).
+    _seg_indent = 4
+    _chain_pad = "            "
+    #: An empty segment must still exit the dispatch loop.
+    _empty_body = "break"
+    #: The forward pass fills the per-site score ledgers only when asked.
+    _ledger_guard = "if ledgers: "
 
     def __init__(
         self,
@@ -967,11 +998,23 @@ class _FusedCompiler:
         self._const_dists: Dict[Tuple[ast.DistKind, Tuple[str, ...]], str] = {}
         model_proc = model_program.procedure(model_entry)
         self.has_obs = model_proc.provides == obs_channel
+        self.segments: List[List[str]] = []
+        self._budget = [0]
+        #: Branch directions taken along the path currently being compiled.
+        self._path: List[bool] = []
+        #: ``path_dirs[pid]`` = fork directions from the root to leaf ``pid``.
+        self.path_dirs: List[Tuple[bool, ...]] = []
 
     # -- naming and materialisation -------------------------------------------
 
     def _fresh(self, hint: str) -> str:
         return self.names.fresh(hint)
+
+    def _new_segment(self) -> Tuple[int, _Emitter]:
+        seg_id = len(self.segments)
+        buf: List[str] = []
+        self.segments.append(buf)
+        return seg_id, _Emitter(buf, self._budget, self._seg_indent)
 
     def _materialize(self, em: _Emitter, sym: _Sym, hint: str = "b") -> _Sym:
         if _atomic(sym.code):
@@ -1037,22 +1080,21 @@ class _FusedCompiler:
         em.ln(f"{name} = _rt.make_batched(DistKind.{kind.name}, ({args}), n)")
         return _DistInfo("generic", kind, name, [s.code for s in arg_syms], value_flags)
 
-    #: Emit whole-family checks (``chk_normal`` et al.).  The megakernel
-    #: compiler flips this to emit per-parameter checks, skipping parameters
-    #: whose provenance proof already discharges the check.
-    _granular_chk = False
-
     def _emit_dist_checks(
         self, em: _Emitter, kind: ast.DistKind, mat: List[_Sym], proofs: List[bool]
     ) -> None:
-        if self._granular_chk and proofs:
+        """Check the parameters no provenance proof discharges.
+
+        With one proof per parameter, each unproven parameter gets its own
+        check (``chk_normal_mean`` et al.); otherwise the family's combined
+        check runs.
+        """
+        if proofs:
             for index, (sym, proven) in enumerate(zip(mat, proofs)):
                 if proven:
                     continue
                 helper = _CHK_PARAM_FN.get((kind, index))
-                if helper == "chk_pois":
-                    em.ln(f"_rt.chk_pois({sym.code})")
-                elif helper is not None:
+                if helper is not None:
                     em.ln(f"_rt.{helper}({sym.code})")
                 elif _CHK_FN.get(kind) == "chk_unit":
                     em.ln(f"_rt.chk_unit(DistKind.{kind.name}, {sym.code})")
@@ -1105,12 +1147,13 @@ class _FusedCompiler:
     # -- the compile-time scheduler -------------------------------------------
 
     def compile(self) -> str:
-        body_lines: List[str] = []
-        em = _Emitter(body_lines)
-
-        model_env = self._emit_entry_binding(em, "model", self.model_program, self.model_entry, "model_args")
-        guide_env = self._emit_entry_binding(em, "guide", self.guide_program, self.guide_entry, "guide_args")
-
+        _seg0, em = self._new_segment()
+        model_env = self._emit_entry_binding(
+            em, "model", self.model_program, self.model_entry, "model_args"
+        )
+        guide_env = self._emit_entry_binding(
+            em, "guide", self.guide_program, self.guide_entry, "guide_args"
+        )
         model_proc = self.model_program.procedure(self.model_entry)
         guide_proc = self.guide_program.procedure(self.guide_entry)
         state = _SchedState(
@@ -1125,23 +1168,7 @@ class _FusedCompiler:
             order=("model", "guide"),
         )
         self._run_schedule(state, em, depth=0)
-
-        lines = [_FUSED_HEADER, "", "def fused_kernel(rng, n, obs, model_args, guide_args):"]
-        lines.append("    leaves = []")
-        for line in self.preamble:
-            lines.append("    " + line)
-        lines.append("    idx = np.arange(n)")
-        lines.append("    lw_m = np.zeros(n)")
-        lines.append("    lw_g = np.zeros(n)")
-        lines.append("    rec_lat = []")
-        lines.append("    rec_obs = []")
-        lines.append("    obs_sc = []")
-        lines.append("    led_m = []")
-        lines.append("    led_g = []")
-        lines.extend(body_lines)
-        lines.append("    return leaves")
-        lines.append("")
-        return "\n".join(lines)
+        return "\n".join(self._assemble())
 
     def _emit_entry_binding(
         self, em: _Emitter, side: str, program: ast.Program, entry: str, args_var: str
@@ -1176,16 +1203,35 @@ class _FusedCompiler:
             return
 
     def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
+        pid = len(self.path_dirs)
+        self.path_dirs.append(tuple(self._path))
+        em.ln(f"rec_lat = [{self._msgs_code(state.rec_sym['lat'])}]")
         recorded = f'{{"{self.latent}": rec_lat'
         if self.has_obs:
+            em.ln(f"rec_obs = [{self._msgs_code(state.rec_sym['obs'])}]")
             recorded += f', "{self.obs}": rec_obs'
         recorded += "}"
+        obs_sc = "[" + ", ".join(state.rec_sym["sc"]) + "]"
         model_value = state.tasks["model"].value.code
         guide_value = state.tasks["guide"].value.code
         em.ln(
-            f"leaves.append(_rt.make_leaf(idx, lw_m, lw_g, {recorded}, obs_sc, "
-            f"{model_value}, {guide_value}, led_m, led_g))"
+            f"leaves.append(_rt.make_leaf(idx, lw_m, lw_g, {recorded}, {obs_sc}, "
+            f"{model_value}, {guide_value}, led_m if ledgers else None, "
+            f"led_g if ledgers else None, {pid}))"
         )
+        em.ln("break")
+
+    @staticmethod
+    def _msgs_code(log: List[tuple]) -> str:
+        parts = []
+        for entry in log:
+            if entry[0] == "val":
+                parts.append(f"_rt.val_msg({entry[1]}, {entry[2]})")
+            elif entry[0] == "dir":
+                parts.append(f"_rt.dir_msg({entry[1]}, {entry[2]})")
+            else:
+                parts.append("_rt.fold_msg()")
+        return ", ".join(parts)
 
     # -- single-task stepping (mirrors _VecScheduler._step) --------------------
 
@@ -1220,37 +1266,38 @@ class _FusedCompiler:
     def _step_folds(self, task: _SymTask, state: _SchedState, em: _Emitter) -> bool:
         _tag, chans, body, env = task.cur
         while chans:
-            channel = chans[0]
-            if channel == self.obs:
+            if chans[0] == self.obs:
                 position = state.obs_pos
                 state.obs_pos += 1
-                em.ln("if obs is not None:")
-                em.indent += 1
-                em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
-                em.indent -= 1
-                em.ln("rec_obs.append(_rt.fold_msg())")
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            chan = state.chan
-            if task.name in chan.fold_passes:
-                chan.fold_passes.discard(task.name)
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            if chan.fold_waiting is None:
-                chan.fold_waiting = task.name
-                return False
-            if chan.fold_waiting == task.name:
-                return False
-            other = chan.fold_waiting
-            chan.fold_waiting = None
-            chan.fold_passes.add(other)
-            em.ln("rec_lat.append(_rt.fold_msg())")
+                self._emit_obs_fold(em, state, position)
+            else:
+                chan = state.chan
+                if task.name in chan.fold_passes:
+                    chan.fold_passes.discard(task.name)
+                else:
+                    if chan.fold_waiting is None:
+                        chan.fold_waiting = task.name
+                        return False
+                    if chan.fold_waiting == task.name:
+                        return False
+                    other = chan.fold_waiting
+                    chan.fold_waiting = None
+                    chan.fold_passes.add(other)
+                    self._emit_latent_fold(em, state)
             chans = chans[1:]
             task.cur = ("folds", chans, body, env)
         task.cur = ("cmd", body, env)
         return True
+
+    def _emit_obs_fold(self, em: _Emitter, state: _SchedState, position: int) -> None:
+        em.ln("if obs is not None:")
+        em.indent += 1
+        em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
+        em.indent -= 1
+        state.rec_sym["obs"].append(("fold",))
+
+    def _emit_latent_fold(self, em: _Emitter, state: _SchedState) -> None:
+        state.rec_sym["lat"].append(("fold",))
 
     def _step_command(
         self,
@@ -1364,11 +1411,11 @@ class _FusedCompiler:
             lw = "lw_m" if task.name == "model" else "lw_g"
             em.ln(f"{lw} += {score}")
             if task.name == "model":
-                em.ln(f"obs_sc.append({score})")
+                self._record_obs_score(em, state, score)
             task.cur = ("val", _Sym("None", frozenset({"const"})))
             return True
 
-        raise CompilationError(f"cannot compile command node {cmd!r} for the fused backend")
+        raise CompilationError(f"cannot compile command node {cmd!r} for the compiled backend")
 
     def _bind_call(self, em: _Emitter, callee: ast.Procedure, argument: _Sym) -> Dict[str, _Sym]:
         params = callee.params
@@ -1389,7 +1436,7 @@ class _FusedCompiler:
         lw = "lw_m" if task_name == "model" else "lw_g"
         led = "led_m" if task_name == "model" else "led_g"
         em.ln(f"{lw} += {score}")
-        em.ln(f'{led}.append(("{channel}", {score}))')
+        em.ln(f'{self._ledger_guard}{led}.append(("{channel}", {score}))')
 
     def _emit_latent_send(
         self, task: _SymTask, state: _SchedState, cmd: ast.SampleSend,
@@ -1403,7 +1450,9 @@ class _FusedCompiler:
         em.ln(f"{score} = {self._score_lane_code(info, value_sym)}")
         self._emit_accumulate(em, task.name, score, self.latent)
         provider_sent = task.name == state.chan.provider
-        em.ln(f"rec_lat.append(_rt.val_msg({provider_sent}, {value}))")
+        # Recorded symbolically, materialized at the leaf: no runtime list
+        # traffic along the descent, no message gathering at forks.
+        state.rec_sym["lat"].append(("val", provider_sent, value, value_sym.is_lane))
         state.chan.outgoing(task.name).append(("val", value_sym))
         return value_sym
 
@@ -1427,15 +1476,18 @@ class _FusedCompiler:
         em.ln(f"{score} = {self._score_at_code(info, _Sym(value))}")
         em.indent -= 1
         em.ln(f"lw_m += {score}")
-        em.ln(f'led_m.append(("{self.obs}", {score}))')
-        em.ln(f"obs_sc.append({score})")
-        em.ln(f"rec_obs.append(_rt.val_msg(True, {value}))")
+        em.ln(f'if ledgers: led_m.append(("{self.obs}", {score}))')
+        # The observed value is only provably a lane array in prior mode, so
+        # it gathers through ``_rt.gat``; the score is an array either way.
+        self._record_obs_score(em, state, score)
+        state.rec_sym["obs"].append(("val", True, value, False))
         return _Sym(value, frozenset())
 
-    # -- forking at branch sites ----------------------------------------------
+    def _record_obs_score(self, em: _Emitter, state: _SchedState, score: str) -> None:
+        """Record a model-side observation score (materialized at the leaf)."""
+        state.rec_sym["sc"].append(score)
 
-    def _live_vars(self, state: _SchedState) -> List[str]:
-        return [name for name, _lane in self._live_items(state)]
+    # -- forking at branch sites ----------------------------------------------
 
     def _live_items(self, state: _SchedState) -> List[Tuple[str, bool]]:
         # Each item is ``(name, lane)``; ``lane`` is sound ("definitely a
@@ -1467,370 +1519,8 @@ class _FusedCompiler:
                     add_sym(payload)
         return list(seen.items())
 
-    def _fork(
-        self,
-        state: _SchedState,
-        em: _Emitter,
-        depth: int,
-        task_name: str,
-        pred_var: str,
-        then_cmd: ast.Command,
-        orelse_cmd: ast.Command,
-        env: Dict[str, _Sym],
-        comm: bool,
-        provider_sent: bool,
-    ) -> None:
-        if depth >= _MAX_FORK_DEPTH:
-            raise CompilationError(
-                f"fused kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
-            )
-        live = self._live_vars(state)
-        kname = self._fresh("k")
-        extra = (", " + ", ".join(live)) if live else ""
-        em.ln(f"def {kname}(_sel, {_STATE_PARAMS}{extra}):")
-        em.indent += 1
-        em.ln("n = idx.shape[0]")
-        for selection in (True, False):
-            em.ln("if _sel:" if selection else "else:")
-            em.indent += 1
-            arm = state.clone()
-            arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
-            arm_task = arm.tasks[task_name]
-            arm_task.cur = ("cmd", then_cmd if selection else orelse_cmd, env)
-            if comm:
-                arm.chan.outgoing(task_name).append(("dir", selection))
-            self._run_schedule(arm, em, depth + 1)
-            em.indent -= 1
-        em.indent -= 1
-
-        sel = self._fresh("sl")
-        em.ln(f"{sel} = _rt.uniform_or_none({pred_var})")
-        em.ln(f"if {sel} is None:")
-        em.indent += 1
-        msk = self._fresh("mk")
-        em.ln(f"for _sb, {msk} in ((False, ~{pred_var}), (True, {pred_var})):")
-        em.indent += 1
-        dir_arg = repr(provider_sent) if comm else "None"
-        sliced_live = "".join(f", _rt.take({v}, {msk})" for v in live)
-        em.ln(
-            f"{kname}(_sb, idx[{msk}], lw_m[{msk}], lw_g[{msk}], "
-            f"_rt.slc_msgs(rec_lat, {msk}, {dir_arg}, _sb), "
-            f"_rt.slc_msgs(rec_obs, {msk}), "
-            f"_rt.slc_arrs(obs_sc, {msk}), _rt.slc_led(led_m, {msk}), "
-            f"_rt.slc_led(led_g, {msk}){sliced_live})"
-        )
-        em.indent -= 2
-        em.ln("else:")
-        em.indent += 1
-        if comm:
-            em.ln(f"rec_lat.append(_rt.dir_msg({provider_sent}, {sel}))")
-        passed_live = "".join(f", {v}" for v in live)
-        em.ln(f"{kname}({sel}, {_STATE_PARAMS}{passed_live})")
-        em.indent -= 1
-        raise _Forked()
-
-
-# ---------------------------------------------------------------------------
-# Fused backend: public API
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FusedKernel:
-    """A loaded fused kernel for one model/guide pair.
-
-    ``entry`` is the generated ``fused_kernel(rng, n, obs, model_args,
-    guide_args)`` function; it returns the control-flow-group leaves that
-    :class:`repro.engine.vectorize.VectorRunResult` assembles.
-    """
-
-    source: str
-    entry: object
-    model_entry: str
-    guide_entry: str
-    latent_channel: str
-    obs_channel: str
-
-    def run(self, rng, num_particles, obs_trace, model_args, guide_args):
-        # One errstate context for the whole run: the in-bounds score
-        # helpers rely on overflow warnings being suppressed here instead
-        # of entering a context per call (hot at fine-grained groups).
-        with np.errstate(over="ignore"):
-            return self.entry(rng, num_particles, obs_trace, model_args, guide_args)
-
-    @property
-    def lines_of_code(self) -> int:
-        count = 0
-        for line in self.source.splitlines():
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                count += 1
-        return count
-
-
-def compile_fused_pair(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-) -> str:
-    """Compile a model/guide pair into fused batched kernel source.
-
-    Raises :class:`CompilationError` when the pair uses features outside the
-    fused fragment (see :func:`fused_unsupported_reason`); callers fall back
-    to the interpretive vectorizer then.
-    """
-    reason = fused_unsupported_reason(
-        model_program, guide_program, model_entry, guide_entry,
-        latent_channel=latent_channel, obs_channel=obs_channel,
-    )
-    if reason is not None:
-        raise CompilationError(f"fused backend does not support this pair: {reason}")
-    compiler = _FusedCompiler(
-        model_program, guide_program, model_entry, guide_entry,
-        latent_channel=latent_channel, obs_channel=obs_channel,
-    )
-    return compiler.compile()
-
-
-def load_fused(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    module_name: str = "repro_fused",
-) -> FusedKernel:
-    """Compile and load a fused kernel as a callable."""
-    source = compile_fused_pair(
-        model_program, guide_program, model_entry, guide_entry,
-        latent_channel=latent_channel, obs_channel=obs_channel,
-    )
-    module = types.ModuleType(module_name)
-    module.__dict__["__name__"] = module_name
-    try:
-        exec(compile(source, f"<{module_name}>", "exec"), module.__dict__)
-    except SyntaxError as exc:  # pragma: no cover - indicates a codegen bug
-        raise CompilationError(f"generated fused kernel does not parse: {exc}") from exc
-    return FusedKernel(
-        source=source,
-        entry=module.fused_kernel,
-        model_entry=model_entry,
-        guide_entry=guide_entry,
-        latent_channel=latent_channel,
-        obs_channel=obs_channel,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Megakernel backend: one function scheduling path-partitioned index sets
-# ---------------------------------------------------------------------------
-#
-# The fused backend above emits one nested Python closure per divergent
-# branch arm; a model with 30 control-flow groups therefore pays ~60 Python
-# call dispatches per run plus an O(n_parent) boolean-mask slice for every
-# state array at every fork.  The *megakernel* target keeps the fused
-# compiler's symbolic schedule — so it covers exactly the same fragment,
-# draws the same RNG stream, and evaluates the same density kernels in the
-# same order — but lowers the path tree differently:
-#
-# * every branch arm becomes a *segment* of one emitted function, and an
-#   explicit LIFO worklist of ``(segment, state...)`` tuples replaces the
-#   nested closure calls (true arm pushed first, false arm second, so the
-#   false arm pops first — the interpretive splitter's order, which is what
-#   keeps the RNG stream bitwise-identical);
-# * at a mixed fork the particle positions are computed once per arm with
-#   ``np.flatnonzero`` and every state array is integer-gathered (O(group)
-#   per array instead of an O(parent) mask scan per array — bitwise the
-#   same result);
-# * the recorded logs are tracked *symbolically* during compilation — the
-#   compiler knows exactly which payload variables each path records, so
-#   the descent threads raw arrays through the live set and each leaf
-#   materializes its message lists once (no per-fork message gathering);
-# * a uniform branch selection never touches the worklist: dispatch is a
-#   segment-id assignment and the loop continues in the same frame;
-# * the per-site score ledgers (read only by Rao-Blackwellized SVI) are
-#   gated behind a ``ledgers`` flag so IS/SMC runs skip that work entirely.
-#
-# The megakernel also compiles the SVI group-rescoring pass, which the fused
-# backend inherits from the interpreter: every leaf is stamped with its
-# compile-time path id, and a second emitted function replays that exact
-# path — recorded values consumed at statically known log positions, branch
-# selections masked exactly as the interpretive scheduler masks them.  A
-# replay the straight-line path cannot represent (a *pure* branch predicate
-# flipping under perturbed arguments) raises ``RescoreDivert`` and the
-# runner delegates that leaf to the inherited interpretive
-# ``rescore_group`` — so divergence handling, error types, and the
-# undetectable-flip semantics stay bitwise-faithful by construction.
-
-
-class _SegEmitter(_Emitter):
-    """Per-segment line sink sharing one size budget across all segments."""
-
-    def __init__(self, lines: List[str], budget: List[int], indent: int = 3):
-        super().__init__(lines)
-        self.indent = indent
-        self.budget = budget
-
-    def ln(self, code: str) -> None:
-        self.budget[0] += 1
-        if self.budget[0] > _MAX_FUSED_LINES:
-            raise CompilationError(
-                "megakernel exceeds the generated-code size budget "
-                f"({_MAX_FUSED_LINES} lines); too many divergent branch sites"
-            )
-        self.lines.append("    " * self.indent + code)
-
-
-_MEGA_STATE = "idx, lw_m, lw_g, led_m, led_g, _live"
-
-
-class _MegaCompiler(_FusedCompiler):
-    """The megakernel forward pass: segments + an explicit LIFO worklist."""
-
-    _granular_chk = True
-    #: Segment bodies sit inside ``while _stack: ... while True:`` (depth 4);
-    #: the rescore pass overrides both (its chain sits one loop shallower).
-    _seg_indent = 4
-    _chain_pad = "            "
-    #: An empty segment must still exit the dispatch loop.
-    _empty_body = "break"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.segments: List[List[str]] = []
-        self._budget = [0]
-        #: Branch directions taken along the path currently being compiled.
-        self._path: List[bool] = []
-        #: ``path_dirs[pid]`` = fork directions from the root to leaf ``pid``.
-        self.path_dirs: List[Tuple[bool, ...]] = []
-
-    def _new_segment(self) -> Tuple[int, _SegEmitter]:
-        seg_id = len(self.segments)
-        buf: List[str] = []
-        self.segments.append(buf)
-        return seg_id, _SegEmitter(buf, self._budget, self._seg_indent)
-
-    # -- emission overrides ----------------------------------------------------
-
-    def _emit_accumulate(self, em: _Emitter, task_name: str, score: str, channel: str) -> None:
-        lw = "lw_m" if task_name == "model" else "lw_g"
-        led = "led_m" if task_name == "model" else "led_g"
-        em.ln(f"{lw} += {score}")
-        em.ln(f'if ledgers: {led}.append(("{channel}", {score}))')
-
-    def _emit_latent_send(self, task, state, cmd, env, em):
-        info = self._emit_dist(em, cmd.dist, env)
-        value = self._fresh("v")
-        em.ln(f"{value} = {self._draw_code(info)}")
-        value_sym = _Sym(value, info.value_flags)
-        score = self._fresh("s")
-        em.ln(f"{score} = {self._score_lane_code(info, value_sym)}")
-        self._emit_accumulate(em, task.name, score, self.latent)
-        provider_sent = task.name == state.chan.provider
-        # Recorded symbolically, materialized at the leaf: no runtime list
-        # traffic along the descent, no message gathering at forks.
-        state.rec_sym["lat"].append(("val", provider_sent, value, value_sym.is_lane))
-        state.chan.outgoing(task.name).append(("val", value_sym))
-        return value_sym
-
-    def _emit_obs_send(self, task, state, cmd, env, em):
-        info = self._emit_dist(em, cmd.dist, env)
-        position = state.obs_pos
-        state.obs_pos += 1
-        value = self._fresh("v")
-        score = self._fresh("s")
-        em.ln("if obs is None:")
-        em.indent += 1
-        em.ln(f"{value} = {self._draw_code(info)}")
-        em.ln(f"{score} = {self._score_lane_code(info, _Sym(value, info.value_flags))}")
-        em.indent -= 1
-        em.ln("else:")
-        em.indent += 1
-        em.ln(f'{value} = _rt.obs_value(obs, {position}, "send on {self.obs}")')
-        em.ln(f"{score} = {self._score_at_code(info, _Sym(value))}")
-        em.indent -= 1
-        em.ln(f"lw_m += {score}")
-        em.ln(f'if ledgers: led_m.append(("{self.obs}", {score}))')
-        # The observed value is only provably a lane array in prior mode, so
-        # it gathers through ``_rt.gat``; the score is an array either way.
-        state.rec_sym["sc"].append(score)
-        state.rec_sym["obs"].append(("val", True, value, False))
-        return _Sym(value, frozenset())
-
-    def _step_folds(self, task: _SymTask, state: _SchedState, em: _Emitter) -> bool:
-        _tag, chans, body, env = task.cur
-        while chans:
-            channel = chans[0]
-            if channel == self.obs:
-                position = state.obs_pos
-                state.obs_pos += 1
-                em.ln("if obs is not None:")
-                em.indent += 1
-                em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
-                em.indent -= 1
-                state.rec_sym["obs"].append(("fold",))
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            chan = state.chan
-            if task.name in chan.fold_passes:
-                chan.fold_passes.discard(task.name)
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            if chan.fold_waiting is None:
-                chan.fold_waiting = task.name
-                return False
-            if chan.fold_waiting == task.name:
-                return False
-            other = chan.fold_waiting
-            chan.fold_waiting = None
-            chan.fold_passes.add(other)
-            state.rec_sym["lat"].append(("fold",))
-            chans = chans[1:]
-            task.cur = ("folds", chans, body, env)
-        task.cur = ("cmd", body, env)
-        return True
-
-    def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
-        pid = len(self.path_dirs)
-        self.path_dirs.append(tuple(self._path))
-        em.ln(f"rec_lat = [{self._msgs_code(state.rec_sym['lat'])}]")
-        recorded = f'{{"{self.latent}": rec_lat'
-        if self.has_obs:
-            em.ln(f"rec_obs = [{self._msgs_code(state.rec_sym['obs'])}]")
-            recorded += f', "{self.obs}": rec_obs'
-        recorded += "}"
-        obs_sc = "[" + ", ".join(state.rec_sym["sc"]) + "]"
-        model_value = state.tasks["model"].value.code
-        guide_value = state.tasks["guide"].value.code
-        em.ln(
-            f"leaves.append(_rt.mega_leaf(idx, lw_m, lw_g, {recorded}, {obs_sc}, "
-            f"{model_value}, {guide_value}, led_m if ledgers else None, "
-            f"led_g if ledgers else None, {pid}))"
-        )
-        em.ln("break")
-
-    @staticmethod
-    def _msgs_code(log: List[tuple]) -> str:
-        parts = []
-        for entry in log:
-            if entry[0] == "val":
-                parts.append(f"_rt.val_msg({entry[1]}, {entry[2]})")
-            elif entry[0] == "dir":
-                parts.append(f"_rt.dir_msg({entry[1]}, {entry[2]})")
-            else:
-                parts.append("_rt.fold_msg()")
-        return ", ".join(parts)
-
-    # -- forking ---------------------------------------------------------------
-
     def _arm_prologue(
-        self, em: _SegEmitter, selection: bool, pred_var: str,
+        self, em: _Emitter, selection: bool, pred_var: str,
         comm: bool, provider_sent: bool, task_name: str,
     ) -> None:
         """Hook for per-arm entry code (the rescore pass consumes dirs here)."""
@@ -1850,7 +1540,7 @@ class _MegaCompiler(_FusedCompiler):
     ) -> None:
         if depth >= _MAX_FORK_DEPTH:
             raise CompilationError(
-                f"megakernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
+                f"compiled kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
             )
         live = self._live_items(state)
         # Symbolically recorded payloads must survive to the leaves where
@@ -1883,12 +1573,12 @@ class _MegaCompiler(_FusedCompiler):
             self._path.append(selection)
             self._run_schedule(arm, seg_em, depth + 1)
             self._path.pop()
-        self._emit_dispatch(em, pred_var, seg_of, live, comm, provider_sent, depth)
+        self._emit_dispatch(em, pred_var, seg_of, live, depth)
         raise _Forked()
 
     def _emit_dispatch(
         self, em: _Emitter, pred_var: str, seg_of: Dict[bool, int],
-        live: List[Tuple[str, bool]], comm: bool, provider_sent: bool, depth: int,
+        live: List[Tuple[str, bool]], depth: int,
     ) -> None:
         live_tuple = (
             "(" + ", ".join(n for n, _ in live)
@@ -1901,7 +1591,7 @@ class _MegaCompiler(_FusedCompiler):
         pos = self._fresh("ps")
         # Push the true arm first so the false arm pops first: the worklist
         # replays the interpretive splitter's false-first LIFO order, which
-        # is what keeps the RNG stream identical across the three backends.
+        # is what keeps the RNG stream identical to the interpreter's.
         em.ln(f"for _sb, _sg in ((True, {seg_of[True]}), (False, {seg_of[False]})):")
         em.indent += 1
         em.ln(f"{pos} = np.flatnonzero({pred_var}) if _sb else np.flatnonzero(~{pred_var})")
@@ -1934,33 +1624,8 @@ class _MegaCompiler(_FusedCompiler):
 
     # -- assembly --------------------------------------------------------------
 
-    def compile(self) -> str:
-        _seg0, em = self._new_segment()
-        model_env = self._emit_entry_binding(
-            em, "model", self.model_program, self.model_entry, "model_args"
-        )
-        guide_env = self._emit_entry_binding(
-            em, "guide", self.guide_program, self.guide_entry, "guide_args"
-        )
-        model_proc = self.model_program.procedure(self.model_entry)
-        guide_proc = self.guide_program.procedure(self.guide_entry)
-        state = _SchedState(
-            tasks={
-                "model": _SymTask("model", self.model_program,
-                                  ("cmd", model_proc.body, model_env), []),
-                "guide": _SymTask("guide", self.guide_program,
-                                  ("cmd", guide_proc.body, guide_env), []),
-            },
-            chan=_SymChannel(provider="guide", to_consumer=[], to_provider=[]),
-            obs_pos=0,
-            order=("model", "guide"),
-            rec_sym={"lat": [], "obs": [], "sc": []},
-        )
-        self._run_schedule(state, em, depth=0)
-        return "\n".join(self._assemble())
-
     def _assemble(self) -> List[str]:
-        lines = ["def mega_kernel(rng, n, obs, model_args, guide_args, ledgers=True):"]
+        lines = ["def kernel(rng, n, obs, model_args, guide_args, ledgers=True):"]
         lines.append("    leaves = []")
         for line in self.preamble:
             lines.append("    " + line)
@@ -1968,7 +1633,7 @@ class _MegaCompiler(_FusedCompiler):
             "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), [], [], ())]"
         )
         lines.append("    while _stack:")
-        lines.append(f"        _seg, {_MEGA_STATE} = _stack.pop()")
+        lines.append(f"        _seg, {_STATE} = _stack.pop()")
         lines.append("        n = idx.shape[0]")
         lines.append("        while True:")
         lines.extend(self._segment_chain())
@@ -1986,10 +1651,10 @@ class _MegaCompiler(_FusedCompiler):
         return lines
 
 
-class _MegaRescoreCompiler(_MegaCompiler):
-    """The megakernel rescoring pass: replay one recorded path, no worklist.
+class _RescoreCompiler(_KernelCompiler):
+    """The rescoring pass: replay one recorded path, no worklist.
 
-    Emits ``mega_rescore(_dirs, n, obs, rec_lat, rec_obs, model_args,
+    Emits ``rescore(_dirs, n, obs, rec_lat, rec_obs, model_args,
     guide_args)``: the same symbolic schedule as the forward pass, but every
     sample value is consumed from the recorded log at a statically known
     position instead of drawn, and every fork follows ``_dirs`` (the leaf's
@@ -2004,6 +1669,9 @@ class _MegaRescoreCompiler(_MegaCompiler):
     _seg_indent = 3
     _chain_pad = "        "
     _empty_body = "pass"
+    #: Rescoring always feeds the per-site ledgers (Rao-Blackwellized SVI
+    #: is the consumer); there is no ``ledgers`` flag in this pass.
+    _ledger_guard = ""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -2012,11 +1680,6 @@ class _MegaRescoreCompiler(_MegaCompiler):
         self.leaf_count = 0
 
     # -- emission overrides ----------------------------------------------------
-
-    def _emit_accumulate(self, em: _Emitter, task_name: str, score: str, channel: str) -> None:
-        # Rescoring always feeds the per-site ledgers (Rao-Blackwellized SVI
-        # is the consumer); there is no ``ledgers`` flag in this pass.
-        _FusedCompiler._emit_accumulate(self, em, task_name, score, channel)
 
     def _emit_latent_send(self, task, state, cmd, env, em):
         info = self._emit_dist(em, cmd.dist, env)
@@ -2048,47 +1711,25 @@ class _MegaRescoreCompiler(_MegaCompiler):
         em.indent -= 1
         em.ln(f"lw_m += {score}")
         em.ln(f'led_m.append(("{self.obs}", {score}))')
-        em.ln(f"obs_sc.append({score})")
+        self._record_obs_score(em, state, score)
         return _Sym(value, frozenset())
 
-    def _step_folds(self, task, state, em) -> bool:
-        _tag, chans, body, env = task.cur
-        while chans:
-            channel = chans[0]
-            if channel == self.obs:
-                position = state.obs_pos
-                state.obs_pos += 1
-                em.ln("if obs is not None:")
-                em.indent += 1
-                em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
-                em.indent -= 1
-                em.ln("else:")
-                em.indent += 1
-                em.ln(f'_rt.rep_fold(rec_obs, {position}, "{self.obs}")')
-                em.indent -= 1
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            chan = state.chan
-            if task.name in chan.fold_passes:
-                chan.fold_passes.discard(task.name)
-                chans = chans[1:]
-                task.cur = ("folds", chans, body, env)
-                continue
-            if chan.fold_waiting is None:
-                chan.fold_waiting = task.name
-                return False
-            if chan.fold_waiting == task.name:
-                return False
-            other = chan.fold_waiting
-            chan.fold_waiting = None
-            chan.fold_passes.add(other)
-            em.ln(f'_rt.rep_fold(rec_lat, {self._lat_pos}, "{self.latent}")')
-            self._lat_pos += 1
-            chans = chans[1:]
-            task.cur = ("folds", chans, body, env)
-        task.cur = ("cmd", body, env)
-        return True
+    def _record_obs_score(self, em, state, score) -> None:
+        em.ln(f"obs_sc.append({score})")
+
+    def _emit_obs_fold(self, em, state, position) -> None:
+        em.ln("if obs is not None:")
+        em.indent += 1
+        em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
+        em.indent -= 1
+        em.ln("else:")
+        em.indent += 1
+        em.ln(f'_rt.rep_fold(rec_obs, {position}, "{self.obs}")')
+        em.indent -= 1
+
+    def _emit_latent_fold(self, em, state) -> None:
+        em.ln(f'_rt.rep_fold(rec_lat, {self._lat_pos}, "{self.latent}")')
+        self._lat_pos += 1
 
     def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
         self.leaf_count += 1
@@ -2112,7 +1753,7 @@ class _MegaRescoreCompiler(_MegaCompiler):
     # -- forking: follow the stamped path --------------------------------------
 
     def _arm_prologue(
-        self, em: _SegEmitter, selection: bool, pred_var: str,
+        self, em: _Emitter, selection: bool, pred_var: str,
         comm: bool, provider_sent: bool, task_name: str,
     ) -> None:
         if comm:
@@ -2126,20 +1767,17 @@ class _MegaRescoreCompiler(_MegaCompiler):
         else:
             em.ln(f"_rt.rep_pure({pred_var}, {selection})")
 
-    def _emit_dispatch(
-        self, em: _Emitter, pred_var: str, seg_of: Dict[bool, int],
-        live: List[str], comm: bool, provider_sent: bool, depth: int,
-    ) -> None:
+    def _emit_dispatch(self, em, pred_var, seg_of, live, depth) -> None:
         em.ln(f"_seg = {seg_of[True]} if _dirs[{depth}] else {seg_of[False]}")
 
     def _fork(self, state, em, depth, task_name, pred_var, then_cmd, orelse_cmd,
               env, comm, provider_sent) -> None:
         if depth >= _MAX_FORK_DEPTH:
             raise CompilationError(
-                f"megakernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
+                f"compiled kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
             )
         seg_of: Dict[bool, int] = {}
-        arms: List[Tuple[bool, _SchedState, _SegEmitter]] = []
+        arms: List[Tuple[bool, _SchedState, _Emitter]] = []
         for selection in (True, False):
             arm = state.clone()
             arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
@@ -2162,13 +1800,13 @@ class _MegaRescoreCompiler(_MegaCompiler):
             self._run_schedule(arm, seg_em, depth + 1)
             self._path.pop()
         self._lat_pos = saved
-        self._emit_dispatch(em, pred_var, seg_of, [], comm, provider_sent, depth)
+        self._emit_dispatch(em, pred_var, seg_of, [], depth)
         raise _Forked()
 
     # -- assembly --------------------------------------------------------------
 
     def _assemble(self) -> List[str]:
-        lines = ["def mega_rescore(_dirs, n, obs, rec_lat, rec_obs, model_args, guide_args):"]
+        lines = ["def rescore(_dirs, n, obs, rec_lat, rec_obs, model_args, guide_args):"]
         for line in self.preamble:
             lines.append("    " + line)
         lines.append("    lw_m = np.zeros(n)")
@@ -2184,33 +1822,51 @@ class _MegaRescoreCompiler(_MegaCompiler):
 
 
 # ---------------------------------------------------------------------------
-# Megakernel backend: public API
+# Compiled backend: public API
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MegaKernel:
-    """A loaded megakernel: the forward pass plus the compiled rescore pass.
+def _exec_kernel(source: str, module_name: str) -> types.ModuleType:
+    """Execute generated kernel source as a fresh module."""
+    module = types.ModuleType(module_name)
+    module.__dict__["__name__"] = module_name
+    try:
+        exec(compile(source, f"<{module_name}>", "exec"), module.__dict__)
+    except SyntaxError as exc:  # pragma: no cover - indicates a codegen bug
+        raise CompilationError(f"generated kernel does not parse: {exc}") from exc
+    return module
 
-    ``entry`` is the generated ``mega_kernel(rng, n, obs, model_args,
-    guide_args, ledgers)`` function; ``rescore_entry`` replays one stamped
-    leaf's path under (possibly perturbed) arguments.  ``path_dirs[pid]``
-    maps a leaf's compile-time path id to its fork directions.
+
+@dataclass
+class CompiledKernel:
+    """A loaded compiled kernel for one model/guide pair.
+
+    ``entry`` is the generated forward pass ``kernel(rng, n, obs,
+    model_args, guide_args, ledgers)``; it returns the path-stamped
+    control-flow-group leaves that
+    :class:`repro.engine.vectorize.VectorRunResult` assembles.
+    ``path_dirs[pid]`` maps a leaf's compile-time path id to its fork
+    directions.  The rescoring pass is generated and loaded on the first
+    :meth:`rescore` call (``rescore_entry`` stays ``None`` until then):
+    IS, SMC and fixed-guide SVI never rescore, so they never pay for it.
     """
 
     source: str
     entry: object
-    rescore_entry: object
     path_dirs: Tuple[Tuple[bool, ...], ...]
+    model_program: ast.Program
+    guide_program: ast.Program
     model_entry: str
     guide_entry: str
     latent_channel: str
     obs_channel: str
+    rescore_entry: Optional[object] = None
 
     def run(self, rng, num_particles, obs_trace, model_args, guide_args, ledgers=True):
-        """Execute the forward megakernel, returning path-stamped leaves."""
-        # Per-run errstate, mirroring FusedKernel.run: the in-bounds score
-        # helpers assume overflow warnings are suppressed by their caller.
+        """Execute the forward pass, returning path-stamped leaves."""
+        # One errstate context for the whole run: the in-bounds score
+        # helpers rely on overflow warnings being suppressed here instead
+        # of entering a context per call (hot at fine-grained groups).
         with np.errstate(over="ignore"):
             return self.entry(rng, num_particles, obs_trace, model_args, guide_args, ledgers)
 
@@ -2218,15 +1874,18 @@ class MegaKernel:
         """Replay ``leaf``'s recorded path under this kernel's score code.
 
         Raises :class:`~repro.compiler.batched_runtime.RescoreDivert` when
-        the leaf carries no path stamp (it was produced by another backend
-        or crossed a process boundary) — callers fall back to the
+        the leaf carries no valid path stamp (it was produced by another
+        backend or crossed a process boundary) — callers fall back to the
         interpretive ``rescore_group`` then.
         """
         from repro.compiler.batched_runtime import RescoreDivert
 
-        pid = getattr(leaf, "mega_path", None)
+        pid = getattr(leaf, "path_id", None)
         if pid is None or not (0 <= pid < len(self.path_dirs)):
-            raise RescoreDivert("leaf carries no megakernel path stamp")
+            raise RescoreDivert("leaf carries no compiled path stamp")
+        if self.rescore_entry is None:
+            # Racing threads each compile the same function; either may win.
+            self.rescore_entry = self._load_rescore()
         rec_lat = leaf.recorded.get(self.latent_channel, [])
         rec_obs = leaf.recorded.get(self.obs_channel, [])
         with np.errstate(over="ignore"):
@@ -2235,9 +1894,22 @@ class MegaKernel:
                 rec_lat, rec_obs, model_args, guide_args,
             )
 
+    def _load_rescore(self):
+        compiler = _RescoreCompiler(
+            self.model_program, self.guide_program, self.model_entry, self.guide_entry,
+            latent_channel=self.latent_channel, obs_channel=self.obs_channel,
+        )
+        source = _KERNEL_HEADER + "\n" + compiler.compile()
+        if compiler.leaf_count != len(self.path_dirs):  # pragma: no cover - invariant
+            raise CompilationError(
+                "internal compiler error: forward and rescore passes enumerated "
+                f"different path trees ({len(self.path_dirs)} vs {compiler.leaf_count})"
+            )
+        return _exec_kernel(source, "repro_rescore").rescore
+
     @property
     def lines_of_code(self) -> int:
-        """Non-blank, non-comment generated lines (Table 2's GLOC)."""
+        """Non-blank, non-comment generated lines of the forward pass."""
         count = 0
         for line in self.source.splitlines():
             stripped = line.strip()
@@ -2246,7 +1918,7 @@ class MegaKernel:
         return count
 
 
-def compile_mega_pair(
+def compile_kernel_pair(
     model_program: ast.Program,
     guide_program: ast.Program,
     model_entry: str,
@@ -2254,62 +1926,45 @@ def compile_mega_pair(
     latent_channel: str = "latent",
     obs_channel: str = "obs",
 ) -> Tuple[str, Tuple[Tuple[bool, ...], ...]]:
-    """Compile a pair into megakernel source plus the leaf path-direction table.
+    """Compile a pair's forward pass into kernel source plus its path table.
 
-    The megakernel covers exactly the fused fragment: the same
-    :func:`fused_unsupported_reason` gate applies, and a rejected pair falls
-    back to the interpretive vectorizer.
+    Raises :class:`CompilationError` when the pair uses features outside the
+    compiled fragment (see :func:`compiled_unsupported_reason`); callers
+    fall back to the interpretive vectorizer then.
     """
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
     )
     if reason is not None:
-        raise CompilationError(f"megakernel backend does not support this pair: {reason}")
-    forward = _MegaCompiler(
+        raise CompilationError(f"compiled backend does not support this pair: {reason}")
+    compiler = _KernelCompiler(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
     )
-    forward_src = forward.compile()
-    rescore = _MegaRescoreCompiler(
-        model_program, guide_program, model_entry, guide_entry,
-        latent_channel=latent_channel, obs_channel=obs_channel,
-    )
-    rescore_src = rescore.compile()
-    if rescore.leaf_count != len(forward.path_dirs):  # pragma: no cover - invariant
-        raise CompilationError(
-            "internal megakernel error: forward and rescore passes enumerated "
-            f"different path trees ({len(forward.path_dirs)} vs {rescore.leaf_count})"
-        )
-    source = _FUSED_HEADER + "\n" + forward_src + "\n\n" + rescore_src
-    return source, tuple(forward.path_dirs)
+    source = _KERNEL_HEADER + "\n" + compiler.compile()
+    return source, tuple(compiler.path_dirs)
 
 
-def load_mega(
+def load_kernel(
     model_program: ast.Program,
     guide_program: ast.Program,
     model_entry: str,
     guide_entry: str,
     latent_channel: str = "latent",
     obs_channel: str = "obs",
-    module_name: str = "repro_mega",
-) -> MegaKernel:
-    """Compile and load a megakernel (forward + rescore) as callables."""
-    source, path_dirs = compile_mega_pair(
+) -> CompiledKernel:
+    """Compile and load a pair's kernel (the rescore pass loads on first use)."""
+    source, path_dirs = compile_kernel_pair(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
     )
-    module = types.ModuleType(module_name)
-    module.__dict__["__name__"] = module_name
-    try:
-        exec(compile(source, f"<{module_name}>", "exec"), module.__dict__)
-    except SyntaxError as exc:  # pragma: no cover - indicates a codegen bug
-        raise CompilationError(f"generated megakernel does not parse: {exc}") from exc
-    return MegaKernel(
+    return CompiledKernel(
         source=source,
-        entry=module.mega_kernel,
-        rescore_entry=module.mega_rescore,
+        entry=_exec_kernel(source, "repro_kernel").kernel,
         path_dirs=path_dirs,
+        model_program=model_program,
+        guide_program=guide_program,
         model_entry=model_entry,
         guide_entry=guide_entry,
         latent_channel=latent_channel,

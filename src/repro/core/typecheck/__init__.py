@@ -13,7 +13,7 @@
 #: Version of the typechecking pipeline (basic types + guide-type inference).
 #: Bump on any change that can alter inference results or certificates:
 #: caches keyed by program source (e.g. the ProgramSession cache, compiled
-#: fused kernels) include this value so a compiler/typechecker change can
+#: kernels) include this value so a compiler/typechecker change can
 #: never replay stale cached artifacts.
 TYPECHECKER_VERSION = "2021.guide-types.3"
 

@@ -6,7 +6,7 @@ import abc
 import math
 from typing import Any
 
-from repro.xp import np
+import numpy as np
 
 from repro.core import types as ty
 

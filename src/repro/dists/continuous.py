@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from repro.xp import np
+import numpy as np
 from scipy import stats
 
 from repro.core import types as ty

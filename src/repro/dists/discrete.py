@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.xp import np
+import numpy as np
 
 from repro.core import types as ty
 from repro.dists.base import (

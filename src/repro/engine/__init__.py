@@ -56,7 +56,7 @@ from repro.engine.backend import (
     BACKENDS,
     CompiledParticleRunner,
     clear_kernel_cache,
-    fused_kernel_for,
+    kernel_for,
     make_particle_runner,
 )
 from repro.engine.batched import BatchedDist
@@ -110,7 +110,7 @@ __all__ = [
     "available_engines",
     "clear_kernel_cache",
     "clear_session_cache",
-    "fused_kernel_for",
+    "kernel_for",
     "make_particle_runner",
     "elbo_and_score_gradient",
     "estimate_elbo_batched",

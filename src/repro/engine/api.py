@@ -68,20 +68,14 @@ class InferenceRequest:
     #: runtime (``is-sequential``, ``mh``, ``svi-fd``) ignore both fields.
     shards: Optional[int] = None
     #: Particle-runtime backend: ``"interp"`` runs the lockstep coroutine
-    #: interpreter; ``"compiled"`` runs the fused batched kernel emitted by
-    #: :func:`repro.compiler.codegen.compile_fused_pair` (bitwise-identical
-    #: results, no per-site op dispatch), falling back to the interpreter
-    #: for pairs outside the compiled fragment (e.g. recursion) — the
-    #: decision is recorded on the session and surfaced in diagnostics.
-    #: Engines that never touch the vectorized runtime (``is-sequential``,
-    #: ``mh``, ``svi-fd``) ignore this field.
+    #: interpreter; ``"compiled"`` runs the batched kernel emitted by
+    #: :func:`repro.compiler.codegen.compile_kernel_pair` (bitwise-identical
+    #: results, no per-site op dispatch, SVI rescoring compiled too),
+    #: falling back to the interpreter for pairs outside the compiled
+    #: fragment (e.g. recursion) — the decision is recorded on the session
+    #: and surfaced in diagnostics.  Engines that never touch the vectorized
+    #: runtime (``is-sequential``, ``mh``, ``svi-fd``) ignore this field.
     backend: str = "interp"
-    #: Compiled-backend JIT tier: ``"none"`` runs the per-region fused
-    #: kernel, ``"mega"`` the cross-group megakernel (one emitted function
-    #: scheduling the whole path tree, with the SVI rescoring pass compiled
-    #: too).  Both tiers cover the same fragment and are bitwise-identical
-    #: to ``interp``; ignored when ``backend="interp"``.
-    jit: str = "none"
     #: Observed values, wrapped as provider-sent messages in order; mutually
     #: exclusive with ``obs_trace`` (which takes precedence when given).
     obs_values: Optional[Sequence[object]] = None
@@ -117,12 +111,6 @@ class InferenceRequest:
 
         return validate_backend(self.backend)
 
-    def resolved_jit(self) -> str:
-        """The validated compiled-backend JIT tier name."""
-        from repro.engine.backend import validate_jit
-
-        return validate_jit(self.jit)
-
     def resolved_shards(self) -> int:
         """The validated shard count (``shards``, defaulting to ``workers``)."""
         from repro.engine.shard import resolve_shards
@@ -132,13 +120,12 @@ class InferenceRequest:
     def runner_options(self) -> Dict[str, object]:
         """Keyword arguments selecting this request's execution strategy.
 
-        Bundles the backend, JIT-tier, and shard controls for
+        Bundles the backend and shard controls for
         :func:`repro.engine.backend.make_particle_runner`, so engines thread
         one dict instead of tracking each knob separately.
         """
         return {
             "backend": self.resolved_backend(),
-            "jit": self.resolved_jit(),
             "workers": self.workers,
             "shards": self.resolved_shards(),
         }
@@ -243,17 +230,15 @@ def run_engine(
     """
     engine = get_engine(name)
     backend = str(request.backend)
-    jit = str(getattr(request, "jit", "none"))
     mark = REGISTRY.mark()
     started = time.perf_counter()
-    with span("engine.run", engine=name, backend=backend, jit=jit):
+    with span("engine.run", engine=name, backend=backend):
         result = engine.run(session, request)
     wall_s = time.perf_counter() - started
     _ENGINE_RUN_SECONDS.labels(engine=name, backend=backend).observe(wall_s)
     result.run_metrics = {
         "engine": name,
         "backend": backend,
-        "jit": jit,
         "wall_s": wall_s,
         "metrics": REGISTRY.delta(mark),
     }
@@ -288,7 +273,6 @@ class ImportanceEngineResult(EngineResult):
             out["num_groups"] = run.num_groups
             out["vectorized"] = run.vectorized
             out["backend"] = run.backend
-            out["jit"] = getattr(run, "jit", "none")
             reason = getattr(run, "fallback_reason", None)
             if reason is not None:
                 out["fallback_reason"] = reason
@@ -378,7 +362,6 @@ class SMCEngineResult(EngineResult):
         }
         if self.raw.runs:
             out["backend"] = self.raw.runs[0].backend
-            out["jit"] = getattr(self.raw.runs[0], "jit", "none")
             reasons = [
                 getattr(r, "fallback_reason", None)
                 for r in self.raw.runs

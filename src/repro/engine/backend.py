@@ -8,25 +8,14 @@ Two backends execute a model/guide pair over the particle axis:
     first-class distributions, closures) and degrades gracefully through
     group splitting and the sequential fallback.
 ``compiled``
-    A fused batched kernel generated by
-    :func:`repro.compiler.codegen.compile_fused_pair`: straight-line NumPy
-    code with guide→model routing resolved at compile time, no per-site op
-    dispatch, and compiled sub-kernel dispatch on divergent branches.  It
-    covers the non-recursive fragment and produces *bitwise-identical*
-    results to ``interp`` under common random numbers, so selecting it is a
-    pure execution-strategy change.
-
-The compiled backend has two JIT tiers (``jit=``):
-
-``none``
-    The fused kernel above: one function per control-flow-free region,
-    with per-group sub-kernel dispatch on divergent branches.
-``mega``
-    A cross-group *megakernel* from
-    :func:`repro.compiler.codegen.compile_mega_pair`: the whole path tree
-    is scheduled inside one emitted function over path-partitioned
-    particle index sets (false-first LIFO order preserved), and the SVI
-    group-rescoring pass is compiled too instead of always interpreting.
+    A batched kernel generated by
+    :func:`repro.compiler.codegen.compile_kernel_pair`: NumPy code with
+    guide→model routing resolved at compile time and no per-site op
+    dispatch, scheduling the whole path tree inside one emitted function
+    over path-partitioned particle index sets.  SVI's group-rescoring pass
+    is compiled too (on first use).  It covers the non-recursive fragment
+    and produces *bitwise-identical* results to ``interp`` under common
+    random numbers, so selecting it is a pure execution-strategy change.
 
 :func:`make_particle_runner` is the single seam the inference engines go
 through: ``backend="compiled"`` compiles (or fetches a cached kernel) and
@@ -42,10 +31,9 @@ being served by the interpreter.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-from repro import xp
-from repro.compiler.codegen import FusedKernel, MegaKernel, load_fused, load_mega
+from repro.compiler.codegen import CompiledKernel, load_kernel
 from repro.core import ast
 from repro.core.semantics import traces as tr
 from repro.engine.vectorize import (
@@ -70,13 +58,13 @@ _CACHE_SIZE = REGISTRY.gauge(
 )
 _KERNEL_CACHE_EVENTS = REGISTRY.counter(
     "repro_kernel_cache_total",
-    "Fused-kernel LRU lookups by outcome (a miss triggers a compile attempt; "
+    "Compiled-kernel LRU lookups by outcome (a miss triggers a compile attempt; "
     "negative entries — pairs outside the compiled fragment — also hit).",
     labels=("event",),
 )
 _KERNEL_COMPILE_SECONDS = REGISTRY.histogram(
     "repro_kernel_compile_seconds",
-    "Wall time of one fused-kernel compile attempt (including attempts that "
+    "Wall time of one compiled-kernel compile attempt (including attempts that "
     "conclude the pair is outside the compiled fragment).",
 )
 
@@ -88,15 +76,11 @@ _COMPILED_FALLBACK = REGISTRY.counter(
     "unsupported feature forced the sequential fallback mid-run), "
     "'rescore-divert' (the compiled rescore pass diverted to interpretive "
     "replay), 'rescore-unstamped' (a leaf reached rescoring without a "
-    "megakernel path stamp, e.g. across a process boundary).",
+    "compiled path stamp, e.g. across a process boundary).",
     labels=("reason",),
 )
 
 BACKENDS = ("interp", "compiled")
-
-#: JIT tiers of the compiled backend: ``"none"`` is the per-region fused
-#: kernel, ``"mega"`` the cross-group megakernel (compiled rescore included).
-JIT_TIERS = ("none", "mega")
 
 
 def validate_backend(backend: str) -> str:
@@ -107,60 +91,41 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def validate_jit(jit: str) -> str:
-    """Return ``jit`` if it names a known compiled-backend tier, else raise."""
-    if jit not in JIT_TIERS:
-        known = ", ".join(JIT_TIERS)
-        raise InferenceError(f"unknown jit tier {jit!r} (known: {known})")
-    return jit
-
-
 def record_compiled_fallback(reason: str) -> None:
     """Count one compiled→interp fallback under its normalized reason label."""
     _COMPILED_FALLBACK.labels(reason=reason).inc()
 
 
 # ---------------------------------------------------------------------------
-# Fused-kernel cache (programs are frozen dataclasses, hence hashable)
+# Kernel cache (programs are frozen dataclasses, hence hashable)
 # ---------------------------------------------------------------------------
 
-_KERNEL_CACHE: "LruCache[Tuple, Tuple[Optional[Union[FusedKernel, MegaKernel]], Optional[str]]]" = LruCache(
+_KERNEL_CACHE: "LruCache[Tuple, Tuple[Optional[CompiledKernel], Optional[str]]]" = LruCache(
     64, on_evict=lambda _key, _value: _CACHE_EVICTIONS.labels(cache="kernel").inc()
 )
 
 
 def set_kernel_cache_capacity(capacity: int) -> None:
-    """Re-cap the fused-kernel LRU (``repro serve --kernel-cache``)."""
+    """Re-cap the compiled-kernel LRU (``repro serve --kernel-cache``)."""
     _KERNEL_CACHE.set_capacity(capacity)
     _CACHE_SIZE.labels(cache="kernel").set(len(_KERNEL_CACHE))
 
 
 def kernel_cache_len() -> int:
-    """Current number of cached fused-kernel entries."""
+    """Current number of cached compiled-kernel entries."""
     return len(_KERNEL_CACHE)
 
 
-def fused_kernel_for(
+def kernel_for(
     model_program: ast.Program,
     guide_program: ast.Program,
     model_entry: str,
     guide_entry: str,
     latent_channel: str = "latent",
     obs_channel: str = "obs",
-    jit: str = "none",
-) -> Tuple[Optional[Union[FusedKernel, MegaKernel]], Optional[str]]:
-    """``(kernel, None)`` when the pair compiles, ``(None, reason)`` otherwise.
-
-    The cache key carries the JIT tier and the active array namespace in
-    addition to the program identity: a fused kernel must never be served
-    to a ``jit="mega"`` request, and a kernel compiled against one array
-    namespace must never be served after the namespace changes (generated
-    code binds ``np`` from :mod:`repro.xp` at load time).
-    """
-    validate_jit(jit)
+) -> Tuple[Optional[CompiledKernel], Optional[str]]:
+    """``(kernel, None)`` when the pair compiles, ``(None, reason)`` otherwise."""
     key = (
-        jit,
-        xp.active_namespace(),
         model_program, guide_program, model_entry, guide_entry,
         latent_channel, obs_channel,
     )
@@ -169,11 +134,10 @@ def fused_kernel_for(
         _KERNEL_CACHE_EVENTS.labels(event="hit").inc()
         return cached
     _KERNEL_CACHE_EVENTS.labels(event="miss").inc()
-    loader = load_mega if jit == "mega" else load_fused
     started = time.perf_counter()
-    with span("kernel.compile", model_entry=model_entry, guide_entry=guide_entry, jit=jit):
+    with span("kernel.compile", model_entry=model_entry, guide_entry=guide_entry):
         try:
-            kernel = loader(
+            kernel = load_kernel(
                 model_program, guide_program, model_entry, guide_entry,
                 latent_channel=latent_channel, obs_channel=obs_channel,
             )
@@ -187,7 +151,7 @@ def fused_kernel_for(
 
 
 def clear_kernel_cache() -> None:
-    """Drop all cached fused kernels (tests and long-running servers)."""
+    """Drop all cached compiled kernels (tests and long-running servers)."""
     _KERNEL_CACHE.clear()
     _CACHE_SIZE.labels(cache="kernel").set(0)
 
@@ -198,26 +162,24 @@ def clear_kernel_cache() -> None:
 
 
 class CompiledParticleRunner(ParticleVectorizer):
-    """Runs a model/guide pair through a fused batched kernel.
+    """Runs a model/guide pair through its compiled batched kernel.
 
-    Everything except :meth:`run` (notably :meth:`rescore_group`, which
-    replays recorded groups for score-function gradients) is inherited from
-    the interpretive vectorizer — compiled leaves carry the same recorded
-    message columns, so replay-based machinery works on them unchanged.
+    Beyond :meth:`run` it (a) elides the SVI-only per-site score ledgers at
+    the kernel level when ``trim_site_scores`` is set (the engines' existing
+    flag — IS/SMC never read the ledgers) and (b) serves
+    :meth:`rescore_group` from the *compiled* rescore pass, falling back to
+    the inherited interpretive replay only when the kernel diverts (and
+    counting the fallback under ``repro_compiled_fallback_total``).
+    Compiled leaves carry the same recorded message columns as interpreted
+    ones, so every other piece of replay machinery works on them unchanged.
     """
 
     backend = "compiled"
-    jit = "none"
 
-    def __init__(self, kernel: FusedKernel, **kwargs):
+    def __init__(self, kernel: CompiledKernel, trim_site_scores: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.kernel = kernel
-
-    def _kernel_run(self, rng, num_particles: int):
-        """One forward kernel invocation (tier-specific in subclasses)."""
-        return self.kernel.run(
-            rng, num_particles, self.obs_trace, self.model_args, self.guide_args
-        )
+        self.trim_site_scores = bool(trim_site_scores)
 
     def run(self, num_particles: int, rng=None) -> VectorRunResult:
         """Execute ``num_particles`` particles through the compiled kernel."""
@@ -229,7 +191,10 @@ class CompiledParticleRunner(ParticleVectorizer):
         started = time.perf_counter()
         try:
             with span("particles.run", backend="compiled", particles=num_particles):
-                leaves = self._kernel_run(rng, num_particles)
+                leaves = self.kernel.run(
+                    rng, num_particles, self.obs_trace, self.model_args, self.guide_args,
+                    ledgers=not self.trim_site_scores,
+                )
         except VectorizationUnsupported as exc:
             # Runtime-only unsupported feature (e.g. a tuple-valued arm under
             # a lane-varying conditional): take the same whole-batch
@@ -249,7 +214,6 @@ class CompiledParticleRunner(ParticleVectorizer):
                 obs_channel=self.obs_channel,
                 vectorized=False,
                 backend="interp",
-                jit=self.jit,
                 fallback_reason=str(exc),
             )
         PARTICLE_RUN_SECONDS.labels(backend="compiled").observe(
@@ -262,44 +226,19 @@ class CompiledParticleRunner(ParticleVectorizer):
             obs_channel=self.obs_channel,
             vectorized=True,
             backend="compiled",
-            jit=self.jit,
-        )
-
-
-class MegaParticleRunner(CompiledParticleRunner):
-    """Runs a model/guide pair through the cross-group megakernel.
-
-    Beyond the fused runner it (a) elides the SVI-only per-site score
-    ledgers at the kernel level when ``trim_site_scores`` is set (the
-    engines' existing flag — IS/SMC never read the ledgers) and (b) serves
-    :meth:`rescore_group` from the *compiled* rescore pass, falling back to
-    the interpretive replay only when the kernel diverts (and counting the
-    fallback under ``repro_compiled_fallback_total``).
-    """
-
-    jit = "mega"
-
-    def __init__(self, kernel: MegaKernel, trim_site_scores: bool = False, **kwargs):
-        super().__init__(kernel, **kwargs)
-        self.trim_site_scores = bool(trim_site_scores)
-
-    def _kernel_run(self, rng, num_particles: int):
-        return self.kernel.run(
-            rng, num_particles, self.obs_trace, self.model_args, self.guide_args,
-            ledgers=not self.trim_site_scores,
         )
 
     def rescore_group(self, leaf, rng=None):
         """Compiled path replay, diverting to interpretive replay if needed."""
         from repro.compiler.batched_runtime import RescoreDivert
 
-        if getattr(leaf, "mega_path", None) is None:
+        if getattr(leaf, "path_id", None) is None:
             # Produced by another backend or stripped crossing a process
             # boundary — the compiled pass cannot identify the path.
             record_compiled_fallback("rescore-unstamped")
             return super().rescore_group(leaf, rng)
         try:
-            with span("particles.rescore", backend="compiled", jit="mega"):
+            with span("particles.rescore", backend="compiled"):
                 return self.kernel.rescore(
                     leaf, self.obs_trace, self.model_args, self.guide_args
                 )
@@ -319,7 +258,6 @@ def make_particle_runner(
     latent_channel: str = "latent",
     obs_channel: str = "obs",
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -327,13 +265,11 @@ def make_particle_runner(
 ) -> ParticleVectorizer:
     """Build the particle runner for one request, honouring the backend choice.
 
-    ``backend="compiled"`` resolves a fused kernel (from the session's cache
-    when a session is given, else the module-level cache) and falls back to
-    the interpreter when the pair is outside the compiled fragment; the
-    fallback reason is exposed as ``runner.fallback_reason`` and recorded on
-    the session.  ``jit="mega"`` selects the cross-group megakernel tier of
-    the compiled backend (same fragment, same bitwise results, one emitted
-    function scheduling the whole path tree, compiled SVI rescoring).
+    ``backend="compiled"`` resolves a compiled kernel (from the session's
+    cache when a session is given, else the module-level cache) and falls
+    back to the interpreter when the pair is outside the compiled fragment;
+    the fallback reason is exposed as ``runner.fallback_reason`` and
+    recorded on the session.
 
     ``workers``/``shards`` select the sharded scale-out layer
     (:mod:`repro.engine.shard`): with more than one shard the returned
@@ -341,12 +277,10 @@ def make_particle_runner(
     distributes them over a persistent process pool.  The defaults
     (``workers=1``, ``shards=None``) resolve to a single shard executed
     in-process — bit-identical to the pre-sharding path.
-    ``trim_site_scores=True`` lets sharded runs drop the SVI-only per-site
-    score ledgers from the cross-process result payload (weights, traces,
-    and observation scores are unaffected; ignored for in-process runs).
+    ``trim_site_scores=True`` lets runs drop the SVI-only per-site score
+    ledgers (weights, traces, and observation scores are unaffected).
     """
     validate_backend(backend)
-    validate_jit(jit)
     from repro.engine.shard import ShardedParticleRunner, resolve_shards
 
     num_shards = resolve_shards(workers, shards)
@@ -362,7 +296,6 @@ def make_particle_runner(
             latent_channel=latent_channel,
             obs_channel=obs_channel,
             backend=backend,
-            jit=jit,
             session=session,
             workers=workers,
             shards=num_shards,
@@ -381,18 +314,14 @@ def make_particle_runner(
     )
     if backend == "compiled":
         if session is not None:
-            kernel, reason = session.fused_kernel(jit=jit)
+            kernel, reason = session.compiled_kernel()
         else:
-            kernel, reason = fused_kernel_for(
+            kernel, reason = kernel_for(
                 model_program, guide_program, model_entry, guide_entry,
-                latent_channel=latent_channel, obs_channel=obs_channel, jit=jit,
+                latent_channel=latent_channel, obs_channel=obs_channel,
             )
         if kernel is not None:
-            if jit == "mega":
-                return MegaParticleRunner(
-                    kernel, trim_site_scores=trim_site_scores, **kwargs
-                )
-            return CompiledParticleRunner(kernel, **kwargs)
+            return CompiledParticleRunner(kernel, trim_site_scores=trim_site_scores, **kwargs)
         record_compiled_fallback("unsupported-fragment")
         runner = ParticleVectorizer(**kwargs)
         runner.fallback_reason = reason

@@ -699,7 +699,7 @@ class InferenceService:
         """Collect bounded waves from the tenant queues and execute them.
 
         Each wave takes at most ``max_batch`` requests, round-robin across
-        tenants, so a burst is served in bounded waves (bounded fused-wave
+        tenants, so a burst is served in bounded waves (bounded coalesced-wave
         memory) and no tenant's backlog can monopolise dispatch.  On
         cancellation (``stop()``), any wave already in hand resolves with a
         structured ``shutting_down`` response instead of being abandoned.
@@ -826,7 +826,7 @@ class InferenceService:
     def _run_group(self, group: List[_Pending]) -> None:
         """Execute one same-session group (worker thread).
 
-        Importance-sampling groups with sharded members run as one fused
+        Importance-sampling groups with sharded members run as one coalesced
         pool wave; everything else runs member by member.  Either way each
         member's future resolves as soon as its own result exists.
 
@@ -986,19 +986,21 @@ class InferenceService:
         is invisible in the results, including the all-weights-zero guard a
         solo ``vectorized_importance`` run applies (a failed member maps to
         its :class:`InferenceError`).  Members whose plan has a single
-        shard are left for the sequential path.
+        shard are left for the sequential path, before any runner is built.
         """
         import numpy as np
 
         from repro.engine.api import ImportanceEngineResult
         from repro.engine.backend import make_particle_runner
-        from repro.engine.shard import ShardedParticleRunner, execute_tasks
+        from repro.engine.shard import execute_tasks
         from repro.engine.vectorize import VectorizedISResult
         from repro.utils.rng import ensure_rng
 
         waves = []
         for i, pending in enumerate(group):
             session, request = pending.session, pending.request
+            if request.resolved_shards() == 1:
+                continue
             runner = make_particle_runner(
                 session.model_program,
                 session.guide_program,
@@ -1015,8 +1017,6 @@ class InferenceService:
                 shards=request.resolved_shards(),
                 trim_site_scores=True,  # mirror the solo IS path
             )
-            if not isinstance(runner, ShardedParticleRunner):
-                continue
             wave = runner.prepare(request.num_particles, ensure_rng(request.seed))
             waves.append((i, runner, wave))
         if not waves:

@@ -86,11 +86,10 @@ class ProgramSession:
 
         self._model_guide_types = None
         self._guide_guide_types = None
-        #: Per-JIT-tier kernel memo: ``{"none": (kernel, reason), "mega": ...}``,
-        #: filled in lazily by :meth:`fused_kernel`.
-        self._fused = {}
+        #: ``(kernel, reason)`` memo, filled in lazily by :meth:`compiled_kernel`.
+        self._kernel = None
         #: Compiled-backend feature check, filled in lazily by
-        #: :meth:`fused_kernel`: ``None`` until a compiled-backend request
+        #: :meth:`compiled_kernel`: ``None`` until a compiled-backend request
         #: arrives, then ``True``/``False``.
         self.compiled_backend_supported: Optional[bool] = None
         #: Why the compiled backend fell back to the interpreter (``None``
@@ -152,33 +151,29 @@ class ProgramSession:
 
     # -- compiled backend ------------------------------------------------------
 
-    def fused_kernel(self, jit: str = "none"):
-        """The pair's compiled batched kernel, compiled once per tier and cached.
+    def compiled_kernel(self):
+        """The pair's compiled batched kernel, compiled once and cached.
 
-        ``jit="none"`` compiles the fused per-region kernel, ``jit="mega"``
-        the cross-group megakernel.  Returns ``(kernel, None)`` when the
-        pair is inside the compiled fragment and ``(None, reason)``
-        otherwise; the latest decision is recorded on
-        :attr:`compiled_backend_supported` / :attr:`compiled_fallback_reason`
-        (both tiers share the same fragment gate, so the verdict does not
-        depend on the tier).
+        Returns ``(kernel, None)`` when the pair is inside the compiled
+        fragment and ``(None, reason)`` otherwise; the decision is recorded
+        on :attr:`compiled_backend_supported` /
+        :attr:`compiled_fallback_reason`.
         """
-        if jit not in self._fused:
-            from repro.engine.backend import fused_kernel_for
+        if self._kernel is None:
+            from repro.engine.backend import kernel_for
 
-            self._fused[jit] = fused_kernel_for(
+            self._kernel = kernel_for(
                 self.model_program,
                 self.guide_program,
                 self.model_entry,
                 self.guide_entry,
                 latent_channel=self.latent_channel,
                 obs_channel=self.obs_channel,
-                jit=jit,
             )
-        kernel, reason = self._fused[jit]
+        kernel, reason = self._kernel
         self.compiled_backend_supported = kernel is not None
         self.compiled_fallback_reason = reason
-        return self._fused[jit]
+        return self._kernel
 
     # -- serving ---------------------------------------------------------------
 

@@ -29,7 +29,7 @@ Execution
 ---------
 
 Shard tasks run in a persistent ``multiprocessing`` pool (fork start method,
-so workers inherit the parsed-program and fused-kernel caches warm and keep
+so workers inherit the parsed-program and compiled-kernel caches warm and keep
 their own caches warm across tasks).  Large per-shard arrays (log-weights,
 observation scores, recorded trace columns) travel back through POSIX
 shared-memory blocks instead of the pickle pipe; small results take the
@@ -186,9 +186,6 @@ class ShardTask:
     #: process boundary.  Weights, traces, and observation scores are
     #: unaffected.
     trim_site_scores: bool = False
-    #: Compiled-backend JIT tier the shard executes (frozen by the parent,
-    #: like ``backend``, so workers never re-resolve the tier).
-    jit: str = "none"
     #: Position of this shard in its wave's plan (names its trace track).
     index: int = 0
     #: Capture trace spans in the executing process and ship them home.
@@ -208,8 +205,6 @@ class ShardResult:
     leaves: List[_Leaf]
     vectorized: bool
     backend: str
-    #: JIT tier the shard ran at (mirrors ``VectorRunResult.jit``).
-    jit: str = "none"
     #: Compiled→interp fallback reason observed inside the shard, if any.
     fallback_reason: Optional[str] = None
     #: Wall time of the shard task in its executing process.
@@ -226,7 +221,7 @@ def run_shard_task(task: ShardTask) -> ShardResult:
     """Execute one shard in the current process (worker entry point).
 
     Builds a runner through the ordinary backend seam — the worker process
-    keeps its module-level fused-kernel cache warm across tasks, so repeated
+    keeps its module-level compiled-kernel cache warm across tasks, so repeated
     requests against the same model/guide pair compile at most once per
     worker.
     """
@@ -239,7 +234,6 @@ def run_shard_task(task: ShardTask) -> ShardResult:
         shard=task.index,
         particles=task.count,
         backend=task.backend,
-        jit=task.jit,
     ):
         runner = make_particle_runner(
             task.model_program,
@@ -252,7 +246,6 @@ def run_shard_task(task: ShardTask) -> ShardResult:
             latent_channel=task.latent_channel,
             obs_channel=task.obs_channel,
             backend=task.backend,
-            jit=task.jit,
             trim_site_scores=task.trim_site_scores,
         )
         run = runner.run(task.count, np.random.default_rng(task.seed))
@@ -266,7 +259,6 @@ def run_shard_task(task: ShardTask) -> ShardResult:
         leaves=leaves,
         vectorized=run.vectorized,
         backend=run.backend,
-        jit=getattr(run, "jit", "none"),
         fallback_reason=getattr(run, "fallback_reason", None),
         wall_s=time.perf_counter() - started,
     )
@@ -677,7 +669,6 @@ class ShardWave:
                 if results and all(r.backend == "compiled" for r in results)
                 else "interp"
             ),
-            jit=results[0].jit if results else "none",
             fallback_reason=fallback_reasons[0] if fallback_reasons else None,
         )
 
@@ -706,7 +697,6 @@ class ShardedParticleRunner:
         latent_channel: str = "latent",
         obs_channel: str = "obs",
         backend: str = "interp",
-        jit: str = "none",
         session=None,
         workers: int = 1,
         shards: int = 1,
@@ -732,7 +722,6 @@ class ShardedParticleRunner:
             latent_channel=latent_channel,
             obs_channel=obs_channel,
             backend=backend,
-            jit=jit,
             session=session,
             trim_site_scores=trim_site_scores,
         )
@@ -743,7 +732,6 @@ class ShardedParticleRunner:
         # still saw the pre-resolution default).  ``effective_backend`` is
         # what every shard of every run of this runner executes.
         self.requested_backend = backend
-        self.jit = jit
         self.fallback_reason: Optional[str] = getattr(self.local, "fallback_reason", None)
         self.effective_backend: str = (
             backend if self.fallback_reason is None else "interp"
@@ -761,7 +749,6 @@ class ShardedParticleRunner:
             # Freeze the *resolved* backend so workers never re-attempt a
             # compilation the parent already knows falls back.
             backend=self.effective_backend,
-            jit=jit if self.effective_backend == "compiled" else "none",
             count=0,
             trim_site_scores=trim_site_scores,
         )

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.xp import np
+import numpy as np
 
 from repro.core import ast
 from repro.core.semantics import traces as tr
@@ -147,7 +147,6 @@ def smc(
     latent_channel: str = "latent",
     obs_channel: str = "obs",
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -155,7 +154,7 @@ def smc(
     """Run Sequential Monte Carlo with ``num_particles`` lockstep particles.
 
     ``backend="compiled"`` draws every population (initial and rejuvenation
-    proposals) through the fused batched kernel when available; results are
+    proposals) through the compiled batched kernel when available; results are
     bitwise-identical to the interpretive backend under the same seed.
     ``workers``/``shards`` shard every population pass (initial draw and
     rejuvenation proposals) across the process pool; the weight updates,
@@ -185,7 +184,6 @@ def smc(
         latent_channel=latent_channel,
         obs_channel=obs_channel,
         backend=backend,
-        jit=jit,
         session=session,
         workers=workers,
         shards=shards,

@@ -301,25 +301,25 @@ class StreamingSession:
 
     # -- the replay-from-seed core ----------------------------------------
 
-    def _advance(self) -> None:
-        """Recompute one-shot SMC over the journal prefix (pinned seed).
+    def _replay(self, journal: List[float]) -> Optional[EngineResult]:
+        """One-shot SMC over ``journal`` from the pinned seed.
 
         Rebuilds the RNG from the seed every time, so the result depends
         only on ``(config, journal)`` — never on how the journal was split
-        into pushes.  :class:`TraceExhausted` means the model wants more
-        observations than the journal holds: the session keeps buffering.
+        into pushes.  Returns ``None`` when the journal is empty or the model
+        wants more observations than it holds (:class:`TraceExhausted`): the
+        session keeps buffering.  Touches no session state.
         """
-        if not self.journal:
-            self.status = "buffering"
-            return
+        if not journal:
+            return None
         config = self.config
-        session = self._program_session(len(self.journal))
+        session = self._program_session(len(journal))
         request = InferenceRequest(
             num_particles=config.num_particles,
             workers=config.workers,
             shards=config.shards,
             backend=config.backend,
-            obs_values=list(self.journal),
+            obs_values=list(journal),
             seed=config.seed,
             model_args=config.model_args,
             guide_args=config.guide_args,
@@ -327,8 +327,14 @@ class StreamingSession:
             rejuvenate=config.rejuvenate,
         )
         try:
-            result = run_engine("smc", session, request)
+            return run_engine("smc", session, request)
         except TraceExhausted:
+            return None
+
+    def _commit(self, journal: List[float], result: Optional[EngineResult]) -> None:
+        """Adopt a successfully replayed journal and its result."""
+        self.journal = journal
+        if result is None:
             self.status = "buffering"
             return
         self.result = result
@@ -336,7 +342,12 @@ class StreamingSession:
         self.status = "active"
 
     def push(self, values: Sequence[object]) -> Dict[str, object]:
-        """Append observations to the journal and replay to the new prefix."""
+        """Append observations to the journal and replay to the new prefix.
+
+        Atomic: the candidate journal is replayed first and committed only
+        when the replay succeeds, so a push that raises leaves the journal,
+        result, ``steps_applied`` and status exactly as they were.
+        """
         if not values:
             raise StreamingError("invalid_request", "session.push needs values")
         numbers = [_require_number(v, "observation") for v in values]
@@ -347,8 +358,8 @@ class StreamingSession:
                 f"{self.config.max_steps} observations",
             )
         started = time.perf_counter()
-        self.journal.extend(numbers)
-        self._advance()
+        journal = self.journal + numbers
+        self._commit(journal, self._replay(journal))
         _PUSH_SECONDS.observe(time.perf_counter() - started)
         return self.describe(push=True)
 
@@ -432,10 +443,10 @@ class StreamingSession:
         raw_config["shards"] = raw_config.get("shards")
         config = StreamingConfig(**raw_config)
         session = cls(str(data["session_id"]), str(data["tenant"]), config)
-        session.journal = [float(v) for v in data["journal"]]
+        journal = [float(v) for v in data["journal"]]
         session.created_wall = float(data["created_wall"])
         session.last_active_wall = float(data["last_active_wall"])
-        session._advance()
+        session._commit(journal, session._replay(journal))
         return session
 
 

@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.xp import np
+import numpy as np
 
 from repro.core import ast
 from repro.core.semantics import traces as tr
@@ -106,7 +106,6 @@ def estimate_elbo_batched(
     latent_channel: str = "latent",
     obs_channel: str = "obs",
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -116,7 +115,7 @@ def estimate_elbo_batched(
     Estimator-identical to :func:`repro.inference.vi.estimate_elbo` (same
     per-particle terms, ``-inf`` as soon as any particle leaves the model's
     support); only the execution strategy differs.  ``backend="compiled"``
-    draws the batch through the fused kernel when the pair supports it, and
+    draws the batch through the compiled kernel when the pair supports it, and
     ``workers``/``shards`` distribute the batch over the sharded layer.
     """
     from repro.engine.backend import make_particle_runner
@@ -132,7 +131,6 @@ def estimate_elbo_batched(
         latent_channel=latent_channel,
         obs_channel=obs_channel,
         backend=backend,
-        jit=jit,
         session=session,
         workers=workers,
         shards=shards,
@@ -187,7 +185,6 @@ def elbo_and_score_gradient(
     rao_blackwellize: bool = False,
     score_epsilon: float = DEFAULT_SCORE_EPSILON,
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -216,17 +213,12 @@ def elbo_and_score_gradient(
 
     from repro.engine.backend import make_particle_runner
 
-    def vectorizer_at(
-        at: ParamStore,
-        at_backend: str = "interp",
-        at_jit: str = "none",
-        at_shards: Optional[int] = 1,
-    ) -> ParticleVectorizer:
-        # The sampling pass honours the backend and shard choices.  The ±ε
-        # *rescoring* passes run in-process either way (rescore_group is
-        # replay machinery that consumes no randomness, so there is nothing
-        # to shard): under ``jit="mega"`` they replay through the compiled
-        # rescore pass, otherwise through the interpreter.
+    def vectorizer_at(at: ParamStore, at_shards: Optional[int] = 1) -> ParticleVectorizer:
+        # The sampling pass honours the shard choice.  The ±ε *rescoring*
+        # passes run in-process (rescore_group is replay machinery that
+        # consumes no randomness, so there is nothing to shard); under
+        # ``backend="compiled"`` they replay through the compiled rescore
+        # pass, which is bitwise-identical to the interpretive replay.
         return make_particle_runner(
             model_program,
             guide_program,
@@ -237,8 +229,7 @@ def elbo_and_score_gradient(
             guide_args=at.guide_args(param_names),
             latent_channel=latent_channel,
             obs_channel=obs_channel,
-            backend=at_backend,
-            jit=at_jit,
+            backend=backend,
             session=session,
             workers=workers,
             shards=at_shards,
@@ -247,18 +238,9 @@ def elbo_and_score_gradient(
             trim_site_scores=not rao_blackwellize,
         )
 
-    # Rescoring tier: the megakernel ships a compiled group-rescoring pass
-    # (bitwise-identical to the interpretive replay), so the ±ε vectorizers
-    # reuse the compiled backend there.  The fused tier has no compiled
-    # rescore — those requests keep the interpretive replay.
-    if backend == "compiled" and jit == "mega":
-        rescore_backend, rescore_jit = "compiled", "mega"
-    else:
-        rescore_backend, rescore_jit = "interp", "none"
-
     sample_started = time.perf_counter()
     with span("svi.sample", particles=num_particles):
-        run = vectorizer_at(store, backend, jit, shards).run(num_particles, rng)
+        run = vectorizer_at(store, shards).run(num_particles, rng)
     _SVI_PHASE_SECONDS.labels(phase="sample").observe(
         time.perf_counter() - sample_started
     )
@@ -287,12 +269,8 @@ def elbo_and_score_gradient(
     rescore_started = time.perf_counter()
     with span("svi.rescore", particles=num_particles):
         for name, index in store.coordinates():
-            plus = vectorizer_at(
-                store.perturbed(name, index, +eps), rescore_backend, rescore_jit
-            )
-            minus = vectorizer_at(
-                store.perturbed(name, index, -eps), rescore_backend, rescore_jit
-            )
+            plus = vectorizer_at(store.perturbed(name, index, +eps))
+            minus = vectorizer_at(store.perturbed(name, index, -eps))
             contrib = np.zeros(f.size)
             valid = finite.copy()
             with np.errstate(invalid="ignore"):
@@ -427,7 +405,6 @@ def fit_svi(
     score_epsilon: float = DEFAULT_SCORE_EPSILON,
     grad_clip_norm: Optional[float] = 10.0,
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -466,7 +443,6 @@ def fit_svi(
             rao_blackwellize=rao_blackwellize,
             score_epsilon=score_epsilon,
             backend=backend,
-            jit=jit,
             session=session,
             workers=workers,
             shards=shards,
@@ -574,7 +550,6 @@ class SVIEngineResult(EngineResult):
         run = getattr(self._importance, "run", None)
         if run is not None:
             out["backend"] = run.backend
-            out["jit"] = getattr(run, "jit", "none")
             reason = getattr(run, "fallback_reason", None)
             if reason is not None:
                 out["fallback_reason"] = reason

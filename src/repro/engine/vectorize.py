@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.xp import np
-from collections import deque
+import numpy as np
 
 from repro.core import ast
 from repro.core.coroutines.runner import (
@@ -932,7 +932,7 @@ class ParticleVectorizer:
             obs_channel=self.obs_channel,
             vectorized=vectorized,
             # Set by make_particle_runner when this interp runner is serving
-            # a compiled request whose pair is outside the fused fragment.
+            # a compiled request whose pair is outside the compiled fragment.
             fallback_reason=getattr(self, "fallback_reason", None),
         )
 
@@ -1101,7 +1101,6 @@ class VectorRunResult:
         obs_channel: str = "obs",
         vectorized: bool = True,
         backend: str = "interp",
-        jit: str = "none",
         fallback_reason: Optional[str] = None,
     ):
         self.num_particles = num_particles
@@ -1111,13 +1110,8 @@ class VectorRunResult:
         self.vectorized = vectorized
         #: Which execution strategy produced the leaves: ``"interp"`` (the
         #: lockstep interpreter, possibly via its sequential fallback) or
-        #: ``"compiled"`` (a fused batched kernel).
+        #: ``"compiled"`` (a compiled batched kernel).
         self.backend = backend
-        #: Which JIT tier the compiled backend was *requested* at: ``"none"``
-        #: (per-region fused kernel) or ``"mega"`` (cross-group megakernel).
-        #: Carries the requested tier even when ``backend`` reports a
-        #: fallback to ``"interp"`` so diagnostics can pair the two.
-        self.jit = jit
         #: Why a compiled-backend run was served by the interpreter instead
         #: (``None`` when no fallback happened).
         self.fallback_reason = fallback_reason
@@ -1278,7 +1272,6 @@ def vectorized_importance(
     obs_channel: str = "obs",
     raise_on_all_zero: bool = True,
     backend: str = "interp",
-    jit: str = "none",
     session=None,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -1287,7 +1280,7 @@ def vectorized_importance(
 
     The estimator is identical to :func:`repro.inference.importance_sampling`
     (same proposal, same weights); only the execution strategy differs.
-    ``backend="compiled"`` runs the fused batched kernel when the pair is in
+    ``backend="compiled"`` runs the compiled batched kernel when the pair is in
     the compiled fragment (bitwise-identical results, lower dispatch cost);
     ``workers``/``shards`` distribute the population over the sharded
     execution layer (:mod:`repro.engine.shard`).
@@ -1305,7 +1298,6 @@ def vectorized_importance(
         latent_channel=latent_channel,
         obs_channel=obs_channel,
         backend=backend,
-        jit=jit,
         session=session,
         workers=workers,
         shards=shards,

@@ -247,37 +247,34 @@ def _run_oracles(case: FuzzCase, config: FuzzConfig, report: CaseReport) -> None
                 Violation(case.seed, "nondeterminism", detail, f"is/interp/shards={shard_lo}")
             )
 
-    # Oracle 1b: backend parity at both shard counts, for both compiled
-    # tiers — interp × compiled × compiled+mega must agree bitwise under
-    # common random numbers (or, outside the compiled fragment, all three
-    # must take the identical interpretive fallback).
+    # Oracle 1b: backend parity at both shard counts — interp × compiled
+    # must agree bitwise under common random numbers (or, outside the
+    # compiled fragment, both must take the identical interpretive fallback).
     for shards in (shard_lo, shard_hi):
         interp = base if shards == shard_lo else run(
             f"is/interp/shards={shards}", "is", num_particles=p, backend="interp", shards=shards
         )
         if interp is None:
             continue
-        for jit in ("none", "mega"):
-            tier = "compiled" if jit == "none" else f"compiled+{jit}"
-            compiled = run(
-                f"is/{tier}/shards={shards}", "is", num_particles=p,
-                backend="compiled", jit=jit, shards=shards,
-            )
-            if compiled is None:
-                continue
-            label = "backend-parity" if session.compiled_backend_supported else "backend-fallback-parity"
-            report.checks[f"{label}/{tier}/shards={shards}"] = True
-            detail = bitwise_mismatch(interp, compiled, num_sites)
-            if detail:
-                report.violations.append(
-                    Violation(
-                        case.seed,
-                        "backend-parity",
-                        detail,
-                        f"is/interp/shards={shards}",
-                        f"is/{tier}/shards={shards}",
-                    )
+        compiled = run(
+            f"is/compiled/shards={shards}", "is", num_particles=p,
+            backend="compiled", shards=shards,
+        )
+        if compiled is None:
+            continue
+        label = "backend-parity" if session.compiled_backend_supported else "backend-fallback-parity"
+        report.checks[f"{label}/compiled/shards={shards}"] = True
+        detail = bitwise_mismatch(interp, compiled, num_sites)
+        if detail:
+            report.violations.append(
+                Violation(
+                    case.seed,
+                    "backend-parity",
+                    detail,
+                    f"is/interp/shards={shards}",
+                    f"is/compiled/shards={shards}",
                 )
+            )
 
     # Oracle 1c: the shard plan is a pure function of (seed, particles,
     # shards) — the worker-pool path must be bit-identical to inline.

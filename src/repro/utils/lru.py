@@ -1,6 +1,6 @@
 """A small bounded LRU mapping with eviction accounting.
 
-Both cross-request caches (the fused-kernel cache in
+Both cross-request caches (the compiled-kernel cache in
 ``repro.engine.backend`` and the session cache in ``repro.engine.session``)
 share this shape: get-or-miss with recency promotion, a hard capacity cap,
 and an eviction callback so the owner can count what fell out.  Centralising

@@ -1,22 +1,20 @@
 """Compiled-vs-interpretive backend parity: same bits, different runtime.
 
 The compiled batched backend is an execution strategy, not an estimator: for
-every conformance model, running the fused kernel — at either JIT tier —
-and the interpretive vectorizer with common random numbers must produce
-**bitwise-equal** log-weights and samples.  This is what makes
-``backend="compiled"`` (and ``jit="mega"``) safe to select anywhere — every
-downstream quantity (posterior means, evidence, resampling decisions, SVI
-gradients) is a deterministic function of the per-particle weights, values,
-and the shared RNG stream.
+every conformance model, running the compiled kernel and the interpretive
+vectorizer with common random numbers must produce **bitwise-equal**
+log-weights and samples.  This is what makes ``backend="compiled"`` safe to
+select anywhere — every downstream quantity (posterior means, evidence,
+resampling decisions, SVI gradients) is a deterministic function of the
+per-particle weights, values, and the shared RNG stream.
 
 The suite covers four layers:
 
 * raw runs — model/guide log-weights, per-site sample values, recorded
-  message columns, and the per-observation score matrix, across
-  interp × compiled × compiled+mega;
+  message columns, and the per-observation score matrix, interp × compiled;
 * engines — ``is``/``smc``/``svi`` results through
-  :class:`~repro.engine.session.ProgramSession` under every backend tier;
-* rescoring — the megakernel's *compiled* group-rescoring pass against the
+  :class:`~repro.engine.session.ProgramSession` under both backends;
+* rescoring — the kernel's *compiled* group-rescoring pass against the
   interpretive replay on the SVI ledger path (per-site score ledgers
   included), with the fallback metric reading zero on supported models;
 * the fallback — recursive models compile to the interpreter with a recorded
@@ -28,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compiler import fused_unsupported_reason
+from repro.compiler import compiled_unsupported_reason
 from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, make_particle_runner
-from repro.engine.backend import CompiledParticleRunner, MegaParticleRunner
+from repro.engine.backend import CompiledParticleRunner
 from repro.models import all_benchmarks, get_benchmark
 from repro.obs import REGISTRY
 
@@ -41,7 +39,7 @@ GUIDE_ARGS = {"outliers": (True,)}
 EXPRESSIBLE = [b for b in all_benchmarks() if b.expressible]
 COMPILABLE = [
     b for b in EXPRESSIBLE
-    if fused_unsupported_reason(
+    if compiled_unsupported_reason(
         b.model_program(), b.guide_program(), b.model_entry, b.guide_entry
     ) is None
 ]
@@ -62,18 +60,15 @@ def _runner_common(bench, obs):
     )
 
 
-def _trio_of_runs(bench, obs, seed):
-    """(interp, compiled, compiled+mega) runs under common random numbers."""
+def _pair_of_runs(bench, obs, seed):
+    """(interp, compiled) runs under common random numbers."""
     common = _runner_common(bench, obs)
     interp = make_particle_runner(backend="interp", **common)
     compiled = make_particle_runner(backend="compiled", **common)
-    mega = make_particle_runner(backend="compiled", jit="mega", **common)
     assert isinstance(compiled, CompiledParticleRunner)
-    assert isinstance(mega, MegaParticleRunner)
     return (
         interp.run(NUM_PARTICLES, np.random.default_rng(seed)),
         compiled.run(NUM_PARTICLES, np.random.default_rng(seed)),
-        mega.run(NUM_PARTICLES, np.random.default_rng(seed)),
     )
 
 
@@ -114,20 +109,17 @@ def _assert_bitwise_equal_runs(r1, r2, context: str):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_backends_bitwise_equal_with_observations(bench, seed):
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
-    r1, r2, r3 = _trio_of_runs(bench, obs, seed)
-    assert r1.backend == "interp" and r2.backend == "compiled" and r3.backend == "compiled"
-    assert r2.jit == "none" and r3.jit == "mega"
+    r1, r2 = _pair_of_runs(bench, obs, seed)
+    assert r1.backend == "interp" and r2.backend == "compiled"
     _assert_bitwise_equal_runs(r1, r2, bench.name)
-    _assert_bitwise_equal_runs(r1, r3, f"{bench.name} (mega)")
 
 
 @pytest.mark.parametrize("bench", COMPILABLE, ids=lambda b: b.name)
 def test_backends_bitwise_equal_prior_predictive(bench):
     """Without an observation trace the model *draws* its observations; the
     compiled kernels must consume the RNG for them in the interpreter's order."""
-    r1, r2, r3 = _trio_of_runs(bench, None, seed=3)
+    r1, r2 = _pair_of_runs(bench, None, seed=3)
     _assert_bitwise_equal_runs(r1, r2, f"{bench.name} (prior predictive)")
-    _assert_bitwise_equal_runs(r1, r3, f"{bench.name} (prior predictive, mega)")
 
 
 ENGINE_MATRIX = [
@@ -147,30 +139,21 @@ def test_engines_identical_across_backends(name, engine, kwargs):
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
-    results = {
-        tier: session.infer(
+    interp, compiled = (
+        session.infer(
             engine,
             num_particles=500,
             obs_values=bench.obs_values,
             seed=19,
             backend=backend,
-            jit=jit,
             **kwargs,
         )
-        for tier, (backend, jit) in {
-            "interp": ("interp", "none"),
-            "compiled": ("compiled", "none"),
-            "mega": ("compiled", "mega"),
-        }.items()
-    }
-    for tier in ("compiled", "mega"):
-        assert results["interp"].posterior_mean(0) == results[tier].posterior_mean(0), tier
-        assert results["interp"].log_evidence() == results[tier].log_evidence(), tier
-        assert (
-            results["interp"].effective_sample_size()
-            == results[tier].effective_sample_size()
-        ), tier
-    assert results["mega"].diagnostics().get("jit") == "mega"
+        for backend in ("interp", "compiled")
+    )
+    assert interp.posterior_mean(0) == compiled.posterior_mean(0)
+    assert interp.log_evidence() == compiled.log_evidence()
+    assert interp.effective_sample_size() == compiled.effective_sample_size()
+    assert compiled.diagnostics().get("backend") == "compiled"
     assert session.compiled_backend_supported is True
     assert session.compiled_fallback_reason is None
 
@@ -180,8 +163,8 @@ def test_engines_identical_across_backends(name, engine, kwargs):
     [(n, e, k) for n, e, k in ENGINE_MATRIX if e == "svi"],
 )
 def test_svi_rescoring_never_falls_back_on_supported_models(name, engine, kwargs):
-    """On fused-supported models the mega tier serves SVI rescoring from the
-    compiled pass: the fallback metric family must not move at all."""
+    """On compilable models the compiled backend serves SVI rescoring from
+    the compiled pass: the fallback metric family must not move at all."""
     bench = get_benchmark(name)
     session = ProgramSession(
         bench.model_program(), bench.guide_program(),
@@ -194,7 +177,6 @@ def test_svi_rescoring_never_falls_back_on_supported_models(name, engine, kwargs
         obs_values=bench.obs_values,
         seed=5,
         backend="compiled",
-        jit="mega",
         rao_blackwellize=True,
         **kwargs,
     )
@@ -214,13 +196,13 @@ def test_mega_rescore_bitwise_matches_interp_replay(bench):
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     common = _runner_common(bench, obs)
     interp = make_particle_runner(backend="interp", **common)
-    mega = make_particle_runner(backend="compiled", jit="mega", **common)
-    run = mega.run(200, np.random.default_rng(11))
+    compiled = make_particle_runner(backend="compiled", **common)
+    run = compiled.run(200, np.random.default_rng(11))
     assert run.backend == "compiled"
     for leaf in run.leaves:
-        assert getattr(leaf, "mega_path", None) is not None
+        assert getattr(leaf, "path_id", None) is not None
         gi = interp.rescore_group(leaf)
-        gm = mega.rescore_group(leaf)
+        gm = compiled.rescore_group(leaf)
         assert np.array_equal(gi.log_weights["model"], gm.log_weights["model"]), bench.name
         assert np.array_equal(gi.log_weights["guide"], gm.log_weights["guide"]), bench.name
         for side in ("model", "guide"):
@@ -238,12 +220,12 @@ def test_mega_rescore_delegates_unstamped_leaves():
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     common = _runner_common(bench, obs)
     interp = make_particle_runner(backend="interp", **common)
-    mega = make_particle_runner(backend="compiled", jit="mega", **common)
+    compiled = make_particle_runner(backend="compiled", **common)
     run = interp.run(100, np.random.default_rng(2))  # interp leaves: no stamps
     mark = REGISTRY.mark()
     for leaf in run.leaves:
         gi = interp.rescore_group(leaf)
-        gm = mega.rescore_group(leaf)
+        gm = compiled.rescore_group(leaf)
         assert np.array_equal(gi.log_weights["guide"], gm.log_weights["guide"])
     moved = REGISTRY.delta(mark)
     key = 'repro_compiled_fallback_total{reason="rescore-unstamped"}'
@@ -252,7 +234,7 @@ def test_mega_rescore_delegates_unstamped_leaves():
 
 @pytest.mark.parametrize("bench", RECURSIVE, ids=lambda b: b.name)
 def test_recursive_models_fall_back_with_reason(bench):
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
     assert reason is not None and "recursive" in reason
@@ -280,6 +262,6 @@ def test_recursive_models_fall_back_with_reason(bench):
         assert result.diagnostics()["backend"] == "interp"
         assert "recursive" in result.diagnostics().get("fallback_reason", "")
     else:
-        session.fused_kernel()
+        session.compiled_kernel()
     assert session.compiled_backend_supported is False
     assert "recursive" in session.compiled_fallback_reason

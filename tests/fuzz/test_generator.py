@@ -126,6 +126,6 @@ def test_compiled_fragment_coverage():
     for seed in range(SWEEP):
         case = generate(seed)
         session = ProgramSession.from_sources(case.model_source, case.guide_source)
-        kernel, _reason = session.fused_kernel()
+        kernel, _reason = session.compiled_kernel()
         compiled += kernel is not None
     assert compiled >= SWEEP // 3

@@ -1,4 +1,4 @@
-"""Unit tests for the fused batched backend: codegen, helpers, caching.
+"""Unit tests for the compiled batched backend: codegen, helpers, caching.
 
 The conformance-level guarantee (bitwise-equal runs on whole models) lives
 in ``tests/conformance/test_backend_parity.py``; here we pin the pieces:
@@ -8,10 +8,12 @@ in ``tests/conformance/test_backend_parity.py``; here we pin the pieces:
   :class:`~repro.engine.batched.BatchedDist` on their licensed inputs;
 * the supported-fragment check rejects exactly the features the compiled
   kernel cannot mirror, with actionable reasons;
-* the emitted source is straight-line (no generators, no op dispatch);
 * kernels are compiled once per session and the session cache key includes
   the typechecker version, so a compiler change can never replay stale
   cached artifacts.
+
+The kernel's mechanics (path stamps, ledgers, the rescore pass) are pinned
+in ``tests/test_mega_codegen.py``.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import numpy as np
 import pytest
 
 from repro.compiler import (
-    compile_fused_pair,
-    fused_unsupported_reason,
-    load_fused,
+    compile_kernel_pair,
+    compiled_unsupported_reason,
+    load_kernel,
 )
 from repro.compiler import batched_runtime as rt
 from repro.core import ast
 from repro.core.parser import parse_program
+from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
+from repro.engine.backend import CompiledParticleRunner, make_particle_runner
 from repro.engine.batched import BatchedDist
 from repro.errors import CompilationError, InferenceError
 from repro.models import get_benchmark
@@ -146,21 +150,21 @@ proc G() provide latent {
 
 
 def _reason(model_src, guide_src=GUIDE_MIN, model_entry="M", guide_entry="G"):
-    return fused_unsupported_reason(
+    return compiled_unsupported_reason(
         parse_program(model_src), parse_program(guide_src), model_entry, guide_entry
     )
 
 
 def test_fragment_accepts_plain_pairs():
     bench = get_benchmark("lr")
-    assert fused_unsupported_reason(
+    assert compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     ) is None
 
 
 def test_fragment_rejects_recursion():
     bench = get_benchmark("ptrace")
-    reason = fused_unsupported_reason(
+    reason = compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
     assert "recursive" in reason
@@ -204,40 +208,27 @@ proc M() consume latent provide obs {
 def test_compile_fused_raises_for_unsupported():
     bench = get_benchmark("marsaglia")
     with pytest.raises(CompilationError, match="recursive"):
-        compile_fused_pair(
+        compile_kernel_pair(
             bench.model_program(), bench.guide_program(),
             bench.model_entry, bench.guide_entry,
         )
 
 
 # ---------------------------------------------------------------------------
-# Emitted-source properties
+# Loaded kernels
 # ---------------------------------------------------------------------------
-
-
-def test_fused_source_is_straight_line():
-    bench = get_benchmark("lr")
-    source = compile_fused_pair(
-        bench.model_program(), bench.guide_program(),
-        bench.model_entry, bench.guide_entry,
-    )
-    assert "yield" not in source
-    assert "def fused_kernel(rng, n, obs, model_args, guide_args):" in source
-    # Guide-to-model routing is resolved at compile time: the guide's drawn
-    # variable is scored directly by the model's density, no queues involved.
-    assert "sample_n(rng, n)" in source
-    compile(source, "<fused>", "exec")  # parses and compiles clean
 
 
 def test_fused_kernel_handles_divergent_branches():
     bench = get_benchmark("ex-1")
-    kernel = load_fused(
+    kernel = load_kernel(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
-    # uniform_or_none partitioning: false subgroup first (interp LIFO order)
+    # uniform_or_none partitioning; the worklist pushes the true arm first
+    # so the false subgroup runs first (interp LIFO order).
     assert "uniform_or_none" in kernel.source
-    assert "(False, ~" in kernel.source
+    assert "for _sb, _sg in ((True, " in kernel.source
     leaves = kernel.run(np.random.default_rng(0), 64, None, (), ())
     assert len(leaves) == 2
     covered = np.sort(np.concatenate([leaf.indices for leaf in leaves]))
@@ -246,7 +237,7 @@ def test_fused_kernel_handles_divergent_branches():
 
 def test_fused_kernel_entry_arity_errors_match_interp():
     bench = get_benchmark("weight")
-    kernel = load_fused(
+    kernel = load_kernel(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
@@ -267,8 +258,8 @@ def test_session_compiles_kernel_once():
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry,
     )
-    kernel1, reason1 = session.fused_kernel()
-    kernel2, _ = session.fused_kernel()
+    kernel1, reason1 = session.compiled_kernel()
+    kernel2, _ = session.compiled_kernel()
     assert reason1 is None
     assert kernel1 is kernel2
     assert session.compiled_backend_supported is True
@@ -282,7 +273,7 @@ def test_backend_name_is_validated():
     )
     with pytest.raises(InferenceError, match="unknown particle backend"):
         session.infer("is", num_particles=10, obs_values=bench.obs_values,
-                      backend="jit")
+                      backend="gpu")
 
 
 def test_session_cache_key_includes_typechecker_version(monkeypatch):
@@ -310,10 +301,6 @@ def test_runtime_tuple_arm_falls_back_like_interp():
     can see (the arms are variables, not tuple literals) must not crash the
     compiled backend — both backends take the whole-batch sequential fallback
     and produce identical results."""
-    from repro.core.semantics import traces as tr
-    from repro.engine import make_particle_runner
-    from repro.engine.backend import CompiledParticleRunner
-
     model_src = """
 proc M() consume latent provide obs {
   x <- sample.recv{latent}(Normal(0.0, 1.0));
@@ -329,7 +316,7 @@ proc G() provide latent {
 }
 """
     model, guide = parse_program(model_src), parse_program(guide_src)
-    assert fused_unsupported_reason(model, guide, "M", "G") is None
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
     obs = (tr.ValP(0.4),)
     runs = {}
     for backend in ("interp", "compiled"):
@@ -365,8 +352,6 @@ def test_branch_constant_result_feeding_dist_params_compiles():
     looked all-const and was hoisted into the module preamble — where the
     local name does not exist, a ``NameError`` at kernel load.
     """
-    from repro.core.semantics import traces as tr
-
     model_src = """
 proc M() consume latent provide obs {
   x <- sample.recv{latent}(Normal(0.0, 1.0));
@@ -390,10 +375,8 @@ proc G() provide latent {
 }
 """
     model, guide = parse_program(model_src), parse_program(guide_src)
-    assert fused_unsupported_reason(model, guide, "M", "G") is None
-    kernel = load_fused(model, guide, "M", "G")  # must not raise NameError
-
-    from repro.engine import make_particle_runner
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
+    kernel = load_kernel(model, guide, "M", "G")  # must not raise NameError
 
     obs = (tr.ValP(0.4),)
     runs = {}
@@ -408,3 +391,41 @@ proc G() provide latent {
         runs["interp"].log_weights(), runs["compiled"].log_weights()
     )
     assert kernel.lines_of_code > 0
+
+
+def test_observe_commands_compile_and_match_interp():
+    """Regression: a model-side ``observe`` must record its score in the
+    leaf's observation scores like the interpreter, in op order with the
+    channel observations — the path-tree kernel used to reference an
+    ``obs_sc`` list it never bound (a NameError at run time)."""
+    model_src = """
+proc M() consume latent provide obs {
+  x <- sample.recv{latent}(Normal(0.0, 1.0));
+  _ <- observe(Normal(x, 1.0), 0.3);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+"""
+    guide_src = """
+proc G() provide latent {
+  x <- sample.send{latent}(Normal(0.0, 2.0));
+  return(x)
+}
+"""
+    model, guide = parse_program(model_src), parse_program(guide_src)
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
+    common = dict(
+        model_program=model, guide_program=guide, model_entry="M",
+        guide_entry="G", obs_trace=(tr.ValP(0.4),),
+    )
+    interp = make_particle_runner(backend="interp", **common)
+    compiled = make_particle_runner(backend="compiled", **common)
+    r_interp = interp.run(50, np.random.default_rng(1))
+    r_compiled = compiled.run(50, np.random.default_rng(1))
+    assert r_compiled.backend == "compiled"
+    assert np.array_equal(r_interp.log_weights(), r_compiled.log_weights())
+    assert np.array_equal(r_interp.obs_score_matrix(), r_compiled.obs_score_matrix())
+    for leaf in r_compiled.leaves:
+        expected = interp.rescore_group(leaf)
+        got = compiled.rescore_group(leaf)
+        assert np.array_equal(expected.log_weights["model"], got.log_weights["model"])

@@ -1,6 +1,6 @@
 """Unit tests for ``repro.utils.lru.LruCache``.
 
-The two cross-request caches (fused kernels, program sessions) share this
+The two cross-request caches (compiled kernels, program sessions) share this
 class, so its contract is load-bearing: recency promotion, the eviction
 callback firing exactly once per capacity-pressure eviction, and the
 explicit owner actions (``pop``/``clear``) staying silent.

@@ -1,26 +1,21 @@
-"""Unit tests for the megakernel tier: cache identity, path stamps,
-ledger elision, rescore delegation, and tier validation.
+"""Unit tests for the compiled kernel's mechanics: path stamps, ledger
+elision, the lazily compiled rescore pass, and rescore delegation.
 
 Bitwise parity against the interpreter lives in
-``tests/conformance/test_backend_parity.py``; this file covers the tier's
-*mechanics* — the things that could silently go wrong without changing a
-single weight on the happy path.
+``tests/conformance/test_backend_parity.py``; this file covers the things
+that could silently go wrong without changing a single weight on the happy
+path.
 """
 
 import numpy as np
-import pytest
 
-from repro.compiler.codegen import FusedKernel, MegaKernel
 from repro.core.semantics import traces as tr
 from repro.engine.backend import (
-    MegaParticleRunner,
+    CompiledParticleRunner,
     clear_kernel_cache,
-    fused_kernel_for,
     make_particle_runner,
     record_compiled_fallback,
-    validate_jit,
 )
-from repro.errors import InferenceError
 from repro.models import get_benchmark
 from repro.obs import REGISTRY
 
@@ -35,71 +30,24 @@ def _bench_pair(name="switching"):
     )
 
 
-def _mega_runner(name="switching", **kwargs):
+def _compiled_runner(name="switching", **kwargs):
     bench, pair = _bench_pair(name)
     runner = make_particle_runner(
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
         guide_args=tuple(bench.guide_param_inits.values()),
         backend="compiled",
-        jit="mega",
         **pair,
         **kwargs,
     )
-    assert isinstance(runner, MegaParticleRunner)
+    assert isinstance(runner, CompiledParticleRunner)
     return runner
 
 
-def test_validate_jit_rejects_unknown_tiers():
-    assert validate_jit("none") == "none"
-    assert validate_jit("mega") == "mega"
-    with pytest.raises(InferenceError, match="unknown jit tier"):
-        validate_jit("cuda")
-    with pytest.raises(InferenceError, match="unknown jit tier"):
-        make_particle_runner(backend="compiled", jit="warp", **_bench_pair()[1])
-
-
-def test_kernel_cache_key_separates_jit_tiers():
-    """Regression: the kernel LRU used to key on program identity alone, so
-    whichever tier compiled first was served to *both* — a fused kernel
-    handed to a ``jit="mega"`` request (or vice versa).  The key now carries
-    the tier: same pair, different tiers, different kernels."""
-    _, pair = _bench_pair()
-    clear_kernel_cache()
-    try:
-        fused, reason_f = fused_kernel_for(jit="none", **pair)
-        mega, reason_m = fused_kernel_for(jit="mega", **pair)
-        assert reason_f is None and reason_m is None
-        assert isinstance(fused, FusedKernel)
-        assert isinstance(mega, MegaKernel)
-        # Each tier's second lookup is a *hit* on its own entry.
-        assert fused_kernel_for(jit="none", **pair)[0] is fused
-        assert fused_kernel_for(jit="mega", **pair)[0] is mega
-    finally:
-        clear_kernel_cache()
-
-
-def test_kernel_cache_key_carries_array_namespace(monkeypatch):
-    """A kernel compiled against one array namespace must not be served
-    after the namespace changes (generated code binds ``np`` from
-    :mod:`repro.xp` at load time)."""
-    from repro import xp
-
-    _, pair = _bench_pair()
-    clear_kernel_cache()
-    try:
-        before, _ = fused_kernel_for(jit="mega", **pair)
-        monkeypatch.setattr(xp, "active_namespace", lambda: "numpy+numba")
-        after, _ = fused_kernel_for(jit="mega", **pair)
-        assert after is not before
-    finally:
-        clear_kernel_cache()
-
-
 def test_mega_run_stamps_leaf_paths():
-    runner = _mega_runner()
+    runner = _compiled_runner()
     run = runner.run(300, np.random.default_rng(4))
-    assert run.backend == "compiled" and run.jit == "mega"
-    pids = [leaf.mega_path for leaf in run.leaves]
+    assert run.backend == "compiled"
+    pids = [leaf.path_id for leaf in run.leaves]
     # One stamp per populated path; paths no particle took are dropped, so
     # pids are unique and in-range but not necessarily contiguous.
     assert len(set(pids)) == len(pids)
@@ -110,9 +58,8 @@ def test_mega_run_stamps_leaf_paths():
 def test_ledger_elision_preserves_weights():
     """``trim_site_scores=True`` elides the per-site score ledgers inside
     the kernel (IS/SMC never read them) without touching the weights."""
-    bench, _ = _bench_pair()
-    full = _mega_runner()
-    trimmed = _mega_runner(trim_site_scores=True)
+    full = _compiled_runner()
+    trimmed = _compiled_runner(trim_site_scores=True)
     r_full = full.run(300, np.random.default_rng(9))
     r_trim = trimmed.run(300, np.random.default_rng(9))
     assert np.array_equal(r_full.log_weights(), r_trim.log_weights())
@@ -122,18 +69,41 @@ def test_ledger_elision_preserves_weights():
         assert leaf.guide_site_scores is None
 
 
+def test_rescore_pass_compiles_on_first_use():
+    """A forward-only run never builds the rescore function; the first
+    rescore builds it and still matches interpretive replay bit for bit."""
+    _, pair = _bench_pair()
+    clear_kernel_cache()
+    try:
+        runner = _compiled_runner()
+        run = runner.run(200, np.random.default_rng(6))
+        assert runner.kernel.rescore_entry is None
+        interp = make_particle_runner(
+            backend="interp", obs_trace=runner.obs_trace,
+            guide_args=runner.guide_args, **pair,
+        )
+        for leaf in run.leaves:
+            expected = interp.rescore_group(leaf)
+            got = runner.rescore_group(leaf)
+            for side in ("model", "guide"):
+                assert np.array_equal(expected.log_weights[side], got.log_weights[side])
+        assert runner.kernel.rescore_entry is not None
+    finally:
+        clear_kernel_cache()
+
+
 def test_rescore_divert_falls_back_to_interp_replay():
     """A stamp pointing outside the kernel's path tree (e.g. a leaf from a
     different program revision) diverts to the interpretive replay and
     increments the fallback metric — never crashes, never rescores the
     wrong path."""
-    runner = _mega_runner()
+    runner = _compiled_runner()
     run = runner.run(100, np.random.default_rng(1))
     leaf = run.leaves[0]
-    leaf.mega_path = len(runner.kernel.path_dirs) + 5
+    leaf.path_id = len(runner.kernel.path_dirs) + 5
     mark = REGISTRY.mark()
     diverted = runner.rescore_group(leaf)
-    leaf.mega_path = None
+    leaf.path_id = None
     reference = runner.rescore_group(leaf)
     moved = REGISTRY.delta(mark)
     assert moved.get('repro_compiled_fallback_total{reason="rescore-divert"}') == 1.0

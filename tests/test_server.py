@@ -109,6 +109,19 @@ class TestValidation:
         response = asyncio.run(_with_service(go))
         assert not response["ok"] and "particules" in response["error"]
 
+    def test_jit_param_is_invalid_request(self):
+        """The compiled backend has one tier; ``jit`` is an unknown field."""
+
+        async def go(service):
+            bad = _payload()
+            bad["params"]["jit"] = "mega"
+            return await service.submit(bad)
+
+        response = asyncio.run(_with_service(go))
+        assert not response["ok"]
+        assert response["code"] == "invalid_request"
+        assert "jit" in response["error"]
+
     def test_uncertified_pair_refused_without_force(self):
         model = """
         proc M() consume latent provide obs {
@@ -220,9 +233,36 @@ class TestResilience:
         assert not first["ok"] and "error" in first
         assert second["ok"]
 
+    def test_single_shard_wave_members_build_one_runner_each(self, monkeypatch):
+        """Single-shard members of a coalesced ``is`` group are left to
+        ``run_engine`` before the wave builds a runner for them."""
+        import repro.engine.backend as backend
+
+        real = backend.make_particle_runner
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("shards"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "make_particle_runner", counting)
+
+        def payload(seed):
+            body = _payload(seed=seed)
+            body["params"]["shards"] = 1
+            return body
+
+        async def go(service):
+            return await asyncio.gather(*[service.submit(payload(s)) for s in range(3)])
+
+        responses = asyncio.run(_with_service(go, batch_window_s=0.05))
+        assert all(r["ok"] for r in responses)
+        assert any(r["server"]["batch_size"] > 1 for r in responses)
+        assert len(calls) == 3
+
     def test_coalesced_zero_weight_requests_fail_like_solo_runs(self):
-        """The fused wave applies the same all-weights-zero guard as a solo
-        vectorized_importance run."""
+        """The coalesced wave applies the same all-weights-zero guard as a
+        solo vectorized_importance run."""
         model = """
         proc M() consume latent provide obs {
           v <- sample.recv{latent}(Beta(2.0, 2.0));

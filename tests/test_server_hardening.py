@@ -451,7 +451,7 @@ class TestCacheCapacity:
         from repro.engine.backend import (
             _KERNEL_CACHE,
             clear_kernel_cache,
-            fused_kernel_for,
+            kernel_for,
             kernel_cache_len,
             set_kernel_cache_capacity,
         )
@@ -468,7 +468,7 @@ class TestCacheCapacity:
                  coin.model_entry, coin.guide_entry),
             ]
             for model, guide, model_entry, guide_entry in programs:
-                fused_kernel_for(model, guide, model_entry, guide_entry)
+                kernel_for(model, guide, model_entry, guide_entry)
             assert kernel_cache_len() == 1
             assert _KERNEL_CACHE.evictions == evictions_before + 1
         finally:

@@ -209,7 +209,7 @@ def test_pool_rebuilds_are_capped_then_forgiven_by_shutdown():
         shard.shutdown_pool()
 
 
-def _sharded_runner(name, backend="interp", jit="none", shards=2):
+def _sharded_runner(name, backend="interp", shards=2):
     from repro.core.semantics import traces as tr
     from repro.engine.backend import make_particle_runner
 
@@ -222,34 +222,21 @@ def _sharded_runner(name, backend="interp", jit="none", shards=2):
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
         guide_args=tuple(bench.guide_param_inits.values()),
         backend=backend,
-        jit=jit,
         workers=1,
         shards=shards,
     )
 
 
-def test_shard_tasks_carry_the_jit_tier():
-    """Workers must execute the tier the parent resolved, not re-decide."""
-    runner = _sharded_runner("weight", backend="compiled", jit="mega")
-    assert runner.effective_backend == "compiled"
-    assert runner.jit == "mega"
-    wave = runner.prepare(32, np.random.default_rng(0))
-    for task in wave.tasks:
-        assert task.backend == "compiled"
-        assert task.jit == "mega"
-
-
 def test_gate_fallback_freezes_interp_tasks():
-    """A pair outside the fused fragment resolves to interp ONCE, at
+    """A pair outside the compiled fragment resolves to interp ONCE, at
     construction; the frozen task template never re-attempts compilation."""
-    runner = _sharded_runner("marsaglia", backend="compiled", jit="mega")
+    runner = _sharded_runner("marsaglia", backend="compiled")
     assert runner.requested_backend == "compiled"
     assert runner.effective_backend == "interp"
     assert "recursive" in runner.fallback_reason
     wave = runner.prepare(32, np.random.default_rng(0))
     for task in wave.tasks:
         assert task.backend == "interp"
-        assert task.jit == "none"
     run = runner.run(32, np.random.default_rng(0))
     assert "recursive" in run.fallback_reason
 
@@ -263,7 +250,7 @@ def test_fallback_state_is_consistent_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     for name, expect_backend in [("weight", "compiled"), ("marsaglia", "interp")]:
-        runner = _sharded_runner(name, backend="compiled", jit="mega")
+        runner = _sharded_runner(name, backend="compiled")
 
         def observe(_):
             return (runner.backend, runner.effective_backend, runner.fallback_reason)

@@ -34,6 +34,7 @@ from repro.engine.streaming import (
     StreamingError,
     checkpoint_filename,
 )
+from repro.errors import InferenceError
 from repro.models import STREAMING_FAMILIES, get_benchmark, streaming_sources
 
 OBS = [0.4, 1.1, 0.8, 1.6]
@@ -172,6 +173,39 @@ class TestCheckpointDurability:
         manager.open("t0", _open_payload(), session_id="bare")
         fresh = SessionManager(checkpoint_dir=str(tmp_path))
         assert fresh.get("t0", "bare").status == "buffering"
+
+
+class TestAtomicPush:
+    def test_failed_push_leaves_memory_and_checkpoint_unchanged(self, tmp_path, monkeypatch):
+        """A push whose replay raises commits nothing: the in-memory state
+        and the on-disk checkpoint both keep their pre-push values, and the
+        next push builds on the accepted observations only."""
+        import repro.engine.streaming as streaming_mod
+
+        manager = SessionManager(checkpoint_dir=str(tmp_path))
+        sid = manager.open("t0", _open_payload(), session_id="atomic")["session_id"]
+        manager.push("t0", sid, OBS[:2])
+        session = manager.get("t0", sid)
+        before = (list(session.journal), session.result, session.steps_applied, session.status)
+        path = tmp_path / checkpoint_filename("t0", sid)
+        on_disk = path.read_text()
+
+        def failing_replay(*args, **kwargs):
+            raise InferenceError("replay failed")
+
+        monkeypatch.setattr(streaming_mod, "run_engine", failing_replay)
+        with pytest.raises(InferenceError):
+            manager.push("t0", sid, [99.0])
+        monkeypatch.undo()
+
+        after = (session.journal, session.result, session.steps_applied, session.status)
+        assert after == before
+        assert path.read_text() == on_disk
+        assert json.loads(on_disk)["journal"] == session.journal
+
+        manager.push("t0", sid, OBS[2:])
+        oracle = _one_shot(OBS)
+        assert np.array_equal(manager.get("t0", sid).result.raw.log_weights, oracle.raw.log_weights)
 
 
 class TestSessionTable:
