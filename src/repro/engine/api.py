@@ -172,9 +172,9 @@ class EngineResult(abc.ABC):
     def diagnostics_with_metrics(self) -> Dict[str, object]:
         """Engine diagnostics plus the per-run metric snapshot (when present).
 
-        The snapshot is attributed by diffing the process-wide registry around
-        the run, so under concurrent requests it may include activity from
-        overlapping runs — treat it as approximate in multi-tenant settings.
+        The snapshot holds only the registry activity of the run's own
+        context (see :meth:`~repro.obs.metrics.MetricsRegistry.mark`), so
+        concurrent requests on other threads or tasks never leak into it.
         """
         out = dict(self.diagnostics())
         if self.run_metrics is not None:
@@ -225,8 +225,8 @@ def run_engine(
     trace span, feeds the engine-run latency histogram, and stamps the result
     with a per-run metric snapshot (``result.run_metrics``) attributing the
     registry activity — kernel compiles, cache hits, shard traffic — that
-    occurred during the run.  ``session.infer`` and the batch server both
-    route through here.
+    the run made in its own context, at a cost set by what the run touched.
+    ``session.infer`` and the batch server both route through here.
     """
     engine = get_engine(name)
     backend = str(request.backend)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine.api import EngineResult, InferenceRequest, available_engines, run_engine
-from repro.engine.session import ProgramSession
+from repro.engine.session import ProgramSession, cached_session, session_key
 from repro.engine.streaming import (
     CODE_SESSION_EXPIRED,
     CODE_SESSION_LIMIT,
@@ -659,20 +659,21 @@ class InferenceService:
         if bad:
             raise InferenceError(f"unknown InferenceRequest fields {bad}")
         params.setdefault("workers", self.workers)
-        # Parsing/typechecking is CPU work, but the session LRU makes repeat
-        # requests free; run the cold path off the event loop.
-        loop = asyncio.get_running_loop()
-        session = await loop.run_in_executor(
-            None,
-            lambda: ProgramSession.from_sources(
-                payload["model"],
-                payload["guide"],
-                model_entry=payload.get("model_entry"),
-                guide_entry=payload.get("guide_entry"),
-                latent_channel=payload.get("latent_channel", "latent"),
-                obs_channel=payload.get("obs_channel", "obs"),
-            ),
+        key = session_key(
+            payload["model"],
+            payload["guide"],
+            model_entry=payload.get("model_entry"),
+            guide_entry=payload.get("guide_entry"),
+            latent_channel=payload.get("latent_channel", "latent"),
+            obs_channel=payload.get("obs_channel", "obs"),
         )
+        # A session-cache hit is a dict lookup, served on the event loop;
+        # only a miss (parse + typecheck, CPU work) hops to a thread.
+        session = cached_session(key)
+        if session is None:
+            session = await asyncio.get_running_loop().run_in_executor(
+                None, ProgramSession.prepare, key
+            )
         if not session.certified and not payload.get("force", False):
             raise InferenceError(
                 f"model/guide pair is not certified: {session.certification_reason} "

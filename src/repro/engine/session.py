@@ -204,21 +204,24 @@ class ProgramSession:
         typecheck: bool = True,
     ) -> "ProgramSession":
         """Build (or fetch from the LRU cache) a session from source text."""
-        key = (
-            TYPECHECKER_VERSION,
-            model_source,
-            guide_source,
-            model_entry,
-            guide_entry,
-            latent_channel,
-            obs_channel,
-            typecheck,
+        key = session_key(
+            model_source, guide_source, model_entry, guide_entry,
+            latent_channel, obs_channel, typecheck,
         )
-        cached = _SESSION_CACHE.get(key)
+        cached = cached_session(key)
         if cached is not None:
-            _SESSION_CACHE_EVENTS.labels(event="hit").inc()
             return cached
-        _SESSION_CACHE_EVENTS.labels(event="miss").inc()
+        return cls.prepare(key)
+
+    @classmethod
+    def prepare(cls, key: Tuple) -> "ProgramSession":
+        """Parse and certify the pair behind a :func:`session_key`, and cache it.
+
+        The cold path after a :func:`cached_session` miss: CPU work that a
+        server runs off its event loop.
+        """
+        (_, model_source, guide_source, model_entry, guide_entry,
+         latent_channel, obs_channel, typecheck) = key
         started = time.perf_counter()
         with span("session.prepare", typecheck=typecheck):
             session = cls(
@@ -234,6 +237,39 @@ class ProgramSession:
         _SESSION_CACHE.put(key, session)
         _CACHE_SIZE.labels(cache="session").set(len(_SESSION_CACHE))
         return session
+
+
+def session_key(
+    model_source: str,
+    guide_source: str,
+    model_entry: Optional[str] = None,
+    guide_entry: Optional[str] = None,
+    latent_channel: str = "latent",
+    obs_channel: str = "obs",
+    typecheck: bool = True,
+) -> Tuple:
+    """The session-cache key of a pair's sources and channel configuration."""
+    return (
+        TYPECHECKER_VERSION,
+        model_source,
+        guide_source,
+        model_entry,
+        guide_entry,
+        latent_channel,
+        obs_channel,
+        typecheck,
+    )
+
+
+def cached_session(key: Tuple) -> Optional[ProgramSession]:
+    """The cached session for ``key`` (``None`` on a miss), counting the lookup.
+
+    Cheap enough to call on an event loop: only a miss needs
+    :meth:`ProgramSession.prepare`.
+    """
+    session = _SESSION_CACHE.get(key)
+    _SESSION_CACHE_EVENTS.labels(event="miss" if session is None else "hit").inc()
+    return session
 
 
 _SESSION_CACHE: "LruCache[Tuple, ProgramSession]" = LruCache(

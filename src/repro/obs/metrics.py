@@ -19,8 +19,16 @@ Three read surfaces:
   the server's ``metrics`` op, per-run diagnostics);
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text exposition
   format, served by the JSONL server's ``GET /metrics`` endpoint;
-* :meth:`MetricsRegistry.mark` / :meth:`MetricsRegistry.delta` — flat
-  before/after views for attributing activity to one run.
+* :meth:`MetricsRegistry.mark` / :meth:`MetricsRegistry.delta` — a run
+  ledger attributing activity to one run: while a mark is held, every
+  ``inc``/``set``/``observe`` in the same :mod:`contextvars` context (thread
+  or asyncio task) also adds its change to the mark, so attribution costs
+  O(samples touched) and never sees another context's increments.
+
+A family keeps at most :data:`MAX_CHILDREN_PER_FAMILY` label sets; past the
+cap, new label values share one overflow child labeled ``other`` and each
+redirect is counted in ``repro_metrics_dropped_labels_total{family}``, so a
+client choosing label values cannot grow the registry without bound.
 
 The process-wide default registry lives at :data:`REGISTRY`; instrumented
 modules create their families at import time so the metric *catalog* is
@@ -32,7 +40,9 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from bisect import bisect_left
+from contextvars import ContextVar
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -43,8 +53,15 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "DEFAULT_TIME_BUCKETS",
+    "MAX_CHILDREN_PER_FAMILY",
     "default_registry",
 ]
+
+#: Label sets one family keeps before new ones share the overflow child.
+MAX_CHILDREN_PER_FAMILY = 1024
+
+#: The label value every label of a family's overflow child carries.
+OVERFLOW_LABEL_VALUE = "other"
 
 
 def _log_spaced(start: float, stop: float) -> Tuple[float, ...]:
@@ -93,6 +110,20 @@ def _render_labels(labels: Dict[str, str]) -> str:
         return ""
     inner = ",".join(f'{k}="{_escape_label_value(str(v))}"' for k, v in labels.items())
     return "{" + inner + "}"
+
+
+class _Ledger(dict):
+    """One open :meth:`MetricsRegistry.mark`: flat key -> change since the mark."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _record(ledgers: Tuple["weakref.ref[_Ledger]", ...], key: str, change: float) -> None:
+    """Add ``change`` under ``key`` to every still-held ledger in ``ledgers``."""
+    for ref in ledgers:
+        ledger = ref()
+        if ledger is not None:
+            ledger[key] = ledger.get(key, 0.0) + change
 
 
 class HistogramValue:
@@ -156,6 +187,43 @@ class HistogramValue:
         return out
 
 
+class _ScalarChild:
+    """A counter or gauge value whose changes also reach open run ledgers."""
+
+    __slots__ = ("value", "_key", "_ledgers")
+
+    def __init__(self, key: str, ledgers: ContextVar):
+        self.value = 0.0
+        self._key = key
+        self._ledgers = ledgers
+
+    def _add(self, amount: float) -> None:
+        self.value += amount
+        ledgers = self._ledgers.get()
+        if ledgers:
+            _record(ledgers, self._key, float(amount))
+
+
+class _HistogramChild(HistogramValue):
+    """A registered histogram child: observations also reach open run ledgers."""
+
+    __slots__ = ("_count_key", "_sum_key", "_ledgers")
+
+    def __init__(self, bounds: Sequence[float], key: str, ledgers: ContextVar):
+        super().__init__(bounds)
+        self._count_key = key + "_count"
+        self._sum_key = key + "_sum"
+        self._ledgers = ledgers
+
+    def observe(self, value: float) -> None:
+        """Fold one observation into the bucket counts (and open ledgers)."""
+        super().observe(value)
+        ledgers = self._ledgers.get()
+        if ledgers:
+            _record(ledgers, self._count_key, 1.0)
+            _record(ledgers, self._sum_key, float(value))
+
+
 class _Family:
     """Base class for metric families: naming, labels, child bookkeeping."""
 
@@ -168,11 +236,17 @@ class _Family:
         self._registry = registry
         self._children: "Dict[Tuple[str, ...], object]" = {}
 
-    def _new_child(self):
+    def _new_child(self, key: str):
+        """A fresh child whose samples are flattened under ``key``."""
         raise NotImplementedError
 
     def labels(self, **label_values: str):
-        """The child for one label-value combination (created on first use)."""
+        """The child for one label-value combination (created on first use).
+
+        Past :data:`MAX_CHILDREN_PER_FAMILY` label sets, a new combination
+        gets the shared overflow child (every label ``"other"``) instead,
+        and the redirect is counted in ``repro_metrics_dropped_labels_total``.
+        """
         if set(label_values) != set(self.label_names):
             raise ValueError(
                 f"metric {self.name!r} takes labels {list(self.label_names)}, "
@@ -182,8 +256,13 @@ class _Family:
         with self._registry._lock:
             child = self._children.get(key)
             if child is None:
-                child = self._new_child()
-                self._children[key] = child
+                if len(self._children) >= MAX_CHILDREN_PER_FAMILY:
+                    self._registry._dropped_labels().labels(family=self.name).inc()
+                    key = (OVERFLOW_LABEL_VALUE,) * len(self.label_names)
+                    child = self._children.get(key)
+                if child is None:
+                    labels = _render_labels(dict(zip(self.label_names, key)))
+                    child = self._children[key] = self._new_child(self.name + labels)
         return child
 
     def _default_child(self):
@@ -205,22 +284,19 @@ class Counter(_Family):
 
     kind = "counter"
 
-    class Child:
+    class Child(_ScalarChild):
         """One labeled counter value."""
 
-        __slots__ = ("value",)
-
-        def __init__(self):
-            self.value = 0.0
+        __slots__ = ()
 
         def inc(self, amount: float = 1.0) -> None:
             """Increase the counter (negative increments are rejected)."""
             if amount < 0:
                 raise ValueError("counters only go up")
-            self.value += amount
+            self._add(amount)
 
-    def _new_child(self):
-        return Counter.Child()
+    def _new_child(self, key: str):
+        return Counter.Child(key, self._registry._ledgers)
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment the unlabeled child."""
@@ -232,28 +308,29 @@ class Gauge(_Family):
 
     kind = "gauge"
 
-    class Child:
+    class Child(_ScalarChild):
         """One labeled gauge value."""
 
-        __slots__ = ("value",)
-
-        def __init__(self):
-            self.value = 0.0
+        __slots__ = ()
 
         def set(self, value: float) -> None:
             """Set the gauge to ``value``."""
-            self.value = float(value)
+            value = float(value)
+            ledgers = self._ledgers.get()
+            if ledgers:
+                _record(ledgers, self._key, value - float(self.value))
+            self.value = value
 
         def inc(self, amount: float = 1.0) -> None:
             """Add ``amount`` (may be negative)."""
-            self.value += amount
+            self._add(amount)
 
         def dec(self, amount: float = 1.0) -> None:
             """Subtract ``amount``."""
-            self.value -= amount
+            self._add(-amount)
 
-    def _new_child(self):
-        return Gauge.Child()
+    def _new_child(self, key: str):
+        return Gauge.Child(key, self._registry._ledgers)
 
     def set(self, value: float) -> None:
         """Set the unlabeled child."""
@@ -277,8 +354,8 @@ class Histogram(_Family):
         super().__init__(name, help_text, labels, registry)
         self.buckets: Tuple[float, ...] = tuple(float(b) for b in buckets)
 
-    def _new_child(self):
-        return HistogramValue(self.buckets)
+    def _new_child(self, key: str):
+        return _HistogramChild(self.buckets, key, self._registry._ledgers)
 
     def observe(self, value: float) -> None:
         """Observe into the unlabeled child."""
@@ -295,6 +372,11 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.RLock()
         self._families: "Dict[str, _Family]" = {}
+        #: Weak references to the ledgers of the marks open in the current
+        #: context; every child of this registry records into them.
+        self._ledgers: "ContextVar[Tuple[weakref.ref[_Ledger], ...]]" = ContextVar(
+            f"repro_metrics_ledgers_{id(self):x}", default=()
+        )
 
     # -- family registration (get-or-create, so modules can re-import) -----
 
@@ -406,39 +488,42 @@ class MetricsRegistry:
 
     # -- per-run attribution ------------------------------------------------
 
-    def _flat(self) -> Dict[str, float]:
-        """Flatten every sample to ``name{labels}`` keys with numeric values."""
-        flat: Dict[str, float] = {}
-        with self._lock:
-            for family in self._families.values():
-                for labels, child in family._samples():
-                    key = family.name + _render_labels(labels)
-                    if isinstance(child, HistogramValue):
-                        flat[key + "_count"] = float(child.count)
-                        flat[key + "_sum"] = float(child.total)
-                    else:
-                        flat[key] = float(child.value)
-        return flat
-
     def mark(self) -> Dict[str, float]:
-        """An opaque point-in-time marker for :meth:`delta`."""
-        return self._flat()
+        """Open a run ledger in the current context and return it.
+
+        Until the caller drops it, the ledger collects every change this
+        registry's samples take in the current :mod:`contextvars` context —
+        the calling thread, or the asyncio task — and in contexts copied
+        from it; marks nest.  Pass it to :meth:`delta` to read it.
+        """
+        ledger = _Ledger()
+        live = tuple(ref for ref in self._ledgers.get() if ref() is not None)
+        self._ledgers.set(live + (weakref.ref(ledger),))
+        return ledger
 
     def delta(self, mark: Dict[str, float]) -> Dict[str, float]:
-        """Per-key numeric change since ``mark`` (only keys that moved)."""
-        now = self._flat()
-        out: Dict[str, float] = {}
-        for key, value in now.items():
-            change = value - mark.get(key, 0.0)
-            if change != 0.0:
-                out[key] = change
-        return out
+        """Per-key change since ``mark`` (only keys that moved).
+
+        Keys are flat ``name{labels}`` strings (histograms report
+        ``_count``/``_sum``); the mark stays open, so it can be read again.
+        """
+        return {key: change for key, change in mark.items() if change != 0.0}
+
+    def _dropped_labels(self) -> Counter:
+        """The counter of label sets redirected to an overflow child."""
+        return self.counter(
+            "repro_metrics_dropped_labels_total",
+            "Label sets redirected to a family's overflow child (labels all "
+            f'"{OVERFLOW_LABEL_VALUE}") past {MAX_CHILDREN_PER_FAMILY} children.',
+            labels=("family",),
+        )
 
 
 #: The process-wide default registry.  Instrumented modules register their
 #: families here at import time; the server's ``/metrics`` endpoint renders
-#: it, and per-run diagnostics diff it.
+#: it, and ``run_engine`` attributes each run's share of it.
 REGISTRY = MetricsRegistry()
+REGISTRY._dropped_labels()  # in the catalog from the first scrape
 
 
 def default_registry() -> MetricsRegistry:

@@ -9,8 +9,8 @@ it keeps the two caches' semantics identical and lets the server expose one
 
 Not thread-safe by itself: callers that touch a cache from worker threads
 (the server's executor does) rely on the GIL making each individual
-method call atomic enough for a cache — a lost race costs a recompute,
-never corruption — matching the previous OrderedDict usage.
+method call atomic enough for a cache — a lost race costs a recompute or
+a missed recency promotion, never corruption or an exception.
 """
 
 from __future__ import annotations
@@ -50,10 +50,17 @@ class LruCache(Generic[K, V]):
         return key in self._data
 
     def get(self, key: K) -> Optional[V]:
-        """Return the cached value (promoting it to most-recent) or ``None``."""
+        """Return the cached value (promoting it to most-recent) or ``None``.
+
+        A ``put`` on another thread may evict the key between the lookup and
+        the promotion; the value found is still returned, just not promoted.
+        """
         value = self._data.get(key)
         if value is not None:
-            self._data.move_to_end(key)
+            try:
+                self._data.move_to_end(key)
+            except KeyError:
+                pass
         return value
 
     def put(self, key: K, value: V) -> None:

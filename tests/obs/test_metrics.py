@@ -1,7 +1,11 @@
 """The metrics registry: bucket math, quantiles, rendering, attribution."""
 
+import asyncio
 import json
 import math
+import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     DEFAULT_TIME_BUCKETS,
+    MAX_CHILDREN_PER_FAMILY,
     HistogramValue,
     MetricsRegistry,
     _log_spaced,
@@ -173,6 +178,190 @@ class TestSnapshot:
         assert delta["demo_latency_seconds_count"] == 1.0
         assert delta["demo_latency_seconds_sum"] == pytest.approx(0.2)
         assert 'demo_requests_total{status="error"}' not in delta
+
+
+class TestRunLedger:
+    """``mark()``/``delta()``: a ledger of what moved in the marking context."""
+
+    def test_keys_follow_the_flat_name_labels_format(self):
+        reg = MetricsRegistry()
+        hist = reg.histogram("h_seconds", "h", labels=("phase",), buckets=(1.0,))
+        gauge = reg.gauge("g", "h")
+        mark = reg.mark()
+        hist.labels(phase="a").observe(0.5)
+        hist.labels(phase="a").observe(2.0)
+        gauge.set(4)
+        gauge.dec()
+        assert reg.delta(mark) == {
+            'h_seconds{phase="a"}_count': 2.0,
+            'h_seconds{phase="a"}_sum': 2.5,
+            "g": 3.0,
+        }
+
+    def test_changes_that_cancel_out_are_not_reported(self):
+        reg = MetricsRegistry()
+        gauge = reg.gauge("g", "h")
+        gauge.set(2)
+        mark = reg.mark()
+        gauge.inc()
+        gauge.set(2)
+        gauge.set(2)
+        assert reg.delta(mark) == {}
+
+    def test_delta_reads_again_and_marks_nest(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total", "h")
+        outer = reg.mark()
+        counter.inc()
+        inner = reg.mark()
+        counter.inc(2)
+        assert reg.delta(inner) == {"c_total": 2.0}
+        assert reg.delta(outer) == {"c_total": 3.0}
+        assert reg.delta(outer) == {"c_total": 3.0}
+        counter.inc()
+        assert reg.delta(inner) == {"c_total": 3.0}
+        assert reg.delta(outer) == {"c_total": 4.0}
+
+    def test_marks_are_scoped_to_their_registry(self):
+        ours, theirs = MetricsRegistry(), MetricsRegistry()
+        ours.counter("c_total", "h")
+        same_name = theirs.counter("c_total", "h")
+        mark = ours.mark()
+        same_name.inc()
+        assert ours.delta(mark) == {}
+
+    def test_standalone_histograms_stay_outside_attribution(self):
+        reg = MetricsRegistry()
+        mark = reg.mark()
+        HistogramValue().observe(1.0)
+        assert reg.delta(mark) == {}
+
+    def test_a_dropped_mark_stops_collecting(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total", "h")
+        mark = reg.mark()
+        ledger = weakref.ref(mark)
+        del mark
+        assert ledger() is None
+        for _ in range(1000):
+            reg.mark()  # callers that never close their marks must not leak
+        counter.inc()
+        held = reg.mark()
+        counter.inc()
+        assert reg.delta(held) == {"c_total": 1.0}
+        assert len(reg._ledgers.get()) <= 2
+
+    def test_concurrent_threads_see_only_their_own_increments(self):
+        """Each thread holds a mark while the other increments the shared
+        counter; a whole-registry diff would report both threads' work."""
+        reg = MetricsRegistry()
+        shared = reg.counter("shared_total", "h")
+        both_marked = threading.Barrier(2, timeout=10)
+        both_incremented = threading.Barrier(2, timeout=10)
+        deltas = {}
+
+        def run(name, amount):
+            mark = reg.mark()
+            both_marked.wait()
+            shared.inc(amount)
+            both_incremented.wait()
+            deltas[name] = reg.delta(mark)
+
+        threads = [
+            threading.Thread(target=run, args=("a", 1.0)),
+            threading.Thread(target=run, args=("b", 10.0)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert deltas == {"a": {"shared_total": 1.0}, "b": {"shared_total": 10.0}}
+
+    def test_attribution_stays_exact_under_thread_contention(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total", "h", labels=("kind",))
+        hist = reg.histogram("h_seconds", "h", buckets=(1.0,))
+        deltas = {}
+
+        def run(index):
+            mark = reg.mark()
+            for _ in range(2000):
+                counter.labels(kind="shared").inc()
+                hist.observe(0.5)
+            deltas[index] = reg.delta(mark)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        expected = {
+            'c_total{kind="shared"}': 2000.0,
+            "h_seconds_count": 2000.0,
+            "h_seconds_sum": 1000.0,
+        }
+        assert deltas == {i: expected for i in range(8)}
+
+    def test_asyncio_tasks_see_only_their_own_increments(self):
+        reg = MetricsRegistry()
+        shared = reg.counter("shared_total", "h")
+
+        async def run(amount):
+            mark = reg.mark()
+            await asyncio.sleep(0)
+            shared.inc(amount)
+            await asyncio.sleep(0)
+            return reg.delta(mark)
+
+        async def main():
+            return await asyncio.gather(run(1.0), run(10.0))
+
+        assert asyncio.run(main()) == [{"shared_total": 1.0}, {"shared_total": 10.0}]
+
+
+class TestCardinalityCap:
+    def test_label_sets_past_the_cap_share_one_overflow_child(self):
+        reg = MetricsRegistry()
+        family = reg.counter("c_total", "h", labels=("tenant", "kind"))
+        for i in range(MAX_CHILDREN_PER_FAMILY + 50):
+            family.labels(tenant=f"t{i}", kind="x").inc()
+        assert len(family._children) == MAX_CHILDREN_PER_FAMILY + 1
+        overflow = family.labels(tenant="new", kind="x")
+        assert overflow is family.labels(tenant="other", kind="other")
+        assert overflow.value == 50
+        assert family.labels(tenant="t0", kind="x").value == 1  # kept children still count
+        # Every redirected lookup counts, including the one above that
+        # never incremented.
+        dropped = reg.snapshot()["repro_metrics_dropped_labels_total"]["samples"]
+        assert dropped == [{"labels": {"family": "c_total"}, "value": 51.0}]
+
+    def test_overflow_reuses_an_existing_other_child(self):
+        reg = MetricsRegistry()
+        family = reg.counter("c_total", "h", labels=("tenant",))
+        family.labels(tenant="other").inc()
+        for i in range(MAX_CHILDREN_PER_FAMILY + 10):
+            family.labels(tenant=f"t{i}").inc()
+        assert len(family._children) == MAX_CHILDREN_PER_FAMILY
+        assert family.labels(tenant="other").value == 12
+
+    def test_overflow_children_are_attributed_to_runs(self):
+        reg = MetricsRegistry()
+        family = reg.counter("c_total", "h", labels=("tenant",))
+        for i in range(MAX_CHILDREN_PER_FAMILY):
+            family.labels(tenant=f"t{i}")
+        mark = reg.mark()
+        family.labels(tenant="late").inc()
+        assert reg.delta(mark) == {
+            'c_total{tenant="other"}': 1.0,
+            'repro_metrics_dropped_labels_total{family="c_total"}': 1.0,
+        }
 
 
 class TestPrometheusRendering:

@@ -5,8 +5,15 @@ import json
 
 import pytest
 
-from repro.engine.server import InferenceService, ServerCounters, serve_tcp
+from repro.engine.server import (
+    _SERVER_TENANT_REQUESTS,
+    InferenceService,
+    ServerCounters,
+    serve_tcp,
+)
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
+from repro.obs.metrics import MAX_CHILDREN_PER_FAMILY
 
 BENCH = get_benchmark("weight")
 
@@ -198,3 +205,35 @@ class TestMetricsSurface:
 
         responses = asyncio.run(_serving(go))
         assert responses["after"]["ok"]
+
+
+class TestTenantCardinality:
+    def test_rotating_tenants_keep_the_registry_and_scrape_bounded(self, monkeypatch):
+        """10k distinct client-chosen tenant ids, through the real intake
+        path, leave at most cap + 1 tenant children and a bounded scrape."""
+        dropped = REGISTRY._dropped_labels()
+        monkeypatch.setattr(_SERVER_TENANT_REQUESTS, "_children", {})
+        monkeypatch.setattr(dropped, "_children", {})
+        before = REGISTRY.render_prometheus()
+
+        async def go():
+            service = InferenceService()
+            await service.start()
+            await service.stop()  # admission still counts tenants, then sheds
+            for i in range(10_000):
+                response = await service.submit(_payload(tenant=f"tenant-{i}"))
+                assert response["code"] == "shutting_down"
+
+        asyncio.run(go())
+        tenants = _SERVER_TENANT_REQUESTS._children
+        assert len(tenants) <= MAX_CHILDREN_PER_FAMILY + 1
+        assert _SERVER_TENANT_REQUESTS.labels(tenant="other").value == (
+            10_000 - MAX_CHILDREN_PER_FAMILY
+        )
+        family = "repro_server_tenant_requests_total"
+        assert dropped.labels(family=family).value == 10_000 - MAX_CHILDREN_PER_FAMILY
+        after = REGISTRY.render_prometheus()
+        added = set(after.splitlines()) - set(before.splitlines())
+        tenant_lines = [line for line in added if line.startswith(family + "{")]
+        assert len(tenant_lines) == len(tenants)
+        assert len(added) - len(tenant_lines) <= 20  # the cap and queue bookkeeping

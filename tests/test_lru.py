@@ -8,6 +8,8 @@ explicit owner actions (``pop``/``clear``) staying silent.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.utils.lru import LruCache
@@ -117,3 +119,22 @@ def test_invalid_capacity_rejected(capacity):
     cache = LruCache(capacity=1)
     with pytest.raises(ValueError):
         cache.set_capacity(capacity)
+
+
+def test_get_survives_an_eviction_between_lookup_and_promotion():
+    """A ``put`` on another thread can evict the key after ``get`` found it
+    but before it promotes it; ``get`` must still return what it found."""
+    cache = LruCache(capacity=1)
+    cache.put("a", 1)
+
+    class _EvictAfterLookup(OrderedDict):
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            cache.put("b", 2)  # the racing put: capacity 1 evicts "a"
+            return value
+
+    cache._data = _EvictAfterLookup(cache._data)
+    assert cache.get("a") == 1
+    assert "a" not in cache
+    assert cache.values() == [2]
+    assert cache.evictions == 1
