@@ -23,11 +23,12 @@ numbers when both wrote the same path:
      "curves": {}}
 
 Schema 3 adds the top-level ``curves`` map, written by ``repro bench
-evaluate`` (see :mod:`repro.bench.results`, the in-package counterpart of
-this module): one slot per evaluate tag holding that run's
+evaluate``: one slot per evaluate tag holding that run's
 accuracy-vs-wall-time scaling curves.  The pytest harnesses here never
 write ``curves`` but must round-trip it — resetting a run record or
-appending an entry leaves recorded curve sets untouched.
+appending an entry leaves recorded curve sets untouched.  Loading,
+migrating older schemas and writing all go through
+:mod:`repro.bench.results`, so the harnesses and the CLI read one schema.
 
 ``wall_time_s`` is the best-of-N wall time of the measured configuration;
 ``speedup`` (optional) is relative to the named ``baseline``.  The output
@@ -42,25 +43,16 @@ runs within one CI workflow all survive.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import List, Optional
 
-SCHEMA_VERSION = 3
-
-#: How many historical runs one artifact retains (oldest pruned first).
-MAX_RUNS = 8
+from repro.bench.results import MAX_RUNS, load_results, write_results
+from repro.bench.results import SCHEMA_VERSION  # noqa: F401 - re-exported for the harnesses
 
 #: The current process's run identifier; lazily assigned so importing this
 #: module never touches the filesystem.
 _RUN_ID: Optional[str] = None
-
-
-def results_path() -> Path:
-    """Where the artifact lives (``REPRO_BENCH_RESULTS`` overrides)."""
-    return Path(os.environ.get("REPRO_BENCH_RESULTS", "BENCH_results.json"))
 
 
 def run_id() -> str:
@@ -69,51 +61,6 @@ def run_id() -> str:
     if _RUN_ID is None:
         _RUN_ID = f"{os.getpid()}-{int(time.time())}"
     return _RUN_ID
-
-
-def _fresh_document() -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "runs": [],
-        "curves": {},
-    }
-
-
-def _load() -> dict:
-    path = results_path()
-    if not path.exists():
-        return _fresh_document()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return _fresh_document()
-    if not isinstance(data, dict):
-        return _fresh_document()
-    if data.get("schema") == SCHEMA_VERSION:
-        data.setdefault("runs", [])
-        data.setdefault("curves", {})
-        return data
-    if data.get("schema") == 2 and isinstance(data.get("runs"), list):
-        # Schema 3 only adds the ``curves`` map; schema-2 run records carry
-        # over untouched.
-        document = _fresh_document()
-        document["created_at"] = data.get("created_at", document["created_at"])
-        document["runs"] = data["runs"]
-        return document
-    if data.get("schema") == 1 and isinstance(data.get("entries"), list):
-        # Migrate a schema-1 artifact in place: its flat entry list becomes
-        # one legacy run, so no measurement is lost across the upgrade.
-        document = _fresh_document()
-        document["runs"].append(
-            {
-                "run": "legacy-schema-1",
-                "started_at": data.get("created_at"),
-                "entries": data["entries"],
-            }
-        )
-        return document
-    return _fresh_document()
 
 
 def _current_run(data: dict) -> dict:
@@ -129,26 +76,22 @@ def _current_run(data: dict) -> dict:
     return run
 
 
-def _write(data: dict) -> None:
-    results_path().write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
 def reset_results() -> None:
     """Start this process's run record afresh (called once per session).
 
     Other runs' records are preserved (that is the point of schema 2); only
     runs beyond :data:`MAX_RUNS` are pruned, oldest first.
     """
-    data = _load()
+    data = load_results()
     data["runs"] = [run for run in data["runs"] if run.get("run") != run_id()]
-    data["runs"] = data["runs"][-(MAX_RUNS - 1):] if MAX_RUNS > 1 else []
+    data["runs"] = data["runs"][-(MAX_RUNS - 1):]
     _current_run(data)
-    _write(data)
+    write_results(data)
 
 
 def current_run_entries() -> List[dict]:
     """The entries recorded by this process so far (for tests/reporting)."""
-    data = _load()
+    data = load_results()
     for run in data["runs"]:
         if run.get("run") == run_id():
             return list(run["entries"])
@@ -157,7 +100,7 @@ def current_run_entries() -> List[dict]:
 
 def all_entries() -> List[dict]:
     """Every entry across all retained runs, in file order."""
-    data = _load()
+    data = load_results()
     return [entry for run in data["runs"] for entry in run["entries"]]
 
 
@@ -183,7 +126,7 @@ def record(
     Entries sharing a key never overwrite each other: measurements
     accumulate within the run's list.
     """
-    data = _load()
+    data = load_results()
     entry = {
         "suite": suite,
         "model": model,
@@ -199,7 +142,7 @@ def record(
     if extra:
         entry["extra"] = extra
     _current_run(data)["entries"].append(entry)
-    _write(data)
+    write_results(data)
 
 
 def best_of(repeats: int, thunk):

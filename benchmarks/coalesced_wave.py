@@ -5,8 +5,9 @@ Submits bursts of 8 concurrent same-session ``is`` requests (``weight``,
 workers, alternating two modes burst by burst: the server's coalesced pool
 wave, and per-request runs (simulated by making the wave return no
 outcomes, so every member goes through ``run_engine``).  Prints the median
-burst wall time per mode and checks that both modes give identical answers.
-``docs/serving.md`` records a run of it.
+burst wall time per mode and checks that every wave-mode burst ran as one
+pool wave with an outcome for each of its 8 members, and that both modes
+give identical answers.  ``docs/serving.md`` records a run of it.
 
 Usage::
 
@@ -59,7 +60,14 @@ async def measure(particles: int, bursts: int) -> dict:
     service = InferenceService(workers=2, batch_window_s=0.005)
     await service.start()
     wave = service._run_is_wave
-    modes = {"wave": wave, "per-request": lambda group: {}}
+    wave_sizes = []
+
+    def counted_wave(group):
+        outcomes = wave(group)
+        wave_sizes.append(len(outcomes))
+        return outcomes
+
+    modes = {"wave": counted_wave, "per-request": lambda group: {}}
     times = {mode: [] for mode in modes}
     answers = {}
     try:
@@ -68,7 +76,10 @@ async def measure(particles: int, bursts: int) -> dict:
             order = list(modes) if i % 2 == 0 else list(reversed(list(modes)))
             for mode in order:
                 service._run_is_wave = modes[mode]
+                wave_sizes.clear()
                 elapsed, means = await _burst(service, particles)
+                if mode == "wave":
+                    assert wave_sizes == [BURST], f"burst ran as waves of {wave_sizes}"
                 times[mode].append(elapsed)
                 answers.setdefault(mode, means)
     finally:

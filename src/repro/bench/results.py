@@ -1,10 +1,10 @@
 """Schema-3 ``BENCH_results.json`` access for the installed package.
 
-``benchmarks/_record.py`` owns the artifact from the pytest harnesses; this
-module is its in-package counterpart for the CLI paths (``repro bench
-evaluate`` recording scaling curves, ``repro loadgen --record`` appending a
-load entry) so they work without the benchmarks directory on ``sys.path``.
-Both speak the same document:
+This module owns the document and its migrations.  The CLI paths
+(``repro bench evaluate`` recording scaling curves, ``repro loadgen
+--record`` appending a load entry) use it directly, and
+``benchmarks/_record.py``, the pytest harnesses' writer, loads and writes
+through it, so every writer speaks the same document:
 
 .. code-block:: json
 

@@ -739,7 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes in the shared shard pool")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="how long to hold a dispatch batch open so concurrent "
-                              "requests can coalesce into one sharded run")
+                              "requests can coalesce into one sharded run; held only "
+                              "while a queued request can coalesce (engine 'is' with "
+                              "more than one shard), other requests dispatch at once")
     p_serve.add_argument("--max-queue", type=int, default=256,
                          help="admitted requests allowed to wait for dispatch; "
                               "overflow is rejected immediately with code 'overloaded'")

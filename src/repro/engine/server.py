@@ -346,6 +346,10 @@ class _Pending:
     enqueued_at: float = field(default_factory=time.monotonic)
     dispatched_at: float = 0.0
     batch_size: int = 1
+    #: Whether the request can share a coalesced pool wave: an ``is`` run
+    #: with more than one shard.  Decided once, at admission; the batch
+    #: window is held only while such a request is queued.
+    coalescable: bool = False
 
 
 class _TokenBucket:
@@ -374,9 +378,12 @@ class InferenceService:
 
     ``workers`` sizes the shared shard pool (and is the default worker count
     for requests that do not pin their own); ``batch_window_s`` optionally
-    holds each dispatch batch open a little longer so concurrent callers can
-    land in the same wave.  ``max_queue`` bounds the number of admitted
-    requests waiting for dispatch (overflow is rejected with ``overloaded``),
+    holds a dispatch batch open a little longer so concurrent callers can
+    land in the same coalesced wave.  The window is held only while a queued
+    request can join such a wave (an ``is`` request with more than one
+    shard); every other request is dispatched as soon as the dispatcher
+    wakes.  ``max_queue`` bounds the number of admitted requests waiting
+    for dispatch (overflow is rejected with ``overloaded``),
     ``max_batch`` bounds each dispatch wave, and ``tenant_rate`` /
     ``tenant_burst`` enable a per-tenant token-bucket quota (``None``
     disables quotas).  Use as::
@@ -680,7 +687,7 @@ class InferenceService:
                 "(pass force: true to run anyway)"
             )
         request = InferenceRequest(**params)
-        request.resolved_shards()  # validate the shard controls up front
+        shards = request.resolved_shards()  # validate the shard controls up front
         sites = [int(s) for s in payload.get("sites", [0])]
         return _Pending(
             payload=payload,
@@ -692,6 +699,7 @@ class InferenceService:
             tenant=tenant,
             deadline_at=deadline_at,
             enqueued_at=arrived_at,
+            coalescable=engine == "is" and shards > 1,
         )
 
     # -- dispatch ----------------------------------------------------------
@@ -701,14 +709,18 @@ class InferenceService:
 
         Each wave takes at most ``max_batch`` requests, round-robin across
         tenants, so a burst is served in bounded waves (bounded coalesced-wave
-        memory) and no tenant's backlog can monopolise dispatch.  On
-        cancellation (``stop()``), any wave already in hand resolves with a
-        structured ``shutting_down`` response instead of being abandoned.
+        memory) and no tenant's backlog can monopolise dispatch.  The batch
+        window is held only while a queued request is coalescable; any other
+        wave is built as soon as the dispatcher wakes.  On cancellation
+        (``stop()``), any wave already in hand resolves with a structured
+        ``shutting_down`` response instead of being abandoned.
         """
         loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
-            if self.batch_window_s:
+            if self.batch_window_s and any(
+                pending.coalescable for queue in self._queues.values() for pending in queue
+            ):
                 await asyncio.sleep(self.batch_window_s)
             batch = self._collect_wave()
             if not self._queued:
@@ -986,8 +998,9 @@ class InferenceService:
         ``execute_tasks`` call, and merged back per member — so coalescing
         is invisible in the results, including the all-weights-zero guard a
         solo ``vectorized_importance`` run applies (a failed member maps to
-        its :class:`InferenceError`).  Members whose plan has a single
-        shard are left for the sequential path, before any runner is built.
+        its :class:`InferenceError`).  Members that are not coalescable
+        (a single-shard plan) are left for the sequential path, before any
+        runner is built.
         """
         import numpy as np
 
@@ -999,9 +1012,9 @@ class InferenceService:
 
         waves = []
         for i, pending in enumerate(group):
-            session, request = pending.session, pending.request
-            if request.resolved_shards() == 1:
+            if not pending.coalescable:
                 continue
+            session, request = pending.session, pending.request
             runner = make_particle_runner(
                 session.model_program,
                 session.guide_program,

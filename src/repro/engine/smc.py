@@ -27,13 +27,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import ast
 from repro.core.semantics import traces as tr
-from repro.engine.vectorize import VectorRunResult
+from repro.engine.vectorize import VectorRunResult, weighted_site_mean
 from repro.errors import InferenceError
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, span
 
@@ -54,11 +55,10 @@ _SMC_RESAMPLES = REGISTRY.counter(
     "systematic resampling.",
 )
 from repro.utils.numerics import (
-    effective_sample_size,
     log_mean_exp,
     log_sum_exp,
     normalize_log_weights,
-    weighted_mean,
+    normalized_ess,
 )
 from repro.utils.rng import ensure_rng
 
@@ -106,26 +106,39 @@ class SMCResult:
         return self.log_evidence_estimate
 
     def normalized_weights(self) -> np.ndarray:
-        return normalize_log_weights(self.log_weights)
+        """The normalised weights, computed once per result (read-only)."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        weights = normalize_log_weights(self.log_weights)
+        weights.flags.writeable = False  # shared by every later caller
+        return weights
+
+    @cached_property
+    def _source_rows(self) -> List[Tuple[VectorRunResult, np.ndarray, np.ndarray]]:
+        """Per source run: its particles' mask and their rows in that run."""
+        rows = []
+        for run_id, run in enumerate(self.runs):
+            mask = self.src_run == run_id
+            if np.any(mask):
+                rows.append((run, mask, self.src_idx[mask]))
+        return rows
 
     def effective_sample_size(self) -> float:
-        return effective_sample_size(self.log_weights)
+        return normalized_ess(self._weights)
 
     def site_values(self, index: int) -> np.ndarray:
         """Values of the ``index``-th latent site per particle (``nan`` if absent)."""
         out = np.empty(self.num_particles)
-        for run_id, run in enumerate(self.runs):
-            mask = self.src_run == run_id
-            if np.any(mask):
-                out[mask] = run.site_values(index)[self.src_idx[mask]]
+        for run, mask, rows in self._source_rows:
+            out[mask] = run.site_values(index)[rows]
         return out
 
     def posterior_mean(self, index: int) -> float:
-        values = self.site_values(index)
-        keep = ~np.isnan(values)
-        if not np.any(keep):
-            raise InferenceError(f"no particle has a latent value at index {index}")
-        return weighted_mean(values[keep], self.log_weights[keep])
+        return weighted_site_mean(
+            self.site_values(index), index, self.log_weights, self._weights
+        )
 
     def trace_for(self, particle: int) -> tr.Trace:
         run = self.runs[int(self.src_run[particle])]
@@ -249,7 +262,7 @@ def smc(
 
         log_w = log_w + scores[:, t]
         weights = normalize_log_weights(log_w)
-        ess = effective_sample_size(log_w)
+        ess = normalized_ess(weights)
         ess_history.append(ess)
         _SMC_ESS.observe(ess)
 

@@ -38,6 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +55,9 @@ from repro.dists.base import Distribution
 from repro.engine.batched import BatchedDist
 from repro.errors import ChannelProtocolError, EvaluationError, InferenceError
 from repro.utils.numerics import (
-    effective_sample_size,
     log_mean_exp,
     normalize_log_weights,
+    normalized_ess,
     weighted_mean,
 )
 from repro.obs import REGISTRY, span
@@ -1202,6 +1203,25 @@ class VectorRunResult:
 # ---------------------------------------------------------------------------
 
 
+def weighted_site_mean(
+    values: np.ndarray, index: int, log_weights: np.ndarray, weights: np.ndarray
+) -> float:
+    """Posterior mean of latent site ``index`` from its per-particle values.
+
+    ``values`` is ``nan`` for particles whose trace does not reach the site;
+    they are excluded and the weights renormalised over the rest.
+    ``weights`` is ``log_weights`` already normalised, used as is when every
+    particle reaches the site, so a result normalises its weights once
+    however many sites it reports.
+    """
+    keep = ~np.isnan(values)
+    if not np.any(keep):
+        raise InferenceError(f"no particle has a latent value at index {index}")
+    if np.all(keep):
+        return float(np.dot(values, weights))
+    return weighted_mean(values[keep], log_weights[keep])
+
+
 class VectorizedISResult:
     """Importance-sampling summary over a vectorized run (columnar)."""
 
@@ -1221,10 +1241,17 @@ class VectorizedISResult:
         return log_mean_exp(self._log_weights)
 
     def normalized_weights(self) -> np.ndarray:
-        return normalize_log_weights(self._log_weights)
+        """The normalised weights, computed once per result (read-only)."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        weights = normalize_log_weights(self._log_weights)
+        weights.flags.writeable = False  # shared by every later caller
+        return weights
 
     def effective_sample_size(self) -> float:
-        return effective_sample_size(self._log_weights)
+        return normalized_ess(self._weights)
 
     def posterior_expectation_of_site(self, index: int) -> float:
         """Posterior mean of the ``index``-th latent site in protocol order.
@@ -1233,11 +1260,9 @@ class VectorizedISResult:
         particles whose trace does not reach the site are excluded and the
         weights renormalised over the rest.
         """
-        values = self.run.site_values(index)
-        keep = ~np.isnan(values)
-        if not np.any(keep):
-            raise InferenceError(f"no particle has a latent value at index {index}")
-        return weighted_mean(values[keep], self._log_weights[keep])
+        return weighted_site_mean(
+            self.run.site_values(index), index, self._log_weights, self._weights
+        )
 
     def to_importance_result(self):
         """Materialise per-particle samples for scalar-path compatibility."""

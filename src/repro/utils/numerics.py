@@ -59,7 +59,11 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
 
 def effective_sample_size(log_weights: Sequence[float]) -> float:
     """Kish effective sample size of a set of importance weights."""
-    weights = normalize_log_weights(log_weights)
+    return normalized_ess(normalize_log_weights(log_weights))
+
+
+def normalized_ess(weights: np.ndarray) -> float:
+    """Kish effective sample size of weights already normalised to sum to 1."""
     if weights.size == 0:
         return 0.0
     return float(1.0 / np.sum(weights**2))

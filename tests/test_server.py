@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.engine import ProgramSession
-from repro.engine.server import InferenceService, ServerCounters, serve_tcp
+from repro.engine.server import InferenceService, ServerCounters, _Pending, serve_tcp
 from repro.models import get_benchmark
 
 BENCH = get_benchmark("weight")
@@ -71,6 +71,30 @@ class TestSubmit:
             assert got["posterior_means"] == want["posterior_means"]
             assert got["log_evidence"] == want["log_evidence"]
 
+    def test_coalescable_members_run_in_one_pool_wave(self):
+        """Concurrent multi-shard ``is`` requests run in the pool wave, which
+        returns an outcome for every member (none fall back to solo runs)."""
+        wave_sizes = []
+
+        async def go(service):
+            wave = service._run_is_wave
+
+            def counted_wave(group):
+                outcomes = wave(group)
+                wave_sizes.append(len(outcomes))
+                return outcomes
+
+            service._run_is_wave = counted_wave
+            await service.submit(_payload(request_id="warm"))
+            wave_sizes.clear()
+            return await asyncio.gather(
+                *[service.submit(_payload(seed=s, request_id=f"r{s}")) for s in range(3)]
+            )
+
+        responses = asyncio.run(_with_service(go))
+        assert all(r["ok"] for r in responses), responses
+        assert wave_sizes == [3]
+
     def test_mixed_engines_in_one_batch(self):
         async def go(service):
             return await asyncio.gather(
@@ -83,6 +107,65 @@ class TestSubmit:
         assert smc_resp["posterior_means"]["0"] == pytest.approx(
             is_resp["posterior_means"]["0"], abs=0.3
         )
+
+
+def _uncoalescable(kind):
+    """A request that cannot join a coalesced wave."""
+    if kind == "session.open":
+        return {"op": "session.open", "benchmark": "stream_rw", "grow": True,
+                "params": {"num_particles": 200, "seed": 5}}
+    engine, shards = {"is-1-shard": ("is", 1), "smc-2-shards": ("smc", 2)}[kind]
+    payload = _payload(engine=engine)
+    payload["params"]["shards"] = shards
+    return payload
+
+
+class TestBatchWindow:
+    """The batch window is held only while a queued request can coalesce."""
+
+    @pytest.mark.parametrize("kind", ["is-1-shard", "smc-2-shards", "session.open"])
+    def test_uncoalescable_request_is_dispatched_without_the_window(self, kind):
+        async def go(service):
+            return await service.submit(_uncoalescable(kind))
+
+        response = asyncio.run(_with_service(go, batch_window_s=0.5))
+        assert response["ok"], response
+        assert response["server"]["queue_wait_s"] < 0.25
+
+
+def test_response_normalises_the_weights_once(monkeypatch):
+    """Building the response for a 4-site SMC result normalises its weights
+    once, not once per site plus once more for the ESS."""
+    import importlib
+
+    import repro.utils.numerics as numerics
+
+    # ``repro.engine.smc`` is also the name of the function the package exports.
+    smc_module = importlib.import_module("repro.engine.smc")
+
+    bench = get_benchmark("kalman")
+    session = ProgramSession.from_sources(
+        bench.model_source, bench.guide_source,
+        model_entry=bench.model_entry, guide_entry=bench.guide_entry,
+    )
+    result = session.infer(
+        "smc", num_particles=500, obs_values=list(bench.obs_values), seed=0
+    )
+    real = numerics.normalize_log_weights
+    calls = []
+
+    def counting(log_weights):
+        calls.append(len(log_weights))
+        return real(log_weights)
+
+    for module in (numerics, smc_module):
+        monkeypatch.setattr(module, "normalize_log_weights", counting)
+    pending = _Pending(payload={"id": "k"}, session=session, engine="smc",
+                       request=None, sites=[0, 1, 2, 3], future=None)
+    response = InferenceService()._result_response(pending, result, 0.0, 0.0)
+    assert None not in response["posterior_means"].values()
+    assert response["effective_sample_size"] > 0
+    assert calls == [500]
 
 
 class TestValidation:

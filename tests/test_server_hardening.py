@@ -30,7 +30,9 @@ from repro.models import get_benchmark
 BENCH = get_benchmark("weight")
 
 
-def _payload(seed=0, request_id=None, particles=200, **overrides):
+def _payload(seed=0, request_id=None, particles=200, shards=None, **overrides):
+    """A ``weight`` IS request; ``shards > 1`` makes it coalescable, so the
+    batch window holds it in the queue."""
     payload = {
         "id": request_id,
         "model": BENCH.model_source,
@@ -44,6 +46,8 @@ def _payload(seed=0, request_id=None, particles=200, **overrides):
             "guide_args": [8.5, 0.0],
         },
     }
+    if shards is not None:
+        payload["params"]["shards"] = shards
     payload.update(overrides)
     return payload
 
@@ -93,7 +97,8 @@ class TestDeadlines:
 
         async def go():
             # A long batch window guarantees the deadline expires while the
-            # request sits in the queue, before wave collection.
+            # request sits in the queue, before wave collection; two shards
+            # make the request coalescable, so the window is held for it.
             service = await _start_service(batch_window_s=0.3)
             server, reader, writer = await _connect(service)
             try:
@@ -102,7 +107,7 @@ class TestDeadlines:
                 warm = await _recv(reader)
                 assert warm["ok"], warm
                 batches_before = service.counters.batches_total
-                await _send(writer, _payload(request_id="doomed", deadline_ms=50))
+                await _send(writer, _payload(request_id="doomed", deadline_ms=50, shards=2))
                 response = await _recv(reader)
                 return service, response, batches_before
             finally:
@@ -153,8 +158,9 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_queue_full_rejects_with_overloaded(self):
-        """With ``max_queue=2`` and a held-open batch window, a burst of 8
-        gets 2 admissions and 6 structured ``overloaded`` rejections."""
+        """With ``max_queue=2`` and a held-open batch window (the burst is
+        coalescable), a burst of 8 gets 2 admissions and 6 structured
+        ``overloaded`` rejections."""
 
         async def go():
             service = await _start_service(max_queue=2, batch_window_s=0.5)
@@ -163,7 +169,7 @@ class TestBackpressure:
                 await _send(writer, _payload(request_id="warm"))
                 assert (await _recv(reader))["ok"]
                 for i in range(8):
-                    await _send(writer, _payload(request_id=f"r{i}", seed=i))
+                    await _send(writer, _payload(request_id=f"r{i}", seed=i, shards=2))
                 return await _recv_many(reader, 8)
             finally:
                 await _close(server, writer)
@@ -268,13 +274,13 @@ class TestFairness:
                     await _send(
                         writer,
                         _payload(request_id=f"a{i}", seed=i, particles=100,
-                                 tenant="flood"),
+                                 shards=2, tenant="flood"),
                     )
                 for i in range(2):
                     await _send(
                         writer,
                         _payload(request_id=f"b{i}", seed=i, particles=100,
-                                 tenant="small"),
+                                 shards=2, tenant="small"),
                     )
                 return await _recv_many(reader, 10)
             finally:
@@ -300,9 +306,13 @@ class TestShutdown:
         async def go():
             service = await _start_service(batch_window_s=0.05)
             await service.submit(_payload(request_id="warm"))
+            # Two shards make the requests coalescable, so the batch window
+            # holds them in the queue when stop() runs.
             submits = [
                 asyncio.ensure_future(
-                    service.submit(_payload(request_id=f"s{i}", seed=i, particles=100))
+                    service.submit(
+                        _payload(request_id=f"s{i}", seed=i, particles=100, shards=2)
+                    )
                 )
                 for i in range(12)
             ]
@@ -320,6 +330,7 @@ class TestShutdown:
                 assert "posterior_means" in response
             else:
                 assert response["code"] in (CODE_SHUTTING_DOWN,)
+        assert any(r.get("code") == CODE_SHUTTING_DOWN for r in responses), responses
 
     def test_submit_after_stop_is_structured_shutting_down(self):
         async def go():
@@ -400,7 +411,7 @@ class TestErrorCodes:
                 await _send(writer, _payload(request_id="warm"))
                 assert (await _recv(reader))["ok"]
                 for i in range(4):
-                    await _send(writer, _payload(request_id=f"r{i}", seed=i))
+                    await _send(writer, _payload(request_id=f"r{i}", seed=i, shards=2))
                 await _recv_many(reader, 4)
                 await _send(writer, {"id": "st", "op": "stats"})
                 return await _recv(reader)

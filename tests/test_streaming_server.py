@@ -20,8 +20,10 @@ from repro.engine.server import (
     InferenceService,
     serve_tcp,
 )
+from repro.models import get_benchmark
 
 OBS = [0.4, 1.1, 0.8, 1.6]
+WEIGHT = get_benchmark("weight")
 
 
 def _open_payload(request_id="open", session_id="s1", particles=200, **overrides):
@@ -35,6 +37,24 @@ def _open_payload(request_id="open", session_id="s1", particles=200, **overrides
     }
     payload.update(overrides)
     return payload
+
+
+def _is_payload(request_id, shards=1):
+    """A one-shot ``weight`` IS request; ``shards > 1`` makes it coalescable."""
+    return {
+        "id": request_id,
+        "model": WEIGHT.model_source,
+        "guide": WEIGHT.guide_source,
+        "engine": "is",
+        "sites": [0],
+        "params": {
+            "num_particles": 200,
+            "seed": 0,
+            "obs_values": list(WEIGHT.obs_values),
+            "guide_args": [8.5, 0.0],
+            "shards": shards,
+        },
+    }
 
 
 async def _start_service(**kwargs):
@@ -230,6 +250,13 @@ class TestShutdown:
         async def go():
             service = await _start_service(batch_window_s=0.05)
             await service.submit(_open_payload(request_id="o"))
+            await service.submit(_is_payload(request_id="warm"))
+            # Session ops never hold the batch window; a queued two-shard
+            # ``is`` request does, so the pushes queued behind it are still
+            # queued when stop() runs.
+            held = asyncio.ensure_future(
+                service.submit(_is_payload(request_id="held", shards=2))
+            )
             submits = [
                 asyncio.ensure_future(
                     service.submit(
@@ -245,6 +272,7 @@ class TestShutdown:
             ]
             await asyncio.sleep(0.02)
             await service.stop()
+            assert isinstance(await held, dict)
             return await asyncio.gather(*submits)
 
         responses = asyncio.run(go())
@@ -253,6 +281,7 @@ class TestShutdown:
             assert isinstance(response, dict)
             if not response["ok"]:
                 assert response["code"] == CODE_SHUTTING_DOWN
+        assert any(r.get("code") == CODE_SHUTTING_DOWN for r in responses), responses
 
     def test_stop_checkpoints_sessions_for_the_next_service(self, tmp_path):
         async def go():
