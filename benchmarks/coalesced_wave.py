@@ -2,12 +2,15 @@
 
 Submits bursts of 8 concurrent same-session ``is`` requests (``weight``,
 ``shards=4``) to an :class:`~repro.engine.server.InferenceService` with two
-workers, alternating two modes burst by burst: the server's coalesced pool
-wave, and per-request runs (simulated by making the wave return no
-outcomes, so every member goes through ``run_engine``).  Prints the median
-burst wall time per mode and checks that every wave-mode burst ran as one
-pool wave with an outcome for each of its 8 members, and that both modes
-give identical answers.  ``docs/serving.md`` records a run of it.
+workers, alternating two modes burst by burst: the coalesced pool wave
+(:func:`~repro.engine.api.run_engine_batch`), and per-request runs
+(simulated by making the batch call raise, so every member runs alone
+through ``run_engine``).  Prints the median burst wall time per mode and
+checks that every wave-mode burst ran as one pool wave with an outcome for
+each of its 8 members, that both modes give identical answers, and that
+every wave-mode response's ``diagnostics`` has the same keys (``run_metrics``
+included) and the same ``fallback_reason`` as its per-request twin.
+``docs/serving.md`` records a run of it.
 
 Usage::
 
@@ -21,6 +24,7 @@ import statistics
 import sys
 import time
 
+import repro.engine.server as server
 from repro.engine.server import InferenceService
 from repro.models import get_benchmark
 
@@ -52,22 +56,34 @@ async def _burst(service: InferenceService, particles: int):
     elapsed = time.perf_counter() - started
     assert all(r["ok"] for r in responses), responses
     assert max(r["server"]["batch_size"] for r in responses) > 1, "burst did not coalesce"
-    return elapsed, [r["posterior_means"]["0"] for r in responses]
+    return elapsed, responses
+
+
+def _check_diagnostics(wave: list, alone: list) -> None:
+    """Wave-mode diagnostics carry what per-request diagnostics carry."""
+    for got, want in zip(wave, alone):
+        got, want = got["diagnostics"], want["diagnostics"]
+        assert "run_metrics" in got, f"wave response lacks run_metrics: {sorted(got)}"
+        assert set(got) == set(want), (sorted(got), sorted(want))
+        assert got.get("fallback_reason") == want.get("fallback_reason"), (got, want)
 
 
 async def measure(particles: int, bursts: int) -> dict:
     """Median burst wall time (seconds) per mode at ``particles``."""
     service = InferenceService(workers=2, batch_window_s=0.005)
     await service.start()
-    wave = service._run_is_wave
+    batch = server.run_engine_batch
     wave_sizes = []
 
-    def counted_wave(group):
-        outcomes = wave(group)
+    def counted_wave(name, session, requests):
+        outcomes = batch(name, session, requests)
         wave_sizes.append(len(outcomes))
         return outcomes
 
-    modes = {"wave": counted_wave, "per-request": lambda group: {}}
+    def no_wave(name, session, requests):
+        raise RuntimeError("per-request mode: members run alone")
+
+    modes = {"wave": counted_wave, "per-request": no_wave}
     times = {mode: [] for mode in modes}
     answers = {}
     try:
@@ -75,17 +91,22 @@ async def measure(particles: int, bursts: int) -> dict:
         for i in range(bursts):
             order = list(modes) if i % 2 == 0 else list(reversed(list(modes)))
             for mode in order:
-                service._run_is_wave = modes[mode]
+                server.run_engine_batch = modes[mode]
                 wave_sizes.clear()
-                elapsed, means = await _burst(service, particles)
+                elapsed, responses = await _burst(service, particles)
                 if mode == "wave":
                     assert wave_sizes == [BURST], f"burst ran as waves of {wave_sizes}"
                 times[mode].append(elapsed)
-                answers.setdefault(mode, means)
+                answers.setdefault(mode, responses)
     finally:
-        service._run_is_wave = wave
+        server.run_engine_batch = batch
         await service.stop()
-    assert answers["wave"] == answers["per-request"], answers
+    means = {
+        mode: [r["posterior_means"]["0"] for r in responses]
+        for mode, responses in answers.items()
+    }
+    assert means["wave"] == means["per-request"], means
+    _check_diagnostics(answers["wave"], answers["per-request"])
     return {mode: statistics.median(values) for mode, values in times.items()}
 
 
@@ -96,7 +117,7 @@ def main() -> None:
         print(
             f"{particles} particles: wave {medians['wave'] * 1e3:.1f} ms, "
             f"per-request {medians['per-request'] * 1e3:.1f} ms "
-            f"(median of {bursts} bursts, identical answers)"
+            f"(median of {bursts} bursts, identical answers and diagnostics)"
         )
 
 

@@ -736,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7341)
     p_serve.add_argument("--workers", type=int, default=1,
-                         help="worker processes in the shared shard pool")
+                         help="worker processes in the shared shard pool (also the "
+                              "most a request's params.workers may ask for)")
     p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
                          help="how long to hold a dispatch batch open so concurrent "
                               "requests can coalesce into one sharded run; held only "

@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -216,6 +216,41 @@ def available_engines() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def coalescable(engine: str, request: InferenceRequest) -> bool:
+    """Whether ``request`` on ``engine`` can share a coalesced pool wave.
+
+    Only importance sampling (``is``) with more than one shard qualifies: its
+    run is one wave of independent shard tasks, which can ride in the same
+    pool submission as another request's.  The server's batch window and
+    :func:`run_engine_batch` both decide with this predicate.
+    """
+    return engine == "is" and request.resolved_shards() > 1
+
+
+def _observed(name: str, backend: str, execute: Callable[[], List[object]]) -> List[object]:
+    """Run ``execute`` as one observed engine run and stamp its results.
+
+    ``execute`` returns outcomes: results or exceptions.  One ``engine.run``
+    span covers the call.  Every result observes the call's wall time in the
+    engine-run histogram and carries it, with the registry activity the call
+    made in its own context, as ``run_metrics``.
+    """
+    mark = REGISTRY.mark()
+    started = time.perf_counter()
+    with span("engine.run", engine=name, backend=backend):
+        outcomes = execute()
+    wall_s = time.perf_counter() - started
+    results = [outcome for outcome in outcomes if isinstance(outcome, EngineResult)]
+    for _ in results:
+        _ENGINE_RUN_SECONDS.labels(engine=name, backend=backend).observe(wall_s)
+    run_metrics = {
+        "engine": name, "backend": backend, "wall_s": wall_s, "metrics": REGISTRY.delta(mark),
+    }
+    for result in results:
+        result.run_metrics = dict(run_metrics)
+    return outcomes
+
+
 def run_engine(
     name: str, session: "ProgramSession", request: InferenceRequest
 ) -> EngineResult:
@@ -229,20 +264,32 @@ def run_engine(
     ``session.infer`` and the batch server both route through here.
     """
     engine = get_engine(name)
-    backend = str(request.backend)
-    mark = REGISTRY.mark()
-    started = time.perf_counter()
-    with span("engine.run", engine=name, backend=backend):
-        result = engine.run(session, request)
-    wall_s = time.perf_counter() - started
-    _ENGINE_RUN_SECONDS.labels(engine=name, backend=backend).observe(wall_s)
-    result.run_metrics = {
-        "engine": name,
-        "backend": backend,
-        "wall_s": wall_s,
-        "metrics": REGISTRY.delta(mark),
-    }
-    return result
+    return _observed(name, str(request.backend), lambda: [engine.run(session, request)])[0]
+
+
+def run_engine_batch(
+    name: str, session: "ProgramSession", requests: Sequence[InferenceRequest]
+) -> List[object]:
+    """Run :func:`coalescable` requests on one session and backend as one pool wave.
+
+    Returns one outcome per request, in order: its result, or the exception
+    its solo :func:`run_engine` call would raise.  Values equal solo runs'
+    (the engine prepares every member's shards exactly as a solo run would),
+    and results are stamped as :func:`run_engine` stamps them, except that a
+    member's ``run_metrics`` describe the whole wave: its wall time and the
+    metric delta of all its members.  A failing shard task cannot be traced
+    to its member, so it raises here; the caller then runs the members alone.
+    """
+    if not requests:
+        return []
+    backend = str(requests[0].backend)
+    if not all(coalescable(name, r) and str(r.backend) == backend for r in requests):
+        raise InferenceError(
+            f"run_engine_batch needs {name!r} requests on one backend that can share "
+            "a pool wave (engine 'is' with more than one shard)"
+        )
+    engine = get_engine(name)
+    return _observed(name, backend, lambda: engine.run_batch(session, requests))
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +332,72 @@ class VectorizedImportanceEngine(InferenceEngine):
     name = "is"
     description = "importance sampling, all particles executed in lockstep"
 
-    def run(self, session: "ProgramSession", request: InferenceRequest) -> EngineResult:
-        """Draw one weighted particle population through the request's runner."""
-        from repro.engine.vectorize import vectorized_importance
+    @staticmethod
+    def _runner(session: "ProgramSession", request: InferenceRequest):
+        from repro.engine.backend import make_particle_runner
 
-        result = vectorized_importance(
+        return make_particle_runner(
             session.model_program,
             session.guide_program,
             session.model_entry,
             session.guide_entry,
             obs_trace=request.resolved_obs_trace(),
-            num_particles=request.num_particles,
-            rng=ensure_rng(request.seed),
             model_args=request.model_args,
             guide_args=request.guide_args,
             latent_channel=session.latent_channel,
             obs_channel=session.obs_channel,
             session=session,
+            # IS never reads the per-site score ledgers; keep them off the wire.
+            trim_site_scores=True,
             **request.runner_options(),
         )
-        return ImportanceEngineResult(result)
+
+    @staticmethod
+    def _result(run) -> EngineResult:
+        from repro.engine.vectorize import importance_result
+
+        return ImportanceEngineResult(importance_result(run))
+
+    def run(self, session: "ProgramSession", request: InferenceRequest) -> EngineResult:
+        """Draw one weighted particle population through the request's runner."""
+        runner = self._runner(session, request)
+        return self._result(runner.run(request.num_particles, ensure_rng(request.seed)))
+
+    def run_batch(
+        self, session: "ProgramSession", requests: Sequence[InferenceRequest]
+    ) -> List[object]:
+        """Run sharded requests as one pool wave (see :func:`run_engine_batch`).
+
+        Each member's runner prepares its shard tasks exactly as its solo
+        :meth:`run` would, every task goes to one
+        :func:`~repro.engine.shard.execute_tasks` call, and each member merges
+        only its own shards.  A member that does not shard (one particle) runs
+        in-process on its own generator, as it would alone.
+        """
+        from repro.engine.shard import execute_tasks
+
+        outcomes: List[object] = [None] * len(requests)
+        waves = []
+        for i, request in enumerate(requests):
+            try:
+                runner = self._runner(session, request)
+                rng = ensure_rng(request.seed)
+                wave = runner.prepare(request.num_particles, rng)
+                if wave is None:
+                    outcomes[i] = self._result(runner.run(request.num_particles, rng))
+                else:
+                    waves.append((i, runner, wave))
+            except Exception as exc:  # noqa: BLE001 - the member's own outcome
+                outcomes[i] = exc
+        tasks = [task for _, _, wave in waves for task in wave.tasks]
+        results = iter(execute_tasks(tasks, max((r.workers for _, r, _ in waves), default=1)))
+        for i, runner, wave in waves:
+            chunk = [next(results) for _ in wave.tasks]
+            try:
+                outcomes[i] = self._result(runner.finish(wave, chunk))
+            except Exception as exc:  # noqa: BLE001 - the member's own outcome
+                outcomes[i] = exc
+        return outcomes
 
 
 class SequentialImportanceEngine(InferenceEngine):

@@ -3,14 +3,14 @@
 :class:`InferenceService` is the serving layer the ROADMAP's north star asks
 for: callers submit JSON-shaped inference requests concurrently; a dispatcher
 drains the queue in batches, groups requests that target the same prepared
-:class:`~repro.engine.session.ProgramSession`, and executes each group on the
-sharded execution layer (:mod:`repro.engine.shard`) — importance-sampling
-requests for the same session are *coalesced*: their shard tasks are
-concatenated into one pool submission wave, so four concurrent requests cost
-one warm-pool round trip instead of four.  Coalescing only changes
-scheduling, never values: every request's shard plan and RNG streams are
-derived exactly as they would be for a solo run, and each request merges only
-its own shards.
+:class:`~repro.engine.session.ProgramSession`, and executes each group
+through the engine layer — sharded importance-sampling requests for the same
+session are *coalesced* (:func:`~repro.engine.api.run_engine_batch`): their
+shard tasks are concatenated into one pool submission wave, so four
+concurrent requests cost one warm-pool round trip instead of four.
+Coalescing only changes scheduling, never values: every request's shard plan
+and RNG streams are derived exactly as they would be for a solo run, and each
+request merges only its own shards.
 
 The service is bounded and fair, not best-effort: admission control rejects
 work beyond ``max_queue`` immediately (error code ``overloaded``) instead of
@@ -42,12 +42,20 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.engine.api import EngineResult, InferenceRequest, available_engines, run_engine
+from repro.engine.api import (
+    EngineResult,
+    InferenceRequest,
+    available_engines,
+    coalescable,
+    run_engine,
+    run_engine_batch,
+)
 from repro.engine.session import ProgramSession, cached_session, session_key
 from repro.engine.streaming import (
     CODE_SESSION_EXPIRED,
@@ -57,7 +65,7 @@ from repro.engine.streaming import (
     StreamingError,
 )
 from repro.errors import InferenceError, ReproError
-from repro.obs import REGISTRY, HistogramValue, percentile_keys, span
+from repro.obs import REGISTRY, HistogramValue, percentile_keys
 
 _REQUESTS = REGISTRY.counter(
     "repro_requests_total",
@@ -346,9 +354,10 @@ class _Pending:
     enqueued_at: float = field(default_factory=time.monotonic)
     dispatched_at: float = 0.0
     batch_size: int = 1
-    #: Whether the request can share a coalesced pool wave: an ``is`` run
-    #: with more than one shard.  Decided once, at admission; the batch
-    #: window is held only while such a request is queued.
+    #: Whether the request can share a coalesced pool wave
+    #: (:func:`~repro.engine.api.coalescable`: an ``is`` run with more than
+    #: one shard).  Decided once, at admission; the batch window is held only
+    #: while such a request is queued.
     coalescable: bool = False
 
 
@@ -376,8 +385,9 @@ class _TokenBucket:
 class InferenceService:
     """Coalescing batch-inference front-end over prepared program sessions.
 
-    ``workers`` sizes the shared shard pool (and is the default worker count
-    for requests that do not pin their own); ``batch_window_s`` optionally
+    ``workers`` sizes the shared shard pool (it is the default worker count
+    for requests that do not pin their own, and the most a request may pin,
+    so no client can resize the pool); ``batch_window_s`` optionally
     holds a dispatch batch open a little longer so concurrent callers can
     land in the same coalesced wave.  The window is held only while a queued
     request can join such a wave (an ``is`` request with more than one
@@ -498,15 +508,7 @@ class InferenceService:
             self._dispatcher = None
         for queue in self._queues.values():
             for pending in queue:
-                self.counters.observe_shed(CODE_SHUTTING_DOWN)
-                _resolve_future(
-                    pending.future,
-                    self._error_response(
-                        pending.payload,
-                        InferenceError("server shutting down"),
-                        code=CODE_SHUTTING_DOWN,
-                    ),
-                )
+                self._shed(pending, CODE_SHUTTING_DOWN, "server shutting down")
         self._queues.clear()
         self._queued = 0
         _SERVER_QUEUE_DEPTH.set(0)
@@ -533,7 +535,7 @@ class InferenceService:
         started = time.monotonic()
         try:
             pending = await self._prepare(payload, arrived_at=started)
-        except (ReproError, ValueError, TypeError, KeyError) as exc:
+        except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
             self.counters.observe(0.0, time.monotonic() - started, 0, ok=False)
             return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)
         _SERVER_TENANT_REQUESTS.labels(tenant=pending.tenant).inc()
@@ -577,9 +579,16 @@ class InferenceService:
         return await pending.future
 
     def _shed(self, pending: _Pending, code: str, detail: str) -> Dict[str, object]:
-        """Count and shape one admission-control rejection."""
+        """Count and answer one request the server declined to run.
+
+        Safe from the event loop and from the worker thread alike.  Returns
+        the response too, for admission-time rejections, which ``submit``
+        hands back without awaiting the future.
+        """
         self.counters.observe_shed(code)
-        return self._error_response(pending.payload, InferenceError(detail), code=code)
+        response = self._error_response(pending.payload, InferenceError(detail), code=code)
+        _answer(pending, response)
+        return response
 
     @staticmethod
     def _validate_tenant(payload: Dict[str, object]) -> str:
@@ -593,11 +602,25 @@ class InferenceService:
         deadline_ms = payload.get("deadline_ms")
         if deadline_ms is None:
             return None
-        if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
-            raise InferenceError("deadline_ms must be a positive number of milliseconds")
-        if deadline_ms <= 0:
-            raise InferenceError("deadline_ms must be a positive number of milliseconds")
-        return arrived_at + float(deadline_ms) / 1e3
+        if (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not 0 < deadline_ms < math.inf
+        ):
+            raise InferenceError(
+                "deadline_ms must be a finite positive number of milliseconds"
+            )
+        return arrived_at + deadline_ms / 1e3
+
+    @staticmethod
+    def _validate_sites(payload: Dict[str, object]) -> List[int]:
+        sites = payload.get("sites", [0])
+        if not isinstance(sites, (list, tuple)) or not all(
+            isinstance(site, int) and not isinstance(site, bool) and site >= 0
+            for site in sites
+        ):
+            raise InferenceError("sites must be a list of non-negative integers")
+        return list(sites)
 
     def _prepare_session_op(
         self, payload: Dict[str, object], arrived_at: float, op: str
@@ -623,9 +646,7 @@ class InferenceService:
             values = payload.get("values")
             if not isinstance(values, list) or not values:
                 raise InferenceError("session.push needs a non-empty values list")
-        sites: List[int] = []
-        if op == "session.query":
-            sites = [int(s) for s in payload.get("sites", [0])]
+        sites = self._validate_sites(payload) if op == "session.query" else []
         return _Pending(
             payload=payload,
             session=None,
@@ -666,6 +687,11 @@ class InferenceService:
         if bad:
             raise InferenceError(f"unknown InferenceRequest fields {bad}")
         params.setdefault("workers", self.workers)
+        if params["workers"] > self.workers:
+            raise InferenceError(
+                f"workers {params['workers']} exceeds the service's pool of "
+                f"{self.workers} worker(s)"
+            )
         key = session_key(
             payload["model"],
             payload["guide"],
@@ -687,8 +713,8 @@ class InferenceService:
                 "(pass force: true to run anyway)"
             )
         request = InferenceRequest(**params)
-        shards = request.resolved_shards()  # validate the shard controls up front
-        sites = [int(s) for s in payload.get("sites", [0])]
+        request.resolved_shards()  # validate the shard controls up front
+        sites = self._validate_sites(payload)
         return _Pending(
             payload=payload,
             session=session,
@@ -699,7 +725,7 @@ class InferenceService:
             tenant=tenant,
             deadline_at=deadline_at,
             enqueued_at=arrived_at,
-            coalescable=engine == "is" and shards > 1,
+            coalescable=coalescable(engine, request),
         )
 
     # -- dispatch ----------------------------------------------------------
@@ -740,31 +766,19 @@ class InferenceService:
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:  # noqa: BLE001 - dispatcher must survive
-                        # _run_group already shields per-request work; anything
+                        # _run_group answers every request it runs; anything
                         # escaping it is unexpected, but one poisoned group must
                         # never wedge the dispatcher (and with it the server).
                         for pending in group:
-                            _resolve_future(
-                                pending.future,
-                                self._error_response(
-                                    pending.payload, exc, code=CODE_ENGINE_ERROR
-                                ),
-                            )
+                            if not pending.future.done():
+                                self._finish(pending, exc, 0.0)
             except asyncio.CancelledError:
                 # stop() raced a dispatch: the executor may or may not get to
                 # these futures, and _resolve_future is first-write-wins on
                 # the loop thread — either way each caller sees one response.
                 for pending in batch:
                     if not pending.future.done():
-                        self.counters.observe_shed(CODE_SHUTTING_DOWN)
-                        _resolve_future(
-                            pending.future,
-                            self._error_response(
-                                pending.payload,
-                                InferenceError("server shutting down"),
-                                code=CODE_SHUTTING_DOWN,
-                            ),
-                        )
+                        self._shed(pending, CODE_SHUTTING_DOWN, "server shutting down")
                 raise
             finally:
                 self._inflight.difference_update(batch)
@@ -794,14 +808,8 @@ class InferenceService:
                     candidate = queue.popleft()
                     self._queued -= 1
                     if candidate.deadline_at is not None and now > candidate.deadline_at:
-                        self.counters.observe_shed(CODE_DEADLINE_EXCEEDED)
-                        _resolve_future(
-                            candidate.future,
-                            self._error_response(
-                                candidate.payload,
-                                InferenceError("deadline expired while queued"),
-                                code=CODE_DEADLINE_EXCEEDED,
-                            ),
+                        self._shed(
+                            candidate, CODE_DEADLINE_EXCEEDED, "deadline expired while queued"
                         )
                         continue
                     taken = candidate
@@ -839,138 +847,89 @@ class InferenceService:
     def _run_group(self, group: List[_Pending]) -> None:
         """Execute one same-session group (worker thread).
 
-        Importance-sampling groups with sharded members run as one coalesced
-        pool wave; everything else runs member by member.  Either way each
-        member's future resolves as soon as its own result exists.
+        Two or more coalescable members run as one pool wave through
+        :func:`~repro.engine.api.run_engine_batch` (should the wave itself
+        fail, they run alone); every other request runs alone, through
+        :func:`~repro.engine.api.run_engine` or the session table, in arrival
+        order — the grouping key puts every op against one streaming session
+        in one group, so a push never overtakes the push before it.  Each
+        member is answered as soon as its own outcome exists.
 
         A member whose deadline passed between wave collection and this
         thread getting scheduled is shed here — the last gate before engine
         execution, so an expired request is never executed.
         """
-        live: List[_Pending] = []
         now = time.monotonic()
+        live: List[_Pending] = []
         for pending in group:
             if pending.deadline_at is not None and now > pending.deadline_at:
-                self.counters.observe_shed(CODE_DEADLINE_EXCEEDED)
-                response = self._error_response(
-                    pending.payload,
-                    InferenceError("deadline expired before execution"),
-                    code=CODE_DEADLINE_EXCEEDED,
-                )
-                loop = pending.future.get_loop()
-                loop.call_soon_threadsafe(_resolve_future, pending.future, response)
+                self._shed(pending, CODE_DEADLINE_EXCEEDED, "deadline expired before execution")
             else:
                 live.append(pending)
-        group = live
-        if not group:
-            return
-        if group[0].session_op is not None:
-            self._run_session_group(group)
-            return
-        wave_outcomes: Dict[int, object] = {}
-        wave_s = 0.0
-        if len(group) > 1 and group[0].engine == "is":
-            wave_started = time.monotonic()
-            try:
-                with span("server.coalesce", requests=len(group)):
-                    wave_outcomes = self._run_is_wave(group)
-            except Exception:  # noqa: BLE001 - wave is an optimisation only
-                wave_outcomes = {}  # fall through to member-by-member execution
-            wave_s = time.monotonic() - wave_started
-        wave_size = max(len(wave_outcomes), 1)
-        for i, pending in enumerate(group):
+        wave = [pending for pending in live if pending.coalescable]
+        if len(wave) > 1:
             started = time.monotonic()
-            busy_s: Optional[float] = None
-            result: object = None
-            error: Optional[Exception] = None
-            if i in wave_outcomes:
-                outcome = wave_outcomes[i]
-                if isinstance(outcome, Exception):
-                    error = outcome
+            try:
+                outcomes = run_engine_batch(
+                    wave[0].engine, wave[0].session, [pending.request for pending in wave]
+                )
+            except Exception:  # noqa: BLE001 - the wave is an optimisation only
+                pass  # its members run alone below
+            else:
+                wave_s = time.monotonic() - started
+                for pending, outcome in zip(wave, outcomes):
+                    # Every member perceives the whole wave's wall time but
+                    # accounts for only its share of engine busy time.
+                    self._finish(pending, outcome, wave_s, wave_s / len(wave))
+                live = [pending for pending in live if not pending.coalescable]
+        for pending in live:
+            started = time.monotonic()
+            try:
+                if pending.session_op is not None:
+                    outcome = self._execute_session_op(pending)
                 else:
-                    result = outcome
-                # Every wave member perceives the whole wave's wall time but
-                # accounts for only its share of engine busy time.
-                run_s = wave_s
-                busy_s = wave_s / wave_size
-            else:
-                try:
-                    result = run_engine(pending.engine, pending.session, pending.request)
-                except Exception as exc:  # noqa: BLE001 - reported per request
-                    error = exc
-                run_s = time.monotonic() - started
-            queue_wait = pending.dispatched_at - pending.enqueued_at
-            ok = error is None
-            try:
-                particles = int(pending.request.num_particles)
-            except (TypeError, ValueError):
-                particles = 0
-            if ok:
-                try:
-                    response = self._result_response(pending, result, queue_wait, run_s)
-                except Exception as exc:  # noqa: BLE001 - reported per request
-                    ok = False
-                    response = self._error_response(
-                        pending.payload, exc, code=CODE_ENGINE_ERROR
-                    )
-            else:
-                response = self._error_response(pending.payload, error, code=CODE_ENGINE_ERROR)
-            # Latency is measured arrival-to-response-built — it includes
-            # validation and serialisation, not just queue_wait + run_s.
-            latency_s = time.monotonic() - pending.enqueued_at
-            if ok:
-                response["server"]["latency_s"] = latency_s
-            self.counters.observe(
-                queue_wait, run_s, particles, ok, busy_s=busy_s, latency_s=latency_s
-            )
-            loop = pending.future.get_loop()
-            loop.call_soon_threadsafe(_resolve_future, pending.future, response)
+                    outcome = run_engine(pending.engine, pending.session, pending.request)
+            except Exception as exc:  # noqa: BLE001 - answered per request
+                outcome = exc
+            self._finish(pending, outcome, time.monotonic() - started)
 
-    def _run_session_group(self, group: List[_Pending]) -> None:
-        """Execute one same-session group of ``session.*`` ops (worker thread).
+    def _finish(
+        self,
+        pending: _Pending,
+        outcome: object,
+        run_s: float,
+        busy_s: Optional[float] = None,
+    ) -> None:
+        """Answer and count one executed request (either thread).
 
-        Members run strictly in arrival order — the grouping key guarantees
-        every op against one session id lands in the same group, so a push
-        can never overtake the push before it.  Structured failures
-        (``session_not_found``/``session_expired``/``session_limit``/
-        ``invalid_request``) resolve the member's future like any other
-        error response; anything unexpected maps to ``engine_error``.
+        ``outcome`` is an engine result, a session op's response body, or
+        the exception its execution raised: a :class:`StreamingError` keeps
+        its structured code, anything else is ``engine_error``.  ``busy_s``
+        is the request's share of engine busy time (see
+        :meth:`ServerCounters.observe`).
         """
-        for pending in group:
-            started = time.monotonic()
-            ok = True
-            try:
-                body = self._execute_session_op(pending)
-                response: Dict[str, object] = {
-                    "id": pending.payload.get("id"),
-                    "ok": True,
-                    "op": pending.payload.get("op"),
-                }
-                response.update(_json_safe(body))
-                response["server"] = {
-                    "queue_wait_s": pending.dispatched_at - pending.enqueued_at,
-                    "run_s": time.monotonic() - started,
-                    "batch_size": pending.batch_size,
-                }
-            except StreamingError as exc:
-                ok = False
-                response = self._error_response(pending.payload, exc, code=exc.code)
-            except (ReproError, ValueError, TypeError, KeyError) as exc:
-                ok = False
-                response = self._error_response(pending.payload, exc, code=CODE_ENGINE_ERROR)
-            run_s = time.monotonic() - started
-            latency_s = time.monotonic() - pending.enqueued_at
-            if ok:
-                response["server"]["latency_s"] = latency_s
-            self.counters.observe(
-                pending.dispatched_at - pending.enqueued_at,
-                run_s,
-                0,
-                ok,
-                latency_s=latency_s,
-            )
-            loop = pending.future.get_loop()
-            loop.call_soon_threadsafe(_resolve_future, pending.future, response)
+        queue_wait = pending.dispatched_at - pending.enqueued_at
+        try:
+            if isinstance(outcome, Exception):
+                raise outcome
+            response = self._result_response(pending, outcome, queue_wait, run_s)
+        except Exception as exc:  # noqa: BLE001 - answered per request
+            code = exc.code if isinstance(exc, StreamingError) else CODE_ENGINE_ERROR
+            response = self._error_response(pending.payload, exc, code=code)
+        ok = response["ok"]
+        # Latency is measured arrival-to-response-built — it includes
+        # validation and serialisation, not just queue_wait + run_s.
+        latency_s = time.monotonic() - pending.enqueued_at
+        if ok:
+            response["server"]["latency_s"] = latency_s
+        try:
+            particles = int(pending.request.num_particles)
+        except (AttributeError, TypeError, ValueError):
+            particles = 0  # a session op, or a request that failed on its count
+        self.counters.observe(
+            queue_wait, run_s, particles, ok, busy_s=busy_s, latency_s=latency_s
+        )
+        _answer(pending, response)
 
     def _execute_session_op(self, pending: _Pending) -> Dict[str, object]:
         """Route one validated session op to the session table."""
@@ -990,99 +949,38 @@ class InferenceService:
             return self.sessions.close(tenant, session_id)
         raise InferenceError(f"unknown session op {op!r}")
 
-    def _run_is_wave(self, group: List[_Pending]) -> Dict[int, object]:
-        """Run a group of same-session ``is`` requests as one pool wave.
-
-        Every member's shard tasks are prepared exactly as a solo run would
-        prepare them (same seeds, same plan), concatenated into a single
-        ``execute_tasks`` call, and merged back per member — so coalescing
-        is invisible in the results, including the all-weights-zero guard a
-        solo ``vectorized_importance`` run applies (a failed member maps to
-        its :class:`InferenceError`).  Members that are not coalescable
-        (a single-shard plan) are left for the sequential path, before any
-        runner is built.
-        """
-        import numpy as np
-
-        from repro.engine.api import ImportanceEngineResult
-        from repro.engine.backend import make_particle_runner
-        from repro.engine.shard import execute_tasks
-        from repro.engine.vectorize import VectorizedISResult
-        from repro.utils.rng import ensure_rng
-
-        waves = []
-        for i, pending in enumerate(group):
-            if not pending.coalescable:
-                continue
-            session, request = pending.session, pending.request
-            runner = make_particle_runner(
-                session.model_program,
-                session.guide_program,
-                session.model_entry,
-                session.guide_entry,
-                obs_trace=request.resolved_obs_trace(),
-                model_args=request.model_args,
-                guide_args=request.guide_args,
-                latent_channel=session.latent_channel,
-                obs_channel=session.obs_channel,
-                backend=request.resolved_backend(),
-                session=session,
-                workers=request.workers,
-                shards=request.resolved_shards(),
-                trim_site_scores=True,  # mirror the solo IS path
-            )
-            wave = runner.prepare(request.num_particles, ensure_rng(request.seed))
-            waves.append((i, runner, wave))
-        if not waves:
-            return {}
-        all_tasks = [task for _, _, wave in waves for task in wave.tasks]
-        shard_results = execute_tasks(all_tasks, self.workers)
-        out: Dict[int, object] = {}
-        cursor = 0
-        for i, runner, wave in waves:
-            chunk = shard_results[cursor : cursor + len(wave.tasks)]
-            cursor += len(wave.tasks)
-            run = wave.merge(chunk, runner.latent_channel, runner.obs_channel)
-            result = VectorizedISResult(run)
-            if not np.any(np.isfinite(result.log_weights)):
-                # Same guard (and message) as vectorized_importance's solo path.
-                out[i] = InferenceError(
-                    "all importance weights are zero: the guide's proposals never "
-                    "land in the model's support (the model/guide pair is not "
-                    "absolutely continuous)"
-                )
-            else:
-                out[i] = ImportanceEngineResult(result)
-        return out
-
     # -- response shaping --------------------------------------------------
 
     def _result_response(
-        self, pending: _Pending, result: EngineResult, queue_wait_s: float, run_s: float
+        self, pending: _Pending, result: object, queue_wait_s: float, run_s: float
     ) -> Dict[str, object]:
-        """Serialise one engine result into the wire response."""
-        means: Dict[str, float] = {}
-        for site in pending.sites:
-            try:
-                means[str(site)] = float(result.posterior_mean(site))
-            except ReproError:
-                means[str(site)] = None
-        log_evidence = result.log_evidence()
-        ess = result.effective_sample_size()
-        return {
-            "id": pending.payload.get("id"),
-            "ok": True,
-            "engine": pending.engine,
-            "posterior_means": means,
-            "log_evidence": None if log_evidence is None else float(log_evidence),
-            "effective_sample_size": None if ess is None else float(ess),
-            "diagnostics": _json_safe(result.diagnostics_with_metrics()),
-            "server": {
-                "queue_wait_s": queue_wait_s,
-                "run_s": run_s,
-                "batch_size": pending.batch_size,
-            },
+        """Serialise an engine result or a session op's body into the response."""
+        response: Dict[str, object] = {"id": pending.payload.get("id"), "ok": True}
+        if isinstance(result, EngineResult):
+            means: Dict[str, float] = {}
+            for site in pending.sites:
+                try:
+                    means[str(site)] = float(result.posterior_mean(site))
+                except ReproError:
+                    means[str(site)] = None
+            log_evidence = result.log_evidence()
+            ess = result.effective_sample_size()
+            response.update(
+                engine=pending.engine,
+                posterior_means=means,
+                log_evidence=None if log_evidence is None else float(log_evidence),
+                effective_sample_size=None if ess is None else float(ess),
+                diagnostics=_json_safe(result.diagnostics_with_metrics()),
+            )
+        else:
+            response["op"] = pending.payload.get("op")
+            response.update(_json_safe(result))
+        response["server"] = {
+            "queue_wait_s": queue_wait_s,
+            "run_s": run_s,
+            "batch_size": pending.batch_size,
         }
+        return response
 
     @staticmethod
     def _error_response(
@@ -1097,6 +995,13 @@ def _resolve_future(future: "asyncio.Future", response: Dict[str, object]) -> No
     """Set a future's result unless the caller already went away."""
     if not future.done():
         future.set_result(response)
+
+
+def _answer(pending: _Pending, response: Dict[str, object]) -> None:
+    """Resolve a request's future on its event loop, from either thread."""
+    pending.future.get_loop().call_soon_threadsafe(
+        _resolve_future, pending.future, response
+    )
 
 
 def _json_safe(value):

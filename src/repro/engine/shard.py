@@ -41,7 +41,6 @@ parallelism — so sharding never *fails*, it only degrades.
 from __future__ import annotations
 
 import atexit
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
@@ -94,11 +93,6 @@ _POOL_EVENTS = REGISTRY.counter(
 #: Arrays smaller than this (total bytes per shard result) are returned
 #: through the pickle pipe; shared memory only pays for itself beyond it.
 SHM_MIN_BYTES = 1 << 15
-
-
-def shm_enabled() -> bool:
-    """Whether shard results may travel through POSIX shared memory."""
-    return os.environ.get("REPRO_SHARD_SHM", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +327,6 @@ def pack_result(result: ShardResult) -> Tuple[str, object, object]:
     structural skeleton.  Falls back to pickling whenever shared memory is
     unavailable.
     """
-    if not shm_enabled():
-        return ("pickle", result, None)
     packer = _ArrayPacker()
     manifest = replace(
         result,
@@ -622,55 +614,15 @@ def execute_tasks(tasks: Sequence[ShardTask], workers: int) -> List[ShardResult]
 class ShardWave:
     """The prepared tasks and layout of one sharded run (before execution).
 
-    The serving layer coalesces several requests by concatenating their
-    waves' tasks into a single pool submission; each wave then merges its own
-    shard results, so batching changes scheduling only, never values.
+    A coalesced ``is`` batch (:func:`repro.engine.api.run_engine_batch`)
+    concatenates several requests' waves into a single pool submission; each
+    request's runner then merges only its own wave's shard results
+    (:meth:`ShardedParticleRunner.finish`), so batching changes scheduling
+    only, never values.
     """
 
     num_particles: int
     tasks: List[ShardTask] = field(default_factory=list)
-
-    def merge(
-        self, results: Sequence[ShardResult], latent_channel: str, obs_channel: str
-    ) -> VectorRunResult:
-        """Reassemble shard results into one global run result, exactly.
-
-        Leaf particle indices are shifted from shard-local to global
-        positions; everything else concatenates.  Per-particle quantities
-        land at the same global index regardless of the shard plan, so
-        downstream consumers see one coherent population.  Worker-captured
-        trace events are ingested into the parent recorder here (one named
-        track per shard), and each shard's wall time feeds the shard-run
-        histogram.
-        """
-        merge_started = time.perf_counter()
-        recorder = obs_trace_mod.current_recorder()
-        for task, result in zip(self.tasks, results):
-            _SHARD_RUN_SECONDS.observe(result.wall_s)
-            if recorder is not None:
-                recorder.set_thread_name(task.index + 1, f"shard-{task.index}")
-                if result.trace_events:
-                    recorder.ingest(result.trace_events)
-        with span("shard.merge", shards=len(self.tasks), particles=self.num_particles):
-            leaves: List[_Leaf] = []
-            for task, result in zip(self.tasks, results):
-                for leaf in result.leaves:
-                    leaves.append(replace(leaf, indices=leaf.indices + task.start))
-        _SHARD_MERGE_SECONDS.observe(time.perf_counter() - merge_started)
-        fallback_reasons = [r.fallback_reason for r in results if r.fallback_reason]
-        return VectorRunResult(
-            self.num_particles,
-            leaves,
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
-            vectorized=all(r.vectorized for r in results),
-            backend=(
-                "compiled"
-                if results and all(r.backend == "compiled" for r in results)
-                else "interp"
-            ),
-            fallback_reason=fallback_reasons[0] if fallback_reasons else None,
-        )
 
 
 class ShardedParticleRunner:
@@ -758,12 +710,17 @@ class ShardedParticleRunner:
         """The backend the underlying runners execute (after fallback)."""
         return self.effective_backend
 
-    def prepare(self, num_particles: int, rng: np.random.Generator) -> ShardWave:
+    def prepare(self, num_particles: int, rng: np.random.Generator) -> Optional[ShardWave]:
         """Build the shard tasks for one run without executing them.
 
-        Consumes exactly one draw from ``rng`` (to derive the shard streams),
-        independent of worker count — see the module determinism contract.
+        Returns ``None`` when the run does not shard (one shard, or one
+        particle): it then runs in-process on the caller's generator, which
+        this call leaves untouched.  Otherwise consumes exactly one draw from
+        ``rng`` (to derive the shard streams), independent of worker count —
+        see the module determinism contract.
         """
+        if self.num_shards == 1 or num_particles == 1:
+            return None
         spans = plan_shards(num_particles, self.num_shards)
         seeds = derive_shard_seeds(rng, len(spans))
         recorder = obs_trace_mod.current_recorder()
@@ -782,26 +739,62 @@ class ShardedParticleRunner:
         ]
         return ShardWave(num_particles=num_particles, tasks=tasks)
 
+    def finish(self, wave: ShardWave, results: Sequence[ShardResult]) -> VectorRunResult:
+        """Reassemble one prepared wave's shard results into one run result, exactly.
+
+        Leaf particle indices are shifted from shard-local to global
+        positions; everything else concatenates.  Per-particle quantities
+        land at the same global index regardless of the shard plan, so
+        downstream consumers see one coherent population.  Worker-captured
+        trace events are ingested into the parent recorder here (one named
+        track per shard), and each shard's wall time feeds the shard-run
+        histogram.  A runtime fallback arrives stamped by the compiled shard
+        runner; a gate-level one (unsupported fragment) was resolved at
+        construction, so the shard runners never saw it, and its reason is
+        stamped here.
+        """
+        merge_started = time.perf_counter()
+        recorder = obs_trace_mod.current_recorder()
+        for task, result in zip(wave.tasks, results):
+            _SHARD_RUN_SECONDS.observe(result.wall_s)
+            if recorder is not None:
+                recorder.set_thread_name(task.index + 1, f"shard-{task.index}")
+                if result.trace_events:
+                    recorder.ingest(result.trace_events)
+        with span("shard.merge", shards=len(wave.tasks), particles=wave.num_particles):
+            leaves: List[_Leaf] = []
+            for task, result in zip(wave.tasks, results):
+                for leaf in result.leaves:
+                    leaves.append(replace(leaf, indices=leaf.indices + task.start))
+        _SHARD_MERGE_SECONDS.observe(time.perf_counter() - merge_started)
+        return VectorRunResult(
+            wave.num_particles,
+            leaves,
+            latent_channel=self.latent_channel,
+            obs_channel=self.obs_channel,
+            vectorized=all(r.vectorized for r in results),
+            backend=(
+                "compiled"
+                if results and all(r.backend == "compiled" for r in results)
+                else "interp"
+            ),
+            fallback_reason=next(
+                (r.fallback_reason for r in results if r.fallback_reason), self.fallback_reason
+            ),
+        )
+
     def run(self, num_particles: int, rng=None) -> VectorRunResult:
         """Run ``num_particles`` particles across the shard plan and merge.
 
-        With a single shard this delegates to the in-process runner on the
-        caller's generator — bit-identical to the unsharded path.
+        A run that does not shard (see :meth:`prepare`) delegates to the
+        in-process runner on the caller's generator — bit-identical to the
+        unsharded path.
         """
         rng = ensure_rng(rng)
-        if self.num_shards == 1 or num_particles == 1:
-            run = self.local.run(num_particles, rng)
-        else:
-            wave = self.prepare(num_particles, rng)
-            results = execute_tasks(wave.tasks, self.workers)
-            run = wave.merge(results, self.latent_channel, self.obs_channel)
-        # A gate-level fallback (unsupported fragment) is resolved here at
-        # construction, so the interp runners below never see it — stamp the
-        # hoisted reason onto the result for diagnostics.  Runtime fallbacks
-        # already arrive stamped by the compiled runner itself.
-        if self.fallback_reason is not None and getattr(run, "fallback_reason", None) is None:
-            run.fallback_reason = self.fallback_reason
-        return run
+        wave = self.prepare(num_particles, rng)
+        if wave is None:
+            return self.local.run(num_particles, rng)
+        return self.finish(wave, execute_tasks(wave.tasks, self.workers))
 
     def rescore_group(self, leaf: _Leaf, rng=None):
         """Replay one recorded control-flow group in-process (no randomness)."""

@@ -171,7 +171,11 @@ class StreamingConfig:
     def from_payload(
         cls, payload: Dict[str, object], default_workers: int = 1
     ) -> "StreamingConfig":
-        """Build and validate a config from a ``session.open`` payload."""
+        """Build and validate a config from a ``session.open`` payload.
+
+        ``default_workers`` is the service's pool size: the worker count a
+        payload gets by default, and the most it may ask for.
+        """
         from repro.models import STREAMING_FAMILIES, get_benchmark
 
         params = dict(payload.get("params") or {})
@@ -246,6 +250,12 @@ class StreamingConfig:
             raise StreamingError("invalid_request", "num_particles must be positive")
         if config.max_steps <= 0:
             raise StreamingError("invalid_request", "max_steps must be positive")
+        if config.workers > default_workers:
+            raise StreamingError(
+                "invalid_request",
+                f"workers {config.workers} exceeds the service's pool of "
+                f"{default_workers} worker(s)",
+            )
         return config
 
 

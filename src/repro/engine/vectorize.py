@@ -1295,7 +1295,6 @@ def vectorized_importance(
     guide_args: Tuple[object, ...] = (),
     latent_channel: str = "latent",
     obs_channel: str = "obs",
-    raise_on_all_zero: bool = True,
     backend: str = "interp",
     session=None,
     workers: int = 1,
@@ -1329,8 +1328,18 @@ def vectorized_importance(
         # IS never reads the per-site score ledgers; keep them off the wire.
         trim_site_scores=True,
     )
-    result = VectorizedISResult(vectorizer.run(num_particles, rng))
-    if raise_on_all_zero and not np.any(np.isfinite(result.log_weights)):
+    return importance_result(vectorizer.run(num_particles, rng))
+
+
+def importance_result(run: VectorRunResult) -> VectorizedISResult:
+    """Weigh a finished run as an importance sample, refusing an all-zero one.
+
+    All weights zero is the runtime symptom of a forced pair that is not
+    absolutely continuous, so it raises rather than returning a sample
+    whose every estimate is ``nan``.
+    """
+    result = VectorizedISResult(run)
+    if not np.any(np.isfinite(result.log_weights)):
         raise InferenceError(
             "all importance weights are zero: the guide's proposals never land "
             "in the model's support (the model/guide pair is not absolutely continuous)"

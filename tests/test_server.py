@@ -71,20 +71,22 @@ class TestSubmit:
             assert got["posterior_means"] == want["posterior_means"]
             assert got["log_evidence"] == want["log_evidence"]
 
-    def test_coalescable_members_run_in_one_pool_wave(self):
+    def test_coalescable_members_run_in_one_pool_wave(self, monkeypatch):
         """Concurrent multi-shard ``is`` requests run in the pool wave, which
         returns an outcome for every member (none fall back to solo runs)."""
+        import repro.engine.server as server
+
+        wave = server.run_engine_batch
         wave_sizes = []
 
+        def counted_wave(name, session, requests):
+            outcomes = wave(name, session, requests)
+            wave_sizes.append(len(outcomes))
+            return outcomes
+
+        monkeypatch.setattr(server, "run_engine_batch", counted_wave)
+
         async def go(service):
-            wave = service._run_is_wave
-
-            def counted_wave(group):
-                outcomes = wave(group)
-                wave_sizes.append(len(outcomes))
-                return outcomes
-
-            service._run_is_wave = counted_wave
             await service.submit(_payload(request_id="warm"))
             wave_sizes.clear()
             return await asyncio.gather(
@@ -107,6 +109,73 @@ class TestSubmit:
         assert smc_resp["posterior_means"]["0"] == pytest.approx(
             is_resp["posterior_means"]["0"], abs=0.3
         )
+
+
+def _bench_payload(name, seed, **params):
+    bench = get_benchmark(name)
+    return {
+        "model": bench.model_source,
+        "guide": bench.guide_source,
+        "model_entry": bench.model_entry,
+        "guide_entry": bench.guide_entry,
+        "engine": "is",
+        "sites": [0],
+        "params": {
+            "seed": seed,
+            "obs_values": list(bench.obs_values),
+            "guide_args": list(bench.guide_param_inits.values()),
+            **params,
+        },
+    }
+
+
+def _coalesced_and_solo(payloads):
+    """The payloads answered together in one coalesced wave, then alone."""
+
+    async def together(service):
+        await service.submit(payloads[0])  # warm the session: one group, one wave
+        return await asyncio.gather(*[service.submit(p) for p in payloads])
+
+    async def alone(service):
+        return [await service.submit(p) for p in payloads]
+
+    return (
+        asyncio.run(_with_service(together)),
+        asyncio.run(_with_service(alone, batch_window_s=0.0)),
+    )
+
+
+class TestCoalescedParity:
+    """A coalesced response equals the same request answered alone,
+    diagnostics included."""
+
+    def test_coalesced_diagnostics_match_solo_runs(self):
+        """``marsaglia`` is outside the compiled fragment: the gate-level
+        fallback reason and the run metrics reach coalesced responses too."""
+        payloads = [
+            _bench_payload("marsaglia", s, num_particles=200, backend="compiled", shards=2)
+            for s in range(3)
+        ]
+        together, alone = _coalesced_and_solo(payloads)
+        for got, want in zip(together, alone):
+            assert got["ok"] and want["ok"], (got, want)
+            assert got["server"]["batch_size"] == 3
+            assert set(got["diagnostics"]) == set(want["diagnostics"])
+            assert "run_metrics" in got["diagnostics"]
+            assert "recursive" in want["diagnostics"]["fallback_reason"]
+            assert got["diagnostics"]["fallback_reason"] == want["diagnostics"]["fallback_reason"]
+            assert got["posterior_means"] == want["posterior_means"]
+
+    def test_one_particle_coalesced_means_match_solo_runs(self):
+        """A one-particle run does not shard: in a wave it still draws from
+        the caller's generator, as it does alone."""
+        payloads = [_bench_payload("weight", s, num_particles=1, shards=4) for s in range(3)]
+        together, alone = _coalesced_and_solo(payloads)
+        for got, want in zip(together, alone):
+            assert got["ok"] and want["ok"], (got, want)
+            assert got["server"]["batch_size"] == 3
+            assert got["posterior_means"] == want["posterior_means"]
+            assert got["log_evidence"] == want["log_evidence"]
 
 
 def _uncoalescable(kind):

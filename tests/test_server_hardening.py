@@ -156,6 +156,120 @@ class TestDeadlines:
             assert response["code"] == CODE_INVALID_REQUEST
 
 
+KALMAN = get_benchmark("kalman")
+BAD_SITES = [[-1], [-4], [-5], [1.5], ["2"], [True]]
+
+
+def _kalman_payload(engine, sites):
+    return {
+        "model": KALMAN.model_source,
+        "guide": KALMAN.guide_source,
+        "model_entry": KALMAN.model_entry,
+        "guide_entry": KALMAN.guide_entry,
+        "engine": engine,
+        "sites": sites,
+        "params": {
+            "num_particles": 100,
+            "seed": 0,
+            "obs_values": list(KALMAN.obs_values),
+            "burn_in": 10,
+        },
+    }
+
+
+class TestAdmissionValidation:
+    """Malformed fields are refused at admission with ``invalid_request``,
+    never answered under a wrong key, run, or reported as ``engine_error``."""
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+    )
+    def test_non_finite_deadline_is_invalid_request(self, bad):
+        async def go():
+            service = await _start_service()
+            try:
+                return await service.submit(_payload(deadline_ms=bad))
+            finally:
+                await service.stop()
+
+        response = asyncio.run(go())
+        assert response["ok"] is False
+        assert response["code"] == CODE_INVALID_REQUEST
+
+    @pytest.mark.parametrize("sites", BAD_SITES, ids=repr)
+    @pytest.mark.parametrize("engine", ["is", "smc", "mh"])
+    def test_bad_sites_are_invalid_request(self, engine, sites):
+        async def go():
+            service = await _start_service()
+            try:
+                return await service.submit(_kalman_payload(engine, sites))
+            finally:
+                await service.stop()
+
+        response = asyncio.run(go())
+        assert response["ok"] is False, response
+        assert response["code"] == CODE_INVALID_REQUEST
+        assert "sites" in response["error"]
+
+    @pytest.mark.parametrize("sites", BAD_SITES, ids=repr)
+    def test_bad_query_sites_are_invalid_request(self, sites):
+        async def go():
+            service = await _start_service()
+            try:
+                opened = await service.submit(
+                    {"op": "session.open", "session_id": "k", "benchmark": "kalman",
+                     "params": {"num_particles": 100, "seed": 0}}
+                )
+                pushed = await service.submit(
+                    {"op": "session.push", "session_id": "k",
+                     "values": list(KALMAN.obs_values)}
+                )
+                assert opened["ok"] and pushed["ok"], (opened, pushed)
+                return await service.submit(
+                    {"op": "session.query", "session_id": "k", "sites": sites}
+                )
+            finally:
+                await service.stop()
+
+        response = asyncio.run(go())
+        assert response["ok"] is False, response
+        assert response["code"] == CODE_INVALID_REQUEST
+        assert "sites" in response["error"]
+
+    def test_workers_above_the_pool_are_invalid_request(self):
+        """A client cannot resize the shared pool: ``params.workers`` above
+        the service's ``workers`` is refused, for ``infer`` and for
+        ``session.open``, and the pool keeps its size."""
+        from repro.engine import shard
+
+        shard.shutdown_pool()
+        if not shard.pool_available(2):
+            pytest.skip("no multiprocessing pool in this environment")
+        shard.shutdown_pool()
+
+        async def go():
+            service = await _start_service(workers=2)
+            try:
+                infer = _payload(shards=6)
+                infer["params"]["workers"] = 6
+                opened = {"op": "session.open", "benchmark": "stream_rw", "grow": True,
+                          "params": {"num_particles": 200, "seed": 5, "workers": 6}}
+                responses = [await service.submit(infer), await service.submit(opened)]
+                return responses, shard.pool_worker_pids()
+            finally:
+                await service.stop()
+
+        try:
+            responses, pids = asyncio.run(go())
+        finally:
+            shard.shutdown_pool()
+        for response in responses:
+            assert response["ok"] is False, response
+            assert response["code"] == CODE_INVALID_REQUEST
+            assert "workers" in response["error"]
+        assert len(pids) == 2
+
+
 class TestBackpressure:
     def test_queue_full_rejects_with_overloaded(self):
         """With ``max_queue=2`` and a held-open batch window (the burst is

@@ -1,10 +1,13 @@
 """Unit tests for the sharded execution layer (plans, transport, pool)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.engine import ProgramSession
 from repro.engine.shard import (
+    SHM_MIN_BYTES,
     ShardTask,
     derive_shard_seeds,
     execute_tasks,
@@ -103,12 +106,20 @@ def test_shared_memory_round_trip_preserves_leaves():
                     assert m_a.payload == m_b.payload
 
 
-def test_shm_disabled_falls_back_to_pickle(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_SHM", "0")
+def test_small_result_round_trips_through_pickle():
+    """A result under ``SHM_MIN_BYTES`` crosses the pipe as a plain pickle
+    (no shared-memory block) and unpacks to the same leaves."""
     result = run_shard_task(_weight_task(count=8))
-    kind, payload, name = pack_result(result)
-    assert kind == "pickle" and payload is result and name is None
-    assert unpack_result((kind, payload, name)) is result
+    encoded = pack_result(result)
+    kind, payload, name = encoded
+    assert kind == "pickle" and name is None
+    assert 0 < payload.payload_bytes < SHM_MIN_BYTES
+    restored = unpack_result(pickle.loads(pickle.dumps(encoded)))
+    assert len(restored.leaves) == len(result.leaves)
+    for a, b in zip(result.leaves, restored.leaves):
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(a.model_log_weights, b.model_log_weights)
+        np.testing.assert_array_equal(a.guide_log_weights, b.guide_log_weights)
 
 
 def test_pool_and_inline_execution_agree():
