@@ -8,10 +8,15 @@ prefix's kernel cost once per split level.  The compiled kernel partitions
 index sets and schedules every arm inside one emitted function instead, so
 its total lane work stays linear in the program size.
 
-This harness pins the claim on the divergent-control-flow library models:
+Recursion makes the re-execution quadratic: every recursive call splits
+the population again, and each split group replays its whole prefix, while
+the compiled loop kernel runs each unfolding once per group.
 
-* ``switching`` (5 announced branches, up to 32 control-flow groups) and
-  ``jump`` (asymmetric branch arms with branch-dependent latents) must run
+This harness pins the claim on the library models where groups split:
+
+* ``switching`` (5 announced branches, up to 32 control-flow groups),
+  ``jump`` (asymmetric branch arms with branch-dependent latents) and the
+  tail-recursive ``randomwalk`` (one split per level of recursion) must run
   at least 3x faster compiled than interpreted at 10k particles;
 * both backends must produce bitwise-identical log-weights — the compiled
   path is an execution-strategy change, not a new estimator (the full
@@ -40,9 +45,10 @@ from repro.models import all_benchmarks, get_benchmark
 NUM_PARTICLES = 3_000 if os.environ.get("REPRO_FAST_BENCH") else 10_000
 MIN_SPEEDUP = 3.0
 
-#: Divergent-control-flow models where the compiled path-tree schedule must
-#: beat interpretive group re-execution by the headline margin.
-HEADLINE_MODELS = ("switching", "jump")
+#: Models whose groups split — at branches, or at every level of recursion —
+#: where the compiled path-tree schedule must beat interpretive group
+#: re-execution by the headline margin.
+HEADLINE_MODELS = ("switching", "jump", "randomwalk")
 
 
 def _runners(name: str):
@@ -108,7 +114,7 @@ def test_compiled_backend_recorded_across_library():
             continue  # outliers' MCMC guide takes per-draw arguments
         interp, compiled = _runners(bench.name)
         if type(compiled).__name__ != "CompiledParticleRunner":
-            continue  # recursive models fall back; nothing to compare
+            continue  # non-tail recursive models fall back; nothing to compare
         n = max(NUM_PARTICLES // 5, 1000)
         interp_s, r1 = _record.best_of(2, lambda: interp.run(n, np.random.default_rng(1)))
         compiled_s, r2 = _record.best_of(2, lambda: compiled.run(n, np.random.default_rng(1)))
@@ -121,7 +127,7 @@ def test_compiled_backend_recorded_across_library():
             interp_wall_time_s=interp_s,
         )
         measured += 1
-    assert measured >= 10  # the survey covers the non-recursive library
+    assert measured >= 10  # the survey covers the compilable library
 
 
 def test_compiled_backend_serves_smc_and_svi():

@@ -673,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="particle runtime: the lockstep interpreter, or a "
                             "batched kernel compiled per model/guide pair "
                             "(bitwise-identical results; falls back to interp "
-                            "for recursive programs)")
+                            "for non-tail recursive programs)")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for sharded execution (1 = in-process). "
                             "Results depend on the shard plan, not the pool size — "

@@ -36,7 +36,7 @@ scalar-vs-array parameter dispatch.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,17 +62,25 @@ from repro.dists.discrete import (
 )
 from repro.engine.batched import BatchedDist, _require_all
 from repro.engine.vectorize import (
+    DEFAULT_MAX_OPS,
+    DEFAULT_MAX_SPLITS,
     VecMessage,
     VectorizationUnsupported,
     _broadcast_values,
     _GroupResult,
     _Leaf,
+    op_budget_error,
+    split_budget_error,
 )
 from repro.errors import ChannelProtocolError, EvaluationError, TraceExhausted, TraceTypeMismatch
 
 __all__ = [
+    "DEFAULT_MAX_OPS",
+    "DEFAULT_MAX_SPLITS",
     "as_bool",
     "bind_args",
+    "op_budget_error",
+    "split_budget_error",
     "uniform_or_none",
 ]
 
@@ -608,9 +616,10 @@ def make_leaf(
     guide_value: object,
     model_site_scores: Optional[list],
     guide_site_scores: Optional[list],
-    path_id: int,
+    path_id: Union[int, Tuple[bool, ...]],
 ) -> _Leaf:
-    """A finished group, stamped with its compile-time path id for rescoring."""
+    """A finished group, stamped for rescoring with its path: the compile-time
+    path id, or a loop kernel's fork directions."""
     leaf = _Leaf(
         indices=indices,
         model_log_weights=lw_model,
@@ -635,7 +644,9 @@ def make_leaf(
 # every state array, so each array pays O(subgroup) work.  The
 # recorded-message logs need no runtime gathering at all: the compiler
 # tracks them symbolically and the generated leaves materialize the message
-# lists from already-gathered payload variables.
+# lists from already-gathered payload variables.  A loop kernel's logs grow
+# per unfolding, so it keeps them as runtime lists and gathers their
+# messages with ``VecMessage.sliced``.
 
 
 def gat(value: object, positions: np.ndarray) -> object:
@@ -697,6 +708,13 @@ def _rep_take(log: list, position: int, kind: str, channel: str) -> VecMessage:
             f"a {entry.kind} message"
         )
     return entry
+
+
+def rep_turn(dirs: tuple, position: int) -> bool:
+    """The stamped direction of a loop kernel's ``position``-th fork."""
+    if position >= len(dirs):
+        raise RescoreDivert("replayed path outran the leaf's path stamp")
+    return dirs[position]
 
 
 def rep_pure(pred: object, expected: bool) -> None:

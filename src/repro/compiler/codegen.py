@@ -416,8 +416,15 @@ def svi(obs_values=None, num_steps=50, num_particles=2, learning_rate=0.05, seed
 # ``RescoreDivert`` and the runner delegates that leaf to the interpretive
 # ``rescore_group``.
 #
-# Programs outside the supported fragment — recursion, higher-order
-# functions, first-class distributions — are rejected by
+# Tail recursion compiles to a *loop kernel*: a fork arm whose schedule
+# state repeats an arm on the current compile path becomes a back-edge to
+# that arm's segment (see :class:`_KernelCompiler`), so one finite kernel
+# covers every unfolding of the guide type's operator.  Its recorded logs,
+# observation scores and fork directions are runtime lists instead, and a
+# leaf's path stamp is its fork directions; a pair without a call cycle
+# compiles exactly as above.  Programs outside the supported fragment —
+# non-tail recursion, a loop that touches the observation channel,
+# higher-order functions, first-class distributions — are rejected by
 # :func:`compiled_unsupported_reason` and fall back to the interpretive
 # vectorizer.  The emitted code is bitwise-compatible with the interpretive
 # backend: same RNG calls in the same order, same density kernels (masked
@@ -622,6 +629,57 @@ def _has_call_cycle(program: ast.Program, entry: str) -> bool:
     return visit(entry)
 
 
+def _has_loops(
+    model_program: ast.Program, guide_program: ast.Program, model_entry: str, guide_entry: str
+) -> bool:
+    """Whether the pair compiles to a loop kernel (either side recurses)."""
+    return _has_call_cycle(model_program, model_entry) or _has_call_cycle(
+        guide_program, guide_entry
+    )
+
+
+def _non_tail_calls(cmd: ast.Command, tail: bool = True):
+    """Yield the procedures ``cmd`` calls outside tail position."""
+    if isinstance(cmd, ast.Call):
+        if not tail:
+            yield cmd.proc
+        return
+    if isinstance(cmd, ast.Bnd):
+        yield from _non_tail_calls(cmd.first, False)
+        yield from _non_tail_calls(cmd.second, tail)
+        return
+    for child in ast.command_children(cmd):  # conditional arms inherit tail-ness
+        yield from _non_tail_calls(child, tail)
+
+
+def _recursion_reason(
+    program: ast.Program, entry: str, side: str, obs_channel: str
+) -> Optional[str]:
+    """Why ``program``'s recursion cannot close into compiled loops.
+
+    A recursive call in tail position leaves the caller's continuation stack
+    as it was on entry, so the joint schedule state repeats and the kernel
+    compiler closes it into a back-edge.  A non-tail recursive call grows
+    the stack (it needs a runtime return stack), and a loop that touches the
+    observation channel advances the observation position on every
+    unfolding, so its state never repeats.
+    """
+    procs = _reachable_procedures(program, entry)
+    reach = {p.name: _reachable_procedures(program, p.name) for p in procs}
+    names = {name: {q.name for q in reached} for name, reached in reach.items()}
+    for proc in procs:
+        for callee in _non_tail_calls(proc.body):
+            if proc.name in names[callee]:
+                return f"non-tail recursive {side} procedures (unbounded call stack)"
+    for proc in procs:
+        if any(proc.name in names[callee] for callee in ast.calls_in(proc.body)) and any(
+            q.provides == obs_channel or obs_channel in ast.channels_used(q.body)
+            for q in reach[proc.name]
+        ):
+            return f"observation traffic inside recursive {side} procedures"
+    return None
+
+
 def _walk_exprs_of(cmd: ast.Command):
     """Yield ``(expr, is_dist_position)`` for every expression in ``cmd``."""
     if isinstance(cmd, ast.Ret):
@@ -678,10 +736,13 @@ def compiled_unsupported_reason(
     except CompilationError as exc:
         return str(exc)
 
-    if _has_call_cycle(model_program, model_entry):
-        return "recursive model procedures (unbounded control flow)"
-    if _has_call_cycle(guide_program, guide_entry):
-        return "recursive guide procedures (unbounded control flow)"
+    for side, program, entry in (
+        ("model", model_program, model_entry),
+        ("guide", guide_program, guide_entry),
+    ):
+        reason = _recursion_reason(program, entry, side, obs_channel)
+        if reason is not None:
+            return reason
 
     model_provides_obs = model_program.procedure(model_entry).provides == obs_channel
 
@@ -923,6 +984,11 @@ class _Emitter:
         self.lines = lines
         self.budget = budget
         self.indent = indent
+        #: Scheduler operations this segment performs, counted the way
+        #: ``_VecScheduler._handle`` counts them (blocked attempts included);
+        #: ``ops_dyn`` adds a pure branch's runtime-dependent op.
+        self.ops = 0
+        self.ops_dyn = ""
 
     def ln(self, code: str) -> None:
         self.budget[0] += 1
@@ -955,6 +1021,11 @@ from repro.core.ast import DistKind
 '''
 
 _STATE = "idx, lw_m, lw_g, led_m, led_g, _live"
+#: Loop kernels also carry what grows per unfolding: the recorded logs, the
+#: observation scores, the fork directions (the leaf's path stamp) and the
+#: path's operation count.
+_LOOP_STATE = "idx, lw_m, lw_g, led_m, led_g, rec_lat, rec_obs, obs_sc, dirs, ops, _live"
+_RUNTIME_LOGS = {"lat": "rec_lat", "obs": "rec_obs"}
 
 
 class _KernelCompiler:
@@ -967,6 +1038,17 @@ class _KernelCompiler:
     the same density evaluations in the same order.  Each branch arm
     becomes a segment of one emitted function, driven by an explicit LIFO
     worklist (see the section comment above).
+
+    A pair with a call cycle compiles to a *loop kernel*: when a fork arm's
+    schedule state equals, up to the names of its runtime values, the state
+    of an arm on the current compile path, the arm becomes a back-edge to
+    that arm's segment instead of another unfolding.  Guide types make the
+    state repeat: both coroutines unfold the same type operator in lockstep
+    (kept in step by fold messages), and a tail call leaves the continuation
+    stack as it was on entry.  What grows per unfolding then lives at
+    runtime — the recorded logs, the observation scores and the fork
+    directions ride in the worklist tuple — and the kernel enforces the
+    interpreter's operation and split budgets.
     """
 
     #: Segment bodies sit inside ``while _stack: ... while True:`` (depth 4);
@@ -1004,6 +1086,12 @@ class _KernelCompiler:
         self._path: List[bool] = []
         #: ``path_dirs[pid]`` = fork directions from the root to leaf ``pid``.
         self.path_dirs: List[Tuple[bool, ...]] = []
+        self.loops = _has_loops(model_program, guide_program, model_entry, guide_entry)
+        #: Loop mode: canonical key → (segment, live names) of every arm on
+        #: the current compile path, the targets a back-edge may take.
+        self._open: Dict[tuple, Tuple[int, List[str]]] = {}
+        #: Loop mode: canonical states at the call sites of the current segment.
+        self._calls: set = set()
 
     # -- naming and materialisation -------------------------------------------
 
@@ -1205,21 +1293,46 @@ class _KernelCompiler:
     def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
         pid = len(self.path_dirs)
         self.path_dirs.append(tuple(self._path))
-        em.ln(f"rec_lat = [{self._msgs_code(state.rec_sym['lat'])}]")
+        if self.loops:
+            # The logs are runtime lists already; the stamp is the path itself.
+            self._emit_op_budget(em)
+            obs_sc, stamp = "obs_sc", "tuple(dirs)"
+        else:
+            em.ln(f"rec_lat = [{self._msgs_code(state.rec_sym['lat'])}]")
+            if self.has_obs:
+                em.ln(f"rec_obs = [{self._msgs_code(state.rec_sym['obs'])}]")
+            obs_sc, stamp = "[" + ", ".join(state.rec_sym["sc"]) + "]", pid
         recorded = f'{{"{self.latent}": rec_lat'
         if self.has_obs:
-            em.ln(f"rec_obs = [{self._msgs_code(state.rec_sym['obs'])}]")
             recorded += f', "{self.obs}": rec_obs'
         recorded += "}"
-        obs_sc = "[" + ", ".join(state.rec_sym["sc"]) + "]"
         model_value = state.tasks["model"].value.code
         guide_value = state.tasks["guide"].value.code
         em.ln(
             f"leaves.append(_rt.make_leaf(idx, lw_m, lw_g, {recorded}, {obs_sc}, "
             f"{model_value}, {guide_value}, led_m if ledgers else None, "
-            f"led_g if ledgers else None, {pid}))"
+            f"led_g if ledgers else None, {stamp}))"
         )
         em.ln("break")
+
+    def _emit_op_budget(self, em: _Emitter) -> None:
+        """Charge the segment's operations to the path, as the interpreter does.
+
+        A loop kernel runs each path until it exits, so it enforces the
+        interpreter's budgets itself: operations per path here, splits per
+        run at each mixed dispatch.
+        """
+        em.ln(f"ops += {em.ops}{em.ops_dyn}")
+        em.ln("if ops > _rt.DEFAULT_MAX_OPS: raise _rt.op_budget_error(_rt.DEFAULT_MAX_OPS)")
+
+    def _record(self, em: _Emitter, state: _SchedState, log: str, entry) -> None:
+        """Record a log entry: symbolically, or at runtime in a loop kernel."""
+        if not self.loops:
+            state.rec_sym[log].append(entry)
+        elif log == "sc":
+            em.ln(f"obs_sc.append({entry})")
+        else:
+            em.ln(f"{_RUNTIME_LOGS[log]}.append({self._msgs_code([entry])})")
 
     @staticmethod
     def _msgs_code(log: List[tuple]) -> str:
@@ -1266,6 +1379,7 @@ class _KernelCompiler:
     def _step_folds(self, task: _SymTask, state: _SchedState, em: _Emitter) -> bool:
         _tag, chans, body, env = task.cur
         while chans:
+            em.ops += 1
             if chans[0] == self.obs:
                 position = state.obs_pos
                 state.obs_pos += 1
@@ -1294,10 +1408,10 @@ class _KernelCompiler:
         em.indent += 1
         em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
         em.indent -= 1
-        state.rec_sym["obs"].append(("fold",))
+        self._record(em, state, "obs", ("fold",))
 
     def _emit_latent_fold(self, em: _Emitter, state: _SchedState) -> None:
-        state.rec_sym["lat"].append(("fold",))
+        self._record(em, state, "lat", ("fold",))
 
     def _step_command(
         self,
@@ -1316,6 +1430,11 @@ class _KernelCompiler:
             task.kont.append(("bnd", cmd.var, cmd.second, env))
             task.cur = ("cmd", cmd.first, env)
             return True
+
+        if isinstance(
+            cmd, (ast.SampleSend, ast.SampleRecv, ast.CondSend, ast.CondRecv, ast.Observe)
+        ):
+            em.ops += 1  # blocked receive attempts count too
 
         if isinstance(cmd, ast.SampleSend):
             if cmd.channel == self.obs:
@@ -1372,6 +1491,12 @@ class _KernelCompiler:
                 return True
             pred_var = self._fresh("pr")
             em.ln(f'{pred_var} = _rt.as_bool({pred.code}, "branch predicate")')
+            # The interpreter yields a pure branch as an op only when its
+            # predicate spans the particle axis.
+            if pred.is_lane:
+                em.ops += 1
+            elif not pred.is_const:
+                em.ops_dyn = f" + (not isinstance({pred_var}, bool))"
             self._fork(
                 state, em, depth, task.name, pred_var,
                 cmd.then, cmd.orelse, env,
@@ -1384,6 +1509,16 @@ class _KernelCompiler:
                 callee = task.program.procedure(cmd.proc)
             except KeyError as exc:
                 raise CompilationError(f"call to unknown procedure {cmd.proc!r}") from exc
+            if self.loops:
+                # A repeated state with no fork since the segment began is a
+                # loop no branch can leave; the interpreter runs it into the
+                # operation budget.
+                key = self._state_key(state, self._live_items(state))
+                if key in self._calls:
+                    raise CompilationError(
+                        f"unconditional recursion through {cmd.proc!r} (no branch exits it)"
+                    )
+                self._calls.add(key)
             argument = _compile_expr_vec(cmd.arg, env)
             call_env = self._bind_call(em, callee, argument)
             folds = tuple(
@@ -1452,7 +1587,7 @@ class _KernelCompiler:
         provider_sent = task.name == state.chan.provider
         # Recorded symbolically, materialized at the leaf: no runtime list
         # traffic along the descent, no message gathering at forks.
-        state.rec_sym["lat"].append(("val", provider_sent, value, value_sym.is_lane))
+        self._record(em, state, "lat", ("val", provider_sent, value, value_sym.is_lane))
         state.chan.outgoing(task.name).append(("val", value_sym))
         return value_sym
 
@@ -1480,12 +1615,12 @@ class _KernelCompiler:
         # The observed value is only provably a lane array in prior mode, so
         # it gathers through ``_rt.gat``; the score is an array either way.
         self._record_obs_score(em, state, score)
-        state.rec_sym["obs"].append(("val", True, value, False))
+        self._record(em, state, "obs", ("val", True, value, False))
         return _Sym(value, frozenset())
 
     def _record_obs_score(self, em: _Emitter, state: _SchedState, score: str) -> None:
         """Record a model-side observation score (materialized at the leaf)."""
-        state.rec_sym["sc"].append(score)
+        self._record(em, state, "sc", score)
 
     # -- forking at branch sites ----------------------------------------------
 
@@ -1519,11 +1654,86 @@ class _KernelCompiler:
                     add_sym(payload)
         return list(seen.items())
 
+    @staticmethod
+    def _state_key(state: _SchedState, live: List[Tuple[str, bool]]) -> tuple:
+        """The schedule state with each live name replaced by its index in ``live``.
+
+        Two states with equal keys differ only in what the emitted code named
+        their values, and the i-th live variable of one holds what the i-th
+        of the other holds.  Commands count by identity; flags and literals
+        count as written.
+        """
+        slot = {name: i for i, (name, _lane) in enumerate(live)}
+
+        def sym(s: Optional[_Sym]):
+            return None if s is None else (slot.get(s.code, s.code), s.flags, s.value)
+
+        def env(bindings: Mapping[str, _Sym]) -> tuple:
+            return tuple((var, sym(s)) for var, s in bindings.items())
+
+        tasks = []
+        for task in state.tasks.values():
+            cur = task.cur
+            if cur is None:
+                cur_key = None
+            elif cur[0] == "val":
+                cur_key = ("val", sym(cur[1]))
+            elif cur[0] == "cmd":
+                cur_key = ("cmd", id(cur[1]), env(cur[2]))
+            else:
+                cur_key = ("folds", cur[1], id(cur[2]), env(cur[3]))
+            kont = tuple((var, id(second), env(e)) for _tag, var, second, e in task.kont)
+            tasks.append((cur_key, kont, task.finished, sym(task.value)))
+        queues = tuple(
+            tuple((kind, sym(p) if kind == "val" else p) for kind, p in queue)
+            for queue in (state.chan.to_consumer, state.chan.to_provider)
+        )
+        return (
+            tuple(tasks), queues, state.chan.fold_waiting,
+            tuple(sorted(state.chan.fold_passes)), state.obs_pos, state.order,
+        )
+
+    def _arm(
+        self, state: _SchedState, live: List[Tuple[str, bool]], task_name: str,
+        cmd: ast.Command, env: Dict[str, _Sym], comm: bool, selection: bool,
+    ) -> Tuple[_SchedState, Optional[tuple]]:
+        """One fork arm's state, plus its loop-closing key in a loop kernel.
+
+        The arm holds exactly the values of ``state``, so ``live`` (the
+        fork's live list, which the arm's segment unpacks) numbers them.
+        """
+        arm = state.clone()
+        arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
+        arm.tasks[task_name].cur = ("cmd", cmd, env)
+        if comm:
+            arm.chan.outgoing(task_name).append(("dir", selection))
+        if not self.loops:
+            return arm, None
+        # The fork's identity fixes the arm prologue a back-edge re-runs.
+        return arm, (self._state_key(arm, live), task_name, comm, selection)
+
+    def _compile_arm(
+        self, arm: _SchedState, key: Optional[tuple], seg_id: int, seg_em: _Emitter,
+        live: List[Tuple[str, bool]], selection: bool, depth: int,
+    ) -> None:
+        """Schedule one arm into its segment, open to back-edges meanwhile."""
+        self._path.append(selection)
+        self._calls = set()
+        if key is not None:
+            self._open[key] = (seg_id, [n for n, _ in live])
+        self._run_schedule(arm, seg_em, depth + 1)
+        if key is not None:
+            del self._open[key]
+        self._path.pop()
+
     def _arm_prologue(
         self, em: _Emitter, selection: bool, pred_var: str,
         comm: bool, provider_sent: bool, task_name: str,
     ) -> None:
-        """Hook for per-arm entry code (the rescore pass consumes dirs here)."""
+        """Hook for per-arm entry code (the rescore pass checks the arm here,
+        or in a loop kernel's dispatch)."""
+        if self.loops:
+            em.ln(f"dirs.append({selection})")
 
     def _fork(
         self,
@@ -1557,22 +1767,24 @@ class _KernelCompiler:
                 live.append((score, True))
         seg_of: Dict[bool, int] = {}
         for selection in (True, False):
-            arm = state.clone()
-            arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
-            arm_task = arm.tasks[task_name]
-            arm_task.cur = ("cmd", then_cmd if selection else orelse_cmd, env)
-            if comm:
-                arm.chan.outgoing(task_name).append(("dir", selection))
-                arm.rec_sym["lat"].append(("dir", provider_sent, selection))
+            arm, key = self._arm(
+                state, live, task_name, then_cmd if selection else orelse_cmd, env,
+                comm, selection,
+            )
+            if key in self._open:
+                # Back-edge: ``_live`` lists this state's values in the
+                # order the matching arm's segment unpacks them.
+                seg_of[selection] = self._open[key][0]
+                continue
             seg_id, seg_em = self._new_segment()
             seg_of[selection] = seg_id
             if live:
                 target = ", ".join(n for n, _ in live) + ("," if len(live) == 1 else "")
                 seg_em.ln(f"{target} = _live")
+            if comm:
+                self._record(seg_em, arm, "lat", ("dir", provider_sent, selection))
             self._arm_prologue(seg_em, selection, pred_var, comm, provider_sent, task_name)
-            self._path.append(selection)
-            self._run_schedule(arm, seg_em, depth + 1)
-            self._path.pop()
+            self._compile_arm(arm, key, seg_id, seg_em, live, selection, depth)
         self._emit_dispatch(em, pred_var, seg_of, live, depth)
         raise _Forked()
 
@@ -1584,10 +1796,18 @@ class _KernelCompiler:
             "(" + ", ".join(n for n, _ in live)
             + ("," if len(live) == 1 else "") + ")"
         )
+        if self.loops:
+            self._emit_op_budget(em)
         sel = self._fresh("sl")
         em.ln(f"{sel} = _rt.uniform_or_none({pred_var})")
         em.ln(f"if {sel} is None:")
         em.indent += 1
+        if self.loops:
+            em.ln("_nsp += 1")
+            em.ln(
+                "if _nsp > _rt.DEFAULT_MAX_SPLITS: "
+                "raise _rt.split_budget_error(_rt.DEFAULT_MAX_SPLITS)"
+            )
         pos = self._fresh("ps")
         # Push the true arm first so the false arm pops first: the worklist
         # replays the interpretive splitter's false-first LIFO order, which
@@ -1605,9 +1825,15 @@ class _KernelCompiler:
             )
             + ("," if len(live) == 1 else "") + ")"
         )
+        # A loop kernel's logs are runtime lists: gather them like the ledgers.
+        logs = (
+            f"[_m.sliced({pos}) for _m in rec_lat], [_m.sliced({pos}) for _m in rec_obs], "
+            f"[_s[{pos}] for _s in obs_sc], dirs[:], ops, "
+            if self.loops else ""
+        )
         em.ln(
             f"_stack.append((_sg, idx[{pos}], lw_m[{pos}], lw_g[{pos}], "
-            f"_rt.gat_led(led_m, {pos}), _rt.gat_led(led_g, {pos}), {gathered_live}))"
+            f"_rt.gat_led(led_m, {pos}), _rt.gat_led(led_g, {pos}), {logs}{gathered_live}))"
         )
         em.indent -= 1
         em.ln("break")
@@ -1629,11 +1855,18 @@ class _KernelCompiler:
         lines.append("    leaves = []")
         for line in self.preamble:
             lines.append("    " + line)
-        lines.append(
-            "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), [], [], ())]"
-        )
+        if self.loops:
+            lines.append("    _nsp = 0")
+            lines.append(
+                "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), "
+                "[], [], [], [], [], [], 0, ())]"
+            )
+        else:
+            lines.append(
+                "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), [], [], ())]"
+            )
         lines.append("    while _stack:")
-        lines.append(f"        _seg, {_STATE} = _stack.pop()")
+        lines.append(f"        _seg, {_LOOP_STATE if self.loops else _STATE} = _stack.pop()")
         lines.append("        n = idx.shape[0]")
         lines.append("        while True:")
         lines.extend(self._segment_chain())
@@ -1663,7 +1896,10 @@ class _RescoreCompiler(_KernelCompiler):
     re-evaluated predicate still selects the compiled arm and raise
     :class:`~repro.compiler.batched_runtime.RescoreDivert` otherwise.
     Segments share one function frame, so locals simply persist from parent
-    segment to arm segment — no state tuples, no worklist.
+    segment to arm segment — no state tuples, no worklist.  In a loop kernel
+    the log position and the fork index advance at runtime (``_lp``,
+    ``_dp``), each fork checks its arm in its own dispatch, and a back-edge
+    renames the live values to its target's names.
     """
 
     _seg_indent = 3
@@ -1675,16 +1911,23 @@ class _RescoreCompiler(_KernelCompiler):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Statically tracked consumption position in the latent log.
+        #: Statically tracked consumption position in the latent log
+        #: (an offset from ``_lp`` in a loop kernel).
         self._lat_pos = 0
         self.leaf_count = 0
 
     # -- emission overrides ----------------------------------------------------
 
+    def _lat_at(self) -> str:
+        """The current latent-log position: static, or loop-relative to ``_lp``."""
+        if not self.loops:
+            return str(self._lat_pos)
+        return f"_lp + {self._lat_pos}" if self._lat_pos else "_lp"
+
     def _emit_latent_send(self, task, state, cmd, env, em):
         info = self._emit_dist(em, cmd.dist, env)
         value = self._fresh("v")
-        em.ln(f'{value} = _rt.rep_val(rec_lat, {self._lat_pos}, "{self.latent}")')
+        em.ln(f'{value} = _rt.rep_val(rec_lat, {self._lat_at()}, "{self.latent}")')
         self._lat_pos += 1
         value_sym = _Sym(value, info.value_flags)
         score = self._fresh("s")
@@ -1728,12 +1971,12 @@ class _RescoreCompiler(_KernelCompiler):
         em.indent -= 1
 
     def _emit_latent_fold(self, em, state) -> None:
-        em.ln(f'_rt.rep_fold(rec_lat, {self._lat_pos}, "{self.latent}")')
+        em.ln(f'_rt.rep_fold(rec_lat, {self._lat_at()}, "{self.latent}")')
         self._lat_pos += 1
 
     def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
         self.leaf_count += 1
-        em.ln(f'_rt.rep_end(rec_lat, {self._lat_pos}, "{self.latent}")')
+        em.ln(f'_rt.rep_end(rec_lat, {self._lat_at()}, "{self.latent}")')
         if self.has_obs:
             em.ln("if obs is None:")
             em.indent += 1
@@ -1758,7 +2001,7 @@ class _RescoreCompiler(_KernelCompiler):
     ) -> None:
         if comm:
             em.ln(
-                f'_rt.rep_dir(rec_lat, {self._lat_pos}, "{self.latent}", {selection})'
+                f'_rt.rep_dir(rec_lat, {self._lat_at()}, "{self.latent}", {selection})'
             )
             mismatch = self._fresh("mm")
             em.ln(f"{mismatch} = np.not_equal({pred_var}, {selection})")
@@ -1770,37 +2013,74 @@ class _RescoreCompiler(_KernelCompiler):
     def _emit_dispatch(self, em, pred_var, seg_of, live, depth) -> None:
         em.ln(f"_seg = {seg_of[True]} if _dirs[{depth}] else {seg_of[False]}")
 
+    def _emit_turn(
+        self, em: _Emitter, pred_var: str, seg_of: Dict[bool, int],
+        live: List[Tuple[str, bool]], back: Dict[bool, List[str]],
+        comm: bool, provider_sent: bool, task_name: str,
+    ) -> None:
+        """A loop kernel's dispatch: follow the stamp's next turn at runtime.
+
+        The log and the path advance at runtime, and a back-edge renames this
+        state's values to the target's names.  The arm check runs here, not
+        in the arm segment: a back-edge enters its target from a later fork,
+        and only this fork's ``pred_var`` holds that unfolding's predicate.
+        """
+        if self._lat_pos:
+            em.ln(f"_lp += {self._lat_pos}")
+        em.ln("_dp += 1")
+        saved, self._lat_pos = self._lat_pos, 0
+        names = [n for n, _ in live]
+        for selection in (True, False):
+            em.ln("if _rt.rep_turn(_dirs, _dp - 1):" if selection else "else:")
+            em.indent += 1
+            self._arm_prologue(em, selection, pred_var, comm, provider_sent, task_name)
+            target = back.get(selection, names)
+            if target != names:
+                em.ln(f"{', '.join(target)} = {', '.join(names)}")
+            em.ln(f"_seg = {seg_of[selection]}")
+            em.indent -= 1
+        self._lat_pos = saved
+
     def _fork(self, state, em, depth, task_name, pred_var, then_cmd, orelse_cmd,
               env, comm, provider_sent) -> None:
         if depth >= _MAX_FORK_DEPTH:
             raise CompilationError(
                 f"compiled kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
             )
+        live = self._live_items(state) if self.loops else []
         seg_of: Dict[bool, int] = {}
-        arms: List[Tuple[bool, _SchedState, _Emitter]] = []
+        back: Dict[bool, List[str]] = {}
+        arms = []
         for selection in (True, False):
-            arm = state.clone()
-            arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
-            arm_task = arm.tasks[task_name]
-            arm_task.cur = ("cmd", then_cmd if selection else orelse_cmd, env)
-            if comm:
-                arm.chan.outgoing(task_name).append(("dir", selection))
+            arm, key = self._arm(
+                state, live, task_name, then_cmd if selection else orelse_cmd, env,
+                comm, selection,
+            )
+            if key in self._open:
+                seg_of[selection], back[selection] = self._open[key]
+                continue
             seg_id, seg_em = self._new_segment()
             seg_of[selection] = seg_id
-            arms.append((selection, arm, seg_em))
+            arms.append((selection, arm, key, seg_id, seg_em))
         saved = self._lat_pos
-        for selection, arm, seg_em in arms:
+        for selection, arm, key, seg_id, seg_em in arms:
             # One frame, one path: locals persist into the arm, so there is
-            # no live-variable tuple to unpack here.
-            self._lat_pos = saved
-            self._arm_prologue(seg_em, selection, pred_var, comm, provider_sent, task_name)
+            # no live-variable tuple to unpack here.  A loop arm's log
+            # positions count from the ``_lp`` its dispatch advanced, and
+            # its check runs in that dispatch.
+            if self.loops:
+                self._lat_pos = 0
+            else:
+                self._lat_pos = saved
+                self._arm_prologue(seg_em, selection, pred_var, comm, provider_sent, task_name)
             if comm:
                 self._lat_pos += 1
-            self._path.append(selection)
-            self._run_schedule(arm, seg_em, depth + 1)
-            self._path.pop()
+            self._compile_arm(arm, key, seg_id, seg_em, live, selection, depth)
         self._lat_pos = saved
-        self._emit_dispatch(em, pred_var, seg_of, [], depth)
+        if self.loops:
+            self._emit_turn(em, pred_var, seg_of, live, back, comm, provider_sent, task_name)
+        else:
+            self._emit_dispatch(em, pred_var, seg_of, live, depth)
         raise _Forked()
 
     # -- assembly --------------------------------------------------------------
@@ -1814,6 +2094,8 @@ class _RescoreCompiler(_KernelCompiler):
         lines.append("    obs_sc = []")
         lines.append("    led_m = []")
         lines.append("    led_g = []")
+        if self.loops:
+            lines.append("    _lp = _dp = 0")
         lines.append("    _seg = 0")
         lines.append("    while True:")
         lines.extend(self._segment_chain())
@@ -1846,9 +2128,11 @@ class CompiledKernel:
     control-flow-group leaves that
     :class:`repro.engine.vectorize.VectorRunResult` assembles.
     ``path_dirs[pid]`` maps a leaf's compile-time path id to its fork
-    directions.  The rescoring pass is generated and loaded on the first
-    :meth:`rescore` call (``rescore_entry`` stays ``None`` until then):
-    IS, SMC and fixed-guide SVI never rescore, so they never pay for it.
+    directions; a loop kernel (``loops``) stamps each leaf with its fork
+    directions themselves, since its paths are unbounded.  The rescoring
+    pass is generated and loaded on the first :meth:`rescore` call
+    (``rescore_entry`` stays ``None`` until then): IS, SMC and fixed-guide
+    SVI never rescore, so they never pay for it.
     """
 
     source: str
@@ -1860,6 +2144,7 @@ class CompiledKernel:
     guide_entry: str
     latent_channel: str
     obs_channel: str
+    loops: bool = False
     rescore_entry: Optional[object] = None
 
     def run(self, rng, num_particles, obs_trace, model_args, guide_args, ledgers=True):
@@ -1880,8 +2165,14 @@ class CompiledKernel:
         """
         from repro.compiler.batched_runtime import RescoreDivert
 
-        pid = getattr(leaf, "path_id", None)
-        if pid is None or not (0 <= pid < len(self.path_dirs)):
+        stamp = getattr(leaf, "path_id", None)
+        if self.loops:
+            dirs = stamp if isinstance(stamp, tuple) else None
+        elif isinstance(stamp, int) and 0 <= stamp < len(self.path_dirs):
+            dirs = self.path_dirs[stamp]
+        else:
+            dirs = None
+        if dirs is None:
             raise RescoreDivert("leaf carries no compiled path stamp")
         if self.rescore_entry is None:
             # Racing threads each compile the same function; either may win.
@@ -1890,7 +2181,7 @@ class CompiledKernel:
         rec_obs = leaf.recorded.get(self.obs_channel, [])
         with np.errstate(over="ignore"):
             return self.rescore_entry(
-                self.path_dirs[pid], len(leaf.indices), obs_trace,
+                dirs, len(leaf.indices), obs_trace,
                 rec_lat, rec_obs, model_args, guide_args,
             )
 
@@ -1932,6 +2223,17 @@ def compile_kernel_pair(
     compiled fragment (see :func:`compiled_unsupported_reason`); callers
     fall back to the interpretive vectorizer then.
     """
+    source, compiler = _compile_forward(
+        model_program, guide_program, model_entry, guide_entry, latent_channel, obs_channel
+    )
+    return source, tuple(compiler.path_dirs)
+
+
+def _compile_forward(
+    model_program: ast.Program, guide_program: ast.Program, model_entry: str,
+    guide_entry: str, latent_channel: str, obs_channel: str,
+) -> Tuple[str, _KernelCompiler]:
+    """The forward-pass source, plus the compiler that emitted it."""
     reason = compiled_unsupported_reason(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
@@ -1942,8 +2244,7 @@ def compile_kernel_pair(
         model_program, guide_program, model_entry, guide_entry,
         latent_channel=latent_channel, obs_channel=obs_channel,
     )
-    source = _KERNEL_HEADER + "\n" + compiler.compile()
-    return source, tuple(compiler.path_dirs)
+    return _KERNEL_HEADER + "\n" + compiler.compile(), compiler
 
 
 def load_kernel(
@@ -1955,18 +2256,18 @@ def load_kernel(
     obs_channel: str = "obs",
 ) -> CompiledKernel:
     """Compile and load a pair's kernel (the rescore pass loads on first use)."""
-    source, path_dirs = compile_kernel_pair(
-        model_program, guide_program, model_entry, guide_entry,
-        latent_channel=latent_channel, obs_channel=obs_channel,
+    source, compiler = _compile_forward(
+        model_program, guide_program, model_entry, guide_entry, latent_channel, obs_channel
     )
     return CompiledKernel(
         source=source,
         entry=_exec_kernel(source, "repro_kernel").kernel,
-        path_dirs=path_dirs,
+        path_dirs=tuple(compiler.path_dirs),
         model_program=model_program,
         guide_program=guide_program,
         model_entry=model_entry,
         guide_entry=guide_entry,
         latent_channel=latent_channel,
         obs_channel=obs_channel,
+        loops=compiler.loops,
     )

@@ -72,7 +72,7 @@ class InferenceRequest:
     #: :func:`repro.compiler.codegen.compile_kernel_pair` (bitwise-identical
     #: results, no per-site op dispatch, SVI rescoring compiled too),
     #: falling back to the interpreter for pairs outside the compiled
-    #: fragment (e.g. recursion) — the decision is recorded on the session
+    #: fragment (e.g. non-tail recursion) — the decision is recorded on the session
     #: and surfaced in diagnostics.  Engines that never touch the vectorized
     #: runtime (``is-sequential``, ``mh``, ``svi-fd``) ignore this field.
     backend: str = "interp"

@@ -13,9 +13,10 @@ Two backends execute a model/guide pair over the particle axis:
     guide→model routing resolved at compile time and no per-site op
     dispatch, scheduling the whole path tree inside one emitted function
     over path-partitioned particle index sets.  SVI's group-rescoring pass
-    is compiled too (on first use).  It covers the non-recursive fragment
-    and produces *bitwise-identical* results to ``interp`` under common
-    random numbers, so selecting it is a pure execution-strategy change.
+    is compiled too (on first use).  It covers first-order programs whose
+    recursive calls are all tail calls (loops close into back-edges) and
+    produces *bitwise-identical* results to ``interp`` under common random
+    numbers, so selecting it is a pure execution-strategy change.
 
 :func:`make_particle_runner` is the single seam the inference engines go
 through: ``backend="compiled"`` compiles (or fetches a cached kernel) and

@@ -442,8 +442,29 @@ class VecMessage:
     payload: object = None
 
     def sliced(self, mask: np.ndarray) -> "VecMessage":
-        payload = self.payload[mask] if isinstance(self.payload, np.ndarray) else self.payload
-        return VecMessage(self.kind, self.provider, payload)
+        if not isinstance(self.payload, np.ndarray):
+            return self  # messages are never mutated, so groups share scalar ones
+        return VecMessage(self.kind, self.provider, self.payload[mask])
+
+
+#: Control-flow splits one vectorized run may take before it gives up.
+DEFAULT_MAX_SPLITS = 10_000
+
+
+def op_budget_error(max_ops: int) -> ChannelProtocolError:
+    """The error a group raises past its operation budget (both backends)."""
+    return ChannelProtocolError(
+        f"joint execution exceeded the operation budget ({max_ops}); "
+        "the model/guide recursion appears not to terminate"
+    )
+
+
+def split_budget_error(max_splits: int) -> InferenceError:
+    """The error a run raises past its split budget (both backends)."""
+    return InferenceError(
+        f"vectorized execution exceeded {max_splits} control-flow "
+        "splits; use the sequential engine for this model"
+    )
 
 
 class _SplitRequired(Exception):
@@ -634,10 +655,7 @@ class _VecScheduler:
     def _handle(self, task: _VecTask, op: VOp) -> Tuple[bool, object]:
         self.ops_handled += 1
         if self.ops_handled > self.max_ops:
-            raise ChannelProtocolError(
-                f"joint execution exceeded the operation budget ({self.max_ops}); "
-                "the model/guide recursion appears not to terminate"
-            )
+            raise op_budget_error(self.max_ops)
 
         if isinstance(op, VOpObserve):
             scores = op.dist.log_prob(_broadcast_values(op.values, self.n))
@@ -876,7 +894,7 @@ class ParticleVectorizer:
         latent_channel: str = "latent",
         obs_channel: str = "obs",
         max_ops: int = DEFAULT_MAX_OPS,
-        max_splits: int = 10_000,
+        max_splits: int = DEFAULT_MAX_SPLITS,
     ):
         self.model_program = model_program
         self.guide_program = guide_program
@@ -1000,10 +1018,7 @@ class ParticleVectorizer:
             except _SplitRequired as split:
                 splits += 1
                 if splits > self.max_splits:
-                    raise InferenceError(
-                        f"vectorized execution exceeded {self.max_splits} control-flow "
-                        "splits; use the sequential engine for this model"
-                    ) from split
+                    raise split_budget_error(self.max_splits) from split
                 stack.extend(self._partition(scheduler, indices, split))
                 continue
             leaves.append(

@@ -17,8 +17,13 @@ The suite covers four layers:
 * rescoring — the kernel's *compiled* group-rescoring pass against the
   interpretive replay on the SVI ledger path (per-site score ledgers
   included), with the fallback metric reading zero on supported models;
-* the fallback — recursive models compile to the interpreter with a recorded
-  reason, and still produce identical results (trivially, same runtime).
+* loop kernels — tail-recursive pairs (the library's, the ``recursion_depth``
+  family, a mutually recursive pair) compile to kernels whose back-edges
+  replay the interpreter's splits bit for bit, and a loop no branch exits
+  raises the interpreter's operation-budget error on both backends;
+* the fallback — non-tail recursive models compile to the interpreter with a
+  recorded reason, and still produce identical results (trivially, same
+  runtime).
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from repro.compiler import compiled_unsupported_reason
 from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, make_particle_runner
 from repro.engine.backend import CompiledParticleRunner
+from repro.errors import ChannelProtocolError
+from repro.fuzz.generator import synthesize_family
+from repro.fuzz.oracles import default_obs_values
 from repro.models import all_benchmarks, get_benchmark
 from repro.obs import REGISTRY
 
@@ -265,3 +273,256 @@ def test_recursive_models_fall_back_with_reason(bench):
         session.compiled_kernel()
     assert session.compiled_backend_supported is False
     assert "recursive" in session.compiled_fallback_reason
+
+
+# ---------------------------------------------------------------------------
+# Loop kernels: parity the library models do not cover
+# ---------------------------------------------------------------------------
+
+_MUTUAL_MODEL = """
+proc M() consume latent provide obs {
+  x <- call Even(0.0);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+
+proc Even(p: real) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  c <- sample.recv{latent}(Ber(0.6));
+  if.send{latent} c { call Odd(p + s) } else { return(p + s) }
+}
+
+proc Odd(p: real) consume latent {
+  s <- sample.recv{latent}(Normal(1.0, 1.0));
+  c <- sample.recv{latent}(Ber(0.5));
+  if.send{latent} c { call Even(p - s) } else { return(p) }
+}
+"""
+
+_MUTUAL_GUIDE = """
+proc G() provide latent {
+  call GEven()
+}
+
+proc GEven() provide latent {
+  s <- sample.send{latent}(Normal(0.0, 1.5));
+  c <- sample.send{latent}(Ber(0.6));
+  if.recv{latent} { call GOdd() } else { return(s) }
+}
+
+proc GOdd() provide latent {
+  s <- sample.send{latent}(Normal(1.0, 1.5));
+  c <- sample.send{latent}(Ber(0.5));
+  if.recv{latent} { call GEven() } else { return(s) }
+}
+"""
+
+#: The continuation branch always selects the recursive arm.
+_ENDLESS_MODEL = """
+proc M() consume latent provide obs {
+  x <- call Step(0.0);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+
+proc Step(p: real) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  if.send{latent} true { call Step(p + s) } else { return(p + s) }
+}
+"""
+
+_ENDLESS_GUIDE = """
+proc G() provide latent {
+  call GStep()
+}
+
+proc GStep() provide latent {
+  s <- sample.send{latent}(Normal(0.0, 1.0));
+  if.recv{latent} { call GStep() } else { return(s) }
+}
+"""
+
+
+def _engines_agree(session, engine, obs_values, num_particles=2000, seed=23):
+    kwargs = {"final_particles": num_particles} if engine == "svi" else {}
+    interp, compiled = (
+        session.infer(
+            engine, num_particles=num_particles, obs_values=obs_values, seed=seed,
+            backend=backend, **kwargs,
+        )
+        for backend in ("interp", "compiled")
+    )
+    assert compiled.diagnostics().get("backend") == "compiled"
+    assert interp.posterior_mean(0) == compiled.posterior_mean(0)
+    assert interp.log_evidence() == compiled.log_evidence()
+    assert interp.effective_sample_size() == compiled.effective_sample_size()
+
+
+@pytest.mark.parametrize("engine", ["is", "smc", "svi"])
+@pytest.mark.parametrize("size", [2, 4, 6])
+def test_recursion_family_identical_across_backends(size, engine):
+    case = synthesize_family("recursion_depth", size)
+    session = ProgramSession.from_sources(case.model_source, case.guide_source)
+    _engines_agree(session, engine, list(default_obs_values(case)))
+
+
+def test_mutually_tail_recursive_pair_identical_across_backends():
+    session = ProgramSession.from_sources(_MUTUAL_MODEL, _MUTUAL_GUIDE)
+    assert session.certified
+    for engine in ("is", "smc"):
+        _engines_agree(session, engine, [1.5])
+    common = dict(
+        model_program=session.model_program, guide_program=session.guide_program,
+        model_entry="M", guide_entry="G", obs_trace=(tr.ValP(1.5),),
+    )
+    interp = make_particle_runner(backend="interp", **common)
+    compiled = make_particle_runner(backend="compiled", **common)
+    r1, r2 = (r.run(NUM_PARTICLES, np.random.default_rng(5)) for r in (interp, compiled))
+    assert r2.backend == "compiled"
+    _assert_bitwise_equal_runs(r1, r2, "mutual recursion")
+
+
+def test_endless_loop_exhausts_the_op_budget_on_both_backends():
+    """No branch ever leaves the loop and no group ever splits: both backends
+    stop the path at the interpreter's operation budget."""
+    session = ProgramSession.from_sources(_ENDLESS_MODEL, _ENDLESS_GUIDE)
+    assert session.certified
+    kernel, reason = session.compiled_kernel()
+    assert kernel is not None and kernel.loops, reason
+    for backend in ("interp", "compiled"):
+        with pytest.raises(ChannelProtocolError, match="operation budget"):
+            session.infer("is", num_particles=200, obs_values=[1.5], seed=3, backend=backend)
+
+
+_COUNTED_LOOP_MODEL = """
+proc M() consume latent provide obs {
+  x <- call Step(0.0, 0);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+
+proc Step(p: real, k: nat) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  if.send{latent} k < LEVELS { call Step(p + s, k + 1) } else { return(p + s) }
+}
+"""
+
+
+@pytest.mark.parametrize("levels, exhausts", [(1248, False), (1249, True)])
+def test_loop_kernel_counts_operations_like_the_interpreter(levels, exhausts):
+    """A loop of fixed length sits right at the operation budget: one more
+    level tips both backends over it, so each counts every operation
+    (blocked receives and fold handshakes included) exactly as the other."""
+    session = ProgramSession.from_sources(
+        _COUNTED_LOOP_MODEL.replace("LEVELS", str(levels)), _ENDLESS_GUIDE
+    )
+    for backend in ("interp", "compiled"):
+        if exhausts:
+            with pytest.raises(ChannelProtocolError, match="operation budget"):
+                session.infer("is", num_particles=20, obs_values=[1.0], seed=0, backend=backend)
+        else:
+            result = session.infer(
+                "is", num_particles=20, obs_values=[1.0], seed=0, backend=backend
+            )
+            assert result.diagnostics()["backend"] == backend
+
+
+@pytest.mark.parametrize("name", ["marsaglia", "ptrace", "randomwalk"])
+def test_loop_kernel_rescoring_never_falls_back(name):
+    """Every recursive leaf rescoring from its fork-direction stamp stays on
+    the compiled pass: the fallback metric family does not move."""
+    bench = get_benchmark(name)
+    common = _runner_common(bench, tuple(tr.ValP(v) for v in bench.obs_values))
+    compiled = make_particle_runner(backend="compiled", **common)
+    run = compiled.run(NUM_PARTICLES, np.random.default_rng(13))
+    assert compiled.kernel.loops and run.backend == "compiled"
+    mark = REGISTRY.mark()
+    for leaf in run.leaves:
+        compiled.rescore_group(leaf)
+    moved = {
+        key: change
+        for key, change in REGISTRY.delta(mark).items()
+        if key.startswith("repro_compiled_fallback_total")
+    }
+    assert moved == {}, moved
+
+
+#: A loop whose continuation compares a fresh draw with the entry's threshold.
+_THRESHOLD_MODEL = """
+proc M(theta: real) consume latent provide obs {
+  x <- call Step(0.0, theta);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+
+proc Step(p: real, theta: real) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  if.send{latent} s < theta { call Step(p + s, theta) } else { return(p + s) }
+}
+"""
+
+_COIN_LOOP_MODEL = """
+proc M() consume latent provide obs {
+  x <- call Step(0.0);
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  return(x)
+}
+
+proc Step(p: real) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  c <- sample.recv{latent}(Ber(0.7));
+  if.send{latent} c { call Step(p + s) } else { return(p + s) }
+}
+"""
+
+#: A guide-parameter-dependent pure branch inside the tail-recursive helper.
+_THRESHOLD_GUIDE = """
+proc G(theta: real) provide latent {
+  call GStep(theta)
+}
+
+proc GStep(theta: real) provide latent {
+  s <- sample.send{latent}(Normal(0.0, 1.0));
+  c <- if s < theta { sample.send{latent}(Ber(0.8)) } else { sample.send{latent}(Ber(0.6)) };
+  if.recv{latent} { call GStep(theta) } else { return(s) }
+}
+"""
+
+
+@pytest.mark.parametrize("side", ["model", "guide"])
+def test_loop_rescore_rechecks_every_unfolding_under_perturbed_args(side):
+    """Rescoring at other arguments re-evaluates each unfolding's branch:
+    a threshold that flips on a later iteration is masked (the model's
+    communicated branch) or diverts (the guide's pure branch) exactly as the
+    interpretive replay does, on leaves deeper than the compiled path tree."""
+    model, guide = (
+        (_THRESHOLD_MODEL, _ENDLESS_GUIDE) if side == "model"
+        else (_COIN_LOOP_MODEL, _THRESHOLD_GUIDE)
+    )
+    session = ProgramSession.from_sources(model, guide)
+    assert session.certified
+    common = dict(
+        model_program=session.model_program, guide_program=session.guide_program,
+        model_entry="M", guide_entry="G", obs_trace=(tr.ValP(1.5),),
+    )
+    args = f"{side}_args"
+    forward = make_particle_runner(backend="compiled", **{args: (0.8,)}, **common)
+    run = forward.run(2000, np.random.default_rng(3))
+    compiled_depth = max(len(dirs) for dirs in forward.kernel.path_dirs)
+    interp, compiled = (
+        make_particle_runner(backend=backend, **{args: (0.3,)}, **common)
+        for backend in ("interp", "compiled")
+    )
+    deep = 0
+    for leaf in run.leaves:
+        try:
+            gi = interp.rescore_group(leaf)
+        except Exception as exc:  # the pure branch flipped for part of the group
+            with pytest.raises(type(exc)):
+                compiled.rescore_group(leaf)
+            continue
+        gm = compiled.rescore_group(leaf)
+        for role in ("model", "guide"):
+            assert np.array_equal(gi.log_weights[role], gm.log_weights[role]), leaf.path_id
+        deep += len(leaf.path_id) > compiled_depth
+    assert deep > 0  # back-edges were taken and replayed

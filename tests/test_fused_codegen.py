@@ -163,7 +163,7 @@ def test_fragment_accepts_plain_pairs():
 
 
 def test_fragment_rejects_recursion():
-    bench = get_benchmark("ptrace")
+    bench = get_benchmark("gp-dsl")
     reason = compiled_unsupported_reason(
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
@@ -206,12 +206,73 @@ proc M() consume latent provide obs {
 
 
 def test_compile_fused_raises_for_unsupported():
-    bench = get_benchmark("marsaglia")
+    bench = get_benchmark("ex-2")
     with pytest.raises(CompilationError, match="recursive"):
         compile_kernel_pair(
             bench.model_program(), bench.guide_program(),
             bench.model_entry, bench.guide_entry,
         )
+
+
+@pytest.mark.parametrize("name", ["ptrace", "marsaglia"])
+def test_tail_recursive_pairs_compile_to_loop_kernels(name):
+    """Tail recursion closes into back-edges: the kernel source stays finite
+    and its leaves carry their fork directions as path stamps."""
+    bench = get_benchmark(name)
+    pair = (bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry)
+    assert compiled_unsupported_reason(*pair) is None
+    kernel = load_kernel(*pair)
+    assert kernel.loops
+    assert "dirs.append(" in kernel.source
+    # Paths run deeper than the compile-time tree, which back-edges keep finite.
+    leaves = kernel.run(np.random.default_rng(0), 300, None, (), ())
+    deepest = max(len(dirs) for dirs in kernel.path_dirs)
+    assert max(len(leaf.path_id) for leaf in leaves) > deepest
+
+
+def test_fragment_rejects_observations_inside_loops():
+    src = """
+proc M() consume latent provide obs {
+  x <- call Step();
+  return(x)
+}
+
+proc Step() consume latent provide obs {
+  x <- sample.recv{latent}(Normal(0.0, 1.0));
+  _ <- sample.send{obs}(Normal(x, 1.0));
+  if.send{latent} x < 0.0 { call Step() } else { return(x) }
+}
+"""
+    assert _reason(src) == "observation traffic inside recursive model procedures"
+
+
+def test_unconditional_recursion_falls_back():
+    """A loop no branch exits would only run into the operation budget; the
+    compiler detects the repeated state and hands it to the interpreter."""
+    model = parse_program("""
+proc M() consume latent provide obs {
+  x <- call Step(0.0);
+  return(x)
+}
+
+proc Step(p: real) consume latent {
+  s <- sample.recv{latent}(Normal(0.0, 1.0));
+  call Step(p + s)
+}
+""")
+    guide = parse_program("""
+proc G() provide latent {
+  call GStep()
+}
+
+proc GStep() provide latent {
+  s <- sample.send{latent}(Normal(0.0, 1.0));
+  call GStep()
+}
+""")
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
+    with pytest.raises(CompilationError, match="unconditional recursion"):
+        compile_kernel_pair(model, guide, "M", "G")
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,24 @@ def test_rescore_divert_falls_back_to_interp_replay():
     )
 
 
+def test_loop_kernel_stamps_leaves_with_their_fork_path():
+    """A loop kernel's paths are unbounded, so each leaf carries its fork
+    directions as its stamp; a stamp cut short diverts to the interpretive
+    replay instead of reading past its end."""
+    runner = _compiled_runner("ptrace")
+    run = runner.run(200, np.random.default_rng(3))
+    assert runner.kernel.loops
+    leaf = max(run.leaves, key=lambda item: len(item.path_id))
+    assert all(isinstance(turn, bool) for turn in leaf.path_id)
+    reference = runner.rescore_group(leaf)
+    leaf.path_id = leaf.path_id[:-1]
+    mark = REGISTRY.mark()
+    diverted = runner.rescore_group(leaf)
+    moved = REGISTRY.delta(mark)
+    assert moved.get('repro_compiled_fallback_total{reason="rescore-divert"}') == 1.0
+    assert np.array_equal(diverted.log_weights["guide"], reference.log_weights["guide"])
+
+
 def test_record_compiled_fallback_labels_are_closed_set():
     """The metric family's label values are an API (dashboards group by
     them); recording goes through one helper with normalized reasons."""

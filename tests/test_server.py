@@ -150,10 +150,10 @@ class TestCoalescedParity:
     diagnostics included."""
 
     def test_coalesced_diagnostics_match_solo_runs(self):
-        """``marsaglia`` is outside the compiled fragment: the gate-level
+        """``gp-dsl`` is outside the compiled fragment: the gate-level
         fallback reason and the run metrics reach coalesced responses too."""
         payloads = [
-            _bench_payload("marsaglia", s, num_particles=200, backend="compiled", shards=2)
+            _bench_payload("gp-dsl", s, num_particles=200, backend="compiled", shards=2)
             for s in range(3)
         ]
         together, alone = _coalesced_and_solo(payloads)

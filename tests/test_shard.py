@@ -241,7 +241,7 @@ def _sharded_runner(name, backend="interp", shards=2):
 def test_gate_fallback_freezes_interp_tasks():
     """A pair outside the compiled fragment resolves to interp ONCE, at
     construction; the frozen task template never re-attempts compilation."""
-    runner = _sharded_runner("marsaglia", backend="compiled")
+    runner = _sharded_runner("gp-dsl", backend="compiled")
     assert runner.requested_backend == "compiled"
     assert runner.effective_backend == "interp"
     assert "recursive" in runner.fallback_reason
@@ -260,7 +260,7 @@ def test_fallback_state_is_consistent_across_threads():
     frozen as plain attributes, so every thread reads one coherent pair."""
     from concurrent.futures import ThreadPoolExecutor
 
-    for name, expect_backend in [("weight", "compiled"), ("marsaglia", "interp")]:
+    for name, expect_backend in [("weight", "compiled"), ("gp-dsl", "interp")]:
         runner = _sharded_runner(name, backend="compiled")
 
         def observe(_):
