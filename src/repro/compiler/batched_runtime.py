@@ -36,7 +36,7 @@ scalar-vs-array parameter dispatch.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -610,16 +610,30 @@ def make_leaf(
     indices: np.ndarray,
     lw_model: np.ndarray,
     lw_guide: np.ndarray,
-    recorded: dict,
+    lat: list,
+    obs: list,
     obs_scores: list,
+    dirs: Tuple[bool, ...],
     model_value: object,
     guide_value: object,
     model_site_scores: Optional[list],
     guide_site_scores: Optional[list],
-    path_id: Union[int, Tuple[bool, ...]],
+    pre: Optional[list],
+    latent_channel: str,
+    obs_channel: Optional[str],
 ) -> _Leaf:
-    """A finished group, stamped for rescoring with its path: the compile-time
-    path id, or a loop kernel's fork directions."""
+    """A finished group, stamped for rescoring with its fork directions.
+
+    ``lat``, ``obs``, ``obs_scores`` and ``dirs`` are what the leaf's path
+    recorded since the last :func:`flush`; ``pre`` (``None`` before the
+    first flush) holds everything flushed earlier and goes in front.  The
+    observation log is kept only when the model provides ``obs_channel``.
+    """
+    if pre is not None:
+        lat, obs, obs_scores, dirs = flush(pre, lat, obs, obs_scores, dirs)
+    recorded = {latent_channel: lat}
+    if obs_channel is not None:
+        recorded[obs_channel] = obs
     leaf = _Leaf(
         indices=indices,
         model_log_weights=lw_model,
@@ -631,22 +645,53 @@ def make_leaf(
         model_site_scores=model_site_scores,
         guide_site_scores=guide_site_scores,
     )
-    leaf.path_id = path_id
+    leaf.path_id = tuple(dirs)
     return leaf
 
 
 # ---------------------------------------------------------------------------
-# Subgroup gathers and compiled rescoring
+# Loop prefixes, subgroup gathers and compiled rescoring
 # ---------------------------------------------------------------------------
 #
-# At a mixed branch the kernel computes each arm's particle *positions*
+# The compiler tracks every recorded log (messages, observation scores, fork
+# directions) symbolically, so a path keeps its payload variables live and
+# materializes the lists once, at its leaf.  A loop kernel's paths are
+# unbounded, so at each fork it first flushes what the path recorded into
+# ``pre``, a runtime prefix of plain lists that the group owns.  At a mixed
+# branch the kernel computes each arm's particle *positions*
 # (``np.flatnonzero`` of the arm mask, once per arm) and integer-gathers
-# every state array, so each array pays O(subgroup) work.  The
-# recorded-message logs need no runtime gathering at all: the compiler
-# tracks them symbolically and the generated leaves materialize the message
-# lists from already-gathered payload variables.  A loop kernel's logs grow
-# per unfolding, so it keeps them as runtime lists and gathers their
-# messages with ``VecMessage.sliced``.
+# every state array, so each array pays O(subgroup) work; the prefix's
+# messages gather with ``VecMessage.sliced``.
+
+
+def flush(pre: Optional[list], lat: list, obs: list, obs_scores: list, dirs: tuple) -> list:
+    """Append what a path recorded since its last flush to its runtime prefix.
+
+    The prefix is ``None`` until the first flush, then four lists: the
+    latent and observation message logs, the observation scores and the
+    fork directions.
+    """
+    if pre is None:
+        return [lat, obs, obs_scores, list(dirs)]
+    pre[0] += lat
+    pre[1] += obs
+    pre[2] += obs_scores
+    pre[3] += dirs
+    return pre
+
+
+def gat_pre(pre: Optional[list], positions: np.ndarray) -> Optional[list]:
+    """Gather a flushed prefix down to a subgroup (fresh lists for the arm)."""
+    if pre is None:
+        return None
+    lat, obs, obs_scores, dirs = pre
+    # A loop's observation logs are mostly empty; skip their comprehensions.
+    return [
+        [m.sliced(positions) for m in lat],
+        [m.sliced(positions) for m in obs] if obs else [],
+        [scores[positions] for scores in obs_scores] if obs_scores else [],
+        dirs[:],
+    ]
 
 
 def gat(value: object, positions: np.ndarray) -> object:
@@ -711,7 +756,7 @@ def _rep_take(log: list, position: int, kind: str, channel: str) -> VecMessage:
 
 
 def rep_turn(dirs: tuple, position: int) -> bool:
-    """The stamped direction of a loop kernel's ``position``-th fork."""
+    """The stamped direction of the path's ``position``-th fork."""
     if position >= len(dirs):
         raise RescoreDivert("replayed path outran the leaf's path stamp")
     return dirs[position]

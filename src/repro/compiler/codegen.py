@@ -17,6 +17,11 @@ where communication is expressed by ``yield`` of small op tuples::
 The generated generators are driven by :mod:`repro.compiler.runtime`, which
 resolves each op (sampling, replaying observations, routing messages to the
 partner coroutine) and scores it through :func:`repro.minipyro.sample`.
+
+The second half of the module is the compiled batched backend: it schedules
+a model/guide pair at compile time and emits one NumPy kernel over whole
+particle arrays (:func:`load_kernel`, :class:`CompiledKernel`; see the
+section comment there).
 """
 
 from __future__ import annotations
@@ -400,29 +405,32 @@ def svi(obs_values=None, num_steps=50, num_particles=2, learning_rate=0.05, seed
 #   in the same frame (dispatch is a segment-id assignment), a mixed one
 #   computes each arm's particle positions once with ``np.flatnonzero`` and
 #   integer-gathers every state array into the arm's worklist entry;
-# * the recorded logs are tracked *symbolically* during compilation — the
-#   compiler knows exactly which payload variables each path records, so
-#   the descent threads raw arrays through the live set and each leaf
-#   materializes its message lists once (no per-fork message gathering);
+# * the recorded logs — messages, observation scores and fork directions —
+#   are tracked *symbolically* during compilation: the compiler knows
+#   exactly which payload variables each path records, so the descent
+#   threads raw arrays through the live set and each leaf materializes its
+#   lists once (no per-fork message gathering);
 # * the per-site score ledgers (read only by Rao-Blackwellized SVI) are
-#   gated behind a ``ledgers`` flag so IS/SMC runs skip that work entirely.
+#   gated behind a ``ledgers`` flag so IS/SMC runs skip that work entirely;
+# * every path carries its operation count, and every mixed dispatch counts
+#   a split, so the kernel raises the interpreter's budget errors itself.
 #
-# Every leaf is stamped with its compile-time path id, and a second emitted
-# function (the rescore pass, compiled on first use) replays that exact
-# path for SVI's group rescoring — recorded values consumed at statically
-# known log positions, branch selections masked exactly as the interpretive
-# scheduler masks them.  A replay the straight-line path cannot represent (a
-# *pure* branch predicate flipping under perturbed arguments) raises
-# ``RescoreDivert`` and the runner delegates that leaf to the interpretive
-# ``rescore_group``.
+# Every leaf is stamped with its fork directions, and a second emitted
+# function (the rescore pass, compiled on first use) follows that stamp to
+# replay the exact path for SVI's group rescoring — recorded values
+# consumed at known log positions, branch selections masked exactly as the
+# interpretive scheduler masks them.  A replay the straight-line path cannot
+# represent (a *pure* branch predicate flipping under perturbed arguments)
+# raises ``RescoreDivert`` and the runner delegates that leaf to the
+# interpretive ``rescore_group``.
 #
 # Tail recursion compiles to a *loop kernel*: a fork arm whose schedule
 # state repeats an arm on the current compile path becomes a back-edge to
 # that arm's segment (see :class:`_KernelCompiler`), so one finite kernel
-# covers every unfolding of the guide type's operator.  Its recorded logs,
-# observation scores and fork directions are runtime lists instead, and a
-# leaf's path stamp is its fork directions; a pair without a call cycle
-# compiles exactly as above.  Programs outside the supported fragment —
+# covers every unfolding of the guide type's operator.  It is the same
+# emission plus back-edges: each fork first flushes the symbolic logs into
+# a runtime prefix that rides in the worklist, so every arm starts from its
+# own fork's direction alone.  Programs outside the supported fragment —
 # non-tail recursion, a loop that touches the observation channel,
 # higher-order functions, first-class distributions — are rejected by
 # :func:`compiled_unsupported_reason` and fall back to the interpretive
@@ -958,13 +966,14 @@ class _SchedState:
     chan: _SymChannel
     obs_pos: int
     order: Tuple[str, str]
-    #: Compile-time mirror of the recorded logs, so the generated code can
-    #: defer materializing message lists to the leaves.
-    #: ``{"lat": [...], "obs": [...], "sc": [...]}`` where log entries are
-    #: ``("val", provider_sent, var, lane)`` | ``("dir", provider_sent,
-    #: selection)`` | ``("fold",)`` and ``sc`` holds obs-score var names.
-    rec_sym: Dict[str, List[tuple]] = field(
-        default_factory=lambda: {"lat": [], "obs": [], "sc": []}
+    #: Compile-time mirror of what the path recorded since the last flush,
+    #: so the generated code can defer materializing it to the leaves.
+    #: ``{"lat": [...], "obs": [...], "sc": [...], "dir": [...]}`` where log
+    #: entries are ``("val", provider_sent, var, lane)`` | ``("dir",
+    #: provider_sent, selection)`` | ``("fold",)``, ``sc`` holds obs-score
+    #: var names and ``dir`` the fork directions taken.
+    rec_sym: Dict[str, list] = field(
+        default_factory=lambda: {"lat": [], "obs": [], "sc": [], "dir": []}
     )
 
     def clone(self) -> "_SchedState":
@@ -1020,13 +1029,6 @@ from repro.core.ast import DistKind
 
 '''
 
-_STATE = "idx, lw_m, lw_g, led_m, led_g, _live"
-#: Loop kernels also carry what grows per unfolding: the recorded logs, the
-#: observation scores, the fork directions (the leaf's path stamp) and the
-#: path's operation count.
-_LOOP_STATE = "idx, lw_m, lw_g, led_m, led_g, rec_lat, rec_obs, obs_sc, dirs, ops, _live"
-_RUNTIME_LOGS = {"lat": "rec_lat", "obs": "rec_obs"}
-
 
 class _KernelCompiler:
     """Compile a model/guide pair into the forward pass of its batched kernel.
@@ -1037,7 +1039,9 @@ class _KernelCompiler:
     op it resolves, so the generated kernel performs the same RNG draws and
     the same density evaluations in the same order.  Each branch arm
     becomes a segment of one emitted function, driven by an explicit LIFO
-    worklist (see the section comment above).
+    worklist of ``(segment, idx, lw_m, lw_g, led_m, led_g, pre, ops,
+    _live)`` tuples (see the section comment above).  Each path records its
+    logs symbolically and every leaf materializes them, prefixed by ``pre``.
 
     A pair with a call cycle compiles to a *loop kernel*: when a fork arm's
     schedule state equals, up to the names of its runtime values, the state
@@ -1045,10 +1049,10 @@ class _KernelCompiler:
     that arm's segment instead of another unfolding.  Guide types make the
     state repeat: both coroutines unfold the same type operator in lockstep
     (kept in step by fold messages), and a tail call leaves the continuation
-    stack as it was on entry.  What grows per unfolding then lives at
-    runtime — the recorded logs, the observation scores and the fork
-    directions ride in the worklist tuple — and the kernel enforces the
-    interpreter's operation and split budgets.
+    stack as it was on entry.  For the logs to repeat too, each fork of a
+    loop kernel flushes them into the runtime prefix ``pre`` (``None``
+    until the first flush), so every arm's symbolic log starts with only
+    its own fork's direction.
     """
 
     #: Segment bodies sit inside ``while _stack: ... while True:`` (depth 4);
@@ -1084,13 +1088,14 @@ class _KernelCompiler:
         self._budget = [0]
         #: Branch directions taken along the path currently being compiled.
         self._path: List[bool] = []
-        #: ``path_dirs[pid]`` = fork directions from the root to leaf ``pid``.
+        #: The compile-time paths: fork directions to each emitted leaf.
         self.path_dirs: List[Tuple[bool, ...]] = []
+        #: A call cycle: forks flush the logs and may close into back-edges.
         self.loops = _has_loops(model_program, guide_program, model_entry, guide_entry)
-        #: Loop mode: canonical key → (segment, live names) of every arm on
-        #: the current compile path, the targets a back-edge may take.
+        #: Loops: canonical key → (segment, live names) of every arm on the
+        #: current compile path, the targets a back-edge may take.
         self._open: Dict[tuple, Tuple[int, List[str]]] = {}
-        #: Loop mode: canonical states at the call sites of the current segment.
+        #: Loops: canonical states at the call sites of the current segment.
         self._calls: set = set()
 
     # -- naming and materialisation -------------------------------------------
@@ -1291,48 +1296,35 @@ class _KernelCompiler:
             return
 
     def _emit_leaf(self, em: _Emitter, state: _SchedState) -> None:
-        pid = len(self.path_dirs)
         self.path_dirs.append(tuple(self._path))
-        if self.loops:
-            # The logs are runtime lists already; the stamp is the path itself.
-            self._emit_op_budget(em)
-            obs_sc, stamp = "obs_sc", "tuple(dirs)"
-        else:
-            em.ln(f"rec_lat = [{self._msgs_code(state.rec_sym['lat'])}]")
-            if self.has_obs:
-                em.ln(f"rec_obs = [{self._msgs_code(state.rec_sym['obs'])}]")
-            obs_sc, stamp = "[" + ", ".join(state.rec_sym["sc"]) + "]", pid
-        recorded = f'{{"{self.latent}": rec_lat'
-        if self.has_obs:
-            recorded += f', "{self.obs}": rec_obs'
-        recorded += "}"
+        self._emit_op_budget(em)
         model_value = state.tasks["model"].value.code
         guide_value = state.tasks["guide"].value.code
+        obs_channel = f'"{self.obs}"' if self.has_obs else "None"
         em.ln(
-            f"leaves.append(_rt.make_leaf(idx, lw_m, lw_g, {recorded}, {obs_sc}, "
+            f"leaves.append(_rt.make_leaf(idx, lw_m, lw_g, {self._logs_code(state)}, "
             f"{model_value}, {guide_value}, led_m if ledgers else None, "
-            f"led_g if ledgers else None, {stamp}))"
+            f'led_g if ledgers else None, pre, "{self.latent}", {obs_channel}))'
         )
         em.ln("break")
 
     def _emit_op_budget(self, em: _Emitter) -> None:
         """Charge the segment's operations to the path, as the interpreter does.
 
-        A loop kernel runs each path until it exits, so it enforces the
+        The kernel runs each path until it exits, so it enforces the
         interpreter's budgets itself: operations per path here, splits per
         run at each mixed dispatch.
         """
         em.ln(f"ops += {em.ops}{em.ops_dyn}")
         em.ln("if ops > _rt.DEFAULT_MAX_OPS: raise _rt.op_budget_error(_rt.DEFAULT_MAX_OPS)")
 
-    def _record(self, em: _Emitter, state: _SchedState, log: str, entry) -> None:
-        """Record a log entry: symbolically, or at runtime in a loop kernel."""
-        if not self.loops:
-            state.rec_sym[log].append(entry)
-        elif log == "sc":
-            em.ln(f"obs_sc.append({entry})")
-        else:
-            em.ln(f"{_RUNTIME_LOGS[log]}.append({self._msgs_code([entry])})")
+    def _logs_code(self, state: _SchedState) -> str:
+        """``lat, obs, obs_scores, dirs`` built from the symbolic logs."""
+        logs = state.rec_sym
+        return (
+            f'[{self._msgs_code(logs["lat"])}], [{self._msgs_code(logs["obs"])}], '
+            f'[{", ".join(logs["sc"])}], {tuple(logs["dir"])!r}'
+        )
 
     @staticmethod
     def _msgs_code(log: List[tuple]) -> str:
@@ -1408,10 +1400,10 @@ class _KernelCompiler:
         em.indent += 1
         em.ln(f'_rt.obs_fold(obs, {position}, "call marker on {self.obs}")')
         em.indent -= 1
-        self._record(em, state, "obs", ("fold",))
+        state.rec_sym["obs"].append(("fold",))
 
     def _emit_latent_fold(self, em: _Emitter, state: _SchedState) -> None:
-        self._record(em, state, "lat", ("fold",))
+        state.rec_sym["lat"].append(("fold",))
 
     def _step_command(
         self,
@@ -1464,11 +1456,8 @@ class _KernelCompiler:
             pred = _compile_expr_vec(cmd.cond, env)
             pred_var = self._fresh("pr")
             em.ln(f'{pred_var} = _rt.as_bool({pred.code}, "branch predicate")')
-            provider_sent = task.name == state.chan.provider
             self._fork(
-                state, em, depth, task.name, pred_var,
-                cmd.then, cmd.orelse, env,
-                comm=True, provider_sent=provider_sent,
+                state, em, depth, task.name, pred_var, cmd.then, cmd.orelse, env, comm=True
             )
             raise AssertionError("unreachable: fork always raises")
 
@@ -1498,9 +1487,7 @@ class _KernelCompiler:
             elif not pred.is_const:
                 em.ops_dyn = f" + (not isinstance({pred_var}, bool))"
             self._fork(
-                state, em, depth, task.name, pred_var,
-                cmd.then, cmd.orelse, env,
-                comm=False, provider_sent=False,
+                state, em, depth, task.name, pred_var, cmd.then, cmd.orelse, env, comm=False
             )
             raise AssertionError("unreachable: fork always raises")
 
@@ -1585,9 +1572,9 @@ class _KernelCompiler:
         em.ln(f"{score} = {self._score_lane_code(info, value_sym)}")
         self._emit_accumulate(em, task.name, score, self.latent)
         provider_sent = task.name == state.chan.provider
-        # Recorded symbolically, materialized at the leaf: no runtime list
-        # traffic along the descent, no message gathering at forks.
-        self._record(em, state, "lat", ("val", provider_sent, value, value_sym.is_lane))
+        # Recorded symbolically, materialized at the leaf (or a loop's
+        # flush): no runtime list traffic along the descent.
+        state.rec_sym["lat"].append(("val", provider_sent, value, value_sym.is_lane))
         state.chan.outgoing(task.name).append(("val", value_sym))
         return value_sym
 
@@ -1615,12 +1602,12 @@ class _KernelCompiler:
         # The observed value is only provably a lane array in prior mode, so
         # it gathers through ``_rt.gat``; the score is an array either way.
         self._record_obs_score(em, state, score)
-        self._record(em, state, "obs", ("val", True, value, False))
+        state.rec_sym["obs"].append(("val", True, value, False))
         return _Sym(value, frozenset())
 
     def _record_obs_score(self, em: _Emitter, state: _SchedState, score: str) -> None:
         """Record a model-side observation score (materialized at the leaf)."""
-        self._record(em, state, "sc", score)
+        state.rec_sym["sc"].append(score)
 
     # -- forking at branch sites ----------------------------------------------
 
@@ -1705,11 +1692,14 @@ class _KernelCompiler:
         arm = state.clone()
         arm.order = (task_name,) + tuple(t for t in arm.order if t != task_name)
         arm.tasks[task_name].cur = ("cmd", cmd, env)
+        arm.rec_sym["dir"].append(selection)
         if comm:
             arm.chan.outgoing(task_name).append(("dir", selection))
+            arm.rec_sym["lat"].append(("dir", task_name == arm.chan.provider, selection))
         if not self.loops:
             return arm, None
-        # The fork's identity fixes the arm prologue a back-edge re-runs.
+        # The fork's identity fixes what the arm records first, which a
+        # back-edge's target segment assumes.
         return arm, (self._state_key(arm, live), task_name, comm, selection)
 
     def _compile_arm(
@@ -1726,15 +1716,6 @@ class _KernelCompiler:
             del self._open[key]
         self._path.pop()
 
-    def _arm_prologue(
-        self, em: _Emitter, selection: bool, pred_var: str,
-        comm: bool, provider_sent: bool, task_name: str,
-    ) -> None:
-        """Hook for per-arm entry code (the rescore pass checks the arm here,
-        or in a loop kernel's dispatch)."""
-        if self.loops:
-            em.ln(f"dirs.append({selection})")
-
     def _fork(
         self,
         state: _SchedState,
@@ -1746,12 +1727,17 @@ class _KernelCompiler:
         orelse_cmd: ast.Command,
         env: Dict[str, _Sym],
         comm: bool,
-        provider_sent: bool,
     ) -> None:
         if depth >= _MAX_FORK_DEPTH:
             raise CompilationError(
                 f"compiled kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
             )
+        if self.loops:
+            # Flush the path's symbolic logs into the runtime prefix, so
+            # each arm starts from its own fork's direction alone and a
+            # repeated schedule state can close into a back-edge.
+            em.ln(f"pre = _rt.flush(pre, {self._logs_code(state)})")
+            state.rec_sym = {log: [] for log in state.rec_sym}
         live = self._live_items(state)
         # Symbolically recorded payloads must survive to the leaves where
         # the message lists are materialized, so they ride in ``_live`` too.
@@ -1781,33 +1767,28 @@ class _KernelCompiler:
             if live:
                 target = ", ".join(n for n, _ in live) + ("," if len(live) == 1 else "")
                 seg_em.ln(f"{target} = _live")
-            if comm:
-                self._record(seg_em, arm, "lat", ("dir", provider_sent, selection))
-            self._arm_prologue(seg_em, selection, pred_var, comm, provider_sent, task_name)
             self._compile_arm(arm, key, seg_id, seg_em, live, selection, depth)
-        self._emit_dispatch(em, pred_var, seg_of, live, depth)
+        self._emit_dispatch(em, pred_var, seg_of, live)
         raise _Forked()
 
     def _emit_dispatch(
         self, em: _Emitter, pred_var: str, seg_of: Dict[bool, int],
-        live: List[Tuple[str, bool]], depth: int,
+        live: List[Tuple[str, bool]],
     ) -> None:
         live_tuple = (
             "(" + ", ".join(n for n, _ in live)
             + ("," if len(live) == 1 else "") + ")"
         )
-        if self.loops:
-            self._emit_op_budget(em)
+        self._emit_op_budget(em)
         sel = self._fresh("sl")
         em.ln(f"{sel} = _rt.uniform_or_none({pred_var})")
         em.ln(f"if {sel} is None:")
         em.indent += 1
-        if self.loops:
-            em.ln("_nsp += 1")
-            em.ln(
-                "if _nsp > _rt.DEFAULT_MAX_SPLITS: "
-                "raise _rt.split_budget_error(_rt.DEFAULT_MAX_SPLITS)"
-            )
+        em.ln("_nsp += 1")
+        em.ln(
+            "if _nsp > _rt.DEFAULT_MAX_SPLITS: "
+            "raise _rt.split_budget_error(_rt.DEFAULT_MAX_SPLITS)"
+        )
         pos = self._fresh("ps")
         # Push the true arm first so the false arm pops first: the worklist
         # replays the interpretive splitter's false-first LIFO order, which
@@ -1817,23 +1798,18 @@ class _KernelCompiler:
         em.ln(f"{pos} = np.flatnonzero({pred_var}) if _sb else np.flatnonzero(~{pred_var})")
         # Proven-lane live variables gather with a direct fancy index; only
         # shape-unknown ones pay the ``_rt.gat`` dynamic dispatch.  The
-        # recorded logs need no gathering: their payload vars are in the
-        # live set, and the message lists are materialized at the leaves.
+        # symbolic logs need no gathering: their payload vars are in the
+        # live set.  Only a loop kernel's flushed prefix is gathered.
         gathered_live = (
             "(" + ", ".join(
                 f"{n}[{pos}]" if lane else f"_rt.gat({n}, {pos})" for n, lane in live
             )
             + ("," if len(live) == 1 else "") + ")"
         )
-        # A loop kernel's logs are runtime lists: gather them like the ledgers.
-        logs = (
-            f"[_m.sliced({pos}) for _m in rec_lat], [_m.sliced({pos}) for _m in rec_obs], "
-            f"[_s[{pos}] for _s in obs_sc], dirs[:], ops, "
-            if self.loops else ""
-        )
         em.ln(
             f"_stack.append((_sg, idx[{pos}], lw_m[{pos}], lw_g[{pos}], "
-            f"_rt.gat_led(led_m, {pos}), _rt.gat_led(led_g, {pos}), {logs}{gathered_live}))"
+            f"_rt.gat_led(led_m, {pos}), _rt.gat_led(led_g, {pos}), "
+            f"_rt.gat_pre(pre, {pos}), ops, {gathered_live}))"
         )
         em.indent -= 1
         em.ln("break")
@@ -1855,18 +1831,12 @@ class _KernelCompiler:
         lines.append("    leaves = []")
         for line in self.preamble:
             lines.append("    " + line)
-        if self.loops:
-            lines.append("    _nsp = 0")
-            lines.append(
-                "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), "
-                "[], [], [], [], [], [], 0, ())]"
-            )
-        else:
-            lines.append(
-                "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), [], [], ())]"
-            )
+        lines.append("    _nsp = 0")
+        lines.append(
+            "    _stack = [(0, np.arange(n), np.zeros(n), np.zeros(n), [], [], None, 0, ())]"
+        )
         lines.append("    while _stack:")
-        lines.append(f"        _seg, {_LOOP_STATE if self.loops else _STATE} = _stack.pop()")
+        lines.append("        _seg, idx, lw_m, lw_g, led_m, led_g, pre, ops, _live = _stack.pop()")
         lines.append("        n = idx.shape[0]")
         lines.append("        while True:")
         lines.extend(self._segment_chain())
@@ -1889,17 +1859,18 @@ class _RescoreCompiler(_KernelCompiler):
 
     Emits ``rescore(_dirs, n, obs, rec_lat, rec_obs, model_args,
     guide_args)``: the same symbolic schedule as the forward pass, but every
-    sample value is consumed from the recorded log at a statically known
-    position instead of drawn, and every fork follows ``_dirs`` (the leaf's
-    stamped path).  Communicated branch selections apply the interpretive
-    scheduler's exact ``-inf`` mismatch masking; pure branches verify the
-    re-evaluated predicate still selects the compiled arm and raise
-    :class:`~repro.compiler.batched_runtime.RescoreDivert` otherwise.
-    Segments share one function frame, so locals simply persist from parent
-    segment to arm segment — no state tuples, no worklist.  In a loop kernel
-    the log position and the fork index advance at runtime (``_lp``,
-    ``_dp``), each fork checks its arm in its own dispatch, and a back-edge
-    renames the live values to its target's names.
+    sample value is consumed from the recorded log instead of drawn, and
+    every fork follows the next turn of ``_dirs`` (the leaf's stamp).  The
+    latent-log position and the fork index advance at runtime (``_lp``,
+    ``_dp``); each fork checks its arm in its own dispatch, and a loop
+    kernel's back-edge renames the live values to its target's names.
+    Communicated branch selections apply the interpretive scheduler's exact
+    ``-inf`` mismatch masking; pure branches verify the re-evaluated
+    predicate still selects the stamped arm and raise
+    :class:`~repro.compiler.batched_runtime.RescoreDivert` otherwise, as a
+    stamp that runs out does.  Segments share one function frame, so locals
+    simply persist from parent segment to arm segment — no state tuples,
+    no worklist.
     """
 
     _seg_indent = 3
@@ -1911,17 +1882,15 @@ class _RescoreCompiler(_KernelCompiler):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        #: Statically tracked consumption position in the latent log
-        #: (an offset from ``_lp`` in a loop kernel).
+        #: Statically tracked consumption position in the latent log, as
+        #: an offset from ``_lp``.
         self._lat_pos = 0
         self.leaf_count = 0
 
     # -- emission overrides ----------------------------------------------------
 
     def _lat_at(self) -> str:
-        """The current latent-log position: static, or loop-relative to ``_lp``."""
-        if not self.loops:
-            return str(self._lat_pos)
+        """The current latent-log position, relative to ``_lp``."""
         return f"_lp + {self._lat_pos}" if self._lat_pos else "_lp"
 
     def _emit_latent_send(self, task, state, cmd, env, em):
@@ -1995,59 +1964,47 @@ class _RescoreCompiler(_KernelCompiler):
 
     # -- forking: follow the stamped path --------------------------------------
 
-    def _arm_prologue(
-        self, em: _Emitter, selection: bool, pred_var: str,
-        comm: bool, provider_sent: bool, task_name: str,
-    ) -> None:
-        if comm:
-            em.ln(
-                f'_rt.rep_dir(rec_lat, {self._lat_at()}, "{self.latent}", {selection})'
-            )
-            mismatch = self._fresh("mm")
-            em.ln(f"{mismatch} = np.not_equal({pred_var}, {selection})")
-            lw = "lw_m" if task_name == "model" else "lw_g"
-            em.ln(f"if np.any({mismatch}): {lw} = np.where({mismatch}, -np.inf, {lw})")
-        else:
-            em.ln(f"_rt.rep_pure({pred_var}, {selection})")
-
-    def _emit_dispatch(self, em, pred_var, seg_of, live, depth) -> None:
-        em.ln(f"_seg = {seg_of[True]} if _dirs[{depth}] else {seg_of[False]}")
-
     def _emit_turn(
         self, em: _Emitter, pred_var: str, seg_of: Dict[bool, int],
         live: List[Tuple[str, bool]], back: Dict[bool, List[str]],
-        comm: bool, provider_sent: bool, task_name: str,
+        comm: bool, task_name: str,
     ) -> None:
-        """A loop kernel's dispatch: follow the stamp's next turn at runtime.
+        """The dispatch: follow the stamp's next turn at runtime.
 
         The log and the path advance at runtime, and a back-edge renames this
         state's values to the target's names.  The arm check runs here, not
         in the arm segment: a back-edge enters its target from a later fork,
         and only this fork's ``pred_var`` holds that unfolding's predicate.
+        Communicated selections get the interpreter's ``-inf`` mismatch mask.
         """
         if self._lat_pos:
             em.ln(f"_lp += {self._lat_pos}")
         em.ln("_dp += 1")
-        saved, self._lat_pos = self._lat_pos, 0
         names = [n for n, _ in live]
+        lw = "lw_m" if task_name == "model" else "lw_g"
         for selection in (True, False):
             em.ln("if _rt.rep_turn(_dirs, _dp - 1):" if selection else "else:")
             em.indent += 1
-            self._arm_prologue(em, selection, pred_var, comm, provider_sent, task_name)
+            if comm:
+                em.ln(f'_rt.rep_dir(rec_lat, _lp, "{self.latent}", {selection})')
+                mismatch = self._fresh("mm")
+                em.ln(f"{mismatch} = np.not_equal({pred_var}, {selection})")
+                em.ln(f"if np.any({mismatch}): {lw} = np.where({mismatch}, -np.inf, {lw})")
+            else:
+                em.ln(f"_rt.rep_pure({pred_var}, {selection})")
             target = back.get(selection, names)
             if target != names:
                 em.ln(f"{', '.join(target)} = {', '.join(names)}")
             em.ln(f"_seg = {seg_of[selection]}")
             em.indent -= 1
-        self._lat_pos = saved
 
     def _fork(self, state, em, depth, task_name, pred_var, then_cmd, orelse_cmd,
-              env, comm, provider_sent) -> None:
+              env, comm) -> None:
         if depth >= _MAX_FORK_DEPTH:
             raise CompilationError(
                 f"compiled kernel exceeds the branch-nesting budget ({_MAX_FORK_DEPTH})"
             )
-        live = self._live_items(state) if self.loops else []
+        live = self._live_items(state)
         seg_of: Dict[bool, int] = {}
         back: Dict[bool, List[str]] = {}
         arms = []
@@ -2062,25 +2019,14 @@ class _RescoreCompiler(_KernelCompiler):
             seg_id, seg_em = self._new_segment()
             seg_of[selection] = seg_id
             arms.append((selection, arm, key, seg_id, seg_em))
-        saved = self._lat_pos
+        self._emit_turn(em, pred_var, seg_of, live, back, comm, task_name)
         for selection, arm, key, seg_id, seg_em in arms:
             # One frame, one path: locals persist into the arm, so there is
-            # no live-variable tuple to unpack here.  A loop arm's log
-            # positions count from the ``_lp`` its dispatch advanced, and
-            # its check runs in that dispatch.
-            if self.loops:
-                self._lat_pos = 0
-            else:
-                self._lat_pos = saved
-                self._arm_prologue(seg_em, selection, pred_var, comm, provider_sent, task_name)
-            if comm:
-                self._lat_pos += 1
+            # no live-variable tuple to unpack here.  The arm's log positions
+            # count from the ``_lp`` the dispatch advanced, past the
+            # selection it checked.
+            self._lat_pos = 1 if comm else 0
             self._compile_arm(arm, key, seg_id, seg_em, live, selection, depth)
-        self._lat_pos = saved
-        if self.loops:
-            self._emit_turn(em, pred_var, seg_of, live, back, comm, provider_sent, task_name)
-        else:
-            self._emit_dispatch(em, pred_var, seg_of, live, depth)
         raise _Forked()
 
     # -- assembly --------------------------------------------------------------
@@ -2094,8 +2040,7 @@ class _RescoreCompiler(_KernelCompiler):
         lines.append("    obs_sc = []")
         lines.append("    led_m = []")
         lines.append("    led_g = []")
-        if self.loops:
-            lines.append("    _lp = _dp = 0")
+        lines.append("    _lp = _dp = 0")
         lines.append("    _seg = 0")
         lines.append("    while True:")
         lines.extend(self._segment_chain())
@@ -2124,13 +2069,12 @@ class CompiledKernel:
     """A loaded compiled kernel for one model/guide pair.
 
     ``entry`` is the generated forward pass ``kernel(rng, n, obs,
-    model_args, guide_args, ledgers)``; it returns the path-stamped
-    control-flow-group leaves that
-    :class:`repro.engine.vectorize.VectorRunResult` assembles.
-    ``path_dirs[pid]`` maps a leaf's compile-time path id to its fork
-    directions; a loop kernel (``loops``) stamps each leaf with its fork
-    directions themselves, since its paths are unbounded.  The rescoring
-    pass is generated and loaded on the first :meth:`rescore` call
+    model_args, guide_args, ledgers)``; it returns the control-flow-group
+    leaves that :class:`repro.engine.vectorize.VectorRunResult` assembles,
+    each stamped (``path_id``) with its tuple of fork directions.
+    ``path_dirs`` lists the compile-time paths, one per emitted leaf; a loop
+    kernel's runtime paths unfold its back-edges and run deeper.  The
+    rescoring pass is generated and loaded on the first :meth:`rescore` call
     (``rescore_entry`` stays ``None`` until then): IS, SMC and fixed-guide
     SVI never rescore, so they never pay for it.
     """
@@ -2144,7 +2088,6 @@ class CompiledKernel:
     guide_entry: str
     latent_channel: str
     obs_channel: str
-    loops: bool = False
     rescore_entry: Optional[object] = None
 
     def run(self, rng, num_particles, obs_trace, model_args, guide_args, ledgers=True):
@@ -2165,14 +2108,8 @@ class CompiledKernel:
         """
         from repro.compiler.batched_runtime import RescoreDivert
 
-        stamp = getattr(leaf, "path_id", None)
-        if self.loops:
-            dirs = stamp if isinstance(stamp, tuple) else None
-        elif isinstance(stamp, int) and 0 <= stamp < len(self.path_dirs):
-            dirs = self.path_dirs[stamp]
-        else:
-            dirs = None
-        if dirs is None:
+        dirs = getattr(leaf, "path_id", None)
+        if not isinstance(dirs, tuple):
             raise RescoreDivert("leaf carries no compiled path stamp")
         if self.rescore_entry is None:
             # Racing threads each compile the same function; either may win.
@@ -2269,5 +2206,4 @@ def load_kernel(
         guide_entry=guide_entry,
         latent_channel=latent_channel,
         obs_channel=obs_channel,
-        loops=compiler.loops,
     )

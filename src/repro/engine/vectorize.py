@@ -985,7 +985,13 @@ class ParticleVectorizer:
             max_ops=self.max_ops,
             strict_replay=True,
         )
-        result = scheduler.run()
+        try:
+            result = scheduler.run()
+        except _SplitRequired as split:
+            raise ChannelProtocolError(
+                "rescore: a pure branch predicate diverged within the group; the "
+                "replayed execution left the recorded control path"
+            ) from split
         for name, state in scheduler.channels.items():
             if state.replay_cursor is None and state.log_pos < len(state.log):
                 raise ChannelProtocolError(

@@ -121,11 +121,13 @@ def test_recursion_can_be_disabled():
 
 
 def test_compiled_fragment_coverage():
-    """A healthy fraction of generated pairs exercises the compiled backend."""
-    compiled = 0
+    """Every generated pair compiles, recursive ones included.
+
+    A loop that stops closing falls back to the interpreter silently and
+    still passes every parity check, so coverage is the guard against it.
+    """
     for seed in range(SWEEP):
         case = generate(seed)
         session = ProgramSession.from_sources(case.model_source, case.guide_source)
-        kernel, _reason = session.compiled_kernel()
-        compiled += kernel is not None
-    assert compiled >= SWEEP // 3
+        kernel, reason = session.compiled_kernel()
+        assert kernel is not None, f"seed {seed} falls back: {reason}"

@@ -47,12 +47,14 @@ def test_mega_run_stamps_leaf_paths():
     runner = _compiled_runner()
     run = runner.run(300, np.random.default_rng(4))
     assert run.backend == "compiled"
-    pids = [leaf.path_id for leaf in run.leaves]
-    # One stamp per populated path; paths no particle took are dropped, so
-    # pids are unique and in-range but not necessarily contiguous.
-    assert len(set(pids)) == len(pids)
-    for pid in pids:
-        assert 0 <= pid < len(runner.kernel.path_dirs)
+    stamps = [leaf.path_id for leaf in run.leaves]
+    # One stamp per populated path, holding its fork directions; paths no
+    # particle took are dropped.  A loop-free kernel's paths are its
+    # compile-time paths.
+    assert len(set(stamps)) == len(stamps)
+    for stamp in stamps:
+        assert isinstance(stamp, tuple) and all(isinstance(turn, bool) for turn in stamp)
+        assert stamp in runner.kernel.path_dirs
 
 
 def test_ledger_elision_preserves_weights():
@@ -93,7 +95,7 @@ def test_rescore_pass_compiles_on_first_use():
 
 
 def test_rescore_divert_falls_back_to_interp_replay():
-    """A stamp pointing outside the kernel's path tree (e.g. a leaf from a
+    """A stamp that is not a tuple of fork directions (e.g. a leaf from a
     different program revision) diverts to the interpretive replay and
     increments the fallback metric — never crashes, never rescores the
     wrong path."""
@@ -119,8 +121,8 @@ def test_loop_kernel_stamps_leaves_with_their_fork_path():
     replay instead of reading past its end."""
     runner = _compiled_runner("ptrace")
     run = runner.run(200, np.random.default_rng(3))
-    assert runner.kernel.loops
     leaf = max(run.leaves, key=lambda item: len(item.path_id))
+    assert len(leaf.path_id) > max(len(dirs) for dirs in runner.kernel.path_dirs)
     assert all(isinstance(turn, bool) for turn in leaf.path_id)
     reference = runner.rescore_group(leaf)
     leaf.path_id = leaf.path_id[:-1]

@@ -27,6 +27,7 @@ import pytest
 
 from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
+from repro.engine import ProgramSession
 from repro.engine.params import store_from_inits
 from repro.engine.svi import (
     elbo_and_score_gradient,
@@ -177,6 +178,51 @@ def test_parameter_branch_flip_under_perturbation_is_dropped_not_fatal():
     # for the 't' coordinate — the gradient defaults to zero, finitely.
     assert float(np.asarray(estimate.grads["t"])) == 0.0
     assert np.isfinite(estimate.elbo.value)
+
+
+def test_partial_pure_branch_flip_is_dropped_on_both_backends():
+    """Regression: a pure branch on a per-particle value that flips for only
+    part of a group under the ±ε perturbation.
+
+    The replay would have to split the group, and the interpreter's internal
+    split signal escaped ``svi`` (the compiled pass diverts to that replay).
+    It is a replay mismatch like a whole-group flip: the group drops out of
+    that coordinate's gradient, identically on both backends.
+    """
+    session = ProgramSession.from_sources(
+        """
+        proc M() consume latent provide obs {
+          s <- sample.recv{latent}(Unif);
+          c <- sample.recv{latent}(Ber(0.5));
+          _ <- sample.send{obs}(Normal(s, 1.0));
+          return(s)
+        }
+        """,
+        """
+        proc G(theta: real) provide latent {
+          s <- sample.send{latent}(Unif);
+          c <- if s < theta {
+            sample.send{latent}(Ber(0.8))
+          } else {
+            sample.send{latent}(Ber(0.3))
+          };
+          return(c)
+        }
+        """,
+    )
+    answers = []
+    for backend in ("interp", "compiled"):
+        result = session.infer(
+            "svi", num_particles=2000, obs_values=[0.8], seed=0, num_steps=3,
+            guide_params={"theta": 0.5}, score_epsilon=0.05, backend=backend,
+        )
+        assert result.diagnostics()["backend"] == backend
+        answers.append(
+            (result.posterior_mean(0), result.log_evidence(),
+             result.diagnostics()["elbo_history"])
+        )
+    assert answers[0] == answers[1]
+    assert np.isfinite(answers[0][0])
 
 
 def test_gradient_of_unused_coordinate_is_zero():
