@@ -34,6 +34,7 @@ from repro.bench.snapshot import (
     GOLDEN_LIBRARY,
     family_instance_name,
     load_snapshot,
+    runnable_models,
     sweep_models,
 )
 from repro.engine.session import ProgramSession
@@ -57,7 +58,8 @@ class RunnerConfig:
     backends: Tuple[str, ...] = ("interp", "compiled")
     shards: Tuple[int, ...] = (1, 2)
     repeats: int = 2
-    #: Optional instance-name filter (None = every in-sweep snapshot entry).
+    #: Optional instance-name filter over the runnable snapshot entries
+    #: (None = every in-sweep entry).
     models: Optional[Tuple[str, ...]] = None
     fast: bool = False
 
@@ -147,6 +149,9 @@ def _point_stats(result, entry: dict) -> dict:
         }
     if sites:
         stats["sites"] = sites
+    else:
+        # No golden to score against; the site-0 mean still pins the answer.
+        stats["site0_mean"] = float(result.posterior_mean(0))
     return stats
 
 
@@ -167,11 +172,12 @@ def run_sweep(
     if wanted is None and config.fast:
         wanted = _fast_instances()
     if wanted is not None:
-        missing = sorted(set(wanted) - set(instances))
+        runnable = runnable_models(snapshot)
+        missing = sorted(set(wanted) - set(runnable))
         if missing:
-            available = ", ".join(sorted(instances))
+            available = ", ".join(runnable)
             raise ReproError(f"unknown sweep model(s) {missing}; available: {available}")
-        instances = {name: instances[name] for name in wanted}
+        instances = {name: runnable[name] for name in wanted}
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,9 +11,10 @@ byte-for-byte, so any change to a model, a family emitter, or a derivation
 shows up as an explicit snapshot diff — the NormBench discipline of dataset
 snapshots applied to model programs.
 
-Snapshot entries carry ``in_sweep`` (the runner benchmarks them) and
-``runnable`` (the pair can execute at all); ``dp`` is pinned as
-non-expressible so the registry's paper-fidelity row is versioned too.
+Snapshot entries carry ``in_sweep`` (the default sweep benchmarks them) and
+``runnable`` (the pair can execute at all, so a sweep may name it); ``dp``
+is pinned as non-expressible so the registry's paper-fidelity row is
+versioned too.
 """
 
 from __future__ import annotations
@@ -259,10 +260,15 @@ def load_snapshot(path: Optional[Path] = None) -> dict:
     return data
 
 
-def sweep_models(snapshot: dict) -> Dict[str, dict]:
-    """The snapshot entries the default sweep benchmarks, in name order."""
+def runnable_models(snapshot: dict) -> Dict[str, dict]:
+    """Every snapshot entry whose pair can execute, in name order."""
     return {
         name: entry
         for name, entry in sorted(snapshot["models"].items())
-        if entry.get("in_sweep") and entry.get("runnable")
+        if entry.get("runnable")
     }
+
+
+def sweep_models(snapshot: dict) -> Dict[str, dict]:
+    """The snapshot entries the default sweep benchmarks, in name order."""
+    return {name: entry for name, entry in runnable_models(snapshot).items() if entry.get("in_sweep")}

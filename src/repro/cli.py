@@ -878,8 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--repeats", type=int, default=None,
                        help="best-of-N wall-time repeats per point")
     p_run.add_argument("--models", default=None,
-                       help="comma-separated snapshot instance filter "
-                            "(e.g. weight,hmm_chain/8)")
+                       help="comma-separated runnable snapshot entries "
+                            "(default the in-sweep set; e.g. weight,hmm_chain/8,jump)")
     p_run.add_argument("--snapshot", default=None, metavar="PATH",
                        help="snapshot file to sweep (default bench/snapshots/v1.json)")
     p_run.add_argument("--quiet", action="store_true",

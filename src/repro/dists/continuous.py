@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln
 
 from repro.core import types as ty
 from repro.dists.base import (
@@ -61,15 +61,11 @@ def normal_log_prob_inbounds(mean, stddev, x: np.ndarray) -> np.ndarray:
 
 def gamma_log_prob_inbounds(shape, rate, x: np.ndarray) -> np.ndarray:
     """``gamma_log_prob_kernel`` for values known to be finite and positive."""
-    from scipy.special import gammaln
-
     return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
 
 
 def beta_log_prob_inbounds(alpha, beta, x: np.ndarray) -> np.ndarray:
     """``beta_log_prob_kernel`` for values known to lie in the open (0, 1)."""
-    from scipy.special import gammaln
-
     log_beta_fn = gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta)
     return (alpha - 1.0) * np.log(x) + (beta - 1.0) * np.log1p(-x) - log_beta_fn
 
@@ -80,8 +76,6 @@ def uniform01_log_prob_inbounds(x: np.ndarray) -> np.ndarray:
 
 
 def gamma_log_prob_kernel(shape, rate, x: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
     ok = np.isfinite(x) & (x > 0.0)
     v = np.where(ok, x, 1.0)
     with np.errstate(over="ignore"):
@@ -90,8 +84,6 @@ def gamma_log_prob_kernel(shape, rate, x: np.ndarray) -> np.ndarray:
 
 
 def beta_log_prob_kernel(alpha, beta, x: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
     ok = (x > 0.0) & (x < 1.0)
     v = np.where(ok, x, 0.5)
     log_beta_fn = gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta)
@@ -316,9 +308,9 @@ class Uniform01(Distribution):
 class TruncatedNormal(Distribution):
     """Normal distribution truncated to an interval.
 
-    Not part of the core calculus; used by a few handwritten mini-Pyro
-    baselines (e.g. proposing positive-valued latents) and exposed here for
-    completeness of the substrate.
+    Outside the calculus (no ``DistKind`` names it) and used only by the
+    tests.  Its methods import ``scipy.stats`` on first use, so no request
+    path pays for loading it.
     """
 
     name = "TruncatedNormal"
@@ -344,38 +336,42 @@ class TruncatedNormal(Distribution):
         return ty.REAL
 
     def sample(self, rng: np.random.Generator) -> float:
+        from scipy.stats import truncnorm
+
         u = rng.random()
-        return float(
-            stats.truncnorm.ppf(u, self._a, self._b, loc=self.mean, scale=self.stddev)
-        )
+        return float(truncnorm.ppf(u, self._a, self._b, loc=self.mean, scale=self.stddev))
 
     def log_prob(self, value) -> float:
         if not self.in_support(value):
             return -math.inf
+        from scipy.stats import truncnorm
+
         return float(
-            stats.truncnorm.logpdf(
-                float(value), self._a, self._b, loc=self.mean, scale=self.stddev
-            )
+            truncnorm.logpdf(float(value), self._a, self._b, loc=self.mean, scale=self.stddev)
         )
 
     def in_support(self, value) -> bool:
         return is_real_number(value) and self.low < float(value) < self.high
 
     def expected_value(self) -> float:
-        return float(
-            stats.truncnorm.mean(self._a, self._b, loc=self.mean, scale=self.stddev)
-        )
+        from scipy.stats import truncnorm
+
+        return float(truncnorm.mean(self._a, self._b, loc=self.mean, scale=self.stddev))
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        from scipy.stats import truncnorm
+
         u = rng.random(int(n))
-        return stats.truncnorm.ppf(u, self._a, self._b, loc=self.mean, scale=self.stddev)
+        return truncnorm.ppf(u, self._a, self._b, loc=self.mean, scale=self.stddev)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)
         if arr is None:
             return super().log_prob_batch(values)
+        from scipy.stats import truncnorm
+
         ok = (arr > self.low) & (arr < self.high)
-        lp = stats.truncnorm.logpdf(
+        lp = truncnorm.logpdf(
             np.where(ok, arr, 0.5 * (self.low + self.high)),
             self._a, self._b, loc=self.mean, scale=self.stddev,
         )

@@ -6,6 +6,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from repro.core import types as ty
 from repro.dists.base import (
@@ -42,8 +43,6 @@ def geometric_log_prob_kernel(p, x: np.ndarray) -> np.ndarray:
 
 
 def poisson_log_prob_kernel(rate, x: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
     ok = _integral_batch(x) & (x >= 0)
     k = np.where(ok, x, 0.0)
     with np.errstate(over="ignore"):
@@ -67,8 +66,6 @@ def geometric_log_prob_inbounds(p, x: np.ndarray) -> np.ndarray:
 
 def poisson_log_prob_inbounds(rate, x: np.ndarray) -> np.ndarray:
     """``poisson_log_prob_kernel`` for values known to be naturals."""
-    from scipy.special import gammaln
-
     # No errstate here: the compiled kernels hold one per-run
     # ``errstate(over="ignore")`` (see repro.dists.continuous).
     return x * np.log(rate) - rate - gammaln(x + 1.0)

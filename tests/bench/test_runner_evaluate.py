@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -91,6 +92,23 @@ def test_unknown_model_filter_is_a_repro_error(tmp_path):
 
     with pytest.raises(ReproError, match="unknown sweep model"):
         run_sweep(dataclasses.replace(TINY, models=("nope",)), tmp_path / "x")
+
+
+def test_models_filter_reaches_runnable_entries_outside_the_sweep(tmp_path):
+    """Any runnable snapshot entry can be named; one without a golden
+    records its site-0 mean, so fixed-seed answers still compare."""
+    import dataclasses
+
+    config = dataclasses.replace(TINY, particles=(60,), models=("jump",))
+    first = run_sweep(config, tmp_path / "a")
+    (point,) = first["points"]
+    assert point["model"] == "jump"
+    assert "sites" not in point["stats"]
+    assert math.isfinite(point["stats"]["site0_mean"])
+    again = run_sweep(config, tmp_path / "b")
+    assert _strip_walls(again["points"]) == _strip_walls(first["points"])
+    with pytest.raises(ReproError, match="unknown sweep model"):
+        run_sweep(dataclasses.replace(TINY, models=("dp",)), tmp_path / "c")
 
 
 def test_fast_config_covers_issue_floor(tmp_path):
