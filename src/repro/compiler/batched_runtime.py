@@ -5,11 +5,12 @@ pair, one Python function over ``(rng, n)`` that resolves every sample site
 with a single batched call and accumulates per-particle log-weights in
 arrays.  This module is the emitted code's standard library: expression
 helpers that mirror the vectorized evaluator's semantics
-(:func:`repro.engine.vectorize.eval_expr_vec`), per-family sample and score
-helpers that consume the RNG and compute densities *bitwise identically* to
-the interpretive runtime's :class:`~repro.engine.batched.BatchedDist`, the
-gathers that split divergent particle groups, and the replay helpers of the
-compiled rescore pass.
+(:func:`repro.engine.vectorize.eval_expr_vec`), generic distribution helpers,
+the gathers that split divergent particle groups, and the replay helpers of
+the compiled rescore pass.  Each family's parameter checks, sampler and
+density kernels are written once, in :data:`repro.dists.FAMILIES`: the
+interpretive runtime's :class:`~repro.engine.batched.BatchedDist` and the
+compiled kernels both read that table.
 
 Bitwise contract
 ----------------
@@ -28,9 +29,10 @@ freedom are exploited, none of which change results:
   NumPy scalar-array arithmetic broadcasts to the same lanewise values;
 * loop-invariant scalar subexpressions are hoisted and computed once.
 
-The RNG stream is pinned by always issuing exactly the draw calls
-:class:`~repro.engine.batched.BatchedDist` would issue, with the same
-scalar-vs-array parameter dispatch.
+The RNG stream and the densities match by construction: a kernel calls the
+family record's ``draw`` and kernels that
+:class:`~repro.engine.batched.BatchedDist` calls, with shared parameters
+taken from the same scalar distribution.
 """
 
 from __future__ import annotations
@@ -43,24 +45,8 @@ import numpy as np
 from repro.core import ast
 from repro.core.semantics import traces as tr
 from repro.dists.base import Distribution
-from repro.dists.continuous import (
-    beta_log_prob_inbounds,
-    beta_log_prob_kernel,
-    gamma_log_prob_inbounds,
-    gamma_log_prob_kernel,
-    normal_log_prob_inbounds,
-    normal_log_prob_kernel,
-    uniform01_log_prob_inbounds,
-    uniform01_log_prob_kernel,
-)
-from repro.dists.discrete import (
-    bernoulli_log_prob_kernel,
-    geometric_log_prob_inbounds,
-    geometric_log_prob_kernel,
-    poisson_log_prob_inbounds,
-    poisson_log_prob_kernel,
-)
-from repro.engine.batched import BatchedDist, _require_all
+from repro.dists.families import FAMILIES, Family
+from repro.engine.batched import BatchedDist, check_param, score_lanes
 from repro.engine.vectorize import (
     DEFAULT_MAX_OPS,
     DEFAULT_MAX_SPLITS,
@@ -77,15 +63,15 @@ from repro.errors import ChannelProtocolError, EvaluationError, TraceExhausted, 
 __all__ = [
     "DEFAULT_MAX_OPS",
     "DEFAULT_MAX_SPLITS",
+    "FAMILIES",
     "as_bool",
     "bind_args",
+    "check_param",
     "op_budget_error",
+    "score_lanes",
     "split_budget_error",
     "uniform_or_none",
 ]
-
-_ULP0 = math.ulp(0.0)
-_CLIP_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +197,14 @@ def proj(value: object, index: int) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Distribution construction (generic paths — exact BatchedDist parity)
+# Distributions
+#
+# The kernel preamble binds a family's record from :data:`FAMILIES` and its
+# ``draw`` and ``log_prob_inbounds``, and calls them directly.  The generic
+# helpers below cover the rest: distributions built at run time (exact
+# BatchedDist parity), the per-parameter check (``check_param``) and the
+# masked lane scorer (``score_lanes``) that BatchedDist itself uses, and the
+# scorer of one replayed scalar observation.
 # ---------------------------------------------------------------------------
 
 
@@ -232,11 +225,9 @@ def as_batched(value: object, n: int) -> BatchedDist:
     raise EvaluationError(f"sample command expects a distribution, got {value!r}")
 
 
-def scalar_dist(kind: ast.DistKind, args: Sequence[object]) -> Distribution:
+def scalar_dist(family: Family, args: Sequence[object]) -> Distribution:
     """Mirror ``BatchedDist``'s shared-parameter construction exactly."""
-    from repro.dists.factory import make_distribution
-
-    return make_distribution(kind, [float(a) for a in args])
+    return family.build([float(a) for a in args])
 
 
 def score_scalar(dist: Distribution, value: object, n: int) -> np.ndarray:
@@ -256,290 +247,26 @@ def score_dist(dist: BatchedDist, value: object, n: int) -> np.ndarray:
     return dist.log_prob(_broadcast_values(value, n))
 
 
-# ---------------------------------------------------------------------------
-# Per-family parameter checks (mirror BatchedDist._validate lanewise)
-# ---------------------------------------------------------------------------
+_SCALARS = (int, float, np.integer, np.floating, np.bool_)
 
 
-def chk_normal(mean, stddev) -> None:
-    _require_all(np.isfinite(mean), ast.DistKind.NORMAL, "mean must be a finite real")
-    _require_all(
-        np.isfinite(stddev) & (np.asarray(stddev) > 0.0),
-        ast.DistKind.NORMAL,
-        "stddev must be positive",
-    )
+def score_obs(family: Family, params: Sequence[object], y: object, n: int) -> np.ndarray:
+    """Score one replayed scalar observation ``y`` against the whole group.
 
-
-def chk_gamma(shape, rate) -> None:
-    _require_all(
-        np.isfinite(shape) & (np.asarray(shape) > 0.0),
-        ast.DistKind.GAMMA,
-        "shape must be positive",
-    )
-    _require_all(
-        np.isfinite(rate) & (np.asarray(rate) > 0.0),
-        ast.DistKind.GAMMA,
-        "rate must be positive",
-    )
-
-
-def chk_beta(alpha, beta) -> None:
-    _require_all(
-        np.isfinite(alpha) & (np.asarray(alpha) > 0.0),
-        ast.DistKind.BETA,
-        "alpha must be positive",
-    )
-    _require_all(
-        np.isfinite(beta) & (np.asarray(beta) > 0.0),
-        ast.DistKind.BETA,
-        "beta must be positive",
-    )
-
-
-def chk_unit(kind: ast.DistKind, p) -> None:
-    p = np.asarray(p)
-    _require_all((p > 0.0) & (p < 1.0), kind, "p must lie in (0, 1)")
-
-
-def chk_pois(rate) -> None:
-    _require_all(
-        np.isfinite(rate) & (np.asarray(rate) > 0.0),
-        ast.DistKind.POIS,
-        "rate must be positive",
-    )
-
-
-# Single-parameter variants: when provenance proves one parameter of a
-# two-parameter family, only the other needs its check.
-# Each reproduces the corresponding ``_require_all`` call of the combined
-# ``chk_*`` above verbatim (same predicate, same message), so skipping a
-# *proven* parameter's check is unobservable — a proven parameter passes it
-# by construction.
-
-
-def chk_normal_mean(mean) -> None:
-    _require_all(np.isfinite(mean), ast.DistKind.NORMAL, "mean must be a finite real")
-
-
-def chk_normal_stddev(stddev) -> None:
-    _require_all(
-        np.isfinite(stddev) & (np.asarray(stddev) > 0.0),
-        ast.DistKind.NORMAL,
-        "stddev must be positive",
-    )
-
-
-def chk_gamma_shape(shape) -> None:
-    _require_all(
-        np.isfinite(shape) & (np.asarray(shape) > 0.0),
-        ast.DistKind.GAMMA,
-        "shape must be positive",
-    )
-
-
-def chk_gamma_rate(rate) -> None:
-    _require_all(
-        np.isfinite(rate) & (np.asarray(rate) > 0.0),
-        ast.DistKind.GAMMA,
-        "rate must be positive",
-    )
-
-
-def chk_beta_alpha(alpha) -> None:
-    _require_all(
-        np.isfinite(alpha) & (np.asarray(alpha) > 0.0),
-        ast.DistKind.BETA,
-        "alpha must be positive",
-    )
-
-
-def chk_beta_beta(beta) -> None:
-    _require_all(
-        np.isfinite(beta) & (np.asarray(beta) > 0.0),
-        ast.DistKind.BETA,
-        "beta must be positive",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-family batched samplers (array-parameter fast paths)
-#
-# Each mirrors the corresponding branch of ``BatchedDist.sample`` verbatim so
-# the RNG stream is consumed identically; parameters arrive unbroadcast
-# (scalars stay scalar), which NumPy's generators treat identically.
-# ---------------------------------------------------------------------------
-
-
-def samp_normal(rng: np.random.Generator, n: int, mean, stddev) -> np.ndarray:
-    return rng.normal(mean, stddev, size=n)
-
-
-def samp_gamma(rng: np.random.Generator, n: int, shape, rate) -> np.ndarray:
-    return np.maximum(rng.gamma(shape, 1.0 / rate, size=n), _ULP0)
-
-
-def samp_beta(rng: np.random.Generator, n: int, alpha, beta) -> np.ndarray:
-    return np.clip(rng.beta(alpha, beta, size=n), _CLIP_EPS, 1.0 - _CLIP_EPS)
-
-
-def samp_unif(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.clip(rng.random(n), _CLIP_EPS, 1.0 - _CLIP_EPS)
-
-
-def samp_ber(rng: np.random.Generator, n: int, p) -> np.ndarray:
-    return rng.random(n) < p
-
-
-def samp_geo(rng: np.random.Generator, n: int, p) -> np.ndarray:
-    return rng.geometric(p, size=n) - 1
-
-
-def samp_pois(rng: np.random.Generator, n: int, rate) -> np.ndarray:
-    return rng.poisson(rate, size=n)
-
-
-# ---------------------------------------------------------------------------
-# Per-family score helpers
-#
-# ``score_<family>_in`` requires the value's provenance to prove support
-# membership (codegen only emits it then); ``score_<family>_full`` replicates
-# the masked kernel path for arbitrary float batches; the ``*_at`` variants
-# score one shared scalar value (a replayed observation) against the whole
-# group, skipping the interpreter's ``np.full`` broadcast when the scalar is
-# representative.  All fall back to the exact BatchedDist path on any input
-# the fast expressions do not cover (bools, exotic payloads).
-# ---------------------------------------------------------------------------
-
-
-def _is_plain_number(value: object) -> bool:
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    return isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _fallback_score(kind: ast.DistKind, params: Sequence[object], value, n: int) -> np.ndarray:
-    return score_dist(make_batched(kind, params, n), value, n)
-
-
-def _spread(lp, ok: bool, n: int) -> np.ndarray:
-    """Lift a scalar lane value to the group, mirroring the masked where."""
-    if not ok:
-        return np.full(n, -np.inf)
-    if np.ndim(lp) == 0:
-        return np.full(n, lp)
-    return lp
-
-
-def score_normal_in(mean, stddev, x) -> np.ndarray:
-    return normal_log_prob_inbounds(mean, stddev, x)
-
-
-def score_normal_at(mean, stddev, y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.NORMAL, (mean, stddev), y, n)
-    ok = bool(np.isfinite(y))
-    lp = normal_log_prob_inbounds(mean, stddev, y if ok else 0.0)
-    return _spread(lp, ok, n)
-
-
-def score_gamma_in(shape, rate, x) -> np.ndarray:
-    return gamma_log_prob_inbounds(shape, rate, x)
-
-
-def score_gamma_at(shape, rate, y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.GAMMA, (shape, rate), y, n)
-    ok = bool(np.isfinite(y)) and y > 0.0
-    lp = gamma_log_prob_inbounds(shape, rate, y if ok else 1.0)
-    return _spread(lp, ok, n)
-
-
-def score_beta_in(alpha, beta, x) -> np.ndarray:
-    return beta_log_prob_inbounds(alpha, beta, x)
-
-
-def score_beta_at(alpha, beta, y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.BETA, (alpha, beta), y, n)
-    ok = 0.0 < y < 1.0
-    lp = beta_log_prob_inbounds(alpha, beta, y if ok else 0.5)
-    return _spread(lp, ok, n)
-
-
-def score_unif_in(x) -> np.ndarray:
-    return uniform01_log_prob_inbounds(x)
-
-
-def score_unif_at(y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.UNIF, (), y, n)
-    return np.full(n, 0.0 if 0.0 < y < 1.0 else -np.inf)
-
-
-def score_ber_in(p, x) -> np.ndarray:
-    return bernoulli_log_prob_kernel(p, x)
-
-
-def score_ber_at(p, y, n: int) -> np.ndarray:
-    if not isinstance(y, (bool, np.bool_)):
-        return _fallback_score(ast.DistKind.BER, (p,), y, n)
-    lp = np.log(p) if y else np.log1p(-p)
-    return _spread(lp, True, n)
-
-
-def score_geo_in(p, x) -> np.ndarray:
-    return geometric_log_prob_inbounds(p, x)
-
-
-def score_geo_at(p, y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.GEO, (p,), y, n)
-    ok = bool(np.isfinite(y)) and float(y).is_integer() and y >= 0
-    lp = geometric_log_prob_inbounds(p, float(y) if ok else 0.0)
-    return _spread(lp, ok, n)
-
-
-def score_pois_in(rate, x) -> np.ndarray:
-    return poisson_log_prob_inbounds(rate, x)
-
-
-def score_pois_at(rate, y, n: int) -> np.ndarray:
-    if not _is_plain_number(y):
-        return _fallback_score(ast.DistKind.POIS, (rate,), y, n)
-    ok = bool(np.isfinite(y)) and float(y).is_integer() and y >= 0
-    lp = poisson_log_prob_inbounds(rate, float(y) if ok else 0.0)
-    return _spread(lp, ok, n)
-
-
-_FULL_KERNELS = {
-    ast.DistKind.NORMAL: normal_log_prob_kernel,
-    ast.DistKind.GAMMA: gamma_log_prob_kernel,
-    ast.DistKind.BETA: beta_log_prob_kernel,
-    ast.DistKind.GEO: geometric_log_prob_kernel,
-    ast.DistKind.POIS: poisson_log_prob_kernel,
-}
-
-
-def score_full(kind: ast.DistKind, params: Sequence[object], value, n: int) -> np.ndarray:
-    """Masked-kernel scoring for values of unknown provenance.
-
-    Mirrors ``BatchedDist.log_prob``'s array-parameter dispatch, including the
-    dtype screens that shunt Boolean/object batches to the exact scalar loop.
+    When ``y`` is a plain value of the family's type, the family's
+    ``observed`` guard settles support membership once and the in-bounds
+    kernel scores ``y`` itself, skipping the interpreter's ``np.full``
+    broadcast; anything else takes the exact BatchedDist path.
     """
-    arr = np.asarray(value)
-    if kind is ast.DistKind.BER:
-        if arr.dtype.kind != "b":
-            return _fallback_score(kind, params, value, n)
-        return bernoulli_log_prob_kernel(params[0], arr)
-    if arr.dtype == object or arr.dtype.kind == "b":
-        return _fallback_score(kind, params, value, n)
-    x = arr.astype(float, copy=False)
-    if kind is ast.DistKind.UNIF:
-        return uniform01_log_prob_kernel(x)
-    kernel = _FULL_KERNELS.get(kind)
-    if kernel is None:
-        return _fallback_score(kind, params, value, n)
-    return kernel(*params, x)
+    boolean = "bool" in family.proves
+    if not isinstance(y, _SCALARS) or isinstance(y, (bool, np.bool_)) != boolean:
+        return score_dist(make_batched(family.kind, params, n), y, n)
+    if family.observed is not None:
+        y = family.observed(y)
+        if y is None:
+            return np.full(n, -np.inf)
+    lp = family.log_prob_inbounds(*params, y)
+    return np.full(n, lp) if lp.ndim == 0 else lp
 
 
 # ---------------------------------------------------------------------------

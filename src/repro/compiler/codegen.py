@@ -26,7 +26,6 @@ section comment there).
 
 from __future__ import annotations
 
-import math
 import re
 import textwrap
 import types
@@ -36,18 +35,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core import ast
+from repro.dists.families import FAMILIES, Constraint, Family
 from repro.errors import CompilationError
-
-_DIST_CONSTRUCTORS = {
-    ast.DistKind.BER: "Bernoulli",
-    ast.DistKind.UNIF: "Uniform01",
-    ast.DistKind.BETA: "Beta",
-    ast.DistKind.GAMMA: "Gamma",
-    ast.DistKind.NORMAL: "Normal",
-    ast.DistKind.CAT: "Categorical",
-    ast.DistKind.GEO: "Geometric",
-    ast.DistKind.POIS: "Poisson",
-}
 
 _BINOPS = {
     ast.BinOp.ADD: "+",
@@ -141,12 +130,11 @@ def compile_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Proj):
         return f"({compile_expr(expr.tuple_expr)})[{expr.index}]"
     if isinstance(expr, ast.DistExpr):
-        constructor = _DIST_CONSTRUCTORS[expr.kind]
-        if expr.kind is ast.DistKind.CAT:
-            weights = ", ".join(compile_expr(a) for a in expr.args)
-            return f"{constructor}([{weights}])"
+        family = FAMILIES[expr.kind]
         args = ", ".join(compile_expr(a) for a in expr.args)
-        return f"{constructor}({args})"
+        if family.params is None:  # variadic: Categorical takes a weight list
+            args = f"[{args}]"
+        return f"{family.cls.__name__}({args})"
     raise CompilationError(f"cannot compile expression node {expr!r}")
 
 
@@ -440,74 +428,6 @@ def svi(obs_values=None, num_steps=50, num_particles=2, learning_rate=0.05, seed
 # identity).  See :mod:`repro.compiler.batched_runtime` for the contract.
 
 
-_FAMILY_VALUE_FLAGS = {
-    ast.DistKind.NORMAL: frozenset({"finite"}),
-    ast.DistKind.GAMMA: frozenset({"finite", "positive"}),
-    ast.DistKind.BETA: frozenset({"finite", "positive", "unit"}),
-    ast.DistKind.UNIF: frozenset({"finite", "positive", "unit"}),
-    ast.DistKind.BER: frozenset({"bool"}),
-    ast.DistKind.GEO: frozenset({"finite", "nat"}),
-    ast.DistKind.POIS: frozenset({"finite", "nat"}),
-    ast.DistKind.CAT: frozenset({"finite", "nat"}),
-}
-
-#: Families with specialized array-parameter sample/score helpers.
-_FAST_FAMILIES = {
-    ast.DistKind.NORMAL: "normal",
-    ast.DistKind.GAMMA: "gamma",
-    ast.DistKind.BETA: "beta",
-    ast.DistKind.UNIF: "unif",
-    ast.DistKind.BER: "ber",
-    ast.DistKind.GEO: "geo",
-    ast.DistKind.POIS: "pois",
-}
-
-#: Provenance flag each parameter must carry for the family's validation
-#: to be skippable (``BatchedDist._validate`` becomes a no-op).
-_PARAM_PROOF = {
-    ast.DistKind.NORMAL: ("finite", "positive"),
-    ast.DistKind.GAMMA: ("positive", "positive"),
-    ast.DistKind.BETA: ("positive", "positive"),
-    ast.DistKind.UNIF: (),
-    ast.DistKind.BER: ("unit",),
-    ast.DistKind.GEO: ("unit",),
-    ast.DistKind.POIS: ("positive",),
-}
-
-#: Value-provenance flag that licenses the in-bounds score kernel.
-_SCORE_PROOF = {
-    ast.DistKind.NORMAL: "finite",
-    ast.DistKind.GAMMA: "positive",
-    ast.DistKind.BETA: "unit",
-    ast.DistKind.UNIF: "unit",
-    ast.DistKind.BER: "bool",
-    ast.DistKind.GEO: "nat",
-    ast.DistKind.POIS: "nat",
-}
-
-_CHK_FN = {
-    ast.DistKind.NORMAL: "chk_normal",
-    ast.DistKind.GAMMA: "chk_gamma",
-    ast.DistKind.BETA: "chk_beta",
-    ast.DistKind.BER: 'chk_unit',
-    ast.DistKind.GEO: 'chk_unit',
-    ast.DistKind.POIS: "chk_pois",
-}
-
-#: Per-parameter check helpers for the granular-check tier: ``(kind, index)``
-#: → runtime helper that reproduces exactly that parameter's share of the
-#: combined ``_CHK_FN`` check.  Single-parameter families reuse the combined
-#: helper.
-_CHK_PARAM_FN = {
-    (ast.DistKind.NORMAL, 0): "chk_normal_mean",
-    (ast.DistKind.NORMAL, 1): "chk_normal_stddev",
-    (ast.DistKind.GAMMA, 0): "chk_gamma_shape",
-    (ast.DistKind.GAMMA, 1): "chk_gamma_rate",
-    (ast.DistKind.BETA, 0): "chk_beta_alpha",
-    (ast.DistKind.BETA, 1): "chk_beta_beta",
-    (ast.DistKind.POIS, 0): "chk_pois",
-}
-
 _MAX_FORK_DEPTH = 16
 _MAX_KERNEL_LINES = 50_000
 
@@ -536,29 +456,19 @@ class _Sym:
         return "lane" in self.flags
 
 
-def _const_satisfies(sym: _Sym, requirement: str) -> bool:
-    if not sym.is_const or not isinstance(sym.value, (int, float)) or isinstance(sym.value, bool):
-        return False
-    v = float(sym.value)
-    if not math.isfinite(v):
-        return False
-    if requirement == "finite":
-        return True
-    if requirement == "positive":
-        return v > 0.0
-    if requirement == "unit":
-        return 0.0 < v < 1.0
-    return False
-
-
-def _param_proven(sym: _Sym, requirement: str) -> bool:
+def _param_proven(sym: _Sym, constraint: Constraint) -> bool:
+    """Whether ``sym``'s provenance or literal value discharges ``constraint``."""
+    requirement = constraint.flag
     if requirement in sym.flags:
         return True
     if requirement == "finite" and ("positive" in sym.flags or "unit" in sym.flags or "nat" in sym.flags):
         return True
     if requirement == "positive" and "unit" in sym.flags:
         return True
-    return _const_satisfies(sym, requirement)
+    value = sym.value
+    if not sym.is_const or not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return bool(constraint.holds(float(value)))
 
 
 @dataclass
@@ -894,6 +804,11 @@ def _compile_primop_vec(expr: ast.PrimOp, env: Mapping[str, _Sym]) -> _Sym:
 # ---------------------------------------------------------------------------
 
 
+def _tuple_code(codes) -> str:
+    """Python source for a tuple of the expressions ``codes``."""
+    return "(" + ", ".join(codes) + ("," if len(codes) == 1 else "") + ")"
+
+
 def _atomic(code: str) -> bool:
     if _IDENT_RE.match(code) or code in ("None", "True", "False"):
         return True
@@ -1011,10 +926,16 @@ class _Emitter:
 
 @dataclass
 class _DistInfo:
-    """How one distribution expression is realised in the compiled kernel."""
+    """How one distribution expression is realised in the compiled kernel.
+
+    ``const``: shared parameters, a scalar distribution ``name`` bound in the
+    preamble, whose parameters ``args`` reads; ``fast``: lane parameters
+    ``args`` handed to the family's functions; ``generic``: a
+    ``BatchedDist`` ``name`` built at run time.
+    """
 
     mode: str  # "const" | "fast" | "generic"
-    kind: Optional[ast.DistKind]
+    family: Optional[Family]
     name: Optional[str]
     args: List[str]
     value_flags: frozenset
@@ -1082,6 +1003,7 @@ class _KernelCompiler:
         self.names = _NameSupply()
         self.preamble: List[str] = []
         self._const_dists: Dict[Tuple[ast.DistKind, Tuple[str, ...]], str] = {}
+        self._family_locals: Dict[ast.DistKind, str] = {}
         model_proc = model_program.procedure(model_entry)
         self.has_obs = model_proc.provides == obs_channel
         self.segments: List[List[str]] = []
@@ -1124,18 +1046,27 @@ class _KernelCompiler:
         # to the preamble — a NameError at kernel load.)
         return _Sym(name, sym.flags - {"const"}, sym.value)
 
-    def _const_dist(self, kind: ast.DistKind, arg_codes: Tuple[str, ...]) -> str:
-        key = (kind, arg_codes)
+    def _const_dist(self, family: Family, arg_codes: Tuple[str, ...]) -> str:
+        key = (family.kind, arg_codes)
         if key not in self._const_dists:
             name = f"_D{len(self._const_dists)}"
-            args = ", ".join(arg_codes)
-            if len(arg_codes) == 1:
-                args += ","
-            self.preamble.append(
-                f"{name} = _rt.scalar_dist(DistKind.{kind.name}, ({args}))"
-            )
+            local = self._family_local(family)
+            self.preamble.append(f"{name} = _rt.scalar_dist({local}, {_tuple_code(arg_codes)})")
             self._const_dists[key] = name
         return self._const_dists[key]
+
+    def _family_local(self, family: Family) -> str:
+        """The preamble's name for ``family``'s record; ``<name>_draw`` and
+        ``<name>_in`` hold its sampler and in-bounds kernel, if it has them."""
+        name = self._family_locals.get(family.kind)
+        if name is None:
+            name = f"_{family.kind.name.lower()}"
+            self.preamble.append(f"{name} = _rt.FAMILIES[DistKind.{family.kind.name}]")
+            if family.draw is not None:
+                self.preamble.append(f"{name}_draw = {name}.draw")
+                self.preamble.append(f"{name}_in = {name}.log_prob_inbounds")
+            self._family_locals[family.kind] = name
+        return name
 
     # -- distribution-site realisation ----------------------------------------
 
@@ -1146,93 +1077,60 @@ class _KernelCompiler:
             em.ln(f"{name} = _rt.as_batched({sym.code}, n)")
             return _DistInfo("generic", None, name, [], frozenset({"lane"}))
 
-        kind = dist_expr.kind
+        family = FAMILIES[dist_expr.kind]
         arg_syms = [_compile_expr_vec(a, env) for a in dist_expr.args]
-        value_flags = _FAMILY_VALUE_FLAGS[kind] | {"lane"}
+        value_flags = family.proves | {"lane"}
 
         if all(s.is_const for s in arg_syms):
-            name = self._const_dist(kind, tuple(s.code for s in arg_syms))
-            return _DistInfo("const", kind, name, [s.code for s in arg_syms], value_flags)
+            name = self._const_dist(family, tuple(s.code for s in arg_syms))
+            args = [f"{name}.{param.name}" for param in family.params or ()]
+            return _DistInfo("const", family, name, args, value_flags)
 
-        if kind in _FAST_FAMILIES and any(s.is_lane for s in arg_syms):
+        if (
+            family.draw is not None
+            and len(arg_syms) == len(family.params)
+            and any(s.is_lane for s in arg_syms)
+        ):
             mat = [self._materialize(em, s, "p") for s in arg_syms]
-            requirements = _PARAM_PROOF[kind]
-            sized = len(requirements) == len(mat)
-            proofs = [
-                sized and _param_proven(s, req)
-                for s, req in zip(mat, requirements)
-            ]
-            if not (sized and all(proofs)):
-                self._emit_dist_checks(em, kind, mat, proofs if sized else [])
-            return _DistInfo("fast", kind, None, [s.code for s in mat], value_flags)
+            local = self._family_local(family)
+            # Check only the parameters no provenance proof discharges.
+            for index, (sym, param) in enumerate(zip(mat, family.params)):
+                if not _param_proven(sym, param.constraint):
+                    em.ln(f"_rt.check_param({local}, {index}, {sym.code}, n)")
+            return _DistInfo("fast", family, None, [s.code for s in mat], value_flags)
 
+        return self._generic_dist(em, family, [s.code for s in arg_syms], value_flags)
+
+    def _generic_dist(
+        self, em: _Emitter, family: Family, args: List[str], value_flags: frozenset
+    ) -> _DistInfo:
         name = self._fresh("d")
-        args = ", ".join(s.code for s in arg_syms)
-        if len(arg_syms) == 1:
-            args += ","
-        em.ln(f"{name} = _rt.make_batched(DistKind.{kind.name}, ({args}), n)")
-        return _DistInfo("generic", kind, name, [s.code for s in arg_syms], value_flags)
+        em.ln(f"{name} = _rt.make_batched(DistKind.{family.kind.name}, {_tuple_code(args)}, n)")
+        return _DistInfo("generic", family, name, args, value_flags)
 
-    def _emit_dist_checks(
-        self, em: _Emitter, kind: ast.DistKind, mat: List[_Sym], proofs: List[bool]
-    ) -> None:
-        """Check the parameters no provenance proof discharges.
-
-        With one proof per parameter, each unproven parameter gets its own
-        check (``chk_normal_mean`` et al.); otherwise the family's combined
-        check runs.
-        """
-        if proofs:
-            for index, (sym, proven) in enumerate(zip(mat, proofs)):
-                if proven:
-                    continue
-                helper = _CHK_PARAM_FN.get((kind, index))
-                if helper is not None:
-                    em.ln(f"_rt.{helper}({sym.code})")
-                elif _CHK_FN.get(kind) == "chk_unit":
-                    em.ln(f"_rt.chk_unit(DistKind.{kind.name}, {sym.code})")
-            return
-        chk = _CHK_FN.get(kind)
-        if chk == "chk_unit":
-            em.ln(f"_rt.chk_unit(DistKind.{kind.name}, {mat[0].code})")
-        elif chk is not None:
-            em.ln(f"_rt.{chk}({', '.join(s.code for s in mat)})")
-
-    @staticmethod
-    def _draw_code(info: _DistInfo) -> str:
-        if info.mode == "const":
+    def _draw_code(self, info: _DistInfo) -> str:
+        if info.mode == "generic":
+            return f"{info.name}.sample(rng)"
+        if info.family.draw is None:
             return f"{info.name}.sample_n(rng, n)"
-        if info.mode == "fast":
-            family = _FAST_FAMILIES[info.kind]
-            if info.kind is ast.DistKind.UNIF:
-                return "_rt.samp_unif(rng, n)"
-            return f"_rt.samp_{family}(rng, n, {', '.join(info.args)})"
-        return f"{info.name}.sample(rng)"
+        local = self._family_local(info.family)
+        return f"{local}_draw({', '.join(['rng', 'n', *info.args])})"
 
-    @staticmethod
-    def _score_lane_code(info: _DistInfo, value: _Sym) -> str:
-        family = _FAST_FAMILIES.get(info.kind) if info.kind is not None else None
-        if info.mode in ("const", "fast") and family is not None:
-            if _SCORE_PROOF[info.kind] in value.flags:
-                if info.kind is ast.DistKind.UNIF:
-                    return f"_rt.score_unif_in({value.code})"
-                return f"_rt.score_{family}_in({', '.join(info.args)}, {value.code})"
+    def _score_lane_code(self, info: _DistInfo, value: _Sym) -> str:
+        if info.mode != "generic" and info.family.inbounds_flag in value.flags:
+            local = self._family_local(info.family)
+            return f"{local}_in({', '.join([*info.args, value.code])})"
         if info.mode == "const":
             return f"{info.name}.log_prob_batch({value.code})"
         if info.mode == "fast":
-            args = ", ".join(info.args)
-            if len(info.args) == 1:
-                args += ","
-            return f"_rt.score_full(DistKind.{info.kind.name}, ({args}), {value.code}, n)"
+            local = self._family_local(info.family)
+            return f"_rt.score_lanes({local}, {_tuple_code(info.args)}, {value.code}, n)"
         return f"_rt.score_dist({info.name}, {value.code}, n)"
 
-    @staticmethod
-    def _score_at_code(info: _DistInfo, value: _Sym) -> str:
-        family = _FAST_FAMILIES.get(info.kind) if info.kind is not None else None
-        if info.mode in ("const", "fast") and family is not None:
-            if info.kind is ast.DistKind.UNIF:
-                return f"_rt.score_unif_at({value.code}, n)"
-            return f"_rt.score_{family}_at({', '.join(info.args)}, {value.code}, n)"
+    def _score_at_code(self, info: _DistInfo, value: _Sym) -> str:
+        if info.mode != "generic" and info.family.log_prob_inbounds is not None:
+            local = self._family_local(info.family)
+            return f"_rt.score_obs({local}, {_tuple_code(info.args)}, {value.code}, n)"
         if info.mode == "const":
             return f"_rt.score_scalar({info.name}, {value.code}, n)"
         return f"_rt.score_dist({info.name}, {value.code}, n)"
@@ -1518,12 +1416,7 @@ class _KernelCompiler:
             info = self._emit_dist(em, cmd.dist, env)
             if info.mode == "fast":
                 # Observe scores arbitrary values; take the exact generic path.
-                name = self._fresh("d")
-                args = ", ".join(info.args)
-                if len(info.args) == 1:
-                    args += ","
-                em.ln(f"{name} = _rt.make_batched(DistKind.{info.kind.name}, ({args}), n)")
-                info = _DistInfo("generic", info.kind, name, info.args, info.value_flags)
+                info = self._generic_dist(em, info.family, info.args, info.value_flags)
             value = _compile_expr_vec(cmd.value, env)
             score = self._fresh("s")
             if info.mode == "const":

@@ -202,6 +202,11 @@ class DistKind(enum.Enum):
     GEO = "Geo"          # dist(ℕ), one ℝ(0,1) parameter
     POIS = "Pois"        # dist(ℕ), one ℝ+ parameter
 
+    # Members are singletons compared by identity; hashing them by identity
+    # too keeps a table lookup such as ``FAMILIES[kind]`` free of the
+    # Python-level call that ``Enum.__hash__`` makes.
+    __hash__ = object.__hash__
+
 
 DIST_ARITY = {
     DistKind.BER: 1,

@@ -70,52 +70,77 @@ def require_equal(a: ty.GuideType, b: ty.GuideType, context: str) -> None:
     )
 
 
+#: Operator applications one comparison may unfold along one path of the
+#: protocol tree; messages and branches do not count, so a protocol of any
+#: length compares.  Inference never produces a non-contractive operator, and
+#: two regular protocols that unfold out of step close their cycle at a
+#: memoised pair.  The bound ends what remains: a non-contractive table, and
+#: two protocols out of step whose arguments keep growing (non-tail recursion
+#: on one side), which never meet the same pair twice.
+_MAX_UNFOLDINGS = 64
+
+
 def types_equal_up_to_unfolding(
     a: ty.GuideType,
     b: ty.GuideType,
     table_a: ty.TypeTable,
     table_b: ty.TypeTable,
-    max_depth: int = 64,
 ) -> bool:
     """Equality of guide types drawn from two different type tables.
 
     A model program and a guide program are inferred independently, so their
     ``latent`` protocols mention different operator names (e.g. ``Model.latent``
     vs ``Guide.latent``).  This routine decides equality by co-inductively
-    unfolding operator applications from each side's own table, memoising the
-    pairs of operator instantiations it has already assumed equal.  The
-    ``max_depth`` bound guards against pathological non-contractive
-    definitions (which inference never produces).
+    unfolding operator applications from each side's own table.  Two
+    applications that meet are compared nominally: once a pair of operators
+    has been assumed equal, a later meeting compares only their arguments.
+    An application that meets a structural constructor unfolds alone, and
+    such a pair met again after at least one message or branch holds by the
+    coinductive hypothesis.  The walk keeps its own stack, so neither the
+    protocol's length nor its unfoldings recurse in Python.
     """
     assumed: set[Tuple[str, str]] = set()
-
-    def go(x: ty.GuideType, y: ty.GuideType, depth: int) -> bool:
-        if depth > max_depth:
-            raise GuideTypeError(
-                "guide-type equality exceeded the unfolding depth limit; "
-                "the type operators appear to be non-contractive"
-            )
+    visited: set[Tuple[ty.GuideType, ty.GuideType]] = set()
+    # (x, y, unfoldings on this path, whether a message or branch was
+    # passed since the last unfolding); `then` is popped before `orelse`.
+    pending = [(a, b, 0, True)]
+    while pending:
+        x, y, unfoldings, moved = pending.pop()
         if isinstance(x, ty.OpApp) or isinstance(y, ty.OpApp):
             if isinstance(x, ty.OpApp) and isinstance(y, ty.OpApp):
                 key = (x.operator, y.operator)
                 if key in assumed:
                     # Coinductive hypothesis: the operators were already
                     # assumed equal; it remains to compare the arguments.
-                    return go(x.arg, y.arg, depth + 1)
+                    pending.append((x.arg, y.arg, unfoldings, moved))
+                    continue
                 assumed.add(key)
-            x2 = table_a.unfold(x) if isinstance(x, ty.OpApp) else x
-            y2 = table_b.unfold(y) if isinstance(y, ty.OpApp) else y
-            return go(x2, y2, depth + 1)
+            elif moved:
+                # Memoise only after progress: a pair that comes round with
+                # no message or branch in between is a non-contractive
+                # operator, which the bound below rejects.
+                if (x, y) in visited:
+                    continue
+                visited.add((x, y))
+            if unfoldings >= _MAX_UNFOLDINGS:
+                raise GuideTypeError(
+                    "guide-type equality exceeded the unfolding depth limit; "
+                    "the type operators appear to be non-contractive"
+                )
+            pending.append((table_a.unfold(x), table_b.unfold(y), unfoldings + 1, False))
+            continue
         if type(x) is not type(y):
             return False
-        if isinstance(x, ty.End):
-            return True
-        if isinstance(x, ty.TyVar):
-            return x.name == y.name  # type: ignore[union-attr]
         if isinstance(x, (ty.SendVal, ty.RecvVal)):
-            return x.payload == y.payload and go(x.cont, y.cont, depth + 1)  # type: ignore[union-attr]
-        if isinstance(x, (ty.Offer, ty.Choose)):
-            return go(x.then, y.then, depth + 1) and go(x.orelse, y.orelse, depth + 1)  # type: ignore[union-attr]
-        raise GuideTypeError(f"unknown guide type node: {x!r}")
-
-    return go(a, b, 0)
+            if x.payload != y.payload:  # type: ignore[union-attr]
+                return False
+            pending.append((x.cont, y.cont, unfoldings, True))  # type: ignore[union-attr]
+        elif isinstance(x, (ty.Offer, ty.Choose)):
+            pending.append((x.orelse, y.orelse, unfoldings, True))  # type: ignore[union-attr]
+            pending.append((x.then, y.then, unfoldings, True))  # type: ignore[union-attr]
+        elif isinstance(x, ty.TyVar):
+            if x.name != y.name:  # type: ignore[union-attr]
+                return False
+        elif not isinstance(x, ty.End):
+            raise GuideTypeError(f"unknown guide type node: {x!r}")
+    return True

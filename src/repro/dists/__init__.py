@@ -15,15 +15,18 @@ Every distribution exposes:
     The basic type τ such that the distribution has type ``dist(τ)``.
 
 The families match the core calculus: Bernoulli, Uniform(0,1), Beta, Gamma,
-Normal, Categorical, Geometric, Poisson.
+Normal, Categorical, Geometric, Poisson.  :data:`FAMILIES` holds one record
+per family with its parameter checks, array sampler and density kernels
+(:mod:`repro.dists.families`); every backend reads it.
 """
 
 from repro.dists.base import Distribution
 from repro.dists.continuous import Beta, Gamma, Normal, Uniform01
 from repro.dists.discrete import Bernoulli, Categorical, Geometric, Poisson
-from repro.dists.factory import make_distribution
+from repro.dists.families import FAMILIES, make_distribution
 
 __all__ = [
+    "FAMILIES",
     "Distribution",
     "Normal",
     "Gamma",

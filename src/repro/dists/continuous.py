@@ -45,8 +45,11 @@ def normal_log_prob_kernel(mean, stddev, x: np.ndarray) -> np.ndarray:
 # arithmetic expressions keep the masked kernels' association order).  The
 # compiled batched backend calls these when the value's provenance (the
 # family that sampled it) proves support membership; anything else must go
-# through the masked kernel.  ``tests/test_fused_codegen.py`` pins the
-# bitwise agreement per family.  Unlike the masked kernels these enter no
+# through the masked kernel.  Each family's record in
+# :data:`repro.dists.FAMILIES` pairs the two, and
+# ``test_inbounds_score_helpers_match_batched_dist`` in
+# ``tests/test_fused_codegen.py`` pins their bitwise agreement on in-support
+# draws, per family.  Unlike the masked kernels these enter no
 # ``np.errstate`` context of their own — the compiled kernels hold one
 # ``errstate(over="ignore")`` for the whole run (a per-call context was
 # measurably hot at fine-grained control-flow groups), and errstate only
@@ -95,6 +98,34 @@ def uniform01_log_prob_kernel(x: np.ndarray) -> np.ndarray:
     return np.where((x > 0.0) & (x < 1.0), 0.0, -np.inf)
 
 
+# -- array samplers --------------------------------------------------------------
+#
+# One per family, ``draw(rng, n, *params)``: parameters may be Python scalars
+# or ``(n,)`` arrays, which NumPy's generators treat identically lane for
+# lane.  The scalar classes' ``sample_n`` call these; the engine's
+# ``BatchedDist`` and the compiled kernels call them through the family
+# records of :mod:`repro.dists.families`, so every backend consumes the RNG
+# stream the same way.
+
+
+def normal_draw(rng: np.random.Generator, n: int, mean, stddev) -> np.ndarray:
+    return rng.normal(mean, stddev, size=n)
+
+
+def gamma_draw(rng: np.random.Generator, n: int, shape, rate) -> np.ndarray:
+    # Guard against underflow to exactly 0.0, which lies outside ℝ+.
+    return np.maximum(rng.gamma(shape, 1.0 / rate, size=n), math.ulp(0.0))
+
+
+def beta_draw(rng: np.random.Generator, n: int, alpha, beta) -> np.ndarray:
+    # Clamp away from the closed endpoints, which are outside ℝ(0,1).
+    return np.clip(rng.beta(alpha, beta, size=n), 1e-12, 1.0 - 1e-12)
+
+
+def uniform01_draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
+
+
 class Normal(Distribution):
     """Normal distribution ``Normal(mean; stddev)`` with support ℝ."""
 
@@ -128,7 +159,7 @@ class Normal(Distribution):
         return self.mean
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mean, self.stddev, size=int(n))
+        return normal_draw(rng, int(n), self.mean, self.stddev)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)
@@ -187,8 +218,7 @@ class Gamma(Distribution):
         return self.shape / self.rate
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        values = rng.gamma(self.shape, 1.0 / self.rate, size=int(n))
-        return np.maximum(values, math.ulp(0.0))
+        return gamma_draw(rng, int(n), self.shape, self.rate)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)
@@ -242,8 +272,7 @@ class Beta(Distribution):
         return self.alpha / (self.alpha + self.beta)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        eps = 1e-12
-        return np.clip(rng.beta(self.alpha, self.beta, size=int(n)), eps, 1.0 - eps)
+        return beta_draw(rng, int(n), self.alpha, self.beta)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)
@@ -289,8 +318,7 @@ class Uniform01(Distribution):
         return 0.5
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        eps = 1e-12
-        return np.clip(rng.random(int(n)), eps, 1.0 - eps)
+        return uniform01_draw(rng, int(n))
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)

@@ -71,6 +71,24 @@ def poisson_log_prob_inbounds(rate, x: np.ndarray) -> np.ndarray:
     return x * np.log(rate) - rate - gammaln(x + 1.0)
 
 
+# -- array samplers ----------------------------------------------------------------
+#
+# ``draw(rng, n, *params)`` per family, as in :mod:`repro.dists.continuous`.
+
+
+def bernoulli_draw(rng: np.random.Generator, n: int, p) -> np.ndarray:
+    return rng.random(n) < p
+
+
+def geometric_draw(rng: np.random.Generator, n: int, p) -> np.ndarray:
+    # numpy's geometric counts trials (>= 1); shift to count failures.
+    return rng.geometric(p, size=n) - 1
+
+
+def poisson_draw(rng: np.random.Generator, n: int, rate) -> np.ndarray:
+    return rng.poisson(rate, size=n)
+
+
 class Bernoulli(Distribution):
     """Bernoulli distribution ``Ber(p)`` with support 𝟚 = {true, false}."""
 
@@ -102,7 +120,7 @@ class Bernoulli(Distribution):
         return self.p
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.random(int(n)) < self.p
+        return bernoulli_draw(rng, int(n), self.p)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = np.asarray(values)
@@ -211,7 +229,7 @@ class Geometric(Distribution):
         return (1.0 - self.p) / self.p
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.geometric(self.p, size=int(n)) - 1
+        return geometric_draw(rng, int(n), self.p)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)
@@ -258,7 +276,7 @@ class Poisson(Distribution):
         return self.rate
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.poisson(self.rate, size=int(n))
+        return poisson_draw(rng, int(n), self.rate)
 
     def log_prob_batch(self, values) -> np.ndarray:
         arr = as_float_batch(values)

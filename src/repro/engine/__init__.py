@@ -5,7 +5,10 @@ simultaneously over NumPy arrays instead of N sequential interpreter runs:
 
 ``batched``
     Distributions over a particle axis — one family, per-particle parameters
-    — resolving a whole sample site with a single NumPy call.
+    — resolving a whole sample site with a single NumPy call.  It checks,
+    draws and scores through the family's record in
+    :data:`repro.dists.FAMILIES`, the same functions the compiled kernels
+    call.
 ``vectorize``
     The lockstep runtime: a vectorized expression evaluator, command
     interpreter, and channel scheduler that run a model/guide pair over a

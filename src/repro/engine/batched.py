@@ -8,10 +8,12 @@ particle, e.g. ``Normal(x1, 1.0)`` where ``x1`` was sampled upstream).
 
 Resolution strategy:
 
-* all parameters scalar — build the ordinary scalar distribution once and
-  delegate to its ``sample_n`` / ``log_prob_batch`` batch API;
-* array parameters with a closed-form NumPy implementation — sample and
-  score the whole group in one vectorized call;
+* all parameters scalar — build the ordinary scalar distribution once (its
+  constructor checks the parameters) and score through its
+  ``log_prob_batch`` batch API;
+* array parameters — check and score the whole group with the family's
+  record in :data:`repro.dists.FAMILIES`, the same functions the compiled
+  kernels call; either way the group draws with the record's sampler;
 * anything else (e.g. ``Cat`` with per-particle weights) — fall back to a
   loop of scalar distributions, so exotic cases stay exactly as correct as
   the sequential interpreter.
@@ -19,25 +21,13 @@ Resolution strategy:
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core import ast
 from repro.dists.base import Distribution
-from repro.dists.continuous import (
-    beta_log_prob_kernel,
-    gamma_log_prob_kernel,
-    normal_log_prob_kernel,
-    uniform01_log_prob_kernel,
-)
-from repro.dists.discrete import (
-    bernoulli_log_prob_kernel,
-    geometric_log_prob_kernel,
-    poisson_log_prob_kernel,
-)
-from repro.dists.factory import make_distribution
+from repro.dists.families import FAMILIES, Family
 from repro.errors import EvaluationError
 
 
@@ -53,12 +43,47 @@ def _broadcast(value, n: int) -> np.ndarray:
     return arr
 
 
-def _require_all(mask: np.ndarray, kind: ast.DistKind, what: str) -> None:
-    if not bool(np.all(mask)):
+def check_param(family: Family, index: int, value, n: int) -> None:
+    """Raise unless parameter ``index`` meets its constraint in all ``n`` lanes.
+
+    ``value`` is a scalar shared by the group or a ``(n,)`` array; the
+    message counts the lanes that fail, so a failing shared value counts as
+    ``n``.  The compiled kernels call this for each parameter that no
+    provenance proof discharges.
+    """
+    name, constraint = family.params[index]
+    ok = constraint.holds(value)
+    if not bool(np.all(ok)):
         raise EvaluationError(
-            f"invalid parameters for {kind.value}: {what} (failed for "
-            f"{int(np.size(mask) - np.count_nonzero(mask))} particle(s))"
+            f"invalid parameters for {family.name}: {name} {constraint.message} (failed for "
+            f"{n - np.count_nonzero(ok)} particle(s))"
         )
+
+
+def score_lanes(family: Family, params: Sequence[object], values, n: int) -> np.ndarray:
+    """Score one value per particle with the family's masked kernel.
+
+    ``params`` are scalars or ``(n,)`` arrays.  Batches of the wrong dtype
+    (Booleans for a numeric family, numbers for ``Ber``, exotic payloads) and
+    families without kernels take the exact loop of scalar distributions.
+    """
+    arr = np.asarray(values)
+    boolean = "bool" in family.proves
+    if family.log_prob is None or arr.dtype == object or (arr.dtype.kind == "b") != boolean:
+        batch = list(values) if not isinstance(values, np.ndarray) else values
+        return np.asarray(
+            [_per_particle(family, params, i).log_prob(batch[i]) for i in range(n)], dtype=float
+        )
+    if not boolean:
+        arr = arr.astype(float, copy=False)
+    return family.log_prob(*params, arr)
+
+
+def _per_particle(family: Family, params: Sequence[object], index: int) -> Distribution:
+    """Particle ``index``'s scalar distribution (``params``: scalars or lane arrays)."""
+    return family.build(
+        [float(p[index] if isinstance(p, np.ndarray) and p.ndim else p) for p in params]
+    )
 
 
 class BatchedDist:
@@ -66,117 +91,51 @@ class BatchedDist:
 
     def __init__(self, kind: ast.DistKind, args: Sequence[object], n: int):
         self.kind = kind
+        self.family = family = FAMILIES[kind]
         self.n = int(n)
         self._scalar: Optional[Distribution] = None
-        self._params: List[np.ndarray] = []
 
         if all(np.ndim(a) == 0 for a in args):
             # Shared parameters: one scalar distribution serves the group.
-            self._scalar = make_distribution(kind, [float(a) for a in args])
+            self._params: List[object] = [float(a) for a in args]
+            self._scalar = family.build(self._params)
             return
 
         self._params = [_broadcast(a, self.n) for a in args]
-        self._validate()
+        # Cat's weights validate per particle in the scalar loop.
+        if family.params is not None:
+            for index, value in enumerate(self._params):
+                check_param(family, index, value, self.n)
 
     @classmethod
     def from_scalar(cls, dist: Distribution, n: int) -> "BatchedDist":
         """Wrap an existing scalar distribution (e.g. passed in as an argument)."""
         batched = cls.__new__(cls)
         batched.kind = None
+        batched.family = None
         batched.n = int(n)
         batched._scalar = dist
         batched._params = []
         return batched
 
-    # -- parameter validation (mirrors the scalar constructors) ---------------
-
-    def _validate(self) -> None:
-        kind, p = self.kind, self._params
-        finite = np.isfinite
-        if kind is ast.DistKind.NORMAL:
-            _require_all(finite(p[0]), kind, "mean must be a finite real")
-            _require_all(finite(p[1]) & (p[1] > 0.0), kind, "stddev must be positive")
-        elif kind is ast.DistKind.GAMMA:
-            _require_all(finite(p[0]) & (p[0] > 0.0), kind, "shape must be positive")
-            _require_all(finite(p[1]) & (p[1] > 0.0), kind, "rate must be positive")
-        elif kind is ast.DistKind.BETA:
-            _require_all(finite(p[0]) & (p[0] > 0.0), kind, "alpha must be positive")
-            _require_all(finite(p[1]) & (p[1] > 0.0), kind, "beta must be positive")
-        elif kind in (ast.DistKind.BER, ast.DistKind.GEO):
-            _require_all((p[0] > 0.0) & (p[0] < 1.0), kind, "p must lie in (0, 1)")
-        elif kind is ast.DistKind.POIS:
-            _require_all(finite(p[0]) & (p[0] > 0.0), kind, "rate must be positive")
-        elif kind is ast.DistKind.UNIF:
-            pass
-        # CAT and anything unknown validate per particle in the scalar loop.
-
     # -- the batched operations ----------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one value per particle."""
+        family = self.family
+        if family is not None and family.draw is not None:
+            return family.draw(rng, self.n, *self._params)
         if self._scalar is not None:
             return self._scalar.sample_n(rng, self.n)
-
-        kind, p, n = self.kind, self._params, self.n
-        if kind is ast.DistKind.NORMAL:
-            return rng.normal(p[0], p[1], size=n)
-        if kind is ast.DistKind.GAMMA:
-            return np.maximum(rng.gamma(p[0], 1.0 / p[1], size=n), math.ulp(0.0))
-        if kind is ast.DistKind.BETA:
-            return np.clip(rng.beta(p[0], p[1], size=n), 1e-12, 1.0 - 1e-12)
-        if kind is ast.DistKind.UNIF:
-            return np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
-        if kind is ast.DistKind.BER:
-            return rng.random(n) < p[0]
-        if kind is ast.DistKind.GEO:
-            return rng.geometric(p[0], size=n) - 1
-        if kind is ast.DistKind.POIS:
-            return rng.poisson(p[0], size=n)
-        return self._sample_loop(rng)
+        return np.asarray(
+            [_per_particle(family, self._params, i).sample(rng) for i in range(self.n)]
+        )
 
     def log_prob(self, values) -> np.ndarray:
         """Score one value per particle; ``-inf`` outside the support."""
         if self._scalar is not None:
             return self._scalar.log_prob_batch(values)
-
-        kind, p = self.kind, self._params
-        arr = np.asarray(values)
-        if kind is ast.DistKind.BER:
-            if arr.dtype.kind != "b":
-                return self._log_prob_loop(values)
-            return bernoulli_log_prob_kernel(p[0], arr)
-        if arr.dtype == object or arr.dtype.kind == "b":
-            return self._log_prob_loop(values)
-        x = arr.astype(float, copy=False)
-
-        if kind is ast.DistKind.NORMAL:
-            return normal_log_prob_kernel(p[0], p[1], x)
-        if kind is ast.DistKind.GAMMA:
-            return gamma_log_prob_kernel(p[0], p[1], x)
-        if kind is ast.DistKind.BETA:
-            return beta_log_prob_kernel(p[0], p[1], x)
-        if kind is ast.DistKind.UNIF:
-            return uniform01_log_prob_kernel(x)
-        if kind is ast.DistKind.GEO:
-            return geometric_log_prob_kernel(p[0], x)
-        if kind is ast.DistKind.POIS:
-            return poisson_log_prob_kernel(p[0], x)
-        return self._log_prob_loop(values)
-
-    # -- scalar-loop fallbacks (exotic families, e.g. Cat with array weights) --
-
-    def _per_particle(self, index: int) -> Distribution:
-        return make_distribution(self.kind, [float(p[index]) for p in self._params])
-
-    def _sample_loop(self, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray([self._per_particle(i).sample(rng) for i in range(self.n)])
-
-    def _log_prob_loop(self, values) -> np.ndarray:
-        batch = list(values) if not isinstance(values, np.ndarray) else values
-        return np.asarray(
-            [self._per_particle(i).log_prob(batch[i]) for i in range(self.n)],
-            dtype=float,
-        )
+        return score_lanes(self.family, self._params, values, self.n)
 
     def __repr__(self) -> str:
         if self._scalar is not None:

@@ -242,8 +242,8 @@ class ServerCounters:
         run_s: float,
         particles: int,
         ok: bool,
+        latency_s: float,
         busy_s: Optional[float] = None,
-        latency_s: Optional[float] = None,
     ) -> None:
         """Fold one finished request into the counters.
 
@@ -253,9 +253,8 @@ class ServerCounters:
         but only account for a fraction of it, so throughput rates stay
         honest.  ``latency_s`` is the measured enqueue-to-response time; it
         covers validation and response serialisation too, so it is always
-        ``>= queue_wait_s + run_s`` (which remains the fallback when no
-        measurement is passed).  Failures are tallied but kept out of the
-        latency aggregates.
+        ``>= queue_wait_s + run_s``.  Failures are tallied but kept out of
+        the latency aggregates.
         """
         self.requests_total += 1
         self.particles_total += int(particles)
@@ -264,16 +263,15 @@ class ServerCounters:
         if not ok:
             self.failures_total += 1
             return
-        latency = (queue_wait_s + run_s) if latency_s is None else latency_s
         busy = run_s if busy_s is None else busy_s
         self.queue_wait_s_total += queue_wait_s
         self.run_s_total += busy
-        self.latency_s_total += latency
-        self.latency_s_max = max(self.latency_s_max, latency)
-        self.latency_hist.observe(latency)
+        self.latency_s_total += latency_s
+        self.latency_s_max = max(self.latency_s_max, latency_s)
+        self.latency_hist.observe(latency_s)
         self.queue_wait_hist.observe(queue_wait_s)
         self.run_hist.observe(busy)
-        _REQUEST_LATENCY.observe(latency)
+        _REQUEST_LATENCY.observe(latency_s)
         _REQUEST_QUEUE_WAIT.observe(queue_wait_s)
         _REQUEST_RUN.observe(busy)
 
@@ -536,7 +534,8 @@ class InferenceService:
         try:
             pending = await self._prepare(payload, arrived_at=started)
         except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
-            self.counters.observe(0.0, time.monotonic() - started, 0, ok=False)
+            elapsed = time.monotonic() - started
+            self.counters.observe(0.0, elapsed, 0, ok=False, latency_s=elapsed)
             return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)
         _SERVER_TENANT_REQUESTS.labels(tenant=pending.tenant).inc()
         # The stopping check precedes the not-started check: a submit racing

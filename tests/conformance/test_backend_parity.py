@@ -8,7 +8,7 @@ select anywhere — every downstream quantity (posterior means, evidence,
 resampling decisions, SVI gradients) is a deterministic function of the
 per-particle weights, values, and the shared RNG stream.
 
-The suite covers four layers:
+The suite covers these layers:
 
 * raw runs — model/guide log-weights, per-site sample values, recorded
   message columns, and the per-observation score matrix, interp × compiled;
@@ -23,7 +23,15 @@ The suite covers four layers:
   raises the interpreter's operation-budget error on both backends;
 * the fallback — non-tail recursive models compile to the interpreter with a
   recorded reason, and still produce identical results (trivially, same
-  runtime).
+  runtime);
+* parameter checks — a lane parameter invalid for part of the population
+  raises the same error text on both backends, per family and parameter.
+
+Both backends draw and score through one record per family
+(:data:`repro.dists.FAMILIES`), so this suite cannot see a change to a
+family's numbers; ``tests/test_fused_codegen.py`` pins each sampler against
+a literal ``Generator`` expression, and fixed-seed answers are compared with
+the parent commit (``benchmarks/compare_answers.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.compiler import compiled_unsupported_reason
 from repro.core.semantics import traces as tr
 from repro.engine import ProgramSession, make_particle_runner
 from repro.engine.backend import CompiledParticleRunner
-from repro.errors import ChannelProtocolError
+from repro.errors import ChannelProtocolError, EvaluationError
 from repro.fuzz.generator import synthesize_family
 from repro.fuzz.oracles import default_obs_values
 from repro.models import all_benchmarks, get_benchmark
@@ -528,3 +536,113 @@ def test_loop_rescore_rechecks_every_unfolding_under_perturbed_args(side):
             assert np.array_equal(gi.log_weights[role], gm.log_weights[role]), leaf.path_id
         deep += len(leaf.path_id) > compiled_depth
     assert deep > 0  # back-edges were taken and replayed
+
+
+# ---------------------------------------------------------------------------
+# Parameter checks: identical errors, per family and per parameter
+# ---------------------------------------------------------------------------
+
+#: Lane expressions invalid for part of the population: ``exp`` of
+#: ``x ~ Normal(709, 1)`` overflows to ``inf`` for about a quarter of the
+#: particles, and ``exp(z)`` with ``z ~ Normal(0, 1)`` leaves (0, 1) for half.
+_BAD = {"real": "exp(x)", "positive": "exp(x)", "unit": "exp(z)"}
+#: Valid lane expressions whose provenance proves the constraint (draws of a
+#: family whose support implies it) and ones that prove nothing.
+_PROVEN = {"real": "z", "positive": "g", "unit": "u"}
+_UNPROVEN = {"real": "exp(z)", "positive": "exp(z)", "unit": "(1.0 / (1.0 + exp(z)))"}
+
+#: family -> its parameters' names and constraints.
+_CHECKED = {
+    "Normal": (("mean", "real"), ("stddev", "positive")),
+    "Gamma": (("shape", "positive"), ("rate", "positive")),
+    "Beta": (("alpha", "positive"), ("beta", "positive")),
+    "Ber": (("p", "unit"),),
+    "Geo": (("p", "unit"),),
+    "Pois": (("rate", "positive"),),
+}
+
+#: A shared value (a guide argument ``s``) that fails every lane, the
+#: argument's type, and a valid literal for the model's copy of the site.
+_SHARED = {
+    "real": (float("inf"), "real", "0.0"),
+    "positive": (-1.0, "preal", "1.0"),
+}
+
+#: ``proven`` is whether the other parameter's provenance discharges its
+#: check, ``None`` for one-parameter families, and ``"shared"`` when the bad
+#: parameter is a guide argument next to an unproven lane parameter.
+PARAM_CHECK_CASES = [
+    (family, bad, proven)
+    for family, params in _CHECKED.items()
+    for bad in range(len(params))
+    for proven in ([True, False, "shared"] if len(params) > 1 else [None])
+]
+
+
+def _param_check_pair(family: str, bad: int, proven) -> tuple:
+    constraints = [c for _, c in _CHECKED[family]]
+    shared = proven == "shared"
+
+    def args(side: str) -> str:
+        return ", ".join(
+            (("s" if side == "guide" else _SHARED[c][2]) if shared else _BAD[c])
+            if i == bad
+            else (_PROVEN if proven is True else _UNPROVEN)[c]
+            for i, c in enumerate(constraints)
+        )
+
+    def proc(side: str, header: str, op: str) -> str:
+        sites = [
+            ("x", "Normal(709.0, 1.0)"),
+            ("z", "Normal(0.0, 1.0)"),
+            ("g", "Gamma(2.0, 1.0)"),
+            ("u", "Beta(2.0, 2.0)"),
+            ("y", f"{family}({args(side)})"),
+        ]
+        return f"proc {header} {{\n" + "".join(
+            f"  {v} <- sample.{op}{{latent}}({d});\n" for v, d in sites
+        ) + "  return(y)\n}\n"
+
+    params = f"s: {_SHARED[constraints[bad]][1]}" if shared else ""
+    guide_args = (_SHARED[constraints[bad]][0],) if shared else ()
+    model = proc("model", "M() consume latent", "recv")
+    guide = proc("guide", f"G({params}) provide latent", "send")
+    return model, guide, guide_args
+
+
+@pytest.mark.parametrize(
+    "family, bad, proven",
+    PARAM_CHECK_CASES,
+    ids=[
+        f"{f}-param{b}"
+        + {None: "", True: "-other-proven", False: "-other-unproven", "shared": "-shared"}[p]
+        for f, b, p in PARAM_CHECK_CASES
+    ],
+)
+def test_parameter_check_errors_match_across_backends(family, bad, proven):
+    """A lane parameter invalid for part of the population raises the same
+    ``EvaluationError`` text on both backends, counted failures included —
+    with the other parameter discharged by provenance (the kernel checks
+    only the bad one) and without (the kernel checks both).  A shared guide
+    argument that is invalid next to a lane parameter fails every particle
+    on both backends."""
+    model, guide, guide_args = _param_check_pair(family, bad, proven)
+    # The type system keeps Ber/Geo parameters in (0, 1); skip it there.
+    typecheck = family not in ("Ber", "Geo")
+    session = ProgramSession.from_sources(model, guide, "M", "G", typecheck=typecheck)
+    messages = {}
+    for backend in ("interp", "compiled"):
+        with pytest.raises(EvaluationError) as raised:
+            session.infer(
+                "is", num_particles=1000, seed=3, backend=backend, guide_args=guide_args
+            )
+        messages[backend] = str(raised.value)
+    assert session.compiled_backend_supported is True
+    assert messages["interp"] == messages["compiled"]
+    name = _CHECKED[family][bad][0]
+    assert messages["compiled"].startswith(f"invalid parameters for {family}: {name} "), messages
+    failed = int(messages["compiled"].split("(failed for ")[1].split(" ")[0])
+    if proven == "shared":
+        assert failed == 1000, messages
+    else:
+        assert 0 < failed < 1000, messages

@@ -46,8 +46,8 @@ class TestFailureAccounting:
 
     def test_failure_timings_never_reach_latency_aggregates(self):
         counters = ServerCounters()
-        counters.observe(0.0, 5.0, 0, ok=False)  # a slow failure
-        counters.observe(0.1, 0.2, 10, ok=True)
+        counters.observe(0.0, 5.0, 0, ok=False, latency_s=5.0)  # a slow failure
+        counters.observe(0.1, 0.2, 10, ok=True, latency_s=0.3)
         snap = counters.snapshot()
         assert snap["requests_total"] == 2
         assert snap["failures_total"] == 1
@@ -61,7 +61,7 @@ class TestFailureAccounting:
 
     def test_all_failure_snapshot_stays_finite_and_serialisable(self):
         counters = ServerCounters()
-        counters.observe(0.0, 3.0, 0, ok=False)
+        counters.observe(0.0, 3.0, 0, ok=False, latency_s=3.0)
         snap = counters.snapshot()
         assert snap["failures_total"] == snap["requests_total"] == 1
         assert snap["latency_s_mean"] == 0.0
@@ -69,7 +69,7 @@ class TestFailureAccounting:
 
     def test_busy_share_accounting_skips_failures(self):
         counters = ServerCounters()
-        counters.observe(0.0, 2.0, 100, ok=True, busy_s=0.5)
+        counters.observe(0.0, 2.0, 100, ok=True, latency_s=2.0, busy_s=0.5)
         assert counters.run_s_total == pytest.approx(0.5)
         assert counters.latency_s_total == pytest.approx(2.0)
 
@@ -78,7 +78,8 @@ class TestPercentiles:
     def test_snapshot_has_histogram_derived_percentiles(self):
         counters = ServerCounters()
         for i in range(100):
-            counters.observe(0.001, 0.001 + i * 0.001, 10, ok=True)
+            run_s = 0.001 + i * 0.001
+            counters.observe(0.001, run_s, 10, ok=True, latency_s=0.001 + run_s)
         snap = counters.snapshot()
         for prefix in ("latency_s", "queue_wait_s", "run_s"):
             p50, p90, p99 = (snap[f"{prefix}_p{q}"] for q in (50, 90, 99))

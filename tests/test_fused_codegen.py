@@ -3,9 +3,13 @@
 The conformance-level guarantee (bitwise-equal runs on whole models) lives
 in ``tests/conformance/test_backend_parity.py``; here we pin the pieces:
 
-* the per-family sample/score helpers in
-  :mod:`repro.compiler.batched_runtime` agree bit-for-bit with
-  :class:`~repro.engine.batched.BatchedDist` on their licensed inputs;
+* each family's record in :data:`repro.dists.FAMILIES`: its sampler equals
+  the literal ``numpy.random.Generator`` expression written here, and its
+  in-bounds kernel equals its masked kernel on in-support draws.  Both
+  backends call these same functions, so the interp-vs-compiled parity suite
+  cannot see a change to a family's numbers; these literals can;
+* the generic runtime scorers (one lane scorer, one observation scorer)
+  agree bit-for-bit with :class:`~repro.engine.batched.BatchedDist`;
 * the supported-fragment check rejects exactly the features the compiled
   kernel cannot mirror, with actionable reasons;
 * kernels are compiled once per session and the session cache key includes
@@ -17,6 +21,8 @@ in ``tests/test_mega_codegen.py``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +36,13 @@ from repro.compiler import batched_runtime as rt
 from repro.core import ast
 from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
+from repro.dists import FAMILIES
+from repro.dists.continuous import (
+    beta_log_prob_kernel,
+    gamma_log_prob_kernel,
+    normal_log_prob_kernel,
+)
+from repro.dists.discrete import poisson_log_prob_kernel
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
 from repro.engine.backend import CompiledParticleRunner, make_particle_runner
 from repro.engine.batched import BatchedDist
@@ -66,37 +79,54 @@ def _params(kind, scalar):
     return [np.full(N, p) for p in base]
 
 
-FAST = {
-    ast.DistKind.NORMAL: (rt.score_normal_in, rt.score_normal_at, rt.samp_normal),
-    ast.DistKind.GAMMA: (rt.score_gamma_in, rt.score_gamma_at, rt.samp_gamma),
-    ast.DistKind.BETA: (rt.score_beta_in, rt.score_beta_at, rt.samp_beta),
-    ast.DistKind.UNIF: (rt.score_unif_in, rt.score_unif_at, None),
-    ast.DistKind.BER: (rt.score_ber_in, rt.score_ber_at, rt.samp_ber),
-    ast.DistKind.GEO: (rt.score_geo_in, rt.score_geo_at, rt.samp_geo),
-    ast.DistKind.POIS: (rt.score_pois_in, rt.score_pois_at, rt.samp_pois),
+KINDS = [
+    ast.DistKind.NORMAL,
+    ast.DistKind.GAMMA,
+    ast.DistKind.BETA,
+    ast.DistKind.UNIF,
+    ast.DistKind.BER,
+    ast.DistKind.GEO,
+    ast.DistKind.POIS,
+]
+
+#: Each family's sampler, written out: what ``FAMILIES[kind].draw`` must equal.
+LITERAL_DRAWS = {
+    ast.DistKind.NORMAL: lambda rng, n, m, s: rng.normal(m, s, size=n),
+    ast.DistKind.GAMMA: lambda rng, n, k, r: np.maximum(
+        rng.gamma(k, 1.0 / r, size=n), math.ulp(0.0)
+    ),
+    ast.DistKind.BETA: lambda rng, n, a, b: np.clip(
+        rng.beta(a, b, size=n), 1e-12, 1.0 - 1e-12
+    ),
+    ast.DistKind.UNIF: lambda rng, n: np.clip(rng.random(n), 1e-12, 1.0 - 1e-12),
+    ast.DistKind.BER: lambda rng, n, p: rng.random(n) < p,
+    ast.DistKind.GEO: lambda rng, n, p: rng.geometric(p, size=n) - 1,
+    ast.DistKind.POIS: lambda rng, n, r: rng.poisson(r, size=n),
 }
 
 
-@pytest.mark.parametrize("kind", list(FAST), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("scalar_params", [True, False], ids=["scalar", "array"])
 def test_inbounds_score_helpers_match_batched_dist(kind, scalar_params):
+    """Each family's in-bounds kernel equals its masked kernel on in-support draws."""
+    family = FAMILIES[kind]
     rng = np.random.default_rng(0)
     values = _lane(rng, kind)
     params = _params(kind, scalar_params)
-    reference = BatchedDist(kind, params, N).log_prob(values)
-    score_in, _, _ = FAST[kind]
-    fast = score_in(*params, values) if params else score_in(values)
-    assert fast.dtype == reference.dtype
-    assert np.array_equal(fast, reference)
+    boolean = kind is ast.DistKind.BER
+    masked = family.log_prob(*params, values if boolean else values.astype(float))
+    fast = family.log_prob_inbounds(*params, values)
+    assert fast.dtype == masked.dtype
+    assert np.array_equal(fast, masked)
+    assert np.array_equal(fast, BatchedDist(kind, params, N).log_prob(values))
 
 
-@pytest.mark.parametrize("kind", list(FAST), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_obs_score_helpers_match_batched_dist(kind):
     """Scalar observed values score identically to the full-broadcast path."""
     rng = np.random.default_rng(1)
     params = _params(kind, scalar=True)
     dist = BatchedDist(kind, params, N)
-    _, score_at, _ = FAST[kind]
     draws = _lane(rng, kind)
     candidates = [draws[0], -1.0, 2.5, float("nan")]
     if kind is ast.DistKind.BER:
@@ -104,36 +134,42 @@ def test_obs_score_helpers_match_batched_dist(kind):
     for y in candidates:
         y = y.item() if isinstance(y, np.generic) else y
         reference = rt.score_dist(dist, y, N)
-        fast = score_at(*params, y, N) if params else score_at(y, N)
+        fast = rt.score_obs(FAMILIES[kind], params, y, N)
         assert np.array_equal(fast, reference, equal_nan=True), (kind, y)
 
 
-@pytest.mark.parametrize("kind", list(FAST), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
 def test_array_param_samplers_match_batched_dist(kind):
-    _, _, samp = FAST[kind]
-    if samp is None:
-        assert np.array_equal(
-            rt.samp_unif(np.random.default_rng(5), N),
-            BatchedDist(kind, [], N).sample(np.random.default_rng(5)),
-        )
-        return
+    """One sampler per family: the literal draw, for shared and per-particle parameters."""
     params = _params(kind, scalar=False)
-    reference = BatchedDist(kind, params, N).sample(np.random.default_rng(5))
-    fast = samp(np.random.default_rng(5), N, *params)
-    assert np.array_equal(fast, reference)
+    draw = FAMILIES[kind].draw(np.random.default_rng(5), N, *params)
+    literal = LITERAL_DRAWS[kind](np.random.default_rng(5), N, *params)
+    assert draw.dtype == literal.dtype
+    assert np.array_equal(draw, literal)
+    shared = BatchedDist(kind, _params(kind, scalar=True), N).sample(np.random.default_rng(5))
+    assert shared.dtype == draw.dtype
+    assert np.array_equal(shared, draw)
+    scalar_class = FAMILIES[kind].build(_params(kind, scalar=True))
+    assert np.array_equal(scalar_class.sample_n(np.random.default_rng(5), N), draw)
+    per_particle = BatchedDist(kind, params, N).sample(np.random.default_rng(5))
+    assert np.array_equal(per_particle, draw)
 
 
 def test_score_full_matches_masked_kernels_out_of_support():
     """Values of unknown provenance go through the masked kernels exactly."""
     x = np.array([0.5, -1.0, np.nan, np.inf, 3.0])
     n = len(x)
-    for kind, params in [
-        (ast.DistKind.GAMMA, (np.full(n, 2.0), np.full(n, 1.5))),
-        (ast.DistKind.NORMAL, (np.full(n, 0.0), np.full(n, 2.0))),
-        (ast.DistKind.BETA, (np.full(n, 2.0), np.full(n, 2.0))),
+    for kind, kernel, params in [
+        (ast.DistKind.GAMMA, gamma_log_prob_kernel, (np.full(n, 2.0), np.full(n, 1.5))),
+        (ast.DistKind.NORMAL, normal_log_prob_kernel, (np.full(n, 0.0), np.full(n, 2.0))),
+        (ast.DistKind.BETA, beta_log_prob_kernel, (np.full(n, 2.0), np.full(n, 2.0))),
+        (ast.DistKind.POIS, poisson_log_prob_kernel, (np.full(n, 1.5),)),
     ]:
-        reference = BatchedDist(kind, list(params), n).log_prob(x)
-        assert np.array_equal(rt.score_full(kind, params, x, n), reference, equal_nan=True)
+        reference = kernel(*params, x)
+        lanes = rt.score_lanes(FAMILIES[kind], params, x, n)
+        assert np.array_equal(lanes, reference, equal_nan=True)
+        interp = BatchedDist(kind, list(params), n).log_prob(x)
+        assert np.array_equal(interp, reference, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,71 @@ class TestRecursion:
         assert "Odd.latent" in str(even.body)
 
 
+def _sends(count: int, cont: ty.GuideType, payload: ty.BaseType = ty.REAL) -> ty.GuideType:
+    for _ in range(count):
+        cont = ty.SendVal(payload, cont)
+    return cont
+
+
+def _out_of_step(h_body) -> tuple:
+    """``M[X] = R∧R∧M[X]`` against ``G[X] = R∧H[X]``, ``H[X] = h_body(X)``:
+    after the first message one side unfolds while the other sends."""
+    x = ty.TyVar("X")
+    model, guide = ty.TypeTable(), ty.TypeTable()
+    model.define(ty.TypeDef("M", "X", _sends(2, ty.OpApp("M", x))))
+    guide.define(ty.TypeDef("G", "X", _sends(1, ty.OpApp("H", x))))
+    guide.define(ty.TypeDef("H", "X", h_body(x)))
+    return ty.OpApp("M", ty.End()), ty.OpApp("G", ty.End()), model, guide
+
+
+class TestUnfoldingGuard:
+    """Only unfoldings count toward the unfolding bound, and every comparison
+    ends in an answer or a :class:`GuideTypeError`."""
+
+    def test_non_contractive_operator_raises_guide_type_error(self):
+        table = ty.TypeTable()
+        table.define(ty.TypeDef("Loop", "X", ty.OpApp("Loop", ty.TyVar("X"))))
+        with pytest.raises(GuideTypeError, match="non-contractive"):
+            types_equal_up_to_unfolding(
+                ty.OpApp("Loop", ty.End()),
+                ty.SendVal(ty.REAL, ty.End()),
+                table,
+                ty.TypeTable(),
+            )
+
+    def test_protocols_longer_than_the_unfolding_limit_compare(self):
+        long = _sends(5000, ty.End())
+        assert types_equal_up_to_unfolding(long, long, ty.TypeTable(), ty.TypeTable())
+
+    def test_out_of_step_protocols_close_their_cycle(self):
+        """The pair (R∧M[End], H[End]) comes round again after two messages."""
+        pair = _out_of_step(lambda x: _sends(2, ty.OpApp("H", x)))
+        assert types_equal_up_to_unfolding(*pair)
+        unequal = _out_of_step(lambda x: ty.SendVal(ty.REAL, ty.SendVal(ty.BOOL, ty.OpApp("H", x))))
+        assert not types_equal_up_to_unfolding(*unequal)
+
+    def test_out_of_step_growing_arguments_raise_guide_type_error(self):
+        """With ``H[X] = R∧R∧H[H[X]]`` no pair repeats; the bound on unfoldings
+        rejects the comparison instead of recursing without end."""
+        pair = _out_of_step(lambda x: _sends(2, ty.OpApp("H", ty.OpApp("H", x))))
+        with pytest.raises(GuideTypeError, match="non-contractive"):
+            types_equal_up_to_unfolding(*pair)
+
+    def test_nested_silent_calls_compare(self):
+        """Calls to a procedure that never touches the channel nest applications."""
+        calls = "".join(f"  c{i} <- call Noop();\n" for i in range(8))
+        model = parse_program(
+            "proc Noop() consume latent { return(1.0) }\n"
+            "proc M() consume latent {\n" + calls
+            + "  x <- sample.recv{latent}(Normal(0.0, 1.0));\n  return(x)\n}\n"
+        )
+        guide = parse_program(
+            "proc G() provide latent {\n"
+            "  x <- sample.send{latent}(Normal(0.0, 1.0));\n  return(x)\n}\n"
+        )
+        assert check_model_guide_pair(model, guide, "M", "G").compatible
+
+
 class TestExample43:
     """Paper Example 4.3: a non-tail call sequence gives T[ℝ ∧ T[1]]."""
 

@@ -464,9 +464,6 @@ class TestLatencyInvariant:
         counters.observe(0.1, 0.2, 10, ok=True, latency_s=0.5)
         assert counters.latency_s_total == pytest.approx(0.5)
         assert counters.latency_s_max == pytest.approx(0.5)
-        # Sum fallback still applies when no measurement is passed.
-        counters.observe(0.1, 0.2, 10, ok=True)
-        assert counters.latency_s_total == pytest.approx(0.8)
 
     def test_response_latency_covers_queue_wait_plus_run(self):
         """The measured enqueue-to-response latency is always >= the sum of

@@ -118,6 +118,43 @@ class TestDeterminismOracle:
         assert streamed.log_evidence() == oracle.log_evidence()
 
 
+def _walk(steps):
+    """A deterministic observation stream of ``steps`` values."""
+    return [round(0.05 * t - 0.4, 3) for t in range(steps)]
+
+
+class TestLongProtocols:
+    """Protocols past 64 messages: the guide-type equality counts unfoldings only."""
+
+    @pytest.mark.parametrize("steps", [65, 128])
+    def test_long_stream_rw_certifies_and_backends_agree(self, steps):
+        model, guide = streaming_sources(steps)
+        session = ProgramSession.from_sources(model, guide)
+        assert session.certified
+        interp, compiled = (
+            session.infer(
+                "is", num_particles=200, obs_values=_walk(steps), seed=5, backend=backend
+            )
+            for backend in ("interp", "compiled")
+        )
+        assert compiled.diagnostics().get("backend") == "compiled"
+        assert interp.log_evidence() == compiled.log_evidence()
+        for site in (0, steps // 2, steps - 1):
+            assert interp.posterior_mean(site) == compiled.posterior_mean(site)
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_growable_session_takes_a_65th_push(self, backend):
+        obs = _walk(65)
+        manager = SessionManager()
+        sid = manager.open("t0", _open_payload(particles=100, backend=backend))["session_id"]
+        assert manager.push("t0", sid, obs[:64])["status"] == "active"
+        assert manager.push("t0", sid, obs[64:])["status"] == "active"
+        streamed = manager.get("t0", sid).result
+        oracle = _one_shot(obs, particles=100, backend=backend)
+        assert np.array_equal(streamed.raw.log_weights, oracle.raw.log_weights)
+        assert streamed.log_evidence() == oracle.log_evidence()
+
+
 class TestCheckpointDurability:
     def test_sigkilled_process_restores_bit_identically(self, tmp_path):
         """Open + push in a subprocess, SIGKILL it, restore here."""
