@@ -97,12 +97,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _particle_count(args: argparse.Namespace) -> int:
-    if args.particles is not None:
-        return args.particles
-    return args.samples
-
-
 def _refuse_uncertified(session: ProgramSession, args: argparse.Namespace) -> bool:
     if not session.certified and not args.force:
         print(f"refusing to run: {session.certification_reason}")
@@ -203,16 +197,15 @@ def cmd_run_is(args: argparse.Namespace) -> int:
         if _refuse_uncertified(session, args):
             return 1
         engine = "is" if args.engine == "vectorized" else "is-sequential"
-        num_particles = _particle_count(args)
         result = session.infer(
             engine,
-            num_particles=num_particles,
+            num_particles=args.particles,
             obs_values=args.obs or None,  # empty --obs means prior predictive
             seed=args.seed,
             backend=args.backend,
             **_shard_kwargs(args),
         )
-        _print_engine_summary(result, num_particles)
+        _print_engine_summary(result, args.particles)
         diagnostics = result.diagnostics()
         if "num_groups" in diagnostics:
             print(f"control-flow groups     : {diagnostics['num_groups']}")
@@ -232,10 +225,9 @@ def cmd_run_smc(args: argparse.Namespace) -> int:
         if not args.obs:
             print("error: run-smc requires at least one --obs value", file=sys.stderr)
             return 2
-        num_particles = _particle_count(args)
         result = session.infer(
             "smc",
-            num_particles=num_particles,
+            num_particles=args.particles,
             obs_values=args.obs,
             seed=args.seed,
             ess_threshold=args.ess_threshold,
@@ -243,7 +235,7 @@ def cmd_run_smc(args: argparse.Namespace) -> int:
             backend=args.backend,
             **_shard_kwargs(args),
         )
-        _print_engine_summary(result, num_particles)
+        _print_engine_summary(result, args.particles)
         diagnostics = result.diagnostics()
         resampled = diagnostics["resample_steps"]
         print(f"resampled at steps      : {resampled if resampled else 'never'}")
@@ -296,10 +288,9 @@ def cmd_run_svi(args: argparse.Namespace) -> int:
             }
             print(f"no --param given: initialising {dict(inits)}")
 
-        num_particles = _particle_count(args)
         result = session.infer(
             args.engine,
-            num_particles=num_particles,
+            num_particles=args.particles,
             obs_values=args.obs or None,
             seed=args.seed,
             guide_params=inits or None,
@@ -324,7 +315,7 @@ def cmd_run_svi(args: argparse.Namespace) -> int:
             print(f"fitted parameters       : {rendered}")
         # Evidence/ESS/posterior all come from the final pass through the fitted
         # guide, so report that pass's particle count, not the fit batch size.
-        _print_engine_summary(result, args.final_particles or num_particles)
+        _print_engine_summary(result, args.final_particles or args.particles)
         _print_backend(session, diagnostics)
         _print_sharding(args)
         return 0
@@ -662,10 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_inference_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument("--obs", type=float, nargs="*", default=None,
                        help="observed values for the obs channel, in order")
-        p.add_argument("--particles", type=int, default=None,
-                       help="number of particles (preferred spelling)")
-        p.add_argument("--samples", type=int, default=1000,
-                       help="legacy alias for --particles")
+        p.add_argument("--particles", type=int, default=1000,
+                       help="number of particles")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--force", action="store_true",
                        help="run even if the pair is not certified")

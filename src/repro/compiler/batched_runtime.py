@@ -3,23 +3,31 @@
 :func:`repro.compiler.codegen.compile_kernel_pair` emits, for a model/guide
 pair, one Python function over ``(rng, n)`` that resolves every sample site
 with a single batched call and accumulates per-particle log-weights in
-arrays.  This module is the emitted code's standard library: expression
-helpers that mirror the vectorized evaluator's semantics
-(:func:`repro.engine.vectorize.eval_expr_vec`), generic distribution helpers,
-the gathers that split divergent particle groups, and the replay helpers of
-the compiled rescore pass.  Each family's parameter checks, sampler and
-density kernels are written once, in :data:`repro.dists.FAMILIES`: the
-interpretive runtime's :class:`~repro.engine.batched.BatchedDist` and the
-compiled kernels both read that table.
+arrays.  This module is the emitted code's standard library, imported there
+as ``_rt``.  It has two halves:
+
+* the lane helpers — operators, Boolean screens, argument binding, branch
+  uniformity, observation replay, the budget and replay errors — are
+  defined once, in :mod:`repro.engine.vectorize`, and the interpreter calls
+  the same functions; they are re-exported here under the names the
+  kernels use.  Likewise each family's parameter checks, sampler and
+  density kernels live once, in :data:`repro.dists.FAMILIES`, and the
+  per-parameter check, masked lane scorer and shared-parameter build in
+  :mod:`repro.engine.batched`;
+* what only a kernel needs — the scorers of a distribution at a value,
+  recorded-message constructors, leaf assembly, the subgroup gathers of a
+  split, and the replay helpers of the compiled rescore pass.
 
 Bitwise contract
 ----------------
 
-Every helper here must produce, lane for lane, the same bits the interpretive
+A kernel must produce, lane for lane, the same bits the interpretive
 vectorizer produces for the same program point — that is what licenses the
 conformance suite's exact compiled-vs-interp comparisons and makes
-``backend="compiled"`` a pure execution-strategy change.  Three kinds of
-freedom are exploited, none of which change results:
+``backend="compiled"`` a pure execution-strategy change.  Both backends call
+one definition of each operator and family, so what remains to keep equal is
+the kernel's schedule.  Three kinds of freedom are exploited, none of which
+change results:
 
 * masked support checks are dropped when the value's *provenance* (the family
   that sampled it) proves support membership — ``np.where(ok, x, _)`` with an
@@ -28,218 +36,96 @@ freedom are exploited, none of which change results:
 * scalar parameters are kept scalar instead of broadcast to ``(n,)`` arrays —
   NumPy scalar-array arithmetic broadcasts to the same lanewise values;
 * loop-invariant scalar subexpressions are hoisted and computed once.
-
-The RNG stream and the densities match by construction: a kernel calls the
-family record's ``draw`` and kernels that
-:class:`~repro.engine.batched.BatchedDist` calls, with shared parameters
-taken from the same scalar distribution.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import ast
-from repro.core.semantics import traces as tr
 from repro.dists.base import Distribution
 from repro.dists.families import FAMILIES, Family
-from repro.engine.batched import BatchedDist, check_param, score_lanes
+from repro.engine.batched import BatchedDist, check_param, scalar_dist, score_lanes
 from repro.engine.vectorize import (
     DEFAULT_MAX_OPS,
     DEFAULT_MAX_SPLITS,
     VecMessage,
-    VectorizationUnsupported,
     _broadcast_values,
     _GroupResult,
     _Leaf,
+    and_,
+    as_batched,
+    as_bool,
+    bind_args,
+    bind_call,
+    div,
+    eq,
+    exp_,
+    ifexp,
+    log_,
+    make_batched,
+    ne,
+    not_,
+    obs_fold,
+    obs_value,
     op_budget_error,
+    or_,
+    proj,
+    replay_kind_error,
+    replay_overrun_error,
+    replay_unconsumed_error,
     split_budget_error,
+    sqrt_,
+    uniform_or_none,
 )
-from repro.errors import ChannelProtocolError, EvaluationError, TraceExhausted, TraceTypeMismatch
 
+#: The shared definitions the kernels reach through ``_rt``.
 __all__ = [
     "DEFAULT_MAX_OPS",
     "DEFAULT_MAX_SPLITS",
     "FAMILIES",
+    "and_",
+    "as_batched",
     "as_bool",
     "bind_args",
+    "bind_call",
     "check_param",
+    "div",
+    "eq",
+    "exp_",
+    "ifexp",
+    "log_",
+    "make_batched",
+    "ne",
+    "not_",
+    "obs_fold",
+    "obs_value",
     "op_budget_error",
+    "or_",
+    "proj",
+    "scalar_dist",
     "score_lanes",
     "split_budget_error",
+    "sqrt_",
     "uniform_or_none",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Argument binding and expression semantics (mirror eval_expr_vec)
-# ---------------------------------------------------------------------------
-
-
-def bind_args(entry: str, nparams: int, args: Sequence[object]) -> Tuple[object, ...]:
-    """Mirror ``interpret_procedure_vec``'s arity check for an entry point."""
-    args = tuple(args)
-    if len(args) != nparams:
-        raise EvaluationError(f"{entry} expects {nparams} arguments, got {len(args)}")
-    return args
-
-
-def as_bool(value: object, what: str) -> object:
-    """Mirror the vectorized evaluator's Boolean screening."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, np.ndarray) and value.dtype.kind == "b":
-        return value
-    raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
-
-
-def ifexp(cond: object, then, orelse):
-    """Strict-both-arms array conditional / lazy scalar conditional.
-
-    Mirrors ``eval_expr_vec``'s ``IfExpr`` case exactly, including the
-    :class:`VectorizationUnsupported` screen on non-scalar arms — the
-    compiled runner catches it and takes the same whole-batch sequential
-    fallback the interpretive vectorizer takes.
-    """
-    cond = as_bool(cond, "if-condition")
-    if isinstance(cond, bool):
-        return then() if cond else orelse()
-    then_value, else_value = then(), orelse()
-    for value in (then_value, else_value):
-        if not (isinstance(value, np.ndarray) or isinstance(value, (int, float, bool))):
-            raise VectorizationUnsupported(
-                f"if-expression over a particle axis with non-scalar arm {value!r}"
-            )
-    return np.where(cond, then_value, else_value)
-
-
-def and_(left: object, right):
-    left = as_bool(left, "left operand of &&")
-    if isinstance(left, bool):
-        if not left:
-            return False
-        return as_bool(right(), "right operand of &&")
-    return np.logical_and(left, as_bool(right(), "right operand of &&"))
-
-
-def or_(left: object, right):
-    left = as_bool(left, "left operand of ||")
-    if isinstance(left, bool):
-        if left:
-            return True
-        return as_bool(right(), "right operand of ||")
-    return np.logical_or(left, as_bool(right(), "right operand of ||"))
-
-
-def not_(value: object) -> object:
-    value = as_bool(value, "operand of !")
-    return (not value) if isinstance(value, bool) else np.logical_not(value)
-
-
-def eq(left: object, right: object) -> object:
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        return np.equal(left, right)
-    return left == right
-
-
-def ne(left: object, right: object) -> object:
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        return np.not_equal(left, right)
-    return left != right
-
-
-def div(left: object, right: object) -> object:
-    if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-        if right == 0.0:
-            raise EvaluationError("division by zero")
-        return left / right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.asarray(left, dtype=float) / np.asarray(right, dtype=float)
-
-
-def _unop(value: object, scalar_fn, array_fn, domain_check=None, domain_msg=None):
-    if not isinstance(value, np.ndarray):
-        number = float(value)
-        if domain_check is not None and not domain_check(number):
-            raise EvaluationError(domain_msg.format(number))
-        return scalar_fn(number)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return array_fn(value)
-
-
-def exp_(value: object) -> object:
-    return _unop(value, math.exp, np.exp)
-
-
-def log_(value: object) -> object:
-    return _unop(
-        value, math.log, np.log,
-        domain_check=lambda x: x > 0.0,
-        domain_msg="log of a non-positive number {}",
-    )
-
-
-def sqrt_(value: object) -> object:
-    return _unop(
-        value, math.sqrt, np.sqrt,
-        domain_check=lambda x: x >= 0.0,
-        domain_msg="sqrt of a negative number {}",
-    )
-
-
-def proj(value: object, index: int) -> object:
-    if not isinstance(value, tuple) or not 0 <= index < len(value):
-        raise EvaluationError(f"invalid projection .{index} from {value!r}")
-    return value[index]
-
-
-# ---------------------------------------------------------------------------
-# Distributions
+# Scoring a distribution at a value
 #
 # The kernel preamble binds a family's record from :data:`FAMILIES` and its
-# ``draw`` and ``log_prob_inbounds``, and calls them directly.  The generic
-# helpers below cover the rest: distributions built at run time (exact
-# BatchedDist parity), the per-parameter check (``check_param``) and the
-# masked lane scorer (``score_lanes``) that BatchedDist itself uses, and the
-# scorer of one replayed scalar observation.
+# ``draw`` and ``log_prob_inbounds``, and calls them directly.  The scorers
+# below cover the rest: scalar and run-time distributions scored through the
+# same batch API the interpreter's ``BatchedDist`` uses, and one replayed
+# scalar observation.
 # ---------------------------------------------------------------------------
-
-
-def make_batched(kind: ast.DistKind, args: Sequence[object], n: int) -> BatchedDist:
-    """Mirror ``eval_expr_vec``'s ``DistExpr`` case (argument screening included)."""
-    for a in args:
-        if not (isinstance(a, np.ndarray) or isinstance(a, (int, float))) or isinstance(a, bool):
-            raise EvaluationError(f"{kind.value} parameter: expected a number, got {a!r}")
-    return BatchedDist(kind, list(args), n)
-
-
-def as_batched(value: object, n: int) -> BatchedDist:
-    """Mirror ``_eval_dist_vec`` for non-literal distribution expressions."""
-    if isinstance(value, BatchedDist):
-        return value
-    if isinstance(value, Distribution):
-        return BatchedDist.from_scalar(value, n)
-    raise EvaluationError(f"sample command expects a distribution, got {value!r}")
-
-
-def scalar_dist(family: Family, args: Sequence[object]) -> Distribution:
-    """Mirror ``BatchedDist``'s shared-parameter construction exactly."""
-    return family.build([float(a) for a in args])
 
 
 def score_scalar(dist: Distribution, value: object, n: int) -> np.ndarray:
     """Score through a scalar distribution's batch API, as the interpreter does."""
     return dist.log_prob_batch(_broadcast_values(value, n))
-
-
-def bind_call(name: str, nparams: int, argument: object) -> Tuple[object, ...]:
-    """Mirror ``_bind_arguments_vec`` for multi-parameter procedure calls."""
-    if not isinstance(argument, tuple) or len(argument) != nparams:
-        raise EvaluationError(f"{name} expects {nparams} arguments, got {argument!r}")
-    return argument
 
 
 def score_dist(dist: BatchedDist, value: object, n: int) -> np.ndarray:
@@ -270,20 +156,8 @@ def score_obs(family: Family, params: Sequence[object], y: object, n: int) -> np
 
 
 # ---------------------------------------------------------------------------
-# Branch resolution and recorded messages
+# Recorded messages
 # ---------------------------------------------------------------------------
-
-
-def uniform_or_none(pred: object) -> Optional[bool]:
-    """``True``/``False`` when the predicate is uniform, ``None`` when mixed."""
-    if isinstance(pred, bool):
-        return pred
-    pred = np.asarray(pred, dtype=bool)
-    if pred.all():
-        return True
-    if not pred.any():
-        return False
-    return None
 
 
 def val_msg(provider: bool, payload: object) -> VecMessage:
@@ -296,36 +170,6 @@ def dir_msg(provider: bool, selection: bool) -> VecMessage:
 
 def fold_msg() -> VecMessage:
     return VecMessage("fold", True)
-
-
-# ---------------------------------------------------------------------------
-# Observation replay (mirror the scheduler's TraceCursor usage)
-# ---------------------------------------------------------------------------
-
-
-def obs_value(obs: Sequence[tr.Message], position: int, what: str) -> object:
-    if position >= len(obs):
-        raise TraceExhausted(
-            f"{what}: expected a Message message but the trace is exhausted"
-        )
-    message = obs[position]
-    if not isinstance(message, (tr.ValP, tr.ValC)):
-        raise ChannelProtocolError(
-            f"{what}: replay trace provides {message}, expected a sample value"
-        )
-    return message.value
-
-
-def obs_fold(obs: Sequence[tr.Message], position: int, what: str) -> None:
-    if position >= len(obs):
-        raise TraceExhausted(
-            f"{what}: expected a Fold message but the trace is exhausted"
-        )
-    message = obs[position]
-    if not isinstance(message, tr.Fold):
-        raise TraceTypeMismatch(
-            f"{what}: expected a Fold message but found {message}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +313,10 @@ def rep_fold(log: list, position: int, channel: str) -> None:
 
 def _rep_take(log: list, position: int, kind: str, channel: str) -> VecMessage:
     if position >= len(log):
-        raise ChannelProtocolError(
-            f"rescore on {channel!r} ran past the recorded message log; the "
-            "replayed execution diverged from the recorded control path"
-        )
+        raise replay_overrun_error(channel)
     entry = log[position]
     if entry.kind != kind:
-        raise ChannelProtocolError(
-            f"group replay on {channel!r}: expected a {kind} message, found "
-            f"a {entry.kind} message"
-        )
+        raise replay_kind_error(channel, kind, entry.kind)
     return entry
 
 
@@ -506,11 +344,7 @@ def rep_pure(pred: object, expected: bool) -> None:
 def rep_end(log: list, position: int, channel: str) -> None:
     """Assert the compiled rescore consumed the channel's whole recorded log."""
     if position < len(log):
-        raise ChannelProtocolError(
-            f"rescore on {channel!r} consumed only {position} of "
-            f"{len(log)} recorded messages; the replayed "
-            "execution diverged from the recorded control path"
-        )
+        raise replay_unconsumed_error(channel, position, len(log))
 
 
 def rescore_result(

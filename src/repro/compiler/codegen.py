@@ -1438,7 +1438,7 @@ class _KernelCompiler:
             return {}
         if len(params) == 1:
             return {params[0]: self._materialize(em, argument, "ca")}
-        # Mirror _bind_arguments_vec: a tuple argument unpacks positionally.
+        # As in interpret_command_vec: a tuple argument unpacks positionally.
         names = [self._fresh("ca") for _ in params]
         em.ln(
             f'{", ".join(names)} = _rt.bind_call("{callee.name}", {len(params)}, {argument.code})'

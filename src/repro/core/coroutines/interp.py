@@ -19,7 +19,7 @@ from typing import Dict, Generator, Sequence
 
 from repro.core import ast
 from repro.core.coroutines import ops
-from repro.core.semantics.values import eval_expr
+from repro.core.semantics.values import _as_bool, eval_expr
 from repro.dists.base import Distribution
 from repro.errors import EvaluationError
 
@@ -31,12 +31,6 @@ def _eval_dist(env: Dict[str, object], expr: ast.Expr) -> Distribution:
     value = eval_expr(env, expr)
     if not isinstance(value, Distribution):
         raise EvaluationError(f"sample command expects a distribution, got {value!r}")
-    return value
-
-
-def _require_bool(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
     return value
 
 
@@ -67,20 +61,20 @@ def interpret_command(
         return value
 
     if isinstance(cmd, ast.CondSend):
-        predicate = _require_bool(eval_expr(env, cmd.cond), "branch predicate")
+        predicate = _as_bool(eval_expr(env, cmd.cond), "branch predicate")
         selection = yield ops.OpSendBranch(cmd.channel, predicate)
-        branch = cmd.then if _require_bool(selection, "resolved selection") else cmd.orelse
+        branch = cmd.then if _as_bool(selection, "resolved selection") else cmd.orelse
         result = yield from interpret_command(program, branch, env)
         return result
 
     if isinstance(cmd, ast.CondRecv):
         selection = yield ops.OpRecvBranch(cmd.channel)
-        branch = cmd.then if _require_bool(selection, "received selection") else cmd.orelse
+        branch = cmd.then if _as_bool(selection, "received selection") else cmd.orelse
         result = yield from interpret_command(program, branch, env)
         return result
 
     if isinstance(cmd, ast.CondPure):
-        predicate = _require_bool(eval_expr(env, cmd.cond), "branch predicate")
+        predicate = _as_bool(eval_expr(env, cmd.cond), "branch predicate")
         branch = cmd.then if predicate else cmd.orelse
         result = yield from interpret_command(program, branch, env)
         return result

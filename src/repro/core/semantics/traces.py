@@ -163,11 +163,6 @@ class TraceCursor:
 # ---------------------------------------------------------------------------
 
 
-def trace_of(*messages: Message) -> Trace:
-    """Build a trace from messages (thin readability wrapper)."""
-    return tuple(messages)
-
-
 def provider_samples(*values: object) -> Trace:
     """A trace consisting only of provider-sent sample values."""
     return tuple(ValP(v) for v in values)

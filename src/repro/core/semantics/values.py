@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
+import numpy as np
+
 from repro.core import ast
 from repro.dists import make_distribution
 from repro.errors import EvaluationError
@@ -51,9 +53,12 @@ def _as_number(value: object, what: str) -> float:
 
 
 def _as_bool(value: object, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
-    return value
+    if isinstance(value, bool):
+        return value
+    # A comparison of two NumPy scalars (e.g. ``np.float64`` arguments).
+    if isinstance(value, np.bool_):
+        return bool(value)
+    raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
 
 
 _ARITH = {

@@ -87,13 +87,6 @@ def _require_subtype(actual: ty.BaseType, expected: ty.BaseType, what: str) -> N
         raise BasicTypeError(f"{what}: expected {expected}, got {actual}")
 
 
-def _numeric_join(a: ty.BaseType, b: ty.BaseType, what: str) -> ty.BaseType:
-    joined = ty.join(a, b)
-    if joined is None:
-        raise BasicTypeError(f"{what}: incompatible operand types {a} and {b}")
-    return joined
-
-
 def infer_expr_type(
     ctx: Context,
     expr: ast.Expr,

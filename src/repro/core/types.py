@@ -126,20 +126,6 @@ class TupleTy(BaseType):
         return "(" + " * ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
-class TraceTy(BaseType):
-    """|A| — first-class guidance traces of guide type ``A``.
-
-    Used by Metropolis–Hastings proposal procedures that take the previous
-    latent trace as an argument (paper Sec. 5.2, Lemma C.4).
-    """
-
-    guide_type: "GuideType"
-
-    def __str__(self) -> str:
-        return f"trace[{self.guide_type}]"
-
-
 # Convenient singletons ------------------------------------------------------
 
 UNIT = UnitTy()
@@ -161,11 +147,6 @@ def is_numeric(tau: BaseType) -> bool:
 def is_integral(tau: BaseType) -> bool:
     """True for ℕ and ℕn."""
     return isinstance(tau, (NatTy, FinNatTy))
-
-
-def is_scalar(tau: BaseType) -> bool:
-    """True for the scalar types that may appear inside guidance messages."""
-    return isinstance(tau, (UnitTy, BoolTy, URealTy, PRealTy, RealTy, FinNatTy, NatTy))
 
 
 def is_subtype(sub: BaseType, sup: BaseType) -> bool:

@@ -8,12 +8,14 @@ particle, e.g. ``Normal(x1, 1.0)`` where ``x1`` was sampled upstream).
 
 Resolution strategy:
 
-* all parameters scalar — build the ordinary scalar distribution once (its
-  constructor checks the parameters) and score through its
-  ``log_prob_batch`` batch API;
-* array parameters — check and score the whole group with the family's
-  record in :data:`repro.dists.FAMILIES`, the same functions the compiled
-  kernels call; either way the group draws with the record's sampler;
+* all parameters scalar — build the ordinary scalar distribution once with
+  :func:`scalar_dist` (its constructor checks the parameters; the compiled
+  kernels build their constant distributions the same way) and draw and
+  score through its batch API, whose ``sample_n`` is the family record's
+  sampler;
+* array parameters — check, draw and score the whole group with the
+  family's record in :data:`repro.dists.FAMILIES`, the same functions the
+  compiled kernels call;
 * anything else (e.g. ``Cat`` with per-particle weights) — fall back to a
   loop of scalar distributions, so exotic cases stay exactly as correct as
   the sequential interpreter.
@@ -79,6 +81,15 @@ def score_lanes(family: Family, params: Sequence[object], values, n: int) -> np.
     return family.log_prob(*params, arr)
 
 
+def scalar_dist(family: Family, args: Sequence[object]) -> Distribution:
+    """The scalar distribution of parameters ``args`` shared by a whole group.
+
+    ``BatchedDist`` builds its shared-parameter distributions here, and the
+    compiled kernels build their constant ones in their preamble.
+    """
+    return family.build([float(a) for a in args])
+
+
 def _per_particle(family: Family, params: Sequence[object], index: int) -> Distribution:
     """Particle ``index``'s scalar distribution (``params``: scalars or lane arrays)."""
     return family.build(
@@ -96,12 +107,13 @@ class BatchedDist:
         self._scalar: Optional[Distribution] = None
 
         if all(np.ndim(a) == 0 for a in args):
-            # Shared parameters: one scalar distribution serves the group.
-            self._params: List[object] = [float(a) for a in args]
-            self._scalar = family.build(self._params)
+            # Shared parameters: one scalar distribution draws and scores
+            # for the group (its sample_n is the family's sampler).
+            self._scalar = scalar_dist(family, args)
             return
 
-        self._params = [_broadcast(a, self.n) for a in args]
+        # Lane parameters: the family's kernels take them as they are.
+        self._params: List[object] = [_broadcast(a, self.n) for a in args]
         # Cat's weights validate per particle in the scalar loop.
         if family.params is not None:
             for index, value in enumerate(self._params):
@@ -115,18 +127,17 @@ class BatchedDist:
         batched.family = None
         batched.n = int(n)
         batched._scalar = dist
-        batched._params = []
         return batched
 
     # -- the batched operations ----------------------------------------------
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw one value per particle."""
-        family = self.family
-        if family is not None and family.draw is not None:
-            return family.draw(rng, self.n, *self._params)
         if self._scalar is not None:
             return self._scalar.sample_n(rng, self.n)
+        family = self.family
+        if family.draw is not None:
+            return family.draw(rng, self.n, *self._params)
         return np.asarray(
             [_per_particle(family, self._params, i).sample(rng) for i in range(self.n)]
         )

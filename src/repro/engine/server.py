@@ -533,7 +533,12 @@ class InferenceService:
         started = time.monotonic()
         try:
             pending = await self._prepare(payload, arrived_at=started)
-        except (ReproError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        except (ReproError, ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+            if isinstance(exc, RecursionError):
+                exc = InferenceError(
+                    "program is nested too deeply to parse or certify "
+                    "(Python recursion limit exceeded)"
+                )
             elapsed = time.monotonic() - started
             self.counters.observe(0.0, elapsed, 0, ok=False, latency_s=elapsed)
             return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)

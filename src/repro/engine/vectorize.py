@@ -30,11 +30,23 @@ the attempt wholesale and re-runs *every* particle through the sequential
 scheduler.  Discarding all particles keeps the fallback unbiased — dropping
 only the particles that hit the unsupported path would condition the kept
 ones on not having hit it.
+
+Lane helpers
+------------
+
+What each operator, Boolean screen, argument binding, branch-uniformity
+test and observation replay does to a scalar or an ``(n,)`` array is
+defined once, in the "Lane helpers" section below, with the budget and
+replay errors.  The interpreter calls these functions, and the compiled
+kernels call the same ones through :mod:`repro.compiler.batched_runtime`,
+so ``backend="compiled"`` shares every operator with the interpreter by
+construction rather than by copy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from collections import deque
@@ -53,7 +65,13 @@ from repro.core.coroutines.runner import (
 from repro.core.semantics import traces as tr
 from repro.dists.base import Distribution
 from repro.engine.batched import BatchedDist
-from repro.errors import ChannelProtocolError, EvaluationError, InferenceError
+from repro.errors import (
+    ChannelProtocolError,
+    EvaluationError,
+    InferenceError,
+    TraceExhausted,
+    TraceTypeMismatch,
+)
 from repro.utils.numerics import (
     log_mean_exp,
     normalize_log_weights,
@@ -84,6 +102,252 @@ class VectorizationUnsupported(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Lane helpers (see the module docstring): kernels call them as ``_rt.<name>``
+#
+# Emitted code is one expression per ``if``/``&&``/``||``, so those forms
+# take thunks (``ifexp``, ``and_``, ``or_``); :func:`eval_expr_vec`
+# evaluates the arms itself and shares their strict parts (``as_bool``,
+# ``merge_lanes``, ``np.logical_and``/``np.logical_or``).
+# ---------------------------------------------------------------------------
+
+
+def as_bool(value: object, what: str) -> object:
+    """Screen a Boolean: a ``bool`` or a Boolean lane array, as is; a NumPy
+    Boolean scalar (a comparison of two NumPy scalars) as ``bool``."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "b":
+            return value
+    elif isinstance(value, np.bool_):
+        return bool(value)
+    raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
+
+
+def merge_lanes(cond: np.ndarray, then_value: object, else_value: object) -> np.ndarray:
+    """Merge both strictly evaluated arms of an ``if`` under a lane condition.
+
+    An arm that is neither a number nor an array raises
+    :class:`VectorizationUnsupported`, which sends the whole batch to the
+    sequential fallback on either backend.
+    """
+    for value in (then_value, else_value):
+        if not (isinstance(value, np.ndarray) or isinstance(value, (int, float, bool))):
+            raise VectorizationUnsupported(
+                f"if-expression over a particle axis with non-scalar arm {value!r}"
+            )
+    return np.where(cond, then_value, else_value)
+
+
+def ifexp(cond: object, then, orelse):
+    """``if`` over thunks: lazy on a scalar condition, both arms under lanes."""
+    cond = as_bool(cond, "if-condition")
+    if isinstance(cond, bool):
+        return then() if cond else orelse()
+    return merge_lanes(cond, then(), orelse())
+
+
+def and_(left: object, right):
+    """``&&`` with a thunk right operand: short-circuits on a scalar ``false``."""
+    left = as_bool(left, "left operand of &&")
+    if isinstance(left, bool):
+        if not left:
+            return False
+        return as_bool(right(), "right operand of &&")
+    return np.logical_and(left, as_bool(right(), "right operand of &&"))
+
+
+def or_(left: object, right):
+    """``||`` with a thunk right operand: short-circuits on a scalar ``true``."""
+    left = as_bool(left, "left operand of ||")
+    if isinstance(left, bool):
+        if left:
+            return True
+        return as_bool(right(), "right operand of ||")
+    return np.logical_or(left, as_bool(right(), "right operand of ||"))
+
+
+def not_(value: object) -> object:
+    value = as_bool(value, "operand of !")
+    return (not value) if isinstance(value, bool) else np.logical_not(value)
+
+
+def eq(left: object, right: object) -> object:
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.equal(left, right)
+    return left == right
+
+
+def ne(left: object, right: object) -> object:
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.not_equal(left, right)
+    return left != right
+
+
+def div(left: object, right: object) -> object:
+    """Division: a scalar zero divisor raises, lanes yield ``inf``/``nan``."""
+    if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
+        if right == 0.0:
+            raise EvaluationError("division by zero")
+        return left / right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(left, dtype=float) / np.asarray(right, dtype=float)
+
+
+def _unop(value: object, scalar_fn, array_fn, domain_check=None, domain_msg=None):
+    if not isinstance(value, np.ndarray):
+        number = float(value)
+        if domain_check is not None and not domain_check(number):
+            raise EvaluationError(domain_msg.format(number))
+        return scalar_fn(number)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return array_fn(value)
+
+
+def exp_(value: object) -> object:
+    return _unop(value, math.exp, np.exp)
+
+
+def log_(value: object) -> object:
+    return _unop(
+        value, math.log, np.log,
+        domain_check=lambda x: x > 0.0,
+        domain_msg="log of a non-positive number {}",
+    )
+
+
+def sqrt_(value: object) -> object:
+    return _unop(
+        value, math.sqrt, np.sqrt,
+        domain_check=lambda x: x >= 0.0,
+        domain_msg="sqrt of a negative number {}",
+    )
+
+
+def proj(value: object, index: int) -> object:
+    if not isinstance(value, tuple) or not 0 <= index < len(value):
+        raise EvaluationError(f"invalid projection .{index} from {value!r}")
+    return value[index]
+
+
+def make_batched(kind: ast.DistKind, args: Sequence[object], n: int) -> BatchedDist:
+    """A distribution expression's value: screen each argument as a number."""
+    for a in args:
+        if not (isinstance(a, np.ndarray) or isinstance(a, (int, float))) or isinstance(a, bool):
+            raise EvaluationError(f"{kind.value} parameter: expected a number, got {a!r}")
+    return BatchedDist(kind, list(args), n)
+
+
+def as_batched(value: object, n: int) -> BatchedDist:
+    """The distribution a sample command draws from, given any expression's value."""
+    if isinstance(value, BatchedDist):
+        return value
+    if isinstance(value, Distribution):
+        return BatchedDist.from_scalar(value, n)
+    raise EvaluationError(f"sample command expects a distribution, got {value!r}")
+
+
+def bind_args(entry: str, nparams: int, args: Sequence[object]) -> Tuple[object, ...]:
+    """An entry point's arguments, checked against its parameter count."""
+    args = tuple(args)
+    if len(args) != nparams:
+        raise EvaluationError(f"{entry} expects {nparams} arguments, got {len(args)}")
+    return args
+
+
+def bind_call(name: str, nparams: int, argument: object) -> Tuple[object, ...]:
+    """A multi-parameter call's argument: a tuple that unpacks positionally."""
+    if not isinstance(argument, tuple) or len(argument) != nparams:
+        raise EvaluationError(f"{name} expects {nparams} arguments, got {argument!r}")
+    return argument
+
+
+def uniform_or_none(pred: object) -> Optional[bool]:
+    """``True``/``False`` when the predicate is uniform, ``None`` when mixed."""
+    if isinstance(pred, bool):
+        return pred
+    pred = np.asarray(pred, dtype=bool)
+    if pred.all():
+        return True
+    if not pred.any():
+        return False
+    return None
+
+
+def _obs_exhausted(what: str, expected: str) -> TraceExhausted:
+    return TraceExhausted(f"{what}: expected a {expected} message but the trace is exhausted")
+
+
+def obs_value(obs: Sequence[tr.Message], position: int, what: str) -> object:
+    """The sample value at ``position`` of an external replay trace."""
+    if position >= len(obs):
+        raise _obs_exhausted(what, "Message")
+    message = obs[position]
+    if not isinstance(message, (tr.ValP, tr.ValC)):
+        raise ChannelProtocolError(
+            f"{what}: replay trace provides {message}, expected a sample value"
+        )
+    return message.value
+
+
+def obs_fold(obs: Sequence[tr.Message], position: int, what: str) -> None:
+    """Check for the call marker at ``position`` of an external replay trace."""
+    if position >= len(obs):
+        raise _obs_exhausted(what, "Fold")
+    message = obs[position]
+    if not isinstance(message, tr.Fold):
+        raise TraceTypeMismatch(
+            f"{what}: expected a Fold message but found {message}"
+        )
+
+
+#: Control-flow splits one vectorized run may take before it gives up.
+DEFAULT_MAX_SPLITS = 10_000
+
+
+def op_budget_error(max_ops: int) -> ChannelProtocolError:
+    """The error a group raises past its operation budget."""
+    return ChannelProtocolError(
+        f"joint execution exceeded the operation budget ({max_ops}); "
+        "the model/guide recursion appears not to terminate"
+    )
+
+
+def split_budget_error(max_splits: int) -> InferenceError:
+    """The error a run raises past its split budget."""
+    return InferenceError(
+        f"vectorized execution exceeded {max_splits} control-flow "
+        "splits; use the sequential engine for this model"
+    )
+
+
+_DIVERGED = "the replayed execution diverged from the recorded control path"
+
+
+def replay_overrun_error(channel: str) -> ChannelProtocolError:
+    """A rescore resolved past the end of ``channel``'s recorded log."""
+    return ChannelProtocolError(
+        f"rescore on {channel!r} ran past the recorded message log; {_DIVERGED}"
+    )
+
+
+def replay_kind_error(channel: str, expected: str, found: str) -> ChannelProtocolError:
+    """A replayed log held a message of another kind than the one resolved."""
+    return ChannelProtocolError(
+        f"group replay on {channel!r}: expected a {expected} message, found "
+        f"a {found} message"
+    )
+
+
+def replay_unconsumed_error(channel: str, consumed: int, total: int) -> ChannelProtocolError:
+    """A rescore finished before consuming ``channel``'s whole recorded log."""
+    return ChannelProtocolError(
+        f"rescore on {channel!r} consumed only {consumed} of {total} recorded "
+        f"messages; {_DIVERGED}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Vectorized expression evaluation
 # ---------------------------------------------------------------------------
 
@@ -97,29 +361,27 @@ class VecClosure:
     body: ast.Expr
 
 
-def _is_array(value: object) -> bool:
-    return isinstance(value, np.ndarray)
-
-
-def _as_bool_vec(value: object, what: str) -> object:
-    if isinstance(value, bool):
-        return value
-    if _is_array(value) and value.dtype.kind == "b":
-        return value
-    raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
-
-
-_ARITH = {
-    ast.BinOp.ADD: lambda a, b: a + b,
-    ast.BinOp.SUB: lambda a, b: a - b,
-    ast.BinOp.MUL: lambda a, b: a * b,
+#: The strict binary operators (``&&`` and ``||`` short-circuit, so
+#: :func:`eval_expr_vec` handles them itself).
+_BINARY = {
+    ast.BinOp.ADD: operator.add,
+    ast.BinOp.SUB: operator.sub,
+    ast.BinOp.MUL: operator.mul,
+    ast.BinOp.DIV: div,
+    ast.BinOp.LT: operator.lt,
+    ast.BinOp.LE: operator.le,
+    ast.BinOp.GT: operator.gt,
+    ast.BinOp.GE: operator.ge,
+    ast.BinOp.EQ: eq,
+    ast.BinOp.NE: ne,
 }
 
-_CMP = {
-    ast.BinOp.LT: lambda a, b: a < b,
-    ast.BinOp.LE: lambda a, b: a <= b,
-    ast.BinOp.GT: lambda a, b: a > b,
-    ast.BinOp.GE: lambda a, b: a >= b,
+_UNARY = {
+    ast.UnOp.NEG: operator.neg,
+    ast.UnOp.NOT: not_,
+    ast.UnOp.EXP: exp_,
+    ast.UnOp.LOG: log_,
+    ast.UnOp.SQRT: sqrt_,
 }
 
 
@@ -147,23 +409,33 @@ def eval_expr_vec(env: Dict[str, object], expr: ast.Expr, n: int) -> object:
         return int(expr.value)
 
     if isinstance(expr, ast.IfExpr):
-        cond = _as_bool_vec(eval_expr_vec(env, expr.cond, n), "if-condition")
+        cond = as_bool(eval_expr_vec(env, expr.cond, n), "if-condition")
         if isinstance(cond, bool):
             return eval_expr_vec(env, expr.then if cond else expr.orelse, n)
-        then_value = eval_expr_vec(env, expr.then, n)
-        else_value = eval_expr_vec(env, expr.orelse, n)
-        for value in (then_value, else_value):
-            if not (_is_array(value) or isinstance(value, (int, float, bool))):
-                raise VectorizationUnsupported(
-                    f"if-expression over a particle axis with non-scalar arm {value!r}"
-                )
-        return np.where(cond, then_value, else_value)
+        return merge_lanes(
+            cond, eval_expr_vec(env, expr.then, n), eval_expr_vec(env, expr.orelse, n)
+        )
 
     if isinstance(expr, ast.PrimOp):
-        return _eval_primop_vec(env, expr, n)
+        op = expr.op
+        # ``&&``/``||``: and_/or_ without thunks, so the right arm is
+        # evaluated only when a scalar left operand does not decide.
+        if op is ast.BinOp.AND:
+            left = as_bool(eval_expr_vec(env, expr.left, n), "left operand of &&")
+            if left is False:
+                return False
+            right = as_bool(eval_expr_vec(env, expr.right, n), "right operand of &&")
+            return right if left is True else np.logical_and(left, right)
+        if op is ast.BinOp.OR:
+            left = as_bool(eval_expr_vec(env, expr.left, n), "left operand of ||")
+            if left is True:
+                return True
+            right = as_bool(eval_expr_vec(env, expr.right, n), "right operand of ||")
+            return right if left is False else np.logical_or(left, right)
+        return _BINARY[op](eval_expr_vec(env, expr.left, n), eval_expr_vec(env, expr.right, n))
 
     if isinstance(expr, ast.PrimUnOp):
-        return _eval_primunop_vec(env, expr, n)
+        return _UNARY[expr.op](eval_expr_vec(env, expr.operand, n))
 
     if isinstance(expr, ast.Lam):
         return VecClosure(dict(env), expr.param, expr.body)
@@ -187,95 +459,12 @@ def eval_expr_vec(env: Dict[str, object], expr: ast.Expr, n: int) -> object:
         return tuple(eval_expr_vec(env, item, n) for item in expr.items)
 
     if isinstance(expr, ast.Proj):
-        value = eval_expr_vec(env, expr.tuple_expr, n)
-        if not isinstance(value, tuple) or not 0 <= expr.index < len(value):
-            raise EvaluationError(f"invalid projection .{expr.index} from {value!r}")
-        return value[expr.index]
+        return proj(eval_expr_vec(env, expr.tuple_expr, n), expr.index)
 
     if isinstance(expr, ast.DistExpr):
-        args = [eval_expr_vec(env, a, n) for a in expr.args]
-        for a in args:
-            if not (_is_array(a) or isinstance(a, (int, float))) or isinstance(a, bool):
-                raise EvaluationError(
-                    f"{expr.kind.value} parameter: expected a number, got {a!r}"
-                )
-        return BatchedDist(expr.kind, args, n)
+        return make_batched(expr.kind, [eval_expr_vec(env, a, n) for a in expr.args], n)
 
     raise EvaluationError(f"unknown expression node {expr!r}")
-
-
-def _eval_primop_vec(env: Dict[str, object], expr: ast.PrimOp, n: int) -> object:
-    op = expr.op
-    if op in (ast.BinOp.AND, ast.BinOp.OR):
-        left = _as_bool_vec(eval_expr_vec(env, expr.left, n), f"left operand of {op.value}")
-        if isinstance(left, bool):
-            # Preserve scalar short-circuiting.
-            if op is ast.BinOp.AND and not left:
-                return False
-            if op is ast.BinOp.OR and left:
-                return True
-            return _as_bool_vec(
-                eval_expr_vec(env, expr.right, n), f"right operand of {op.value}"
-            )
-        right = _as_bool_vec(eval_expr_vec(env, expr.right, n), f"right operand of {op.value}")
-        combine = np.logical_and if op is ast.BinOp.AND else np.logical_or
-        return combine(left, right)
-
-    left = eval_expr_vec(env, expr.left, n)
-    right = eval_expr_vec(env, expr.right, n)
-
-    if op in (ast.BinOp.EQ, ast.BinOp.NE):
-        if _is_array(left) or _is_array(right):
-            return np.equal(left, right) if op is ast.BinOp.EQ else np.not_equal(left, right)
-        equal = left == right
-        return equal if op is ast.BinOp.EQ else not equal
-
-    if op in _CMP:
-        return _CMP[op](left, right)
-
-    if op in _ARITH:
-        return _ARITH[op](left, right)
-
-    if op is ast.BinOp.DIV:
-        if not _is_array(left) and not _is_array(right):
-            if right == 0.0:
-                raise EvaluationError("division by zero")
-            return left / right
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(left, dtype=float) / np.asarray(right, dtype=float)
-
-    raise EvaluationError(f"unknown binary operator {op!r}")
-
-
-def _eval_primunop_vec(env: Dict[str, object], expr: ast.PrimUnOp, n: int) -> object:
-    op = expr.op
-    operand = eval_expr_vec(env, expr.operand, n)
-    if op is ast.UnOp.NOT:
-        value = _as_bool_vec(operand, "operand of !")
-        return (not value) if isinstance(value, bool) else np.logical_not(value)
-    if op is ast.UnOp.NEG:
-        return -operand
-    if not _is_array(operand):
-        number = float(operand)
-        if op is ast.UnOp.EXP:
-            return math.exp(number)
-        if op is ast.UnOp.LOG:
-            if number <= 0.0:
-                raise EvaluationError(f"log of a non-positive number {number}")
-            return math.log(number)
-        if op is ast.UnOp.SQRT:
-            if number < 0.0:
-                raise EvaluationError(f"sqrt of a negative number {number}")
-            return math.sqrt(number)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if op is ast.UnOp.EXP:
-                return np.exp(operand)
-            if op is ast.UnOp.LOG:
-                return np.log(operand)
-            if op is ast.UnOp.SQRT:
-                return np.sqrt(operand)
-    raise EvaluationError(f"unknown unary operator {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +515,6 @@ class VOpPureBranch(VOp):
     pred: object
 
 
-def _eval_dist_vec(env: Dict[str, object], expr: ast.Expr, n: int) -> BatchedDist:
-    value = eval_expr_vec(env, expr, n)
-    if isinstance(value, BatchedDist):
-        return value
-    if isinstance(value, Distribution):
-        return BatchedDist.from_scalar(value, n)
-    raise EvaluationError(f"sample command expects a distribution, got {value!r}")
-
-
 def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str, object], n: int):
     """Interpret ``cmd`` as a coroutine over a particle axis of size ``n``."""
     if isinstance(cmd, ast.Ret):
@@ -348,17 +528,17 @@ def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str,
         return result
 
     if isinstance(cmd, ast.SampleRecv):
-        dist = _eval_dist_vec(env, cmd.dist, n)
+        dist = as_batched(eval_expr_vec(env, cmd.dist, n), n)
         value = yield VOpRecvSample(cmd.channel, dist)
         return value
 
     if isinstance(cmd, ast.SampleSend):
-        dist = _eval_dist_vec(env, cmd.dist, n)
+        dist = as_batched(eval_expr_vec(env, cmd.dist, n), n)
         value = yield VOpSendSample(cmd.channel, dist)
         return value
 
     if isinstance(cmd, ast.CondSend):
-        predicate = _as_bool_vec(eval_expr_vec(env, cmd.cond, n), "branch predicate")
+        predicate = as_bool(eval_expr_vec(env, cmd.cond, n), "branch predicate")
         selection = yield VOpSendBranch(cmd.channel, predicate)
         branch = cmd.then if selection else cmd.orelse
         result = yield from interpret_command_vec(program, branch, env, n)
@@ -371,7 +551,7 @@ def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str,
         return result
 
     if isinstance(cmd, ast.CondPure):
-        predicate = _as_bool_vec(eval_expr_vec(env, cmd.cond, n), "branch predicate")
+        predicate = as_bool(eval_expr_vec(env, cmd.cond, n), "branch predicate")
         if not isinstance(predicate, bool):
             predicate = yield VOpPureBranch("", predicate)
         branch = cmd.then if predicate else cmd.orelse
@@ -384,7 +564,11 @@ def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str,
         except KeyError as exc:
             raise EvaluationError(f"call to unknown procedure {cmd.proc!r}") from exc
         argument = eval_expr_vec(env, cmd.arg, n)
-        call_env = _bind_arguments_vec(callee, argument)
+        params = callee.params
+        if len(params) > 1:
+            call_env = dict(zip(params, bind_call(callee.name, len(params), argument)))
+        else:
+            call_env = {params[0]: argument} if params else {}
         for channel in (callee.consumes, callee.provides):
             if channel is not None:
                 yield VOpFold(channel)
@@ -392,7 +576,7 @@ def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str,
         return result
 
     if isinstance(cmd, ast.Observe):
-        dist = _eval_dist_vec(env, cmd.dist, n)
+        dist = as_batched(eval_expr_vec(env, cmd.dist, n), n)
         value = eval_expr_vec(env, cmd.value, n)
         yield VOpObserve("", dist, value)
         return None
@@ -402,25 +586,8 @@ def interpret_command_vec(program: ast.Program, cmd: ast.Command, env: Dict[str,
 
 def interpret_procedure_vec(program: ast.Program, entry: str, args: Sequence[object], n: int):
     procedure = program.procedure(entry)
-    if len(args) != len(procedure.params):
-        raise EvaluationError(
-            f"{entry} expects {len(procedure.params)} arguments, got {len(args)}"
-        )
-    env = dict(zip(procedure.params, args))
+    env = dict(zip(procedure.params, bind_args(entry, len(procedure.params), args)))
     return interpret_command_vec(program, procedure.body, env, n)
-
-
-def _bind_arguments_vec(procedure: ast.Procedure, argument: object) -> Dict[str, object]:
-    params = procedure.params
-    if len(params) == 0:
-        return {}
-    if len(params) == 1:
-        return {params[0]: argument}
-    if not isinstance(argument, tuple) or len(argument) != len(params):
-        raise EvaluationError(
-            f"{procedure.name} expects {len(params)} arguments, got {argument!r}"
-        )
-    return dict(zip(params, argument))
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +612,6 @@ class VecMessage:
         if not isinstance(self.payload, np.ndarray):
             return self  # messages are never mutated, so groups share scalar ones
         return VecMessage(self.kind, self.provider, self.payload[mask])
-
-
-#: Control-flow splits one vectorized run may take before it gives up.
-DEFAULT_MAX_SPLITS = 10_000
-
-
-def op_budget_error(max_ops: int) -> ChannelProtocolError:
-    """The error a group raises past its operation budget (both backends)."""
-    return ChannelProtocolError(
-        f"joint execution exceeded the operation budget ({max_ops}); "
-        "the model/guide recursion appears not to terminate"
-    )
-
-
-def split_budget_error(max_splits: int) -> InferenceError:
-    """The error a run raises past its split budget (both backends)."""
-    return InferenceError(
-        f"vectorized execution exceeded {max_splits} control-flow "
-        "splits; use the sequential engine for this model"
-    )
 
 
 class _SplitRequired(Exception):
@@ -502,14 +649,12 @@ class _VecChannelState:
     to_consumer: Deque[Tuple[str, object]] = field(default_factory=deque)
     to_provider: Deque[Tuple[str, object]] = field(default_factory=deque)
     recorded: List[VecMessage] = field(default_factory=list)
-    replay_cursor: Optional[tr.TraceCursor] = None
+    #: The external replay trace (``spec.replay``) and the next position in it.
+    replay: Optional[Sequence[tr.Message]] = None
+    replay_pos: int = 0
     log_pos: int = 0
     fold_waiting: Optional[str] = None
     fold_passes: set = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        if self.spec.replay is not None:
-            self.replay_cursor = tr.TraceCursor(self.spec.replay)
 
     def outgoing(self, sender_is_provider: bool) -> Deque[Tuple[str, object]]:
         return self.to_consumer if sender_is_provider else self.to_provider
@@ -559,7 +704,7 @@ class _VecScheduler:
             )
         logs = logs or {}
         self.channels: Dict[str, _VecChannelState] = {
-            spec.name: _VecChannelState(spec, log=logs.get(spec.name, []))
+            spec.name: _VecChannelState(spec, log=logs.get(spec.name, []), replay=spec.replay)
             for spec in channels
         }
 
@@ -597,58 +742,40 @@ class _VecScheduler:
         replay log when one is present, so a subgroup re-execution reuses
         exactly the values its particles already drew.
         """
-        if channel.replay_cursor is None and channel.log_pos < len(channel.log):
+        if channel.replay is None and channel.log_pos < len(channel.log):
             entry = channel.log[channel.log_pos]
             channel.log_pos += 1
             if entry.kind != kind:
-                raise ChannelProtocolError(
-                    f"group replay on {channel.spec.name!r}: expected a {kind} "
-                    f"message, found a {entry.kind} message"
-                )
+                raise replay_kind_error(channel.spec.name, kind, entry.kind)
             payload = entry.payload
         else:
-            if self.strict_replay and channel.replay_cursor is None:
+            if self.strict_replay and channel.replay is None:
                 # Rescoring mode: a resolution past the end of the recorded
                 # log means the coroutines took a different path than the
                 # recorded run (e.g. a parameter-dependent pure branch
                 # flipped) — drawing fresh values would silently score a
                 # different trace.
-                raise ChannelProtocolError(
-                    f"rescore on {channel.spec.name!r} ran past the recorded "
-                    "message log; the replayed execution diverged from the "
-                    "recorded control path"
-                )
+                raise replay_overrun_error(channel.spec.name)
             payload = fresh()
         channel.recorded.append(VecMessage(kind, provider_sent, payload))
         return payload
 
     def _replay_value(self, channel: _VecChannelState, what: str) -> object:
-        assert channel.replay_cursor is not None
-        message = channel.replay_cursor.take(tr.Message, what)
-        if not isinstance(message, (tr.ValP, tr.ValC)):
-            raise ChannelProtocolError(
-                f"{what}: replay trace provides {message}, expected a sample value"
-            )
-        return message.value
+        value = obs_value(channel.replay, channel.replay_pos, what)
+        channel.replay_pos += 1
+        return value
 
     def _replay_branch(self, channel: _VecChannelState, what: str) -> bool:
-        assert channel.replay_cursor is not None
-        message = channel.replay_cursor.take(tr.Message, what)
+        position = channel.replay_pos
+        if position >= len(channel.replay):
+            raise _obs_exhausted(what, "Message")
+        channel.replay_pos += 1
+        message = channel.replay[position]
         if not isinstance(message, (tr.DirP, tr.DirC)):
             raise ChannelProtocolError(
                 f"{what}: replay trace provides {message}, expected a branch selection"
             )
         return bool(message.value)
-
-    def _uniform_selection(self, pred: object, channel: str, provider: bool) -> bool:
-        if isinstance(pred, bool):
-            return pred
-        pred = np.asarray(pred, dtype=bool)
-        if pred.all():
-            return True
-        if not pred.any():
-            return False
-        raise _SplitRequired(pred, channel, provider)
 
     # -- op handlers -----------------------------------------------------------
 
@@ -664,14 +791,17 @@ class _VecScheduler:
             return True, None
 
         if isinstance(op, VOpPureBranch):
-            return True, self._uniform_selection(op.pred, None, None)
+            selection = uniform_or_none(op.pred)
+            if selection is None:
+                raise _SplitRequired(op.pred, None, None)
+            return True, selection
 
         channel = self._channel(op.channel)
         provider = self._is_provider(task, channel)
 
         if isinstance(op, VOpSendSample):
             def fresh():
-                if channel.replay_cursor is not None:
+                if channel.replay is not None:
                     return self._replay_value(channel, f"send on {op.channel}")
                 return op.dist.sample(self.rng)
 
@@ -697,7 +827,7 @@ class _VecScheduler:
                     )
             else:
                 def fresh():
-                    if channel.replay_cursor is not None:
+                    if channel.replay is not None:
                         return self._replay_value(channel, f"receive on {op.channel}")
                     # Generate mode: prior simulation from the receiver's dist.
                     return op.dist.sample(self.rng)
@@ -710,9 +840,12 @@ class _VecScheduler:
 
         if isinstance(op, VOpSendBranch):
             def fresh():
-                if channel.replay_cursor is not None:
+                if channel.replay is not None:
                     return self._replay_branch(channel, f"branch on {op.channel}")
-                return self._uniform_selection(op.pred, op.channel, provider)
+                selection = uniform_or_none(op.pred)
+                if selection is None:
+                    raise _SplitRequired(op.pred, op.channel, provider)
+                return selection
 
             selection = self._resolve(channel, "dir", provider, fresh)
             mismatch = np.not_equal(op.pred, selection)
@@ -734,7 +867,7 @@ class _VecScheduler:
                     )
             else:
                 def fresh():
-                    if channel.replay_cursor is None:
+                    if channel.replay is None:
                         raise ChannelProtocolError(
                             f"receive of a branch selection on {op.channel!r} with no "
                             "partner and no replay trace"
@@ -746,8 +879,9 @@ class _VecScheduler:
 
         if isinstance(op, VOpFold):
             if not self._partner_is_live(task, channel):
-                if channel.replay_cursor is not None:
-                    channel.replay_cursor.take(tr.Fold, f"call marker on {op.channel}")
+                if channel.replay is not None:
+                    obs_fold(channel.replay, channel.replay_pos, f"call marker on {op.channel}")
+                    channel.replay_pos += 1
                     if provider:
                         channel.recorded.append(VecMessage("fold", True))
                 elif provider:
@@ -993,12 +1127,8 @@ class ParticleVectorizer:
                 "replayed execution left the recorded control path"
             ) from split
         for name, state in scheduler.channels.items():
-            if state.replay_cursor is None and state.log_pos < len(state.log):
-                raise ChannelProtocolError(
-                    f"rescore on {name!r} consumed only {state.log_pos} of "
-                    f"{len(state.log)} recorded messages; the replayed "
-                    "execution diverged from the recorded control path"
-                )
+            if state.replay is None and state.log_pos < len(state.log):
+                raise replay_unconsumed_error(name, state.log_pos, len(state.log))
         return result
 
     # -- lockstep execution with group splitting -------------------------------
@@ -1049,7 +1179,7 @@ class ParticleVectorizer:
             logs: Dict[str, List[VecMessage]] = {}
             for name, state in scheduler.channels.items():
                 # External-replay channels re-resolve from their own trace.
-                if state.replay_cursor is not None:
+                if state.replay is not None:
                     continue
                 logs[name] = [message.sliced(mask) for message in state.recorded]
             if split.channel is not None:

@@ -80,16 +80,6 @@ class EvaluationError(ReproError):
     """
 
 
-class ZeroWeightTrace(EvaluationError):
-    """Raised (optionally) when a trace evaluates to weight zero.
-
-    The big-step semantics gives weight zero to traces whose branch
-    selections contradict the evaluated predicates.  Engines that must not
-    silently continue with impossible traces can request this exception
-    instead of a zero weight.
-    """
-
-
 class ChannelProtocolError(ReproError):
     """Raised by the coroutine scheduler when message directions mismatch.
 

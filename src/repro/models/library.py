@@ -109,10 +109,6 @@ class Benchmark:
     def model_loc(self) -> int:
         return source_loc(self.model_source)
 
-    @property
-    def guide_loc(self) -> int:
-        return source_loc(self.guide_source)
-
 
 # ---------------------------------------------------------------------------
 # Model and guide sources

@@ -25,7 +25,9 @@ The suite covers these layers:
   recorded reason, and still produce identical results (trivially, same
   runtime);
 * parameter checks — a lane parameter invalid for part of the population
-  raises the same error text on both backends, per family and parameter.
+  raises the same error text on both backends, per family and parameter;
+* NumPy-scalar arguments — a comparison of a ``np.float64`` model argument
+  drives a branch on both backends and on the scalar reference engine.
 
 Both backends draw and score through one record per family
 (:data:`repro.dists.FAMILIES`), so this suite cannot see a change to a
@@ -646,3 +648,41 @@ def test_parameter_check_errors_match_across_backends(family, bad, proven):
         assert failed == 1000, messages
     else:
         assert 0 < failed < 1000, messages
+
+
+_COMPARISON_MODEL = """
+proc M(x: real) consume latent provide obs {
+  y <- sample.recv{latent}(Normal(0.0, 1.0));
+  z <- if (x OP 1.0) { return(y) } else { return(0.0 - y) };
+  _ <- sample.send{obs}(Normal(z, 1.0));
+  return(y)
+}
+"""
+
+_COMPARISON_GUIDE = """
+proc G() provide latent {
+  y <- sample.send{latent}(Normal(0.5, 1.0));
+  return(y)
+}
+"""
+
+
+@pytest.mark.parametrize("x", [2.0, np.float64(2.0)], ids=["float", "float64"])
+@pytest.mark.parametrize("op", ["==", "!=", "<", "<=", ">", ">="])
+def test_comparisons_of_numpy_scalar_arguments_agree_across_backends(op, x):
+    """A NumPy comparison of two scalars gives a ``np.bool_``; every Boolean
+    screen takes it as a Boolean, so the branch runs on ``interp``,
+    ``compiled`` and ``is-sequential`` alike, with identical answers on the
+    two vectorized backends."""
+    model = _COMPARISON_MODEL.replace("OP", op)
+    session = ProgramSession.from_sources(model, _COMPARISON_GUIDE, "M", "G")
+    request = dict(num_particles=20, obs_values=[0.3], seed=1, model_args=(x,))
+    interp, compiled = (
+        session.infer("is", backend=backend, **request) for backend in ("interp", "compiled")
+    )
+    assert compiled.diagnostics().get("backend") == "compiled"
+    assert interp.posterior_mean(0) == compiled.posterior_mean(0)
+    assert interp.log_evidence() == compiled.log_evidence()
+    assert interp.effective_sample_size() == compiled.effective_sample_size()
+    sequential = session.infer("is-sequential", **request)
+    assert np.isfinite(sequential.posterior_mean(0))

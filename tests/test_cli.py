@@ -99,7 +99,7 @@ class TestRunIS:
     def test_runs_importance_sampling(self, model_file, guide_file, capsys):
         code = main([
             "run-is", model_file, guide_file,
-            "--obs", "0.8", "--samples", "200", "--seed", "1",
+            "--obs", "0.8", "--particles", "200", "--seed", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -108,7 +108,7 @@ class TestRunIS:
 
     def test_refuses_uncertified_pair_without_force(self, model_file, bad_guide_file):
         assert main([
-            "run-is", model_file, bad_guide_file, "--obs", "0.8", "--samples", "10",
+            "run-is", model_file, bad_guide_file, "--obs", "0.8", "--particles", "10",
         ]) == 1
 
 

@@ -9,11 +9,13 @@ importance sampler, group-splitting behaviour at divergent branches, and
 the unbiased whole-batch sequential fallback.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.compiler import batched_runtime as _rt
 from repro.core import ast
 from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
@@ -21,10 +23,19 @@ from repro.core.semantics.evaluate import log_density
 from repro.engine import BatchedDist, vectorized_importance
 from repro.engine.vectorize import (
     ParticleVectorizer,
+    VecMessage,
     VectorizationUnsupported,
     eval_expr_vec,
+    interpret_command_vec,
+    interpret_procedure_vec,
 )
-from repro.errors import InferenceError
+from repro.errors import (
+    ChannelProtocolError,
+    EvaluationError,
+    InferenceError,
+    TraceExhausted,
+    TraceTypeMismatch,
+)
 from repro.inference import importance_sampling
 from repro.models import get_benchmark
 
@@ -298,7 +309,339 @@ class TestVectorizedExpressions:
             assert scores[i] == pytest.approx(expected, abs=1e-10)
 
     def test_batched_dist_invalid_array_params_raise(self):
-        from repro.errors import EvaluationError
-
         with pytest.raises(EvaluationError):
             BatchedDist(ast.DistKind.NORMAL, [np.asarray([0.0, 0.0]), np.asarray([1.0, -1.0])], 2)
+
+    # -- the shared lane helpers ----------------------------------------------
+    #
+    # The interpreter (``eval_expr_vec`` and the scheduler) and the compiled
+    # kernels (``batched_runtime``'s ``_rt`` helpers) call one set of lane
+    # helpers, so interp-vs-compiled parity cannot see a change to one of
+    # them; these literal expectations pin each on scalar, NumPy-scalar and
+    # lane inputs.
+
+    @pytest.mark.parametrize(
+        "op, scalar, lanes",
+        [
+            (ast.BinOp.ADD, 4.0, [3.0, 4.0, 6.0]),
+            (ast.BinOp.SUB, 0.0, [-1.0, 0.0, 2.0]),
+            (ast.BinOp.MUL, 4.0, [2.0, 4.0, 8.0]),
+            (ast.BinOp.DIV, 1.0, [0.5, 1.0, 2.0]),
+            (ast.BinOp.LT, False, [True, False, False]),
+            (ast.BinOp.LE, True, [True, True, False]),
+            (ast.BinOp.GT, False, [False, False, True]),
+            (ast.BinOp.GE, True, [False, True, True]),
+            (ast.BinOp.EQ, True, [False, True, False]),
+            (ast.BinOp.NE, False, [True, False, True]),
+        ],
+        ids=["ADD", "SUB", "MUL", "DIV", "LT", "LE", "GT", "GE", "EQ", "NE"],
+    )
+    def test_binary_operators_on_scalars_numpy_scalars_and_lanes(self, op, scalar, lanes):
+        helper = {ast.BinOp.EQ: _rt.eq, ast.BinOp.NE: _rt.ne, ast.BinOp.DIV: _rt.div}.get(op)
+        expr = ast.PrimOp(op, ast.Var("x"), ast.Var("y"))
+        for x in (2.0, np.float64(2.0), np.asarray([1.0, 2.0, 4.0])):
+            want = lanes if isinstance(x, np.ndarray) else scalar
+            results = [eval_expr_vec({"x": x, "y": 2.0}, expr, 3)]
+            if helper is not None:
+                results.append(helper(x, 2.0))
+            for got in results:
+                assert isinstance(got, np.ndarray) == isinstance(x, np.ndarray)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "op, helper, scalar, lanes",
+        [
+            (ast.UnOp.NEG, None, -4.0, [-1.0, -4.0]),
+            (ast.UnOp.EXP, _rt.exp_, math.exp(4.0), [math.e, math.exp(4.0)]),
+            (ast.UnOp.LOG, _rt.log_, math.log(4.0), [0.0, math.log(4.0)]),
+            (ast.UnOp.SQRT, _rt.sqrt_, 2.0, [1.0, 2.0]),
+        ],
+        ids=["NEG", "EXP", "LOG", "SQRT"],
+    )
+    def test_unary_operators_on_scalars_numpy_scalars_and_lanes(self, op, helper, scalar, lanes):
+        expr = ast.PrimUnOp(op, ast.Var("x"))
+        for x in (4.0, np.float64(4.0), np.asarray([1.0, 4.0])):
+            want = lanes if isinstance(x, np.ndarray) else scalar
+            results = [eval_expr_vec({"x": x}, expr, 2)]
+            if helper is not None:
+                results.append(helper(x))
+            for got in results:
+                assert isinstance(got, np.ndarray) == isinstance(x, np.ndarray)
+                np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    def test_partial_operators_raise_on_scalars_and_mask_lanes(self):
+        cases = [
+            (ast.PrimOp(ast.BinOp.DIV, ast.Var("x"), ast.RealLit(0.0)), lambda x: _rt.div(x, 0.0),
+             1.0, "division by zero", np.inf),
+            (ast.PrimUnOp(ast.UnOp.LOG, ast.Var("x")), _rt.log_,
+             -1.0, "log of a non-positive number -1.0", np.nan),
+            (ast.PrimUnOp(ast.UnOp.SQRT, ast.Var("x")), _rt.sqrt_,
+             -1.0, "sqrt of a negative number -1.0", np.nan),
+        ]
+        for expr, helper, bad, message, lane in cases:
+            for x in (bad, np.float64(bad)):
+                with pytest.raises(EvaluationError) as raised:
+                    eval_expr_vec({"x": x}, expr, 2)
+                assert str(raised.value) == message
+                with pytest.raises(EvaluationError) as raised:
+                    helper(x)
+                assert str(raised.value) == message
+            x = np.asarray([bad, 4.0])
+            for got in (eval_expr_vec({"x": x}, expr, 2), helper(x)):
+                np.testing.assert_array_equal(got[:1], [lane])
+
+    def test_boolean_operators_short_circuit_on_scalars(self):
+        boom = ast.Var("undefined")  # raises if evaluated
+
+        def raising():
+            raise AssertionError("the right operand was evaluated")
+
+        assert eval_expr_vec({}, ast.PrimOp(ast.BinOp.AND, ast.BoolLit(False), boom), 2) is False
+        assert eval_expr_vec({}, ast.PrimOp(ast.BinOp.OR, ast.BoolLit(True), boom), 2) is True
+        assert _rt.and_(False, raising) is False
+        assert _rt.or_(True, raising) is True
+        x_lt = ast.PrimOp(ast.BinOp.LT, ast.Var("x"), ast.RealLit(3.0))
+        not_true = ast.PrimUnOp(ast.UnOp.NOT, ast.BoolLit(True))
+        env = {"x": 2.0}
+        assert eval_expr_vec(env, ast.PrimOp(ast.BinOp.AND, ast.BoolLit(True), x_lt), 2) is True
+        assert eval_expr_vec(env, ast.PrimOp(ast.BinOp.OR, ast.BoolLit(False), not_true), 2) is False
+        assert _rt.and_(True, lambda: False) is False
+        assert _rt.or_(False, lambda: True) is True
+        assert eval_expr_vec({}, ast.PrimUnOp(ast.UnOp.NOT, ast.BoolLit(True)), 2) is False
+        assert _rt.not_(False) is True
+
+    def test_boolean_operators_are_strict_over_lanes(self):
+        x = np.asarray([1.0, 2.0, 4.0])
+        lt3 = ast.PrimOp(ast.BinOp.LT, ast.Var("x"), ast.RealLit(3.0))
+        gt1 = ast.PrimOp(ast.BinOp.GT, ast.Var("x"), ast.RealLit(1.5))
+        env = {"x": x}
+        np.testing.assert_array_equal(
+            eval_expr_vec(env, ast.PrimOp(ast.BinOp.AND, lt3, gt1), 3), [False, True, False]
+        )
+        np.testing.assert_array_equal(
+            eval_expr_vec(env, ast.PrimOp(ast.BinOp.OR, gt1, ast.BoolLit(False)), 3),
+            [False, True, True],
+        )
+        np.testing.assert_array_equal(
+            eval_expr_vec(env, ast.PrimUnOp(ast.UnOp.NOT, lt3), 3), [False, False, True]
+        )
+        with pytest.raises(EvaluationError, match="unbound variable 'undefined'"):
+            eval_expr_vec(env, ast.PrimOp(ast.BinOp.OR, lt3, ast.Var("undefined")), 3)
+        mask = np.asarray([True, False])
+        np.testing.assert_array_equal(_rt.and_(mask, lambda: np.asarray([True, True])), mask)
+        np.testing.assert_array_equal(_rt.or_(mask, lambda: False), mask)
+        np.testing.assert_array_equal(_rt.not_(mask), [False, True])
+        with pytest.raises(EvaluationError, match="right operand of &&: expected a Boolean, got 1.0"):
+            _rt.and_(mask, lambda: 1.0)
+
+    def test_boolean_screens_reject_non_booleans_with_their_texts(self):
+        one = ast.RealLit(1.0)
+        cases = [
+            (ast.IfExpr(one, one, one), "if-condition: expected a Boolean, got 1.0"),
+            (ast.PrimOp(ast.BinOp.AND, one, ast.BoolLit(True)),
+             "left operand of &&: expected a Boolean, got 1.0"),
+            (ast.PrimOp(ast.BinOp.OR, ast.BoolLit(False), one),
+             "right operand of ||: expected a Boolean, got 1.0"),
+            (ast.PrimUnOp(ast.UnOp.NOT, one), "operand of !: expected a Boolean, got 1.0"),
+        ]
+        for expr, message in cases:
+            with pytest.raises(EvaluationError) as raised:
+                eval_expr_vec({}, expr, 2)
+            assert str(raised.value) == message
+        for value, shown in ((1.0, "1.0"), (np.asarray([1.0, 0.0]), "array([1., 0.])")):
+            with pytest.raises(EvaluationError) as raised:
+                _rt.as_bool(value, "branch predicate")
+            assert str(raised.value) == f"branch predicate: expected a Boolean, got {shown}"
+        lanes = np.asarray([True, False])
+        assert _rt.as_bool(lanes, "branch predicate") is lanes
+        assert _rt.as_bool(False, "branch predicate") is False
+
+    def test_boolean_screens_accept_numpy_booleans(self):
+        from repro.core.semantics.values import _as_bool
+
+        for screen in (_rt.as_bool, _as_bool):
+            got = screen(np.True_, "branch predicate")
+            assert got is True
+        eq = ast.PrimOp(ast.BinOp.EQ, ast.Var("x"), ast.RealLit(2.0))
+        expr = ast.IfExpr(eq, ast.RealLit(1.0), ast.RealLit(0.0))
+        assert eval_expr_vec({"x": np.float64(2.0)}, expr, 2) == 1.0
+        assert _rt.ifexp(np.True_, lambda: 1.0, lambda: 0.0) == 1.0
+        assert _rt.not_(np.False_) is True
+        assert _rt.and_(np.True_, lambda: np.False_) is False
+
+    def test_if_expression_is_lazy_on_scalars_and_strict_over_lanes(self):
+        positive = ast.PrimOp(ast.BinOp.GT, ast.Var("x"), ast.RealLit(0.0))
+        log_x = ast.IfExpr(positive, ast.PrimUnOp(ast.UnOp.LOG, ast.Var("x")), ast.RealLit(0.0))
+        inv_x = ast.IfExpr(
+            positive, ast.PrimOp(ast.BinOp.DIV, ast.RealLit(1.0), ast.Var("x")), ast.RealLit(0.0)
+        )
+        assert eval_expr_vec({"x": -1.0}, log_x, 2) == 0.0
+        np.testing.assert_array_equal(
+            eval_expr_vec({"x": np.asarray([-1.0, math.e])}, log_x, 2), [0.0, 1.0]
+        )
+        np.testing.assert_array_equal(
+            eval_expr_vec({"x": np.asarray([0.0, 2.0])}, inv_x, 2), [0.0, 0.5]
+        )
+
+        def raising():
+            raise AssertionError("the unselected arm was evaluated")
+
+        assert _rt.ifexp(True, lambda: 1.0, raising) == 1.0
+        assert _rt.ifexp(False, raising, lambda: 2.0) == 2.0
+        np.testing.assert_array_equal(
+            _rt.ifexp(np.asarray([True, False]), lambda: np.asarray([1.0, 2.0]), lambda: 5.0),
+            [1.0, 5.0],
+        )
+        with pytest.raises(VectorizationUnsupported):
+            _rt.ifexp(np.asarray([True, False]), lambda: (1.0,), lambda: 5.0)
+
+    def test_projection_and_distribution_values(self):
+        pair = (1.0, 2.0)
+        assert eval_expr_vec({"t": pair}, ast.Proj(ast.Var("t"), 1), 2) == 2.0
+        assert _rt.proj(pair, 1) == 2.0
+        with pytest.raises(EvaluationError) as raised:
+            eval_expr_vec({"t": pair}, ast.Proj(ast.Var("t"), 2), 2)
+        assert str(raised.value) == "invalid projection .2 from (1.0, 2.0)"
+        with pytest.raises(EvaluationError) as raised:
+            _rt.proj(pair, 2)
+        assert str(raised.value) == "invalid projection .2 from (1.0, 2.0)"
+
+        normal = ast.DistExpr(ast.DistKind.NORMAL, (ast.BoolLit(True), ast.RealLit(1.0)))
+        with pytest.raises(EvaluationError) as raised:
+            eval_expr_vec({}, normal, 3)
+        assert str(raised.value) == "Normal parameter: expected a number, got True"
+        with pytest.raises(EvaluationError) as raised:
+            _rt.make_batched(ast.DistKind.NORMAL, (True, 1.0), 3)
+        assert str(raised.value) == "Normal parameter: expected a number, got True"
+        assert isinstance(_rt.make_batched(ast.DistKind.NORMAL, (np.float64(0.0), 1.0), 3),
+                          BatchedDist)
+
+        program = parse_program(
+            "proc P(d: real) consume latent {\n"
+            "  v <- sample.recv{latent}(d);\n"
+            "  return(v)\n}\n",
+        )
+        with pytest.raises(EvaluationError) as raised:
+            next(interpret_procedure_vec(program, "P", (1.0,), 3))
+        assert str(raised.value) == "sample command expects a distribution, got 1.0"
+        with pytest.raises(EvaluationError) as raised:
+            _rt.as_batched(1.0, 3)
+        assert str(raised.value) == "sample command expects a distribution, got 1.0"
+        from repro.dists.continuous import Normal
+
+        wrapped = _rt.as_batched(Normal(0.0, 1.0), 3)
+        assert isinstance(wrapped, BatchedDist) and wrapped.n == 3
+
+    def test_argument_binding_texts(self):
+        program = parse_program(
+            "proc P(a: real, b: real) consume latent {\n"
+            "  v <- sample.recv{latent}(Normal(a, b));\n"
+            "  return(v)\n}\n"
+            "proc Q() consume latent {\n"
+            "  v <- call P(1.0);\n"
+            "  return(v)\n}\n",
+        )
+        with pytest.raises(EvaluationError) as raised:
+            interpret_procedure_vec(program, "P", (1.0,), 3)
+        assert str(raised.value) == "P expects 2 arguments, got 1"
+        with pytest.raises(EvaluationError) as raised:
+            _rt.bind_args("P", 2, (1.0,))
+        assert str(raised.value) == "P expects 2 arguments, got 1"
+        with pytest.raises(EvaluationError) as raised:
+            next(interpret_command_vec(program, program.procedure("Q").body, {}, 3))
+        assert str(raised.value) == "P expects 2 arguments, got 1.0"
+        with pytest.raises(EvaluationError) as raised:
+            _rt.bind_call("P", 2, 1.0)
+        assert str(raised.value) == "P expects 2 arguments, got 1.0"
+        assert _rt.bind_args("P", 2, [1.0, 2.0]) == (1.0, 2.0)
+        assert _rt.bind_call("P", 2, (1.0, 2.0)) == (1.0, 2.0)
+
+    def test_branch_uniformity(self):
+        assert _rt.uniform_or_none(True) is True
+        assert _rt.uniform_or_none(False) is False
+        assert _rt.uniform_or_none(np.asarray([True, True])) is True
+        assert _rt.uniform_or_none(np.asarray([False, False])) is False
+        assert _rt.uniform_or_none(np.asarray([True, False])) is None
+
+    def test_observation_replay_texts(self):
+        model = parse_program(
+            "proc M() consume latent provide obs {\n"
+            "  x <- sample.recv{latent}(Normal(0.0, 1.0));\n"
+            "  _ <- call Obs(x);\n"
+            "  return(x)\n}\n"
+            "proc Obs(x: real) provide obs {\n"
+            "  _ <- sample.send{obs}(Normal(x, 1.0));\n"
+            "  return(x)\n}\n",
+        )
+        guide = parse_program(
+            "proc G() provide latent {\n"
+            "  x <- sample.send{latent}(Normal(0.0, 1.0));\n"
+            "  return(x)\n}\n",
+        )
+        cases = [
+            ((), TraceExhausted,
+             "call marker on obs: expected a Fold message but the trace is exhausted"),
+            ((tr.ValP(1.0),), TraceTypeMismatch,
+             "call marker on obs: expected a Fold message but found valP(1)"),
+            ((tr.Fold(),), TraceExhausted,
+             "send on obs: expected a Message message but the trace is exhausted"),
+            ((tr.Fold(), tr.Fold()), ChannelProtocolError,
+             "send on obs: replay trace provides fold, expected a sample value"),
+        ]
+        for obs, error, message in cases:
+            vectorizer = ParticleVectorizer(model, guide, "M", "G", obs_trace=obs)
+            with pytest.raises(error) as raised:
+                vectorizer.run(3, np.random.default_rng(0))
+            assert str(raised.value) == message
+        runtime = [
+            (lambda: _rt.obs_fold((), 0, "call marker on obs"), TraceExhausted, cases[0][2]),
+            (lambda: _rt.obs_fold((tr.ValP(1.0),), 0, "call marker on obs"),
+             TraceTypeMismatch, cases[1][2]),
+            (lambda: _rt.obs_value((tr.Fold(),), 1, "send on obs"), TraceExhausted, cases[2][2]),
+            (lambda: _rt.obs_value((tr.Fold(),), 0, "send on obs"),
+             ChannelProtocolError, cases[3][2]),
+        ]
+        for call, error, message in runtime:
+            with pytest.raises(error) as raised:
+                call()
+            assert str(raised.value) == message
+        assert _rt.obs_value((tr.Fold(), tr.ValP(0.5)), 1, "send on obs") == 0.5
+        assert _rt.obs_fold((tr.Fold(),), 0, "call marker on obs") is None
+
+    def test_replay_error_texts(self):
+        model = parse_program(
+            "proc M() consume latent {\n"
+            "  x <- sample.recv{latent}(Normal(0.0, 1.0));\n"
+            "  return(x)\n}\n",
+        )
+        guide = parse_program(
+            "proc G() provide latent {\n"
+            "  x <- sample.send{latent}(Normal(0.0, 1.0));\n"
+            "  return(x)\n}\n",
+        )
+        vectorizer = ParticleVectorizer(model, guide, "M", "G")
+        (leaf,) = vectorizer.run(3, np.random.default_rng(0)).leaves
+        (value,) = leaf.recorded["latent"]
+        diverged = "the replayed execution diverged from the recorded control path"
+        overrun = f"rescore on 'latent' ran past the recorded message log; {diverged}"
+        mismatch = "group replay on 'latent': expected a val message, found a dir message"
+        unconsumed = f"rescore on 'latent' consumed only 1 of 2 recorded messages; {diverged}"
+        for log, message in (
+            ([], overrun),
+            ([VecMessage("dir", True, True)], mismatch),
+            ([value, value], unconsumed),
+        ):
+            doctored = dataclasses.replace(leaf, recorded={"latent": log})
+            with pytest.raises(ChannelProtocolError) as raised:
+                vectorizer.rescore_group(doctored)
+            assert str(raised.value) == message
+        for call, message in (
+            (lambda: _rt.rep_val([], 0, "latent"), overrun),
+            (lambda: _rt.rep_val([VecMessage("dir", True, True)], 0, "latent"), mismatch),
+            (lambda: _rt.rep_end([value, value], 1, "latent"), unconsumed),
+        ):
+            with pytest.raises(ChannelProtocolError) as raised:
+                call()
+            assert str(raised.value) == message
+        assert _rt.rep_val([value], 0, "latent") is value.payload
+        assert _rt.rep_end([value], 1, "latent") is None

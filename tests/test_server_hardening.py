@@ -269,6 +269,30 @@ class TestAdmissionValidation:
             assert "workers" in response["error"]
         assert len(pids) == 2
 
+    def test_too_deeply_nested_program_is_invalid_request(self):
+        """A program nested too deeply to parse or certify exhausts Python's
+        recursion; the request is refused with ``invalid_request`` and the
+        service keeps serving."""
+        from repro.models.library import streaming_sources
+
+        model, guide = streaming_sources(1000)
+        deep = {"id": "deep", "model": model, "guide": guide, "engine": "is",
+                "params": {"num_particles": 10, "seed": 0}}
+
+        async def go():
+            service = await _start_service()
+            try:
+                return await service.submit(deep), await service.submit(_payload(request_id="next"))
+            finally:
+                await service.stop()
+
+        refused, served = asyncio.run(go())
+        assert refused["ok"] is False, refused
+        assert refused["code"] == CODE_INVALID_REQUEST
+        assert refused["id"] == "deep"
+        assert "nested too deeply" in refused["error"]
+        assert served["ok"] is True, served
+
 
 class TestBackpressure:
     def test_queue_full_rejects_with_overloaded(self):
