@@ -12,8 +12,8 @@ Usage::
 
     python benchmarks/compare_answers.py BASE_DIR HEAD_DIR
 
-The ``same-answers`` job in ``.github/workflows/ci.yml`` runs the four
-rows (96 points) on a pull request's base and head, in one environment, and
+The ``same-answers`` job in ``.github/workflows/ci.yml`` runs the five
+rows (100 points) on a pull request's base and head, in one environment, and
 then this comparison.
 """
 

@@ -176,7 +176,14 @@ def run_sweep(
         missing = sorted(set(wanted) - set(runnable))
         if missing:
             available = ", ".join(runnable)
-            raise ReproError(f"unknown sweep model(s) {missing}; available: {available}")
+            reasons = "".join(
+                f"; {name} is not runnable: {snapshot['models'][name]['reason']}"
+                for name in missing
+                if name in snapshot["models"]
+            )
+            raise ReproError(
+                f"unknown sweep model(s) {missing}{reasons}; available: {available}"
+            )
         instances = {name: runnable[name] for name in wanted}
 
     out_dir = Path(out_dir)

@@ -164,6 +164,10 @@ def build_snapshot() -> dict:
     models: Dict[str, dict] = {}
     for bench in all_benchmarks():
         runnable = bench.expressible and bench.inference is not None
+        # A guide's positional arguments are its parameter inits, in
+        # declaration order (as the streaming and load-generator paths pass
+        # them).
+        guide_args = list(bench.guide_param_inits.values())
         entry = {
             "kind": "library",
             "description": bench.description,
@@ -175,7 +179,7 @@ def build_snapshot() -> dict:
             "guide_source": bench.guide_source,
             "guide_entry": bench.guide_entry,
             "obs_values": _json_obs(bench.obs_values),
-            "guide_args": [],
+            "guide_args": guide_args,
             "golden": None,
             "quality_atol": None,
         }
@@ -183,10 +187,14 @@ def build_snapshot() -> dict:
             entry["reason"] = "not expressible in the coroutine calculus (paper Table 1)"
         elif bench.inference is None:
             entry["reason"] = "no observation protocol registered (prior-only example)"
-        if bench.name == "weight":
-            # The weight guide takes (loc, log_scale); the conformance suite
-            # runs it fixed at the prior's location.
-            entry["guide_args"] = [8.5, 0.0]
+        else:
+            params = bench.guide_program().procedure(bench.guide_entry).params
+            if len(params) > len(guide_args):
+                entry["runnable"] = False
+                entry["reason"] = (
+                    f"guide {bench.guide_entry} takes arguments with no pinned value: "
+                    + ", ".join(params[len(guide_args) :])
+                )
         if bench.name in GOLDEN_LIBRARY:
             entry["golden"] = _library_golden(bench.name, bench.obs_values)
             entry["quality_atol"] = _QUALITY_ATOL[bench.name]

@@ -54,8 +54,8 @@ def check_param(family: Family, index: int, value, n: int) -> None:
     provenance proof discharges.
     """
     name, constraint = family.params[index]
-    ok = constraint.holds(value)
-    if not bool(np.all(ok)):
+    ok = constraint.holds(value)  # an array, or a NumPy Boolean for a scalar
+    if not ok.all():
         raise EvaluationError(
             f"invalid parameters for {family.name}: {name} {constraint.message} (failed for "
             f"{n - np.count_nonzero(ok)} particle(s))"

@@ -10,9 +10,9 @@ over full latent traces σ drawn from the guide.  The vectorized runtime
 columnar: the guide density ``q(σ)``, the model's prior density, and the
 per-observation likelihood terms, so each SMC step is pure array work:
 
-1. re-weight by the ``t``-th observation's log-likelihood column;
+1. re-weight by the ``t``-th observation's log-likelihood row;
 2. when the effective sample size drops below ``ess_threshold · n``,
-   resample particle *rows* systematically and reset the weights;
+   resample the particles systematically and reset the weights;
 3. after a resampling, optionally rejuvenate every particle with an
    independence Metropolis–Hastings move targeting γ_t, proposing a fresh
    batch from the guide (again one vectorized run).
@@ -59,30 +59,46 @@ from repro.utils.numerics import (
     log_sum_exp,
     normalize_log_weights,
     normalized_ess,
+    sum_rows,
 )
 from repro.utils.rng import ensure_rng
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Systematic resampling: ``n`` ancestor indices from normalised weights."""
+    """Systematic resampling: ``n`` ancestor indices from normalised weights.
+
+    Position ``j`` is ``(u + j) / n`` for one uniform draw ``u``, and its
+    ancestor is the first index whose cumulative weight reaches it: exactly
+    ``np.searchsorted(cumulative, positions)``, computed in linear time.
+    ``counts[i]``, the number of positions at or below ``cumulative[i]``,
+    is ``floor(cumulative[i]·n − u) + 1`` up to rounding; comparing it with
+    the first position it leaves out and the last one it takes in, each
+    computed as the positions are, makes it exact (any count past ``n - 1``
+    means "all of them").  Ancestor ``j`` is then the number of ``i`` with
+    ``counts[i] <= j``.
+    """
     n = len(weights)
-    positions = (rng.random() + np.arange(n)) / n
+    u = rng.random()
     cumulative = np.cumsum(weights)
     cumulative[-1] = 1.0  # guard against floating-point shortfall
-    return np.searchsorted(cumulative, positions)
+    counts = np.floor(cumulative * n - u).astype(np.intp)
+    counts += 1
+    counts += (u + counts) / n <= cumulative
+    counts -= (u + (counts - 1)) / n > cumulative
+    return np.cumsum(np.bincount(counts, minlength=n + 1)[:n])
 
 
-def _pad_scores(matrix: np.ndarray, num_steps: int) -> np.ndarray:
-    """Zero-pad an obs-score matrix to the tempering schedule's width.
+def _pad_scores(rows: np.ndarray, num_steps: int) -> np.ndarray:
+    """Zero-pad step-major obs-score rows to the tempering schedule's length.
 
-    A zero column means "this particle's control path emits no observation at
-    that step" (likelihood factor 1), matching the padding the vectorized run
-    already applies across its own control-flow groups.
+    A zero row entry means "this particle's control path emits no observation
+    at that step" (likelihood factor 1), matching the padding the vectorized
+    run already applies across its own control-flow groups.
     """
-    if matrix.shape[1] == num_steps:
-        return matrix
-    padded = np.zeros((matrix.shape[0], num_steps))
-    padded[:, : matrix.shape[1]] = matrix
+    if rows.shape[0] == num_steps:
+        return rows
+    padded = np.zeros((num_steps, rows.shape[1]))
+    padded[: rows.shape[0]] = rows
     return padded
 
 
@@ -211,7 +227,7 @@ def smc(
         _SMC_PHASE_SECONDS.labels(phase="sample").observe(
             time.perf_counter() - sample_started
         )
-        scores = run.obs_score_matrix()
+        scores = run.obs_score_rows()
         if scores is None:
             raise InferenceError(
                 "SMC needs per-observation likelihood terms, which the "
@@ -219,8 +235,8 @@ def smc(
                 "vectorizable — use the 'is-sequential' or 'mh' engine instead"
             )
         with np.errstate(invalid="ignore"):
-            prior = run.model_log_weights - scores.sum(axis=1)
-        prior = np.where(np.isneginf(run.model_log_weights), -np.inf, prior)
+            prior = run.model_log_weights - sum_rows(scores)
+        prior[np.isneginf(run.model_log_weights)] = -np.inf
         return run, prior, run.guide_log_weights.copy(), scores
 
     run0, prior_lw, guide_lw, scores = fresh_population()
@@ -228,11 +244,11 @@ def smc(
     src_run = np.zeros(num_particles, dtype=int)
     src_idx = np.arange(num_particles)
 
-    num_steps = scores.shape[1]
+    num_steps = scores.shape[0]
     # w_0 = prior / guide: the initial population targets γ_0 = p_prior.
     with np.errstate(invalid="ignore"):
         log_w = prior_lw - guide_lw
-    log_w = np.where(np.isneginf(guide_lw), -np.inf, log_w)
+    log_w[np.isneginf(guide_lw)] = -np.inf
     # Ẑ = mean(w_0) · Π_t Σ_i W̃_{t-1,i}·lik_t,i — the increments below are
     # shift-invariant in log_w, so no renormalisation of log_w is needed.
     log_evidence = log_mean_exp(log_w)
@@ -252,7 +268,8 @@ def smc(
         # particles with tiny-but-nonzero relative weight still contribute.
         with np.errstate(invalid="ignore"):
             log_normalized = log_w - log_sum_exp(log_w)
-        increment = log_sum_exp(log_normalized + scores[:, t])
+        log_normalized += scores[t]
+        increment = log_sum_exp(log_normalized)
         if increment == -math.inf:
             raise InferenceError(
                 f"SMC weight collapse at observation {t}: no particle carries "
@@ -260,7 +277,7 @@ def smc(
             )
         log_evidence += increment
 
-        log_w = log_w + scores[:, t]
+        log_w += scores[t]
         weights = normalize_log_weights(log_w)
         ess = normalized_ess(weights)
         ess_history.append(ess)
@@ -274,7 +291,7 @@ def smc(
                 ancestors = systematic_resample(weights, rng)
                 prior_lw = prior_lw[ancestors]
                 guide_lw = guide_lw[ancestors]
-                scores = scores[ancestors]
+                scores = np.take(scores, ancestors, axis=1)
                 src_run = src_run[ancestors]
                 src_idx = src_idx[ancestors]
                 log_w = np.zeros(num_particles)
@@ -286,7 +303,7 @@ def smc(
                 rejuvenate_started = time.perf_counter()
                 with span("smc.rejuvenate", particles=num_particles, step=t):
                     proposal_run, prop_prior, prop_guide, prop_scores = fresh_population()
-                    if prop_scores.shape[1] > num_steps:
+                    if prop_scores.shape[0] > num_steps:
                         # The model's observation count is branch-dependent and
                         # a proposal path emitted more observations than any
                         # path in the initial population — the tempering
@@ -294,40 +311,40 @@ def smc(
                         # soundly.
                         raise InferenceError(
                             "SMC rejuvenation drew a particle with "
-                            f"{prop_scores.shape[1]} observation steps but the "
+                            f"{prop_scores.shape[0]} observation steps but the "
                             f"tempering schedule has only {num_steps}; this model's "
                             "observation count is branch-dependent — use the 'is' "
                             "or 'mh' engine instead"
                         )
                     prop_scores = _pad_scores(prop_scores, num_steps)
-                    tempered = slice(0, t + 1)
-                    current_gamma = prior_lw + scores[:, tempered].sum(axis=1)
-                    proposal_gamma = prop_prior + prop_scores[:, tempered].sum(axis=1)
+                    current_gamma = prior_lw + sum_rows(scores[: t + 1])
+                    proposal_gamma = prop_prior + sum_rows(prop_scores[: t + 1])
                     with np.errstate(invalid="ignore"):
                         log_ratio = (proposal_gamma - prop_guide) - (current_gamma - guide_lw)
                     # A proposal with zero target density never wins; a current
                     # particle with zero density always loses to a viable
                     # proposal.
-                    log_ratio = np.where(np.isneginf(proposal_gamma), -np.inf, log_ratio)
-                    log_ratio = np.where(
-                        np.isneginf(current_gamma) & ~np.isneginf(proposal_gamma),
-                        np.inf,
-                        log_ratio,
-                    )
+                    proposal_dead = np.isneginf(proposal_gamma)
+                    log_ratio[proposal_dead] = -np.inf
+                    log_ratio[np.isneginf(current_gamma) & ~proposal_dead] = np.inf
                     with np.errstate(divide="ignore"):
                         accept = np.log(rng.random(num_particles)) < log_ratio
                     rejuvenation_rates.append(float(np.mean(accept)))
-                    if np.any(accept):
+                    taken = np.flatnonzero(accept)
+                    if taken.size:
                         # Retain the proposal run only when some particle now
                         # descends from it, so rejected batches can be
                         # collected.
                         runs.append(proposal_run)
-                        run_id = len(runs) - 1
-                        prior_lw = np.where(accept, prop_prior, prior_lw)
-                        guide_lw = np.where(accept, prop_guide, guide_lw)
-                        scores = np.where(accept[:, None], prop_scores, scores)
-                        src_run = np.where(accept, run_id, src_run)
-                        src_idx = np.where(accept, np.arange(num_particles), src_idx)
+                        # In-place merge: the resampling above just gathered
+                        # every population array afresh, so this loop owns
+                        # them and no run or earlier result aliases them.
+                        prior_lw[taken] = prop_prior[taken]
+                        guide_lw[taken] = prop_guide[taken]
+                        for row, proposed in zip(scores, prop_scores):
+                            row[taken] = proposed[taken]
+                        src_run[taken] = len(runs) - 1
+                        src_idx[taken] = taken
                 _SMC_PHASE_SECONDS.labels(phase="rejuvenate").observe(
                     time.perf_counter() - rejuvenate_started
                 )

@@ -640,6 +640,9 @@ class _VecTask:
     started: bool = False
     pending_op: Optional[VOp] = None
     pending_send: object = None
+    #: This task's role on each channel, resolved once per scheduler:
+    #: ``(state, provides it, its partner runs in this scheduler)``.
+    roles: Dict[str, Tuple["_VecChannelState", bool, bool]] = field(default_factory=dict)
 
 
 @dataclass
@@ -707,26 +710,13 @@ class _VecScheduler:
             spec.name: _VecChannelState(spec, log=logs.get(spec.name, []), replay=spec.replay)
             for spec in channels
         }
+        for task in self.tasks.values():
+            for name, channel in self.channels.items():
+                provider = channel.spec.provider == task.name
+                partner = channel.spec.consumer if provider else channel.spec.provider
+                task.roles[name] = (channel, provider, partner in self.tasks)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _channel(self, name: str) -> _VecChannelState:
-        if name not in self.channels:
-            raise ChannelProtocolError(
-                f"coroutine communicates on undeclared channel {name!r}"
-            )
-        return self.channels[name]
-
-    def _is_provider(self, task: _VecTask, channel: _VecChannelState) -> bool:
-        return channel.spec.provider == task.name
-
-    def _partner_is_live(self, task: _VecTask, channel: _VecChannelState) -> bool:
-        partner = (
-            channel.spec.consumer
-            if self._is_provider(task, channel)
-            else channel.spec.provider
-        )
-        return partner is not None and partner in self.tasks
 
     def _resolve(
         self,
@@ -796,8 +786,12 @@ class _VecScheduler:
                 raise _SplitRequired(op.pred, None, None)
             return True, selection
 
-        channel = self._channel(op.channel)
-        provider = self._is_provider(task, channel)
+        role = task.roles.get(op.channel)
+        if role is None:
+            raise ChannelProtocolError(
+                f"coroutine communicates on undeclared channel {op.channel!r}"
+            )
+        channel, provider, partner_live = role
 
         if isinstance(op, VOpSendSample):
             def fresh():
@@ -809,14 +803,14 @@ class _VecScheduler:
             scores = op.dist.log_prob(_broadcast_values(value, self.n))
             task.log_weight = task.log_weight + scores
             task.site_scores.append((op.channel, scores))
-            if not self._partner_is_live(task, channel):
+            if not partner_live:
                 task.obs_scores.append(scores)
             else:
                 channel.outgoing(provider).append(("val", value))
             return True, value
 
         if isinstance(op, VOpRecvSample):
-            if self._partner_is_live(task, channel):
+            if partner_live:
                 incoming = channel.incoming(provider)
                 if not incoming:
                     return False, None
@@ -851,12 +845,12 @@ class _VecScheduler:
             mismatch = np.not_equal(op.pred, selection)
             if np.any(mismatch):
                 task.log_weight = np.where(mismatch, -np.inf, task.log_weight)
-            if self._partner_is_live(task, channel):
+            if partner_live:
                 channel.outgoing(provider).append(("dir", selection))
             return True, selection
 
         if isinstance(op, VOpRecvBranch):
-            if self._partner_is_live(task, channel):
+            if partner_live:
                 incoming = channel.incoming(provider)
                 if not incoming:
                     return False, None
@@ -878,7 +872,7 @@ class _VecScheduler:
             return True, selection
 
         if isinstance(op, VOpFold):
-            if not self._partner_is_live(task, channel):
+            if not partner_live:
                 if channel.replay is not None:
                     obs_fold(channel.replay, channel.replay_pos, f"call marker on {op.channel}")
                     channel.replay_pos += 1
@@ -1284,9 +1278,12 @@ class VectorRunResult:
             weights = self.model_log_weights - self.guide_log_weights
         return np.where(np.isneginf(self.guide_log_weights), -np.inf, weights)
 
-    def obs_score_matrix(self) -> Optional[np.ndarray]:
-        """Per-particle, per-observation log-likelihood terms (``(n, T)``).
+    def obs_score_rows(self) -> Optional[np.ndarray]:
+        """Per-observation, per-particle log-likelihood terms (``(T, n)``).
 
+        Row ``t`` holds every particle's ``t``-th observation score, so a
+        tempering step reads one contiguous row; each row is filled by one
+        scatter from the groups whose control path reaches step ``t``.
         ``None`` when the run fell back to the sequential scheduler (which
         does not decompose the model weight).  Groups whose control path
         emits fewer observation messages than the longest path are padded
@@ -1295,11 +1292,16 @@ class VectorRunResult:
         if any(leaf.obs_scores is None for leaf in self.leaves):
             return None
         num_steps = max((len(leaf.obs_scores) for leaf in self.leaves), default=0)
-        matrix = np.zeros((self.num_particles, num_steps))
-        for leaf in self.leaves:
-            for t, scores in enumerate(leaf.obs_scores):
-                matrix[leaf.indices, t] = scores
-        return matrix
+        rows = np.zeros((num_steps, self.num_particles))
+        for t, row in enumerate(rows):
+            reaching = [leaf for leaf in self.leaves if len(leaf.obs_scores) > t]
+            if len(reaching) == 1:
+                row[reaching[0].indices] = reaching[0].obs_scores[t]
+            else:
+                row[np.concatenate([leaf.indices for leaf in reaching])] = np.concatenate(
+                    [leaf.obs_scores[t] for leaf in reaching]
+                )
+        return rows
 
     def _latent_columns(self, leaf: _Leaf) -> List[object]:
         return [

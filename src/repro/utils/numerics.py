@@ -15,17 +15,48 @@ def log_sum_exp(log_values: Sequence[float]) -> float:
     particle engines call this with 10k+ element weight vectors).
     """
     if isinstance(log_values, np.ndarray):
-        kept = log_values[log_values > -np.inf]
+        keep = log_values > -np.inf  # drops -inf and nan
+        # With nothing to drop, a vector is used as it is, without the copy.
+        kept = log_values if log_values.ndim == 1 and keep.all() else log_values[keep]
         if kept.size == 0:
             return -math.inf
-        peak = float(np.max(kept))
-        return peak + math.log(float(np.sum(np.exp(kept - peak))))
+        peak = float(kept.max())
+        shifted = kept - peak
+        np.exp(shifted, out=shifted)
+        return peak + math.log(float(shifted.sum()))
     finite = [x for x in log_values if x > -math.inf]
     if not finite:
         return -math.inf
     peak = max(finite)
     total = sum(math.exp(x - peak) for x in finite)
     return peak + math.log(total)
+
+
+def sum_rows(rows: np.ndarray) -> np.ndarray:
+    """``Σ_t rows[t]`` over a ``(k, n)`` array, bitwise equal to NumPy's row sums.
+
+    The result equals ``np.ascontiguousarray(rows.T).sum(axis=1)`` bit for
+    bit, but adds whole contiguous rows instead of reducing ``n`` short rows
+    one at a time.  It follows NumPy's pairwise summation of each row:
+    sequential below 8 terms, eight interleaved accumulators up to 128, and
+    halving (at a multiple of 8) above; the zero start is NumPy's reduction
+    identity.  ``k = 0`` gives zeros.
+    """
+    k = len(rows)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return sum_rows(rows[:half]) + sum_rows(rows[half:])
+    total = np.zeros(rows.shape[1])
+    if k >= 8:
+        acc = rows[:8].copy()
+        whole = k - k % 8
+        for start in range(8, whole, 8):
+            acc += rows[start : start + 8]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rows = rows[whole:]
+    for row in rows:
+        total += row
+    return total
 
 
 def log_mean_exp(log_values: Sequence[float]) -> float:
@@ -46,15 +77,25 @@ def normalize_log_weights(log_weights: Sequence[float]) -> np.ndarray:
     array = np.asarray(log_weights, dtype=float)
     if array.size == 0:
         return array
-    if np.all(np.isneginf(array)):
-        return np.full(array.shape, 1.0 / array.size)
-    peak = np.max(array[np.isfinite(array)])
-    weights = np.exp(np.clip(array - peak, -745.0, 0.0))
-    weights[np.isneginf(array)] = 0.0
+    finite = np.isfinite(array)
+    if finite.all():
+        neginf = None
+        peak = array.max()
+    else:
+        neginf = np.isneginf(array)
+        if neginf.all():
+            return np.full(array.shape, 1.0 / array.size)
+        peak = array[finite].max()
+    weights = array - peak
+    np.clip(weights, -745.0, 0.0, out=weights)
+    np.exp(weights, out=weights)
+    if neginf is not None:
+        weights[neginf] = 0.0
     total = weights.sum()
     if total == 0.0:
         return np.full(array.shape, 1.0 / array.size)
-    return weights / total
+    weights /= total
+    return weights
 
 
 def effective_sample_size(log_weights: Sequence[float]) -> float:

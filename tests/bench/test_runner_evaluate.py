@@ -111,6 +111,25 @@ def test_models_filter_reaches_runnable_entries_outside_the_sweep(tmp_path):
         run_sweep(dataclasses.replace(TINY, models=("dp",)), tmp_path / "c")
 
 
+def test_guide_argument_entries_run_or_are_refused_up_front(tmp_path):
+    """``vae``'s guide takes four arguments, pinned from its parameter
+    inits, so it runs beside ``weight`` under every engine; ``outliers``'
+    MCMC proposal guide takes an argument nothing pins, so naming it is
+    refused before the run directory is written, with the reason."""
+    import dataclasses
+
+    config = dataclasses.replace(
+        TINY, particles=(60,), engines=("is", "smc", "svi"), models=("weight", "vae")
+    )
+    document = run_sweep(config, tmp_path / "wv")
+    assert {(p["model"], p["engine"]) for p in document["points"]} == {
+        (model, engine) for model in ("weight", "vae") for engine in ("is", "smc", "svi")
+    }
+    with pytest.raises(ReproError, match="outliers is not runnable: .*old_is_outlier"):
+        run_sweep(dataclasses.replace(TINY, models=("outliers",)), tmp_path / "ol")
+    assert not (tmp_path / "ol").exists()
+
+
 def test_fast_config_covers_issue_floor(tmp_path):
     """Fast mode still sweeps >= 6 snapshot models and >= 3 families."""
     config = fast_config(seed=0)

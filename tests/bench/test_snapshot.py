@@ -98,6 +98,28 @@ def test_non_expressible_entries_carry_a_reason(snapshot):
     assert all(reasons.values()), reasons
 
 
+def test_runnable_entries_pin_every_guide_argument(snapshot):
+    """A runnable entry's ``guide_args`` cover its guide's parameters, so a
+    sweep that names it can start; an entry whose guide needs more is pinned
+    as not runnable, with the missing parameters in its reason."""
+    from repro.core.parser import parse_program
+
+    for name, entry in snapshot["models"].items():
+        if entry["kind"] != "library" or entry["guide_source"] is None:
+            continue
+        guide = parse_program(entry["guide_source"])
+        if entry["guide_entry"] is None:
+            continue
+        params = guide.procedure(entry["guide_entry"]).params
+        if entry["runnable"]:
+            assert len(entry["guide_args"]) == len(params), name
+        elif len(params) > len(entry["guide_args"]):
+            assert params[-1] in entry["reason"], name
+    assert snapshot["models"]["vae"]["guide_args"] == [0.0, 0.0, 0.0, 0.0]
+    assert snapshot["models"]["weight"]["guide_args"] == [8.5, 0.0]
+    assert not snapshot["models"]["outliers"]["runnable"]
+
+
 def test_load_snapshot_rejects_unknown_format(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"snapshot": "v9", "format": 99, "models": {}}))

@@ -116,7 +116,7 @@ def _assert_bitwise_equal_runs(r1, r2, context: str):
                     assert np.array_equal(x.payload, y.payload), context
                 else:
                     assert x.payload == y.payload, context
-    s1, s2 = r1.obs_score_matrix(), r2.obs_score_matrix()
+    s1, s2 = r1.obs_score_rows(), r2.obs_score_rows()
     if s1 is None or s2 is None:
         assert s1 is None and s2 is None, context
     else:

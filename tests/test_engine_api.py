@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.engine.smc import systematic_resample
 from repro.errors import InferenceError
 from repro.models import get_benchmark
+from repro.utils.numerics import sum_rows
 
 #: Conjugate normal-normal posterior mean for the "weight" model at y = 9.5.
 WEIGHT_POSTERIOR_MEAN = (8.5 / 1.0 + 9.5 / 0.5625) / (1.0 / 1.0 + 1.0 / 0.5625)
@@ -231,6 +232,168 @@ class TestSystematicResample:
         weights = np.full(8, 1.0 / 8.0)
         indices = systematic_resample(weights, np.random.default_rng(0))
         assert sorted(indices) == list(range(8))
+
+    @staticmethod
+    def _searchsorted_resample(weights, rng):
+        """The binary-search formulation the linear-time resampler must equal."""
+        n = len(weights)
+        positions = (rng.random() + np.arange(n)) / n
+        cumulative = np.cumsum(weights)
+        cumulative[-1] = 1.0
+        return np.searchsorted(cumulative, positions)
+
+    @staticmethod
+    def _normalized(log_weights):
+        weights = np.exp(log_weights - np.max(log_weights))
+        return weights / weights.sum()
+
+    def _adversarial_weights(self):
+        gen = np.random.default_rng(11)
+        yield np.ones(1)
+        for n in (2, 3, 7, 64, 1000, 20000, 50000):
+            one_hot = np.zeros(n)
+            one_hot[gen.integers(n)] = 1.0
+            yield one_hot
+            sparse = np.where(gen.random(n) < 0.05, gen.random(n), 0.0)
+            sparse[0] += 1e-3
+            yield sparse / sparse.sum()
+            yield np.full(n, 1.0 / n)
+            yield self._normalized(gen.standard_normal(n) * 1e-12)  # near-uniform
+            yield self._normalized(gen.standard_normal(n))
+            yield self._normalized(-gen.standard_cauchy(n) ** 2)  # heavy-tailed
+        for n in (2, 5, 300, 4000):
+            # The cumulative sum reaches past 1.0 before its last entry.
+            for trial in range(50):
+                weights = gen.random(n)
+                weights /= weights.sum()
+                weights[-1] = 0.0
+                weights[gen.integers(n - 1)] += 1e-15 * (trial + 1)
+                yield weights
+
+    def test_linear_time_resampler_equals_binary_search(self):
+        overshoots = 0
+        for case, weights in enumerate(self._adversarial_weights()):
+            overshoots += bool(np.cumsum(weights)[:-1].max(initial=0.0) > 1.0)
+            for seed in range(3):
+                expected = self._searchsorted_resample(weights, np.random.default_rng(seed))
+                got = systematic_resample(weights, np.random.default_rng(seed))
+                assert got.dtype == expected.dtype, case
+                assert np.array_equal(got, expected), (case, len(weights), seed)
+        assert overshoots > 0  # the overshooting cumulative sums were exercised
+
+    def test_cumulative_sums_on_the_positions(self):
+        """Cumulative weights equal to a position, or one or two ulps beside
+        it, where a rounded count of the positions below is off by one."""
+        gen = np.random.default_rng(12)
+        for trial in range(60):
+            n, seed = int(gen.integers(2, 400)), trial % 3
+            u = np.random.default_rng(seed).random()
+            positions = (u + np.arange(n)) / n
+            cumulative = positions[np.sort(gen.choice(n, size=n - 1))]
+            for _ in range(2):
+                step = gen.integers(-1, 2, size=n - 1)
+                toward = np.where(step > 0, np.inf, -np.inf)
+                cumulative = np.where(step == 0, cumulative, np.nextafter(cumulative, toward))
+            cumulative = np.append(np.maximum.accumulate(np.clip(cumulative, 0.0, 1.0)), 1.0)
+            weights = np.diff(cumulative, prepend=0.0)
+            expected = self._searchsorted_resample(weights, np.random.default_rng(seed))
+            got = systematic_resample(weights, np.random.default_rng(seed))
+            assert np.array_equal(got, expected), (trial, n, seed)
+
+    def test_a_zero_draw_puts_positions_on_cumulative_sums(self):
+        class ZeroDraw:
+            def random(self):
+                return 0.0
+
+        for n in (1, 2, 3, 10, 1000):
+            for weights in (np.full(n, 1.0 / n), np.eye(n)[0], np.eye(n)[-1]):
+                expected = self._searchsorted_resample(weights, ZeroDraw())
+                assert np.array_equal(systematic_resample(weights, ZeroDraw()), expected), n
+
+
+class TestSumRows:
+    """``sum_rows`` adds whole rows in NumPy's row-sum order, bit for bit."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    def test_matches_numpy_row_sums_bitwise(self):
+        gen = np.random.default_rng(5)
+        n = 37
+        for k in list(range(0, 301)) + [513]:
+            rows = gen.standard_normal((k, n)) * np.exp(gen.uniform(-40.0, 40.0, (k, n)))
+            rows[gen.random((k, n)) < 0.05] = -np.inf
+            rows[gen.random((k, n)) < 0.05] = -0.0
+            rows[:, 0] = -0.0  # a column of negative zeros keeps NumPy's zero start
+            expected = np.ascontiguousarray(rows.T).sum(axis=1)
+            for layout in (rows, np.asfortranarray(rows)):  # contiguous and strided rows
+                assert np.array_equal(self._bits(sum_rows(layout)), self._bits(expected)), k
+
+
+class TestObsScoreRows:
+    """The step-major ``(T, n)`` observation scores SMC tempers over."""
+
+    def test_jump_rows_scatter_every_leaf(self):
+        from repro.engine.backend import make_particle_runner
+
+        bench = get_benchmark("jump")
+        session = ProgramSession.from_sources(bench.model_source, bench.guide_source)
+        runner = make_particle_runner(
+            session.model_program, session.guide_program,
+            session.model_entry, session.guide_entry,
+            obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
+            backend="compiled", session=session,
+        )
+        run = runner.run(20000, np.random.default_rng(2))
+        assert len(run.leaves) == 32
+        rows = run.obs_score_rows()
+        assert rows.shape == (len(bench.obs_values), 20000)
+        assert rows.flags.c_contiguous
+        for leaf in run.leaves:
+            assert len(leaf.obs_scores) == len(bench.obs_values)
+            for t, scores in enumerate(leaf.obs_scores):
+                assert np.array_equal(rows[t, leaf.indices], scores)
+
+    def test_paths_with_fewer_observations_score_zero(self):
+        from repro.core.parser import parse_program
+        from repro.engine.vectorize import ParticleVectorizer
+
+        model = parse_program(
+            """
+            proc M() consume latent provide obs {
+              gate <- sample.recv{latent}(Ber(0.5));
+              _ <- sample.send{obs}(Normal(0.0, 1.0));
+              if gate {
+                observe(Normal(0.0, 1.0), 0.3);
+                observe(Normal(0.0, 1.0), 0.4);
+                return(gate)
+              } else {
+                return(gate)
+              }
+            }
+            """
+        )
+        guide = parse_program(
+            """
+            proc G() provide latent {
+              gate <- sample.send{latent}(Ber(0.5));
+              return(gate)
+            }
+            """
+        )
+        run = ParticleVectorizer(model, guide, "M", "G", obs_trace=(tr.ValP(0.1),)).run(
+            200, np.random.default_rng(0)
+        )
+        rows = run.obs_score_rows()
+        assert rows.shape == (3, 200)
+        assert sorted(len(leaf.obs_scores) for leaf in run.leaves) == [1, 3]
+        for leaf in run.leaves:
+            for t in range(3):
+                if t < len(leaf.obs_scores):
+                    assert np.array_equal(rows[t, leaf.indices], leaf.obs_scores[t])
+                else:
+                    assert np.all(rows[t, leaf.indices] == 0.0)
 
 
 class TestParallelMH:

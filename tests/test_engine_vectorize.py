@@ -210,9 +210,9 @@ class TestRunStructure:
             obs_trace=obs_trace, num_particles=200, rng=np.random.default_rng(0),
         )
         run = result.run
-        scores = run.obs_score_matrix()
-        assert scores.shape == (200, len(bench.obs_values))
-        # Each column is exactly the kalman likelihood term Normal(x_t, 0.5)
+        scores = run.obs_score_rows()
+        assert scores.shape == (len(bench.obs_values), 200)
+        # Each row is exactly the kalman likelihood term Normal(x_t, 0.5)
         # of that observation given the particle's latent state.
         from repro.dists.continuous import Normal
 
@@ -220,7 +220,7 @@ class TestRunStructure:
             states = [float(v) for v in tr.sample_values(run.trace_for(i))]
             for t, observed in enumerate(bench.obs_values):
                 expected = Normal(states[t], 0.5).log_prob(observed)
-                assert scores[i, t] == pytest.approx(expected, abs=1e-8)
+                assert scores[t, i] == pytest.approx(expected, abs=1e-8)
         assert np.all(np.isfinite(run.guide_log_weights))
 
     def test_all_zero_weights_raise(self):
@@ -265,7 +265,7 @@ class TestSequentialFallback:
         run = vectorizer.run(80, rng=np.random.default_rng(4))
         assert not run.vectorized
         assert run.num_particles == 80
-        assert run.obs_score_matrix() is None  # sequential path does not decompose
+        assert run.obs_score_rows() is None  # sequential path does not decompose
         # Still exact: the fallback reuses the reference scheduler.
         model = bench.model_program()
         for i in range(0, 80, 13):

@@ -522,7 +522,7 @@ proc G() provide latent {
     r_compiled = compiled.run(50, np.random.default_rng(1))
     assert r_compiled.backend == "compiled"
     assert np.array_equal(r_interp.log_weights(), r_compiled.log_weights())
-    assert np.array_equal(r_interp.obs_score_matrix(), r_compiled.obs_score_matrix())
+    assert np.array_equal(r_interp.obs_score_rows(), r_compiled.obs_score_rows())
     for leaf in r_compiled.leaves:
         expected = interp.rescore_group(leaf)
         got = compiled.rescore_group(leaf)
