@@ -175,15 +175,14 @@ def run_sweep(
         runnable = runnable_models(snapshot)
         missing = sorted(set(wanted) - set(runnable))
         if missing:
-            available = ", ".join(runnable)
-            reasons = "".join(
-                f"; {name} is not runnable: {snapshot['models'][name]['reason']}"
+            unknown = [name for name in missing if name not in snapshot["models"]]
+            problems = [f"unknown sweep model(s) {unknown}"] if unknown else []
+            problems += [
+                f"not runnable: {name} ({snapshot['models'][name]['reason']})"
                 for name in missing
                 if name in snapshot["models"]
-            )
-            raise ReproError(
-                f"unknown sweep model(s) {missing}{reasons}; available: {available}"
-            )
+            ]
+            raise ReproError(f"{'; '.join(problems)}; available: {', '.join(runnable)}")
         instances = {name: runnable[name] for name in wanted}
 
     out_dir = Path(out_dir)

@@ -902,12 +902,22 @@ class _SchedState:
 
 
 class _Emitter:
-    """Indentation-aware line sink; all segments share one size budget."""
+    """Indentation-aware line sink; all segments share one size budget.
+
+    Each segment is straight-line code at its top level, so a value computed
+    there is defined on every later line of the segment.  ``memo`` maps
+    such code to the name that holds its value (a statement to ``""``), and
+    :meth:`bind` / :meth:`once` reuse or skip a repeat.  Only top-level
+    lines are recorded: a name bound inside ``if obs is None:`` is not
+    defined on the ``else:`` side.
+    """
 
     def __init__(self, lines: List[str], budget: List[int], indent: int):
         self.lines = lines
         self.budget = budget
         self.indent = indent
+        self.top = indent
+        self.memo: Dict[str, str] = {}
         #: Scheduler operations this segment performs, counted the way
         #: ``_VecScheduler._handle`` counts them (blocked attempts included);
         #: ``ops_dyn`` adds a pure branch's runtime-dependent op.
@@ -922,6 +932,24 @@ class _Emitter:
                 f"({_MAX_KERNEL_LINES} lines); too many divergent branch sites"
             )
         self.lines.append("    " * self.indent + code)
+
+    def bind(self, name: str, code: str) -> str:
+        """Emit ``name = code`` unless the segment already computed ``code``;
+        return the name that holds its value."""
+        first = self.memo.get(code)
+        if first is not None:
+            return first
+        self.ln(f"{name} = {code}")
+        if self.indent == self.top:
+            self.memo[code] = name
+        return name
+
+    def once(self, statement: str) -> None:
+        """Emit ``statement`` unless the segment already ran it."""
+        if statement not in self.memo:
+            self.ln(statement)
+            if self.indent == self.top:
+                self.memo[statement] = ""
 
 
 @dataclass
@@ -963,6 +991,13 @@ class _KernelCompiler:
     worklist of ``(segment, idx, lw_m, lw_g, led_m, led_g, pre, ops,
     _live)`` tuples (see the section comment above).  Each path records its
     logs symbolically and every leaf materializes them, prefixed by ``pre``.
+
+    Each segment computes a lane value once (:class:`_Emitter`'s memo): a
+    value both sides score under one distribution is scored once, and both
+    ledgers hold that array, which no kernel writes in place; a repeated
+    conditional, parameter check or lane expression reuses the first name
+    or is skipped.  Operations are counted per command, not per line, so
+    the budgets do not move.
 
     A pair with a call cycle compiles to a *loop kernel*: when a fork arm's
     schedule state equals, up to the names of its runtime values, the state
@@ -1031,11 +1066,21 @@ class _KernelCompiler:
         self.segments.append(buf)
         return seg_id, _Emitter(buf, self._budget, self._seg_indent)
 
-    def _materialize(self, em: _Emitter, sym: _Sym, hint: str = "b") -> _Sym:
+    def _materialize(self, em: _Emitter, sym: _Sym, hint: str, bound: bool = False) -> _Sym:
+        """Name ``sym``'s value, reusing the name of a repeat in the segment.
+
+        A value ``bound`` to a variable keeps a name of its own in a loop
+        kernel: back-edges match schedule states up to value names, and a
+        shared name would make two unfoldings differ in which variables
+        share a value, so the loop would close an unfolding later.
+        """
         if _atomic(sym.code):
             return sym
         name = self._fresh(hint)
-        em.ln(f"{name} = {sym.code}")
+        if bound and self.loops:
+            em.ln(f"{name} = {sym.code}")
+        else:
+            name = em.bind(name, sym.code)
         # The name is assigned at *this* emission point (possibly inside a
         # per-path continuation), so the renamed sym must shed its "const"
         # flag: a downstream distribution whose args all look const is
@@ -1096,7 +1141,7 @@ class _KernelCompiler:
             # Check only the parameters no provenance proof discharges.
             for index, (sym, param) in enumerate(zip(mat, family.params)):
                 if not _param_proven(sym, param.constraint):
-                    em.ln(f"_rt.check_param({local}, {index}, {sym.code}, n)")
+                    em.once(f"_rt.check_param({local}, {index}, {sym.code}, n)")
             return _DistInfo("fast", family, None, [s.code for s in mat], value_flags)
 
         return self._generic_dist(em, family, [s.code for s in arg_syms], value_flags)
@@ -1243,7 +1288,7 @@ class _KernelCompiler:
         while not task.finished:
             kind = task.cur[0]
             if kind == "val":
-                sym = self._materialize(em, task.cur[1], "b")
+                sym = self._materialize(em, task.cur[1], "b", bound=True)
                 if not task.kont:
                     task.finished = True
                     task.value = sym
@@ -1344,8 +1389,7 @@ class _KernelCompiler:
                     f"receive on {cmd.channel}: expected a sample value, got a {mkind} message"
                 )
             info = self._emit_dist(em, cmd.dist, env)
-            score = self._fresh("s")
-            em.ln(f"{score} = {self._score_lane_code(info, payload)}")
+            score = em.bind(self._fresh("s"), self._score_lane_code(info, payload))
             self._emit_accumulate(em, task.name, score, self.latent)
             task.cur = ("val", payload)
             return True
@@ -1437,7 +1481,7 @@ class _KernelCompiler:
         if len(params) == 0:
             return {}
         if len(params) == 1:
-            return {params[0]: self._materialize(em, argument, "ca")}
+            return {params[0]: self._materialize(em, argument, "ca", bound=True)}
         # As in interpret_command_vec: a tuple argument unpacks positionally.
         names = [self._fresh("ca") for _ in params]
         em.ln(
@@ -1461,8 +1505,7 @@ class _KernelCompiler:
         value = self._fresh("v")
         em.ln(f"{value} = {self._draw_code(info)}")
         value_sym = _Sym(value, info.value_flags)
-        score = self._fresh("s")
-        em.ln(f"{score} = {self._score_lane_code(info, value_sym)}")
+        score = em.bind(self._fresh("s"), self._score_lane_code(info, value_sym))
         self._emit_accumulate(em, task.name, score, self.latent)
         provider_sent = task.name == state.chan.provider
         # Recorded symbolically, materialized at the leaf (or a loop's
@@ -1792,8 +1835,7 @@ class _RescoreCompiler(_KernelCompiler):
         em.ln(f'{value} = _rt.rep_val(rec_lat, {self._lat_at()}, "{self.latent}")')
         self._lat_pos += 1
         value_sym = _Sym(value, info.value_flags)
-        score = self._fresh("s")
-        em.ln(f"{score} = {self._score_lane_code(info, value_sym)}")
+        score = em.bind(self._fresh("s"), self._score_lane_code(info, value_sym))
         self._emit_accumulate(em, task.name, score, self.latent)
         state.chan.outgoing(task.name).append(("val", value_sym))
         return value_sym

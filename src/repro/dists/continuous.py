@@ -109,6 +109,12 @@ def uniform01_log_prob_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def normal_draw(rng: np.random.Generator, n: int, mean, stddev) -> np.ndarray:
+    if isinstance(mean, np.ndarray) or isinstance(stddev, np.ndarray):
+        # Per-particle parameters: per element this is NumPy's own
+        # ``loc + scale * z`` over the same standard-normal draws, without
+        # ``rng.normal``'s broadcasting.  It skips ``rng.normal``'s
+        # negative-scale check, so every caller validates ``stddev`` first.
+        return mean + stddev * rng.standard_normal(n)
     return rng.normal(mean, stddev, size=n)
 
 

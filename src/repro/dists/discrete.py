@@ -31,8 +31,12 @@ def _integral_batch(arr: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_log_prob_kernel(p, values: np.ndarray) -> np.ndarray:
-    """``values`` must be a Boolean array (the caller screens dtypes)."""
-    return np.where(values, np.log(p), np.log1p(-p))
+    """``values`` is a Boolean array or one Boolean (the caller screens
+    dtypes).  One value computes only the branch it selects: the array
+    ``np.where`` would return."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return np.where(values, np.log(p), np.log1p(-p))
+    return np.asarray(np.log(p) if values else np.log1p(-p))
 
 
 def geometric_log_prob_kernel(p, x: np.ndarray) -> np.ndarray:

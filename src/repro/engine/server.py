@@ -46,7 +46,7 @@ import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.engine.api import (
     EngineResult,
@@ -1035,7 +1035,19 @@ async def _handle_connection(
 ) -> None:
     """Serve one client connection: a JSON object per line, answers by ``id``."""
     write_lock = asyncio.Lock()
-    tasks: List[asyncio.Task] = []
+    #: The line handlers still running; a finished one drops out at once,
+    #: so a long-lived connection holds only its work in flight.
+    tasks: Set[asyncio.Task] = set()
+
+    def finished(task: asyncio.Task) -> None:
+        tasks.discard(task)
+        if not task.cancelled():
+            task.exception()  # retrieved here, as the EOF gather retrieves it
+
+    def spawn(line: bytes) -> None:
+        task = asyncio.create_task(handle_line(line))
+        tasks.add(task)
+        task.add_done_callback(finished)
 
     async def respond(response: Dict[str, object]) -> None:
         async with write_lock:
@@ -1072,28 +1084,29 @@ async def _handle_connection(
                            "code": CODE_INVALID_REQUEST})
 
     cancelled = False
+    first_line = True
     try:
         while True:
             line = await reader.readline()
             if not line:
                 break
-            if line.startswith(b"GET ") and not tasks:
+            if line.startswith(b"GET ") and first_line:
                 # A Prometheus scraper (or curl) speaking HTTP on the JSONL
                 # port: answer the one request and close, as HTTP/1.0 does.
                 await _serve_http_scrape(reader, writer, line)
                 break
             if line.strip():
+                first_line = False
                 # Handle each line concurrently so requests on one connection
                 # can coalesce into the same dispatch batch.
-                tasks.append(asyncio.create_task(handle_line(line)))
+                spawn(line)
     except asyncio.CancelledError:
         cancelled = True
         raise
     finally:
         if cancelled:
             for task in tasks:
-                if not task.done():
-                    task.cancel()
+                task.cancel()
         elif tasks:
             # EOF on the read side is how JSONL clients say "no more
             # requests" — answers for everything already submitted must

@@ -136,6 +136,10 @@ def merge_lanes(cond: np.ndarray, then_value: object, else_value: object) -> np.
             raise VectorizationUnsupported(
                 f"if-expression over a particle axis with non-scalar arm {value!r}"
             )
+    if type(then_value) is float and type(else_value) is float and cond.ndim == 1:
+        # Two literal arms: gather from a two-entry table, bitwise what
+        # ``np.where`` builds without its scalar broadcast.
+        return np.array([else_value, then_value]).take(cond.view(np.int8))
     return np.where(cond, then_value, else_value)
 
 
@@ -1262,11 +1266,30 @@ class VectorRunResult:
         #: (``None`` when no fallback happened).
         self.fallback_reason = fallback_reason
 
+        #: The one leaf of a run that never split (see :meth:`_rows`).
+        self._whole = (
+            leaves[0] if len(leaves) == 1 and len(leaves[0].indices) == num_particles else None
+        )
         self.model_log_weights = np.empty(num_particles)
         self.guide_log_weights = np.empty(num_particles)
         for leaf in leaves:
-            self.model_log_weights[leaf.indices] = leaf.model_log_weights
-            self.guide_log_weights[leaf.indices] = leaf.guide_log_weights
+            rows = self._rows(leaf)
+            self.model_log_weights[rows] = leaf.model_log_weights
+            self.guide_log_weights[rows] = leaf.guide_log_weights
+
+    def _rows(self, leaf: _Leaf) -> object:
+        """Where ``leaf``'s particles sit in a population array.
+
+        Both runners start from ``np.arange(n)`` and shrink a group only by
+        splitting it into two non-empty parts that keep their order (a
+        Boolean mask, ``np.flatnonzero``); shards shift their leaves by
+        disjoint offsets, and the sequential fallback makes one leaf per
+        particle.  A leaf holding all ``n`` particles therefore holds
+        ``0..n-1`` in order, and a straight slice replaces the scatter
+        through its indices (``tests/test_engine_vectorize.py`` checks the
+        order on every library pair).
+        """
+        return slice(None) if leaf is self._whole else leaf.indices
 
     @property
     def num_groups(self) -> int:
@@ -1296,7 +1319,7 @@ class VectorRunResult:
         for t, row in enumerate(rows):
             reaching = [leaf for leaf in self.leaves if len(leaf.obs_scores) > t]
             if len(reaching) == 1:
-                row[reaching[0].indices] = reaching[0].obs_scores[t]
+                row[self._rows(reaching[0])] = reaching[0].obs_scores[t]
             else:
                 row[np.concatenate([leaf.indices for leaf in reaching])] = np.concatenate(
                     [leaf.obs_scores[t] for leaf in reaching]
@@ -1318,9 +1341,9 @@ class VectorRunResult:
             if len(columns) > index:
                 column = columns[index]
                 if isinstance(column, np.ndarray):
-                    out[leaf.indices] = column.astype(float)
+                    out[self._rows(leaf)] = column.astype(float)
                 else:
-                    out[leaf.indices] = float(column)
+                    out[self._rows(leaf)] = float(column)
         return out
 
     def _locate(self, particle: int) -> Tuple[_Leaf, int]:

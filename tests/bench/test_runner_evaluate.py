@@ -94,6 +94,19 @@ def test_unknown_model_filter_is_a_repro_error(tmp_path):
         run_sweep(dataclasses.replace(TINY, models=("nope",)), tmp_path / "x")
 
 
+def test_unknown_and_unrunnable_names_are_reported_apart(tmp_path):
+    """A name the snapshot lacks is unknown; a known entry that cannot run
+    is "not runnable" with its reason, and both go out in one error."""
+    import dataclasses
+
+    with pytest.raises(ReproError) as excinfo:
+        run_sweep(dataclasses.replace(TINY, models=("outliers", "nope")), tmp_path / "x")
+    message = str(excinfo.value)
+    assert message.startswith("unknown sweep model(s) ['nope']; not runnable: outliers (")
+    assert "'outliers'" not in message
+    assert not (tmp_path / "x").exists()
+
+
 def test_models_filter_reaches_runnable_entries_outside_the_sweep(tmp_path):
     """Any runnable snapshot entry can be named; one without a golden
     records its site-0 mean, so fixed-seed answers still compare."""
@@ -107,7 +120,7 @@ def test_models_filter_reaches_runnable_entries_outside_the_sweep(tmp_path):
     assert math.isfinite(point["stats"]["site0_mean"])
     again = run_sweep(config, tmp_path / "b")
     assert _strip_walls(again["points"]) == _strip_walls(first["points"])
-    with pytest.raises(ReproError, match="unknown sweep model"):
+    with pytest.raises(ReproError, match=r"not runnable: dp \(not expressible"):
         run_sweep(dataclasses.replace(TINY, models=("dp",)), tmp_path / "c")
 
 
@@ -125,7 +138,7 @@ def test_guide_argument_entries_run_or_are_refused_up_front(tmp_path):
     assert {(p["model"], p["engine"]) for p in document["points"]} == {
         (model, engine) for model in ("weight", "vae") for engine in ("is", "smc", "svi")
     }
-    with pytest.raises(ReproError, match="outliers is not runnable: .*old_is_outlier"):
+    with pytest.raises(ReproError, match=r"not runnable: outliers \(.*old_is_outlier"):
         run_sweep(dataclasses.replace(TINY, models=("outliers",)), tmp_path / "ol")
     assert not (tmp_path / "ol").exists()
 

@@ -28,6 +28,7 @@ from repro.engine.vectorize import (
     eval_expr_vec,
     interpret_command_vec,
     interpret_procedure_vec,
+    merge_lanes,
 )
 from repro.errors import (
     ChannelProtocolError,
@@ -222,6 +223,73 @@ class TestRunStructure:
                 expected = Normal(states[t], 0.5).log_prob(observed)
                 assert scores[t, i] == pytest.approx(expected, abs=1e-8)
         assert np.all(np.isfinite(run.guide_log_weights))
+
+    def test_leaves_partition_the_population_in_order(self):
+        """On every runnable library pair, both backends (and a 2-shard
+        merge) give leaves whose indices ascend and partition ``0..n-1``,
+        so a run with one leaf holds every particle in order.  The
+        population arrays ``VectorRunResult`` builds (straight copies for
+        that one leaf) equal the scatter through each leaf's indices and
+        never alias the leaves' arrays."""
+        from repro.bench.snapshot import load_snapshot, runnable_models
+        from repro.engine import ProgramSession
+        from repro.engine.backend import make_particle_runner
+        from repro.errors import ReproError
+
+        whole = 0
+        for name, entry in runnable_models(load_snapshot()).items():
+            session = ProgramSession.from_sources(
+                entry["model_source"], entry["guide_source"],
+                model_entry=entry.get("model_entry"), guide_entry=entry.get("guide_entry"),
+            )
+            obs = tuple(tr.ValP(v) for v in entry["obs_values"]) or None
+            for backend, shards, n in (
+                ("interp", 1, 1), ("interp", 1, 97), ("compiled", 1, 1),
+                ("compiled", 1, 97), ("compiled", 2, 97),
+            ):
+                runner = make_particle_runner(
+                    session.model_program, session.guide_program,
+                    session.model_entry, session.guide_entry, obs_trace=obs,
+                    guide_args=tuple(entry["guide_args"]), backend=backend,
+                    session=session, shards=shards,
+                )
+                try:
+                    run = runner.run(n, np.random.default_rng(7))
+                except ReproError:
+                    continue  # e.g. a supercritical recursion over its budget
+                indices = [leaf.indices for leaf in run.leaves]
+                assert all(np.all(np.diff(ix) > 0) for ix in indices), (name, backend)
+                assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(n))
+                if len(run.leaves) == 1:
+                    whole += 1
+                    assert np.array_equal(indices[0], np.arange(n)), (name, backend)
+                self._assert_population_is_the_scatter(run, n)
+        assert whole > 20
+
+    @staticmethod
+    def _assert_population_is_the_scatter(run, n):
+        for attr in ("model_log_weights", "guide_log_weights"):
+            expected = np.empty(n)
+            for leaf in run.leaves:
+                expected[leaf.indices] = getattr(leaf, attr)
+                assert not np.shares_memory(getattr(run, attr), getattr(leaf, attr))
+            assert getattr(run, attr).tobytes() == expected.tobytes()
+        rows = run.obs_score_rows()
+        if rows is not None:
+            expected = np.zeros(rows.shape)
+            for leaf in run.leaves:
+                for t, scores in enumerate(leaf.obs_scores):
+                    expected[t, leaf.indices] = scores
+                    assert not np.shares_memory(rows, scores)
+            assert rows.tobytes() == expected.tobytes()
+        values = run.site_values(0)
+        expected = np.full(n, np.nan)
+        for leaf in run.leaves:
+            columns = [m.payload for m in leaf.recorded.get("latent", []) if m.kind == "val"]
+            if columns:
+                expected[leaf.indices] = np.asarray(columns[0], dtype=float)
+                assert not np.shares_memory(values, columns[0])
+        assert values.tobytes() == expected.tobytes()
 
     def test_all_zero_weights_raise(self):
         model = parse_program(
@@ -494,6 +562,30 @@ class TestVectorizedExpressions:
         )
         with pytest.raises(VectorizationUnsupported):
             _rt.ifexp(np.asarray([True, False]), lambda: (1.0,), lambda: 5.0)
+
+    @pytest.mark.parametrize(
+        "then_value, else_value",
+        [
+            (0.7, 0.3), (float("nan"), -0.0), (-0.0, 0.0), (1e308, -5e-324),
+            (1, 0), (True, False), (1, 0.5), (0.5, True), (np.float64(0.7), 0.3),
+        ],
+        ids=["floats", "nan-negzero", "signed-zeros", "extremes", "ints", "bools",
+             "int-float", "float-bool", "np.float64-float"],
+    )
+    @pytest.mark.parametrize("lanes", [257, 0, 1], ids=["lanes", "empty", "one"])
+    def test_merge_lanes_is_np_where(self, then_value, else_value, lanes):
+        """Two Python-float arms gather from a two-entry table; every other
+        arm pair keeps ``np.where``.  Either way the result is the array
+        ``np.where`` returns: dtype, shape and bits, over 1-d and 0-d
+        conditions (a 0-d condition keeps ``np.where``'s 0-d array)."""
+        conds = [np.random.default_rng(3).random(lanes) < 0.5, np.asarray(True), np.asarray(False)]
+        conds.append(conds[0][::-1])  # a negatively strided view
+        for cond in conds:
+            got = merge_lanes(cond, then_value, else_value)
+            expected = np.where(cond, then_value, else_value)
+            assert type(got) is np.ndarray
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_projection_and_distribution_values(self):
         pair = (1.0, 2.0)

@@ -46,7 +46,7 @@ from repro.dists.discrete import poisson_log_prob_kernel
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
 from repro.engine.backend import CompiledParticleRunner, make_particle_runner
 from repro.engine.batched import BatchedDist
-from repro.errors import CompilationError, InferenceError
+from repro.errors import CompilationError, EvaluationError, InferenceError
 from repro.models import get_benchmark
 
 
@@ -153,6 +153,71 @@ def test_array_param_samplers_match_batched_dist(kind):
     assert np.array_equal(scalar_class.sample_n(np.random.default_rng(5), N), draw)
     per_particle = BatchedDist(kind, params, N).sample(np.random.default_rng(5))
     assert np.array_equal(per_particle, draw)
+
+
+_LANES = np.random.default_rng(11).normal(0.0, 3.0, size=2 * N)
+
+#: ``(mean, stddev)`` pairs with per-particle parameters, each ``N`` lanes
+#: (the 0-d case draws ``N`` values around one 0-d mean).
+NORMAL_LANE_CASES = {
+    "lane-mean": (_LANES[:N], 1.7),
+    "lane-stddev": (0.3, np.abs(_LANES[:N]) + 0.1),
+    "both-lanes": (_LANES[:N], np.abs(_LANES[N:]) + 0.1),
+    "int64-mean": (np.arange(N, dtype=np.int64) - 100, 2.5),
+    "bool-mean": (_LANES[:N] > 0.0, 0.25),
+    "strided-view": (_LANES[::2][:N], 0.9),
+    "huge-mean": (np.where(_LANES[:N] > 0.0, 1e300, -1e300), np.full(N, 1e-300)),
+    "int-stddev": (_LANES[:N], np.arange(1, N + 1, dtype=np.int64)),
+    "zero-d-mean": (np.asarray(0.4), 1.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NORMAL_LANE_CASES))
+@pytest.mark.parametrize("n", [N, 1])
+def test_normal_draw_with_lane_parameters_is_rng_normal(case, n):
+    """Per-particle Normal draws (``mean + stddev * standard_normal``) equal
+    the literal ``rng.normal`` bit for bit: same draws consumed, same
+    rounding, same dtype and shape."""
+    mean, stddev = NORMAL_LANE_CASES[case]
+    if n == 1:
+        mean, stddev = (p[:1] if np.ndim(p) else p for p in (mean, stddev))
+    for seed in range(4):
+        rng, literal_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = FAMILIES[ast.DistKind.NORMAL].draw(rng, n, mean, stddev)
+        literal = literal_rng.normal(mean, stddev, size=n)
+        assert draw.dtype == literal.dtype and draw.shape == literal.shape
+        assert draw.tobytes() == literal.tobytes(), (case, seed)
+        assert rng.random() == literal_rng.random()  # the same stream consumed
+
+
+def test_normal_stddev_is_checked_before_every_lane_draw():
+    """The lane draw skips ``rng.normal``'s negative-scale check, so each
+    caller refuses a bad ``stddev`` before drawing: ``BatchedDist``, the
+    kernels' ``check_param`` and the scalar constructor."""
+    family = FAMILIES[ast.DistKind.NORMAL]
+    bad = np.where(_LANES[:N] > 0.0, 1.0, -1.0)
+    with pytest.raises(EvaluationError, match="stddev must be positive"):
+        BatchedDist(ast.DistKind.NORMAL, [0.0, bad], N)
+    with pytest.raises(EvaluationError, match="stddev must be positive"):
+        rt.check_param(family, 1, bad, N)
+    with pytest.raises(EvaluationError, match="stddev"):
+        family.build([0.0, -1.0])
+
+
+@pytest.mark.parametrize("p", [0.37, np.linspace(0.05, 0.95, N)], ids=["scalar-p", "lane-p"])
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, np.False_, np.asarray(True), np.asarray(False)],
+    ids=["True", "False", "np.True_", "np.False_", "0d-True", "0d-False"],
+)
+def test_bernoulli_kernel_on_one_value_is_np_where(p, value):
+    """One observed Boolean scores only its own branch, and returns exactly
+    the array ``np.where`` returns: dtype, shape and bits."""
+    kernel = FAMILIES[ast.DistKind.BER].log_prob_inbounds
+    got = kernel(p, value)
+    expected = np.where(value, np.log(p), np.log1p(-p))
+    assert type(got) is np.ndarray
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_score_full_matches_masked_kernels_out_of_support():

@@ -7,7 +7,10 @@ that could silently go wrong without changing a single weight on the happy
 path.
 """
 
+import re
+
 import numpy as np
+import pytest
 
 from repro.core.semantics import traces as tr
 from repro.engine.backend import (
@@ -147,3 +150,124 @@ def test_record_compiled_fallback_labels_are_closed_set():
     moved = REGISTRY.delta(mark)
     assert len(moved) == 4
     assert all(key.startswith("repro_compiled_fallback_total{") for key in moved)
+
+
+# ---------------------------------------------------------------------------
+# Each lane value computed once per segment
+# ---------------------------------------------------------------------------
+
+#: Pairs whose model scores a value under the guide's own distribution, or
+#: repeats a conditional or a parameter check on one path.
+SHARED_PAIRS = ("hmm", "kalman", "gmm", "recursion_depth/2")
+
+
+def _snapshot_session(name):
+    from repro.bench.snapshot import load_snapshot
+    from repro.engine import ProgramSession
+
+    entry = load_snapshot()["models"][name]
+    session = ProgramSession.from_sources(
+        entry["model_source"], entry["guide_source"],
+        model_entry=entry.get("model_entry"), guide_entry=entry.get("guide_entry"),
+    )
+    return entry, session
+
+
+def _top_level_segments(source):
+    """Each segment's top-level statements (lines nested under an ``if``
+    inside the segment are left out)."""
+    segments, current, top = [], None, None
+    for line in source.splitlines():
+        stripped = line.strip()
+        if stripped.startswith(("if _seg == ", "elif _seg == ")):
+            current, top = [], None
+            segments.append(current)
+        elif current is not None and stripped:
+            indent = len(line) - len(stripped)
+            top = indent if top is None else top
+            if indent < top:
+                current = None  # past the segment chain
+            elif indent == top:
+                current.append(stripped)
+    return segments
+
+
+@pytest.mark.parametrize("name", SHARED_PAIRS)
+def test_kernels_compute_each_score_conditional_and_check_once(name):
+    """Within a segment no top-level statement repeats the computation of an
+    earlier one: the model reuses the guide's score of a value drawn from
+    the same distribution, and a repeated conditional or parameter check is
+    bound or run once.  Draws (which read ``rng``) are not repeats."""
+    from repro.compiler.codegen import _RescoreCompiler
+
+    _entry, session = _snapshot_session(name)
+    kernel, _reason = session.compiled_kernel()
+    rescore = _RescoreCompiler(
+        session.model_program, session.guide_program, session.model_entry, session.guide_entry
+    ).compile()
+    for source in (kernel.source, rescore):
+        segments = _top_level_segments(source)
+        assert segments
+        for statements in segments:
+            computed = [
+                line.split(" = ", 1)[1] if re.match(r"_[a-z]+\d+ = ", line) else line
+                for line in statements
+                if line.startswith(("_rt.check_param(", "_p", "_b", "_s", "_ca"))
+                and "rng" not in line and " = _live" not in line
+            ]
+            assert len(computed) == len(set(computed)), (name, computed)
+        # The model's ledger entry for a shared latent score is the guide's array.
+        shared = [
+            line for statements in segments for line in statements
+            if line.startswith("lw_m += ") and any(
+                other == "lw_g += " + line[len("lw_m += "):] for other in statements
+            )
+        ]
+        assert shared, name
+
+
+def test_segment_memo_records_only_top_level_lines():
+    """A value bound inside ``if obs is None:`` is not defined on the
+    ``else:`` side, so the memo never records it; a top-level value is
+    reused anywhere later in its segment, and a new segment starts empty."""
+    from repro.compiler.codegen import _Emitter
+
+    lines = []
+    em = _Emitter(lines, [0], 4)
+    score, check = "_normal_in(_v1, 1.0, _v2)", "_rt.check_param(_normal, 0, _p3, n)"
+    em.ln("if obs is None:")
+    em.indent += 1
+    assert em.bind("_s4", score) == "_s4"
+    em.once(check)
+    em.indent -= 1
+    assert em.bind("_s5", score) == "_s5"
+    em.once(check)
+    assert em.bind("_s6", score) == "_s5"
+    em.once(check)
+    assert [line.strip() for line in lines] == [
+        "if obs is None:", f"_s4 = {score}", check, f"_s5 = {score}", check,
+    ]
+    assert _Emitter(lines, [0], 4).bind("_s7", score) == "_s7"
+
+
+@pytest.mark.parametrize("name", SHARED_PAIRS)
+def test_shared_lane_values_match_the_interpreter_with_and_without_obs(name):
+    """The kernels that share scores, conditionals and checks stay bitwise
+    equal to the interpreter, replaying observations and in prior mode
+    (``obs is None``, where the observation sites draw)."""
+    entry, session = _snapshot_session(name)
+    for obs in (tuple(tr.ValP(v) for v in entry["obs_values"]), None):
+        runs = {}
+        for backend in ("interp", "compiled"):
+            runner = make_particle_runner(
+                session.model_program, session.guide_program,
+                session.model_entry, session.guide_entry, obs_trace=obs,
+                guide_args=tuple(entry["guide_args"]), backend=backend, session=session,
+            )
+            runs[backend] = runner.run(2000, np.random.default_rng(5))
+        a, b = runs["interp"], runs["compiled"]
+        assert b.backend == "compiled"
+        for array in ("model_log_weights", "guide_log_weights"):
+            assert getattr(a, array).tobytes() == getattr(b, array).tobytes(), (name, obs)
+        assert a.obs_score_rows().tobytes() == b.obs_score_rows().tobytes()
+        assert a.site_values(0).tobytes() == b.site_values(0).tobytes()

@@ -356,6 +356,89 @@ class TestTCP:
         assert not by_id[None]["ok"] and "bad JSON" in by_id[None]["error"]
         assert not by_id["w"]["ok"] and "unknown op" in by_id["w"]["error"]
 
+    def test_finished_requests_do_not_stay_alive_on_the_connection(self):
+        """A long-lived connection keeps only its unfinished line handlers:
+        after a few hundred requests, no finished one is still alive."""
+        import gc
+
+        def finished_handlers():
+            gc.collect()
+            return [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, asyncio.Task) and obj.done()
+                and obj.get_coro().__qualname__.endswith("handle_line")
+            ]
+
+        async def go(service):
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            for i in range(300):
+                op = "stats" if i % 3 else "warp"
+                writer.write((json.dumps({"op": op, "id": i}) + "\n").encode())
+            writer.write((json.dumps(_payload(request_id="infer")) + "\n").encode())
+            await writer.drain()
+            responses = [
+                json.loads(await asyncio.wait_for(reader.readline(), timeout=30))
+                for _ in range(301)
+            ]
+            for _ in range(3):
+                await asyncio.sleep(0)
+            alive = len(finished_handlers())
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return responses, alive
+
+        responses, alive = asyncio.run(_with_service(go))
+        assert sorted(map(str, (r["id"] for r in responses))) == sorted(
+            [str(i) for i in range(300)] + ["infer"]
+        )
+        assert alive == 0
+
+    def test_cancelled_connection_cancels_its_pending_requests(self):
+        """Cancelling a connection's handler cancels the requests it still
+        has in flight (EOF, by contrast, waits for them)."""
+        from repro.engine.server import _handle_connection
+
+        class NullWriter:
+            def write(self, data):
+                pass
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                pass
+
+        class StuckService:
+            def __init__(self):
+                self.entered = asyncio.Event()
+
+            async def submit(self, payload):
+                self.entered.set()
+                await asyncio.Event().wait()
+
+        async def go():
+            service, reader = StuckService(), asyncio.StreamReader()
+            reader.feed_data(b'{"id": 1}\n')
+            handler = asyncio.create_task(_handle_connection(service, reader, NullWriter()))
+            await service.entered.wait()
+            (pending,) = [
+                task for task in asyncio.all_tasks()
+                if task.get_coro().__qualname__.endswith("handle_line")
+            ]
+            handler.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await handler
+            await asyncio.sleep(0)
+            return pending
+
+        assert asyncio.run(go()).cancelled()
+
 
 def test_serve_subcommand_registered():
     """The CLI exposes the server with its shard controls."""
