@@ -10,9 +10,10 @@ as ``_rt``.  It has two halves:
   uniformity, observation replay, the budget and replay errors — are
   defined once, in :mod:`repro.engine.vectorize`, and the interpreter calls
   the same functions; they are re-exported here under the names the
-  kernels use.  Likewise each family's parameter checks, sampler and
-  density kernels live once, in :data:`repro.dists.FAMILIES`, and the
-  per-parameter check, masked lane scorer and shared-parameter build in
+  kernels use.  Likewise each family's typed parameters, sampler and
+  density kernels live once, in :data:`repro.dists.FAMILIES`, each base
+  type's guard in :data:`repro.dists.base.GUARDS`, and the per-parameter
+  check, masked lane scorer and shared-parameter build in
   :mod:`repro.engine.batched`;
 * what only a kernel needs — the scorers of a distribution at a value,
   recorded-message constructors, leaf assembly, the subgroup gathers of a
@@ -29,10 +30,11 @@ one definition of each operator and family, so what remains to keep equal is
 the kernel's schedule.  Three kinds of freedom are exploited, none of which
 change results:
 
-* masked support checks are dropped when the value's *provenance* (the family
-  that sampled it) proves support membership — ``np.where(ok, x, _)`` with an
-  all-true mask is the identity (see ``*_log_prob_inbounds`` in
-  :mod:`repro.dists`);
+* masked support checks are dropped when the value's *provenance* proves
+  support membership — the support of the family that sampled it is a
+  subtype of the scoring family's support — and ``np.where(ok, x, _)``
+  with an all-true mask is the identity (see ``*_log_prob_inbounds`` in
+  :mod:`repro.dists`); parameter checks are dropped likewise;
 * scalar parameters are kept scalar instead of broadcast to ``(n,)`` arrays —
   NumPy scalar-array arithmetic broadcasts to the same lanewise values;
 * loop-invariant scalar subexpressions are hoisted and computed once.
@@ -44,6 +46,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import types as ty
 from repro.dists.base import Distribution
 from repro.dists.families import FAMILIES, Family
 from repro.engine.batched import BatchedDist, check_param, scalar_dist, score_lanes
@@ -139,17 +142,19 @@ _SCALARS = (int, float, np.integer, np.floating, np.bool_)
 def score_obs(family: Family, params: Sequence[object], y: object, n: int) -> np.ndarray:
     """Score one replayed scalar observation ``y`` against the whole group.
 
-    When ``y`` is a plain value of the family's type, the family's
-    ``observed`` guard settles support membership once and the in-bounds
-    kernel scores ``y`` itself, skipping the interpreter's ``np.full``
-    broadcast; anything else takes the exact BatchedDist path.
+    When ``y`` is a plain value of the family's kind (a Boolean for ``Ber``,
+    a number otherwise), the guard of the family's support settles support
+    membership once, on ``float(y)`` as the interpreter's float batch holds
+    it, and the in-bounds kernel scores that float itself, skipping the
+    interpreter's ``np.full`` broadcast; anything else takes the exact
+    BatchedDist path.
     """
-    boolean = "bool" in family.proves
+    boolean = isinstance(family.support, ty.BoolTy)
     if not isinstance(y, _SCALARS) or isinstance(y, (bool, np.bool_)) != boolean:
         return score_dist(make_batched(family.kind, params, n), y, n)
-    if family.observed is not None:
-        y = family.observed(y)
-        if y is None:
+    if not boolean:
+        y = float(y)
+        if not family.cls.support_guard.holds(y):
             return np.full(n, -np.inf)
     lp = family.log_prob_inbounds(*params, y)
     return np.full(n, lp) if lp.ndim == 0 else lp

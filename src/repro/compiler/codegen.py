@@ -35,7 +35,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core import ast
-from repro.dists.families import FAMILIES, Constraint, Family
+from repro.core import types as ty
+from repro.dists.base import Param
+from repro.dists.families import FAMILIES, Family
 from repro.errors import CompilationError
 
 _BINOPS = {
@@ -436,16 +438,20 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 @dataclass(frozen=True)
 class _Sym:
-    """A symbolic runtime value: a Python expression plus provenance flags.
+    """A symbolic runtime value: a Python expression plus what is known of it.
 
-    ``flags`` is sound ("lane" means *definitely* a ``(n,)`` array); absent
-    flags mean unknown.  ``value`` carries the constant for plain literals so
-    parameter checks can be discharged statically.
+    ``flags`` is sound ("lane" means *definitely* a ``(n,)`` array, "const"
+    a value fixed at compile time); absent flags mean unknown.  ``value``
+    carries the constant for plain literals so parameter checks can be
+    discharged statically.  ``proven`` is the base type the value's
+    provenance proves: the support of the family that drew it, or 𝟚 for a
+    Boolean literal (``None``: nothing).
     """
 
     code: str
     flags: frozenset = frozenset()
     value: object = None
+    proven: Optional[ty.BaseType] = None
 
     @property
     def is_const(self) -> bool:
@@ -456,19 +462,14 @@ class _Sym:
         return "lane" in self.flags
 
 
-def _param_proven(sym: _Sym, constraint: Constraint) -> bool:
-    """Whether ``sym``'s provenance or literal value discharges ``constraint``."""
-    requirement = constraint.flag
-    if requirement in sym.flags:
-        return True
-    if requirement == "finite" and ("positive" in sym.flags or "unit" in sym.flags or "nat" in sym.flags):
-        return True
-    if requirement == "positive" and "unit" in sym.flags:
+def _param_proven(sym: _Sym, param: Param) -> bool:
+    """Whether ``sym``'s provenance or literal value discharges ``param``'s check."""
+    if sym.proven is not None and ty.is_subtype(sym.proven, param.type):
         return True
     value = sym.value
     if not sym.is_const or not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
-    return bool(constraint.holds(float(value)))
+    return param.guard.holds(float(value))
 
 
 @dataclass
@@ -719,7 +720,7 @@ def _compile_expr_vec(expr: ast.Expr, env: Mapping[str, _Sym]) -> _Sym:
     if isinstance(expr, ast.Triv):
         return _Sym("None", frozenset({"const"}))
     if isinstance(expr, ast.BoolLit):
-        return _Sym(repr(expr.value), frozenset({"const", "bool"}), expr.value)
+        return _Sym(repr(expr.value), frozenset({"const"}), expr.value, ty.BOOL)
     if isinstance(expr, ast.RealLit):
         value = float(expr.value)
         return _Sym(repr(value), frozenset({"const"}), value)
@@ -758,7 +759,7 @@ def _compile_expr_vec(expr: ast.Expr, env: Mapping[str, _Sym]) -> _Sym:
     if isinstance(expr, ast.Let):
         bound = _compile_expr_vec(expr.bound, env)
         inner = dict(env)
-        inner[expr.var] = _Sym(f"_let_{expr.var}", bound.flags)
+        inner[expr.var] = _Sym(f"_let_{expr.var}", bound.flags, proven=bound.proven)
         body = _compile_expr_vec(expr.body, inner)
         return _Sym(f"(lambda _let_{expr.var}: {body.code})({bound.code})", frozenset())
 
@@ -959,14 +960,20 @@ class _DistInfo:
     ``const``: shared parameters, a scalar distribution ``name`` bound in the
     preamble, whose parameters ``args`` reads; ``fast``: lane parameters
     ``args`` handed to the family's functions; ``generic``: a
-    ``BatchedDist`` ``name`` built at run time.
+    ``BatchedDist`` ``name`` built at run time.  ``family`` is ``None``
+    for a distribution value that no family expression names.
     """
 
     mode: str  # "const" | "fast" | "generic"
     family: Optional[Family]
     name: Optional[str]
     args: List[str]
-    value_flags: frozenset
+
+    def drawn(self, code: str) -> _Sym:
+        """The value ``code`` drew from this distribution: a lane array of
+        the family's support."""
+        proven = None if self.family is None else self.family.support
+        return _Sym(code, frozenset({"lane"}), proven=proven)
 
 
 _KERNEL_HEADER = '''"""Batched kernel generated by repro.compiler.codegen — do not edit."""
@@ -1089,7 +1096,7 @@ class _KernelCompiler:
         # expressions binds a const-flagged named result, and a later
         # `Normal(branch_var, 2.0)` hoisted `scalar_dist(..., (_bN, ...))`
         # to the preamble — a NameError at kernel load.)
-        return _Sym(name, sym.flags - {"const"}, sym.value)
+        return _Sym(name, sym.flags - {"const"}, sym.value, sym.proven)
 
     def _const_dist(self, family: Family, arg_codes: Tuple[str, ...]) -> str:
         key = (family.kind, arg_codes)
@@ -1120,16 +1127,15 @@ class _KernelCompiler:
             sym = _compile_expr_vec(dist_expr, env)
             name = self._fresh("d")
             em.ln(f"{name} = _rt.as_batched({sym.code}, n)")
-            return _DistInfo("generic", None, name, [], frozenset({"lane"}))
+            return _DistInfo("generic", None, name, [])
 
         family = FAMILIES[dist_expr.kind]
         arg_syms = [_compile_expr_vec(a, env) for a in dist_expr.args]
-        value_flags = family.proves | {"lane"}
 
         if all(s.is_const for s in arg_syms):
             name = self._const_dist(family, tuple(s.code for s in arg_syms))
             args = [f"{name}.{param.name}" for param in family.params or ()]
-            return _DistInfo("const", family, name, args, value_flags)
+            return _DistInfo("const", family, name, args)
 
         if (
             family.draw is not None
@@ -1140,18 +1146,16 @@ class _KernelCompiler:
             local = self._family_local(family)
             # Check only the parameters no provenance proof discharges.
             for index, (sym, param) in enumerate(zip(mat, family.params)):
-                if not _param_proven(sym, param.constraint):
+                if not _param_proven(sym, param):
                     em.once(f"_rt.check_param({local}, {index}, {sym.code}, n)")
-            return _DistInfo("fast", family, None, [s.code for s in mat], value_flags)
+            return _DistInfo("fast", family, None, [s.code for s in mat])
 
-        return self._generic_dist(em, family, [s.code for s in arg_syms], value_flags)
+        return self._generic_dist(em, family, [s.code for s in arg_syms])
 
-    def _generic_dist(
-        self, em: _Emitter, family: Family, args: List[str], value_flags: frozenset
-    ) -> _DistInfo:
+    def _generic_dist(self, em: _Emitter, family: Family, args: List[str]) -> _DistInfo:
         name = self._fresh("d")
         em.ln(f"{name} = _rt.make_batched(DistKind.{family.kind.name}, {_tuple_code(args)}, n)")
-        return _DistInfo("generic", family, name, args, value_flags)
+        return _DistInfo("generic", family, name, args)
 
     def _draw_code(self, info: _DistInfo) -> str:
         if info.mode == "generic":
@@ -1162,7 +1166,13 @@ class _KernelCompiler:
         return f"{local}_draw({', '.join(['rng', 'n', *info.args])})"
 
     def _score_lane_code(self, info: _DistInfo, value: _Sym) -> str:
-        if info.mode != "generic" and info.family.inbounds_flag in value.flags:
+        # The in-bounds kernel is licensed by a value proven to lie in the support.
+        if (
+            info.mode != "generic"
+            and info.family.log_prob_inbounds is not None
+            and value.proven is not None
+            and ty.is_subtype(value.proven, info.family.support)
+        ):
             local = self._family_local(info.family)
             return f"{local}_in({', '.join([*info.args, value.code])})"
         if info.mode == "const":
@@ -1460,7 +1470,7 @@ class _KernelCompiler:
             info = self._emit_dist(em, cmd.dist, env)
             if info.mode == "fast":
                 # Observe scores arbitrary values; take the exact generic path.
-                info = self._generic_dist(em, info.family, info.args, info.value_flags)
+                info = self._generic_dist(em, info.family, info.args)
             value = _compile_expr_vec(cmd.value, env)
             score = self._fresh("s")
             if info.mode == "const":
@@ -1504,7 +1514,7 @@ class _KernelCompiler:
         info = self._emit_dist(em, cmd.dist, env)
         value = self._fresh("v")
         em.ln(f"{value} = {self._draw_code(info)}")
-        value_sym = _Sym(value, info.value_flags)
+        value_sym = info.drawn(value)
         score = em.bind(self._fresh("s"), self._score_lane_code(info, value_sym))
         self._emit_accumulate(em, task.name, score, self.latent)
         provider_sent = task.name == state.chan.provider
@@ -1526,7 +1536,7 @@ class _KernelCompiler:
         em.ln("if obs is None:")
         em.indent += 1
         em.ln(f"{value} = {self._draw_code(info)}")
-        em.ln(f"{score} = {self._score_lane_code(info, _Sym(value, info.value_flags))}")
+        em.ln(f"{score} = {self._score_lane_code(info, info.drawn(value))}")
         em.indent -= 1
         em.ln("else:")
         em.indent += 1
@@ -1583,13 +1593,14 @@ class _KernelCompiler:
 
         Two states with equal keys differ only in what the emitted code named
         their values, and the i-th live variable of one holds what the i-th
-        of the other holds.  Commands count by identity; flags and literals
-        count as written.
+        of the other holds.  Commands count by identity; flags, literals and
+        proven types count as written, so two states that differ in what
+        they prove never join.
         """
         slot = {name: i for i, (name, _lane) in enumerate(live)}
 
         def sym(s: Optional[_Sym]):
-            return None if s is None else (slot.get(s.code, s.code), s.flags, s.value)
+            return None if s is None else (slot.get(s.code, s.code), s.flags, s.value, s.proven)
 
         def env(bindings: Mapping[str, _Sym]) -> tuple:
             return tuple((var, sym(s)) for var, s in bindings.items())
@@ -1834,7 +1845,7 @@ class _RescoreCompiler(_KernelCompiler):
         value = self._fresh("v")
         em.ln(f'{value} = _rt.rep_val(rec_lat, {self._lat_at()}, "{self.latent}")')
         self._lat_pos += 1
-        value_sym = _Sym(value, info.value_flags)
+        value_sym = info.drawn(value)
         score = em.bind(self._fresh("s"), self._score_lane_code(info, value_sym))
         self._emit_accumulate(em, task.name, score, self.latent)
         state.chan.outgoing(task.name).append(("val", value_sym))
@@ -1849,7 +1860,7 @@ class _RescoreCompiler(_KernelCompiler):
         em.ln("if obs is None:")
         em.indent += 1
         em.ln(f'{value} = _rt.rep_val(rec_obs, {position}, "{self.obs}")')
-        em.ln(f"{score} = {self._score_lane_code(info, _Sym(value, info.value_flags))}")
+        em.ln(f"{score} = {self._score_lane_code(info, info.drawn(value))}")
         em.indent -= 1
         em.ln("else:")
         em.indent += 1

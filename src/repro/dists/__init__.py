@@ -15,8 +15,12 @@ Every distribution exposes:
     The basic type τ such that the distribution has type ``dist(τ)``.
 
 The families match the core calculus: Bernoulli, Uniform(0,1), Beta, Gamma,
-Normal, Categorical, Geometric, Poisson.  :data:`FAMILIES` holds one record
-per family with its parameter checks, array sampler and density kernels
+Normal, Categorical, Geometric, Poisson.  Their parameter types and
+supports are written once, in the typing rule
+(:mod:`repro.core.typecheck.basic`), and :data:`~repro.dists.base.GUARDS`
+holds one run-time guard per base type, which every check of a value reads
+(:mod:`repro.dists.base`).  :data:`FAMILIES` holds one record per family
+with its typed parameters, support, array sampler and density kernels
 (:mod:`repro.dists.families`); every backend reads it.
 """
 

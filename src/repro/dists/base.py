@@ -1,27 +1,123 @@
-"""Abstract base class for primitive distributions."""
+"""Abstract base class for primitive distributions, and one guard per base type.
+
+The typing rule (:data:`~repro.core.typecheck.basic.DIST_PARAM_TYPES` and
+:func:`~repro.core.typecheck.basic.dist_support_type`) is the one place
+where a family's parameter types and support are written.  :data:`GUARDS`
+says what a value of each base type satisfies at run time; the scalar
+constructors, the lane parameter checks, the compiled kernels' observation
+guard and :meth:`Distribution.in_support_batch` all read it.
+"""
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Any
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core import ast
 from repro.core import types as ty
+from repro.core.typecheck.basic import DIST_PARAM_TYPES, dist_support_type
+
+
+class Guard(NamedTuple):
+    """What a value of one base type satisfies at run time."""
+
+    #: The predicate lane by lane, over a float scalar or a float array.
+    lanes: Callable[[Any], Any]
+    #: The same predicate on one Python float.
+    holds: Callable[[float], bool]
+    #: Completes "<parameter name> ..." in an error message.
+    message: str
+
+    def error(self, name: str, value: float) -> ValueError:
+        """The error of parameter ``name`` failing this guard with ``value``."""
+        return ValueError(f"{name} {self.message}, got {value}")
+
+
+def _positive_lanes(value):
+    return np.isfinite(value) & (np.asarray(value) > 0.0)
+
+
+def _unit_lanes(value):
+    value = np.asarray(value)
+    return (value > 0.0) & (value < 1.0)
+
+
+def _natural_lanes(value):
+    return np.isfinite(value) & (np.floor(value) == value) & (np.asarray(value) >= 0)
+
+
+#: The guard of each base type that types a family's parameters or support.
+#: No float is a Boolean: Boolean values are told apart by dtype first.
+GUARDS: Dict[ty.BaseType, Guard] = {
+    ty.REAL: Guard(np.isfinite, math.isfinite, "must be a finite real"),
+    ty.PREAL: Guard(_positive_lanes, lambda v: 0.0 < v < math.inf, "must be positive"),
+    ty.UREAL: Guard(_unit_lanes, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ty.NAT: Guard(
+        _natural_lanes, lambda v: v.is_integer() and v >= 0.0, "must be a natural number"
+    ),
+    ty.BOOL: Guard(lambda v: np.zeros(np.shape(v), bool), lambda v: False, "must be a Boolean"),
+}
+
+
+class Param(NamedTuple):
+    """One parameter of a family: its name, its base type and that type's guard."""
+
+    name: str
+    type: ty.BaseType
+    guard: Guard
 
 
 class Distribution(abc.ABC):
     """A primitive distribution ``d`` of type ``dist(τ)``.
 
-    Subclasses must implement :meth:`sample`, :meth:`log_prob`,
-    :meth:`in_support`, and the :attr:`support_type` property.  Equality is
-    structural on the parameters (used to compare model/guide sites in tests
-    and in the mini-Pyro replay handler).
+    Subclasses must implement :meth:`sample`, :meth:`log_prob` and
+    :meth:`in_support`.  A class implementing a family of the calculus names
+    its ``kind`` and ``param_names``; its ``signature``, ``support_type`` and
+    ``support_guard`` are then read from the typing rule when the class is
+    defined, and the constructor below checks each argument through its
+    type's guard.  Other classes write their own constructor,
+    ``support_type`` and ``params``.  Equality is structural on the
+    parameters (used to compare model/guide sites in tests and in the
+    mini-Pyro replay handler).
     """
 
     #: Name used by pretty printers and compiled code.
     name: str = "Distribution"
+    #: The family of the calculus the class implements, if any.
+    kind: Optional[ast.DistKind] = None
+    #: The parameters' names, in order; each is also an attribute.
+    param_names: Tuple[str, ...] = ()
+    #: Each parameter's name, type and guard (``None``: the class checks its own).
+    signature: Optional[Tuple[Param, ...]] = None
+    #: The support type's guard (``None``: ``in_support_batch`` loops).
+    support_guard: Optional[Guard] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.kind is None:
+            return
+        cls.name = cls.kind.value
+        types = DIST_PARAM_TYPES[cls.kind]
+        if types is None:  # Cat's variadic weights
+            return
+        cls.signature = tuple(
+            Param(name, tau, GUARDS[tau]) for name, tau in zip(cls.param_names, types)
+        )
+        cls.support_type = dist_support_type(cls.kind, len(types))
+        cls.support_guard = GUARDS[cls.support_type]
+
+    def __init__(self, *args: float) -> None:
+        signature = self.signature or ()
+        if len(args) != len(signature):
+            raise TypeError(f"{self.name} takes {len(signature)} parameter(s), got {len(args)}")
+        for (name, _tau, guard), value in zip(signature, args):
+            value = float(value)
+            if not guard.holds(value):
+                raise guard.error(name, value)
+            setattr(self, name, value)
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator) -> Any:
@@ -41,9 +137,9 @@ class Distribution(abc.ABC):
         """The basic type τ that characterises the support exactly."""
 
     @property
-    @abc.abstractmethod
     def params(self) -> tuple:
         """The distribution's parameters, used for equality and printing."""
+        return tuple([getattr(self, name) for name in self.param_names])
 
     # -- batched API -----------------------------------------------------------
     #
@@ -67,8 +163,13 @@ class Distribution(abc.ABC):
         return np.asarray([self.log_prob(v) for v in _iter_batch(values)], dtype=float)
 
     def in_support_batch(self, values: Any) -> np.ndarray:
-        """Elementwise :meth:`in_support` over a batch of values."""
-        return np.asarray([self.in_support(v) for v in _iter_batch(values)], dtype=bool)
+        """Elementwise :meth:`in_support`: the support's guard over a float
+        batch, else a loop of the scalar method."""
+        guard = self.support_guard
+        arr = None if guard is None else as_float_batch(values)
+        if arr is None:
+            return np.asarray([self.in_support(v) for v in _iter_batch(values)], dtype=bool)
+        return guard.lanes(arr)
 
     # -- derived API -----------------------------------------------------------
 
@@ -119,30 +220,6 @@ def as_float_batch(values: Any) -> "np.ndarray | None":
     if arr.dtype == object or arr.dtype.kind == "b":
         return None
     return arr.astype(float, copy=False)
-
-
-def require_positive(name: str, value: float) -> float:
-    """Validate a strictly positive scalar parameter."""
-    value = float(value)
-    if not value > 0.0 or math.isnan(value) or math.isinf(value):
-        raise ValueError(f"{name} must be a finite positive real, got {value}")
-    return value
-
-
-def require_unit_interval(name: str, value: float) -> float:
-    """Validate a parameter in the open unit interval (0, 1)."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in the open interval (0, 1), got {value}")
-    return value
-
-
-def require_real(name: str, value: float) -> float:
-    """Validate a finite real parameter."""
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError(f"{name} must be a finite real, got {value}")
-    return value
 
 
 def is_real_number(value: Any) -> bool:

@@ -7,14 +7,9 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core import ast
 from repro.core import types as ty
-from repro.dists.base import (
-    Distribution,
-    as_float_batch,
-    is_real_number,
-    require_positive,
-    require_real,
-)
+from repro.dists.base import Distribution, as_float_batch, is_real_number
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -135,19 +130,8 @@ def uniform01_draw(rng: np.random.Generator, n: int) -> np.ndarray:
 class Normal(Distribution):
     """Normal distribution ``Normal(mean; stddev)`` with support ℝ."""
 
-    name = "Normal"
-
-    def __init__(self, mean: float, stddev: float):
-        self.mean = require_real("mean", mean)
-        self.stddev = require_positive("stddev", stddev)
-
-    @property
-    def params(self) -> tuple:
-        return (self.mean, self.stddev)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.REAL
+    kind = ast.DistKind.NORMAL
+    param_names = ("mean", "stddev")
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.normal(self.mean, self.stddev))
@@ -173,12 +157,6 @@ class Normal(Distribution):
             return super().log_prob_batch(values)
         return normal_log_prob_kernel(self.mean, self.stddev, arr)
 
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return np.isfinite(arr)
-
 
 class Gamma(Distribution):
     """Gamma distribution ``Gamma(shape; rate)`` with support ℝ+.
@@ -187,19 +165,8 @@ class Gamma(Distribution):
     ``Gamma(2; 1)`` examples.
     """
 
-    name = "Gamma"
-
-    def __init__(self, shape: float, rate: float):
-        self.shape = require_positive("shape", shape)
-        self.rate = require_positive("rate", rate)
-
-    @property
-    def params(self) -> tuple:
-        return (self.shape, self.rate)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.PREAL
+    kind = ast.DistKind.GAMMA
+    param_names = ("shape", "rate")
 
     def sample(self, rng: np.random.Generator) -> float:
         value = float(rng.gamma(self.shape, 1.0 / self.rate))
@@ -232,29 +199,12 @@ class Gamma(Distribution):
             return super().log_prob_batch(values)
         return gamma_log_prob_kernel(self.shape, self.rate, arr)
 
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return np.isfinite(arr) & (arr > 0.0)
-
 
 class Beta(Distribution):
     """Beta distribution ``Beta(alpha; beta)`` with support ℝ(0,1)."""
 
-    name = "Beta"
-
-    def __init__(self, alpha: float, beta: float):
-        self.alpha = require_positive("alpha", alpha)
-        self.beta = require_positive("beta", beta)
-
-    @property
-    def params(self) -> tuple:
-        return (self.alpha, self.beta)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.UREAL
+    kind = ast.DistKind.BETA
+    param_names = ("alpha", "beta")
 
     def sample(self, rng: np.random.Generator) -> float:
         value = float(rng.beta(self.alpha, self.beta))
@@ -286,28 +236,11 @@ class Beta(Distribution):
             return super().log_prob_batch(values)
         return beta_log_prob_kernel(self.alpha, self.beta, arr)
 
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return (arr > 0.0) & (arr < 1.0)
-
 
 class Uniform01(Distribution):
     """The uniform distribution on the open unit interval (paper's ``Unif``)."""
 
-    name = "Unif"
-
-    def __init__(self) -> None:
-        pass
-
-    @property
-    def params(self) -> tuple:
-        return ()
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.UREAL
+    kind = ast.DistKind.UNIF
 
     def sample(self, rng: np.random.Generator) -> float:
         value = float(rng.random())
@@ -332,12 +265,6 @@ class Uniform01(Distribution):
             return super().log_prob_batch(values)
         return uniform01_log_prob_kernel(arr)
 
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return (arr > 0.0) & (arr < 1.0)
-
 
 class TruncatedNormal(Distribution):
     """Normal distribution truncated to an interval.
@@ -348,10 +275,11 @@ class TruncatedNormal(Distribution):
     """
 
     name = "TruncatedNormal"
+    #: ``mean`` and ``stddev`` are checked as ``Normal``'s are.
+    signature = Normal.signature
 
     def __init__(self, mean: float, stddev: float, low: float, high: float):
-        self.mean = require_real("mean", mean)
-        self.stddev = require_positive("stddev", stddev)
+        super().__init__(mean, stddev)
         if not low < high:
             raise ValueError(f"low must be < high, got [{low}, {high}]")
         self.low = float(low)

@@ -8,14 +8,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core import ast
 from repro.core import types as ty
-from repro.dists.base import (
-    Distribution,
-    as_float_batch,
-    is_integer_number,
-    require_positive,
-    require_unit_interval,
-)
+from repro.dists.base import GUARDS, Distribution, as_float_batch, is_integer_number
 
 
 def _integral_batch(arr: np.ndarray) -> np.ndarray:
@@ -96,18 +91,8 @@ def poisson_draw(rng: np.random.Generator, n: int, rate) -> np.ndarray:
 class Bernoulli(Distribution):
     """Bernoulli distribution ``Ber(p)`` with support 𝟚 = {true, false}."""
 
-    name = "Ber"
-
-    def __init__(self, p: float):
-        self.p = require_unit_interval("p", p)
-
-    @property
-    def params(self) -> tuple:
-        return (self.p,)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.BOOL
+    kind = ast.DistKind.BER
+    param_names = ("p",)
 
     def sample(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.p)
@@ -145,12 +130,18 @@ class Categorical(Distribution):
     The weights need not be normalised; they must be strictly positive.
     """
 
-    name = "Cat"
+    kind = ast.DistKind.CAT
 
     def __init__(self, weights: Sequence[float]):
         if len(weights) < 1:
             raise ValueError("Cat requires at least one weight")
-        ws = [require_positive(f"weight #{i}", w) for i, w in enumerate(weights)]
+        positive = GUARDS[ty.PREAL]
+        ws = []
+        for i, w in enumerate(weights):
+            w = float(w)
+            if not positive.holds(w):
+                raise positive.error(f"weight #{i}", w)
+            ws.append(w)
         total = sum(ws)
         self.weights = tuple(ws)
         self.probs = tuple(w / total for w in ws)
@@ -203,18 +194,8 @@ class Geometric(Distribution):
     ``P(k) = (1-p)^k p``.
     """
 
-    name = "Geo"
-
-    def __init__(self, p: float):
-        self.p = require_unit_interval("p", p)
-
-    @property
-    def params(self) -> tuple:
-        return (self.p,)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.NAT
+    kind = ast.DistKind.GEO
+    param_names = ("p",)
 
     def sample(self, rng: np.random.Generator) -> int:
         # numpy's geometric counts trials (>= 1); shift to count failures.
@@ -241,28 +222,12 @@ class Geometric(Distribution):
             return super().log_prob_batch(values)
         return geometric_log_prob_kernel(self.p, arr)
 
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return _integral_batch(arr) & (arr >= 0)
-
 
 class Poisson(Distribution):
     """Poisson distribution ``Pois(rate)`` with support ℕ."""
 
-    name = "Pois"
-
-    def __init__(self, rate: float):
-        self.rate = require_positive("rate", rate)
-
-    @property
-    def params(self) -> tuple:
-        return (self.rate,)
-
-    @property
-    def support_type(self) -> ty.BaseType:
-        return ty.NAT
+    kind = ast.DistKind.POIS
+    param_names = ("rate",)
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.poisson(self.rate))
@@ -287,12 +252,6 @@ class Poisson(Distribution):
         if arr is None:
             return super().log_prob_batch(values)
         return poisson_log_prob_kernel(self.rate, arr)
-
-    def in_support_batch(self, values) -> np.ndarray:
-        arr = as_float_batch(values)
-        if arr is None:
-            return super().in_support_batch(values)
-        return _integral_batch(arr) & (arr >= 0)
 
 
 class Delta(Distribution):

@@ -9,93 +9,45 @@ defined beside the scalar classes (:mod:`repro.dists.continuous`,
 The interpreter and the compiled backend therefore share one sampler, one
 parameter check and one pair of density kernels per family by construction.
 
+A family's parameter types and support are written once, in the typing rule
+(:data:`~repro.core.typecheck.basic.DIST_PARAM_TYPES`,
+:func:`~repro.core.typecheck.basic.dist_support_type`); the scalar class
+reads them when it is defined, and its record reads them from the class.
 A :class:`Family` holds:
 
 ``cls``
     the scalar :class:`~repro.dists.base.Distribution` class;
 ``params``
-    each parameter's name (also the scalar class's attribute of that name)
-    and :class:`Constraint`; ``None`` for ``Cat``'s variadic weights;
+    each parameter's :class:`~repro.dists.base.Param`: its name (also the
+    scalar class's attribute of that name), its base type and that type's
+    guard (:data:`~repro.dists.base.GUARDS`); ``None`` for ``Cat``'s
+    variadic weights;
+``support``
+    the base type of every value the family draws; a family whose support
+    is 𝟚 has Boolean values, and batches and observations are screened by
+    dtype accordingly;
 ``draw``
     ``draw(rng, n, *params)``: ``n`` values for scalar or ``(n,)``
     parameters;
 ``log_prob`` / ``log_prob_inbounds``
     the masked kernel (any float batch, ``-inf`` outside the support) and
-    its strength reduction for values known to lie in the support;
-``proves`` / ``inbounds_flag``
-    the provenance flags every draw carries, and the flag a value must carry
-    for ``log_prob_inbounds`` to score it; a family whose draws prove
-    ``bool`` has Boolean values, and batches and observations are screened
-    by dtype accordingly;
-``observed``
-    the guard for scoring one replayed scalar observation: the value
-    ``log_prob_inbounds`` scores, or ``None`` outside the support (``None``
-    itself when every value of the family's type is in the support).
+    its strength reduction for values known to lie in the support.
 
 ``Cat`` has no array sampler or kernels: with per-particle weights it draws
-and scores through a loop of scalar distributions.
+and scores through a loop of scalar distributions.  Its record's support is
+ℕ, which holds every ℕn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import ast
+from repro.core import types as ty
 from repro.dists import continuous, discrete
-from repro.dists.base import Distribution
+from repro.dists.base import Distribution, Param
 from repro.errors import EvaluationError
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """What a parameter must satisfy, checked lane by lane."""
-
-    #: Lane predicate over a scalar or an array parameter.
-    holds: Callable[[object], object]
-    #: Completes "<parameter name> ..." in the error message.
-    message: str
-    #: The value-provenance flag that proves the predicate.
-    flag: str
-
-
-def _positive(value):
-    return np.isfinite(value) & (np.asarray(value) > 0.0)
-
-
-def _unit(value):
-    value = np.asarray(value)
-    return (value > 0.0) & (value < 1.0)
-
-
-REAL = Constraint(np.isfinite, "must be a finite real", "finite")
-POSITIVE = Constraint(_positive, "must be positive", "positive")
-UNIT = Constraint(_unit, "must lie in (0, 1)", "unit")
-
-
-class Param(NamedTuple):
-    """One parameter of a family: its name and its constraint."""
-
-    name: str
-    constraint: Constraint
-
-
-def _finite_obs(y):
-    return y if np.isfinite(y) else None
-
-
-def _positive_obs(y):
-    return y if np.isfinite(y) and y > 0.0 else None
-
-
-def _unit_obs(y):
-    return y if 0.0 < y < 1.0 else None
-
-
-def _natural_obs(y):
-    return float(y) if np.isfinite(y) and float(y).is_integer() and y >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -105,12 +57,16 @@ class Family:
     kind: ast.DistKind
     cls: type
     params: Optional[Tuple[Param, ...]]
-    proves: frozenset
+    support: ty.BaseType
     draw: Optional[Callable] = None
     log_prob: Optional[Callable] = None
     log_prob_inbounds: Optional[Callable] = None
-    inbounds_flag: Optional[str] = None
-    observed: Optional[Callable] = None
+
+    @classmethod
+    def of(cls, dist_cls: type, support: Optional[ty.BaseType] = None, **kernels) -> "Family":
+        """The record of ``dist_cls``, whose typing rule it reads."""
+        support = support or dist_cls.support_type
+        return cls(dist_cls.kind, dist_cls, dist_cls.signature, support, **kernels)
 
     @property
     def name(self) -> str:
@@ -142,66 +98,53 @@ class Family:
             ) from exc
 
 
-_NAT = frozenset({"finite", "nat"})
-_UNIT_VALUES = frozenset({"finite", "positive", "unit"})
-
 FAMILIES: Dict[ast.DistKind, Family] = {
     family.kind: family
     for family in (
-        Family(
-            ast.DistKind.NORMAL, continuous.Normal,
-            (Param("mean", REAL), Param("stddev", POSITIVE)), frozenset({"finite"}),
+        Family.of(
+            continuous.Normal,
             draw=continuous.normal_draw,
             log_prob=continuous.normal_log_prob_kernel,
             log_prob_inbounds=continuous.normal_log_prob_inbounds,
-            inbounds_flag="finite", observed=_finite_obs,
         ),
-        Family(
-            ast.DistKind.GAMMA, continuous.Gamma,
-            (Param("shape", POSITIVE), Param("rate", POSITIVE)), frozenset({"finite", "positive"}),
+        Family.of(
+            continuous.Gamma,
             draw=continuous.gamma_draw,
             log_prob=continuous.gamma_log_prob_kernel,
             log_prob_inbounds=continuous.gamma_log_prob_inbounds,
-            inbounds_flag="positive", observed=_positive_obs,
         ),
-        Family(
-            ast.DistKind.BETA, continuous.Beta,
-            (Param("alpha", POSITIVE), Param("beta", POSITIVE)), _UNIT_VALUES,
+        Family.of(
+            continuous.Beta,
             draw=continuous.beta_draw,
             log_prob=continuous.beta_log_prob_kernel,
             log_prob_inbounds=continuous.beta_log_prob_inbounds,
-            inbounds_flag="unit", observed=_unit_obs,
         ),
-        Family(
-            ast.DistKind.UNIF, continuous.Uniform01, (), _UNIT_VALUES,
+        Family.of(
+            continuous.Uniform01,
             draw=continuous.uniform01_draw,
             log_prob=continuous.uniform01_log_prob_kernel,
             log_prob_inbounds=continuous.uniform01_log_prob_inbounds,
-            inbounds_flag="unit", observed=_unit_obs,
         ),
-        Family(
-            ast.DistKind.BER, discrete.Bernoulli, (Param("p", UNIT),), frozenset({"bool"}),
+        Family.of(
+            discrete.Bernoulli,
             draw=discrete.bernoulli_draw,
             log_prob=discrete.bernoulli_log_prob_kernel,
             # A Boolean batch has no out-of-support lanes to mask.
             log_prob_inbounds=discrete.bernoulli_log_prob_kernel,
-            inbounds_flag="bool",
         ),
-        Family(
-            ast.DistKind.GEO, discrete.Geometric, (Param("p", UNIT),), _NAT,
+        Family.of(
+            discrete.Geometric,
             draw=discrete.geometric_draw,
             log_prob=discrete.geometric_log_prob_kernel,
             log_prob_inbounds=discrete.geometric_log_prob_inbounds,
-            inbounds_flag="nat", observed=_natural_obs,
         ),
-        Family(
-            ast.DistKind.POIS, discrete.Poisson, (Param("rate", POSITIVE),), _NAT,
+        Family.of(
+            discrete.Poisson,
             draw=discrete.poisson_draw,
             log_prob=discrete.poisson_log_prob_kernel,
             log_prob_inbounds=discrete.poisson_log_prob_inbounds,
-            inbounds_flag="nat", observed=_natural_obs,
         ),
-        Family(ast.DistKind.CAT, discrete.Categorical, None, _NAT),
+        Family.of(discrete.Categorical, support=ty.NAT),
     )
 }
 

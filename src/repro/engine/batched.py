@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core import ast
+from repro.core import types as ty
 from repro.dists.base import Distribution
 from repro.dists.families import FAMILIES, Family
 from repro.errors import EvaluationError
@@ -46,18 +47,18 @@ def _broadcast(value, n: int) -> np.ndarray:
 
 
 def check_param(family: Family, index: int, value, n: int) -> None:
-    """Raise unless parameter ``index`` meets its constraint in all ``n`` lanes.
+    """Raise unless parameter ``index`` passes its type's guard in all ``n`` lanes.
 
     ``value`` is a scalar shared by the group or a ``(n,)`` array; the
     message counts the lanes that fail, so a failing shared value counts as
     ``n``.  The compiled kernels call this for each parameter that no
     provenance proof discharges.
     """
-    name, constraint = family.params[index]
-    ok = constraint.holds(value)  # an array, or a NumPy Boolean for a scalar
+    name, _tau, guard = family.params[index]
+    ok = guard.lanes(value)  # an array, or a NumPy Boolean for a scalar
     if not ok.all():
         raise EvaluationError(
-            f"invalid parameters for {family.name}: {name} {constraint.message} (failed for "
+            f"invalid parameters for {family.name}: {name} {guard.message} (failed for "
             f"{n - np.count_nonzero(ok)} particle(s))"
         )
 
@@ -70,7 +71,7 @@ def score_lanes(family: Family, params: Sequence[object], values, n: int) -> np.
     families without kernels take the exact loop of scalar distributions.
     """
     arr = np.asarray(values)
-    boolean = "bool" in family.proves
+    boolean = isinstance(family.support, ty.BoolTy)
     if family.log_prob is None or arr.dtype == object or (arr.dtype.kind == "b") != boolean:
         batch = list(values) if not isinstance(values, np.ndarray) else values
         return np.asarray(

@@ -717,7 +717,12 @@ class InferenceService:
                 "(pass force: true to run anyway)"
             )
         request = InferenceRequest(**params)
-        request.resolved_shards()  # validate the shard controls up front
+        # Refuse bad execution controls here, before anything is queued.
+        request.resolved_backend()
+        request.resolved_shards()
+        particles = request.num_particles
+        if isinstance(particles, bool) or not isinstance(particles, int) or particles < 1:
+            raise InferenceError(f"num_particles must be a positive integer, got {particles!r}")
         sites = self._validate_sites(payload)
         return _Pending(
             payload=payload,

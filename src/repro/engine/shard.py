@@ -144,6 +144,8 @@ def resolve_shards(workers: int, shards: Optional[int]) -> int:
         raise InferenceError("workers must be >= 1")
     if shards is None:
         return workers
+    if isinstance(shards, bool) or not isinstance(shards, (int, np.integer)):
+        raise InferenceError(f"shards must be an integer, got {shards!r}")
     if shards < 1:
         raise InferenceError("shards must be >= 1")
     return shards

@@ -52,7 +52,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.api import EngineResult, InferenceRequest, run_engine
+from repro.engine.backend import validate_backend
 from repro.engine.session import ProgramSession
+from repro.engine.shard import resolve_shards
 from repro.errors import InferenceError, ReproError, TraceExhausted
 from repro.obs import REGISTRY
 from repro.utils.lru import LruCache
@@ -225,27 +227,33 @@ class StreamingConfig:
             raise StreamingError(
                 "invalid_request", "session seed must be an integer (it is journaled)"
             )
-        config = cls(
-            model_source=model if not grow else None,
-            guide_source=guide if not grow else None,
-            model_entry=payload.get("model_entry"),
-            guide_entry=payload.get("guide_entry"),
-            latent_channel=payload.get("latent_channel", "latent"),
-            obs_channel=payload.get("obs_channel", "obs"),
-            benchmark=benchmark if isinstance(benchmark, str) else None,
-            grow=grow,
-            num_particles=int(params.get("num_particles", 1000)),
-            seed=seed,
-            backend=str(params.get("backend", "interp")),
-            shards=params.get("shards"),
-            workers=int(params.get("workers", default_workers)),
-            ess_threshold=float(params.get("ess_threshold", 0.5)),
-            rejuvenate=bool(params.get("rejuvenate", True)),
-            model_args=tuple(params.get("model_args") or ()),
-            guide_args=tuple(params.get("guide_args") or ()),
-            force=bool(payload.get("force", False)),
-            max_steps=int(payload.get("max_steps", 256)),
-        )
+        try:
+            config = cls(
+                model_source=model if not grow else None,
+                guide_source=guide if not grow else None,
+                model_entry=payload.get("model_entry"),
+                guide_entry=payload.get("guide_entry"),
+                latent_channel=payload.get("latent_channel", "latent"),
+                obs_channel=payload.get("obs_channel", "obs"),
+                benchmark=benchmark if isinstance(benchmark, str) else None,
+                grow=grow,
+                num_particles=int(params.get("num_particles", 1000)),
+                seed=seed,
+                backend=str(params.get("backend", "interp")),
+                shards=params.get("shards"),
+                workers=int(params.get("workers", default_workers)),
+                ess_threshold=float(params.get("ess_threshold", 0.5)),
+                rejuvenate=bool(params.get("rejuvenate", True)),
+                model_args=tuple(params.get("model_args") or ()),
+                guide_args=tuple(params.get("guide_args") or ()),
+                force=bool(payload.get("force", False)),
+                max_steps=int(payload.get("max_steps", 256)),
+            )
+            # The validators one-shot admission uses, before any session exists.
+            validate_backend(config.backend)
+            resolve_shards(config.workers, config.shards)
+        except (InferenceError, TypeError, ValueError) as exc:
+            raise StreamingError("invalid_request", f"bad session.open params: {exc}") from exc
         if config.num_particles <= 0:
             raise StreamingError("invalid_request", "num_particles must be positive")
         if config.max_steps <= 0:

@@ -686,3 +686,64 @@ def test_comparisons_of_numpy_scalar_arguments_agree_across_backends(op, x):
     assert interp.effective_sample_size() == compiled.effective_sample_size()
     sequential = session.infer("is-sequential", **request)
     assert np.isfinite(sequential.posterior_mean(0))
+
+
+# ---------------------------------------------------------------------------
+# Observed values of any numeric kind: one guard on both backends
+# ---------------------------------------------------------------------------
+
+#: family -> the observed site, and the prior of its latent parameter ``x``.
+_OBSERVED_SITES = {
+    "Normal": ("Normal(x, 1.0)", "Normal(0.0, 1.0)"),
+    "Gamma": ("Gamma(2.0, x)", "Gamma(2.0, 1.0)"),
+    "Beta": ("Beta(x, 2.0)", "Gamma(2.0, 1.0)"),
+    "Geo": ("Geo(x)", "Beta(2.0, 2.0)"),
+    "Pois": ("Pois(x)", "Gamma(2.0, 1.0)"),
+}
+
+#: JSON decodes a large integer literal as an ``int`` past 2**64.
+_OBSERVED_VALUES = {
+    "int": 3,
+    "float": 2.5,
+    "int64": np.int64(5),
+    "float32": np.float32(9.3),
+    "2**64": 2**64,
+    "10**20": 10**20,
+    "10**400": 10**400,
+}
+
+
+def _outcome(session, backend: str, value) -> object:
+    try:
+        result = session.infer(
+            "is", backend=backend, num_particles=50, seed=0, obs_values=[value]
+        )
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    return tuple(
+        float(x).hex()
+        for x in (
+            result.log_evidence(), result.posterior_mean(0), result.effective_sample_size()
+        )
+    )
+
+
+@pytest.mark.parametrize("value", list(_OBSERVED_VALUES.values()), ids=list(_OBSERVED_VALUES))
+@pytest.mark.parametrize("family", sorted(_OBSERVED_SITES))
+def test_observed_numbers_of_any_kind_agree_across_backends(family, value):
+    """An observed int, NumPy scalar or int past 2**64 scores the same on
+    both backends: the compiled kernels' observation guard takes ``float(y)``,
+    as the interpreter's float batch does.  Past float range both raise the
+    same exception."""
+    site, prior = _OBSERVED_SITES[family]
+    model = (
+        "proc M() consume latent provide obs {\n"
+        f"  x <- sample.recv{{latent}}({prior});\n"
+        f"  _ <- sample.send{{obs}}({site});\n"
+        "  return(x)\n}\n"
+    )
+    guide = f"proc G() provide latent {{\n  x <- sample.send{{latent}}({prior});\n  return(x)\n}}\n"
+    session = ProgramSession.from_sources(model, guide, "M", "G")
+    interp, compiled = (_outcome(session, backend, value) for backend in ("interp", "compiled"))
+    assert session.compiled_backend_supported is True
+    assert interp == compiled

@@ -177,6 +177,21 @@ def _kalman_payload(engine, sites):
     }
 
 
+#: ``(path, field, value)``: execution controls no run could use, on
+#: one-shot requests and on ``session.open``.
+BAD_CONTROLS = [
+    (path, field, value)
+    for path in ("infer", "session.open")
+    for field, value in (
+        ("backend", "gpu"), ("shards", "x"), ("shards", 0),
+        ("num_particles", "abc"), ("num_particles", 0),
+    )
+] + [
+    ("session.open", "ess_threshold", "x"),
+    ("session.open", "max_steps", "many"),
+]
+
+
 class TestAdmissionValidation:
     """Malformed fields are refused at admission with ``invalid_request``,
     never answered under a wrong key, run, or reported as ``engine_error``."""
@@ -268,6 +283,44 @@ class TestAdmissionValidation:
             assert response["code"] == CODE_INVALID_REQUEST
             assert "workers" in response["error"]
         assert len(pids) == 2
+
+    @pytest.mark.parametrize(
+        "path, field, value", BAD_CONTROLS, ids=[f"{p}-{f}={v!r}" for p, f, v in BAD_CONTROLS]
+    )
+    def test_bad_execution_controls_are_refused_before_anything_runs(
+        self, tmp_path, path, field, value
+    ):
+        """A field that no run could use is refused with ``invalid_request``:
+        a one-shot before it is queued, a ``session.open`` before the
+        session (and its checkpoint) exists."""
+        if path == "infer":
+            payload = _payload(request_id="bad")
+            payload["params"][field] = value
+        else:
+            payload = {"id": "bad", "op": "session.open", "session_id": "s",
+                       "benchmark": "stream_rw", "grow": True,
+                       "params": {"num_particles": 100, "seed": 5}}
+            (payload if field == "max_steps" else payload["params"])[field] = value
+
+        async def go():
+            service = await _start_service(checkpoint_dir=str(tmp_path))
+            server, reader, writer = await _connect(service)
+            try:
+                await _send(writer, payload)
+                response = await _recv(reader)
+                await _send(writer, {"id": "stats", "op": "stats"})
+                return response, await _recv(reader)
+            finally:
+                await _close(server, writer)
+                await service.stop()
+
+        response, stats = asyncio.run(go())
+        assert response["ok"] is False, response
+        assert response["code"] == CODE_INVALID_REQUEST, response
+        assert stats["sessions"]["live"] == 0
+        if path == "infer":
+            assert stats["counters"]["waves_total"] == 0  # never queued
+        assert not list(tmp_path.iterdir())
 
     def test_too_deeply_nested_program_is_invalid_request(self):
         """A program nested too deeply to parse or certify exhausts Python's
