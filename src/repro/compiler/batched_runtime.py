@@ -210,7 +210,7 @@ def make_leaf(
     recorded = {latent_channel: lat}
     if obs_channel is not None:
         recorded[obs_channel] = obs
-    leaf = _Leaf(
+    return _Leaf(
         indices=indices,
         model_log_weights=lw_model,
         guide_log_weights=lw_guide,
@@ -220,9 +220,8 @@ def make_leaf(
         guide_value=guide_value,
         model_site_scores=model_site_scores,
         guide_site_scores=guide_site_scores,
+        path_id=tuple(dirs),
     )
-    leaf.path_id = tuple(dirs)
-    return leaf
 
 
 # ---------------------------------------------------------------------------

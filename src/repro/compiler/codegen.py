@@ -625,10 +625,6 @@ def _expr_fragment_reason(expr: ast.Expr, is_dist_position: bool) -> Optional[st
         return "higher-order functions (application)"
     if isinstance(expr, ast.DistExpr) and not is_dist_position:
         return "first-class distribution values"
-    if isinstance(expr, ast.IfExpr):
-        for arm in (expr.then, expr.orelse):
-            if isinstance(arm, ast.Tuple_):
-                return "tuple-valued conditional expressions"
     # Children (including a distribution's arguments) are ordinary value
     # positions, so the dist-position licence does not propagate.
     children = ast.expr_children(expr)
@@ -2048,13 +2044,13 @@ class CompiledKernel:
         """Replay ``leaf``'s recorded path under this kernel's score code.
 
         Raises :class:`~repro.compiler.batched_runtime.RescoreDivert` when
-        the leaf carries no valid path stamp (it was produced by another
-        backend or crossed a process boundary) — callers fall back to the
-        interpretive ``rescore_group`` then.
+        the leaf carries no valid path stamp (it was produced by the
+        interpreter) — callers fall back to the interpretive
+        ``rescore_group`` then.
         """
         from repro.compiler.batched_runtime import RescoreDivert
 
-        dirs = getattr(leaf, "path_id", None)
+        dirs = leaf.path_id
         if not isinstance(dirs, tuple):
             raise RescoreDivert("leaf carries no compiled path stamp")
         if self.rescore_entry is None:

@@ -85,7 +85,6 @@ from repro.engine.svi import (
 from repro.engine.vectorize import (
     ParticleVectorizer,
     VectorRunResult,
-    VectorizationUnsupported,
     vectorized_importance,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "ShardedParticleRunner",
     "Transform",
     "VectorRunResult",
-    "VectorizationUnsupported",
     "VectorizedSVIResult",
     "available_engines",
     "clear_kernel_cache",

@@ -139,6 +139,21 @@ class InferenceRequest:
         return None
 
 
+def require_flag(value: object, what: str) -> bool:
+    """A wire switch: JSON ``true`` or ``false`` only (the string ``"false"``
+    is truthy, so nothing else may stand in for one)."""
+    if not isinstance(value, bool):
+        raise InferenceError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def require_count(value: object, what: str) -> int:
+    """A wire count: a positive integer, never a Boolean or a fraction."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InferenceError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 class EngineResult(abc.ABC):
     """Uniform summary facade over one engine's output.
 
@@ -318,11 +333,9 @@ class ImportanceEngineResult(EngineResult):
         run = getattr(self.raw, "run", None)
         if run is not None:
             out["num_groups"] = run.num_groups
-            out["vectorized"] = run.vectorized
             out["backend"] = run.backend
-            reason = getattr(run, "fallback_reason", None)
-            if reason is not None:
-                out["fallback_reason"] = reason
+            if run.fallback_reason is not None:
+                out["fallback_reason"] = run.fallback_reason
         return out
 
 
@@ -455,11 +468,7 @@ class SMCEngineResult(EngineResult):
         }
         if self.raw.runs:
             out["backend"] = self.raw.runs[0].backend
-            reasons = [
-                getattr(r, "fallback_reason", None)
-                for r in self.raw.runs
-                if getattr(r, "fallback_reason", None) is not None
-            ]
+            reasons = [r.fallback_reason for r in self.raw.runs if r.fallback_reason is not None]
             if reasons:
                 out["fallback_reason"] = reasons[0]
         return out

@@ -6,7 +6,7 @@ Two backends execute a model/guide pair over the particle axis:
     :class:`~repro.engine.vectorize.ParticleVectorizer` — the lockstep
     coroutine interpreter, which supports the whole language (recursion,
     first-class distributions, closures) and degrades gracefully through
-    group splitting and the sequential fallback.
+    group splitting.
 ``compiled``
     A batched kernel generated by
     :func:`repro.compiler.codegen.compile_kernel_pair`: NumPy code with
@@ -21,12 +21,18 @@ Two backends execute a model/guide pair over the particle axis:
 :func:`make_particle_runner` is the single seam the inference engines go
 through: ``backend="compiled"`` compiles (or fetches a cached kernel) and
 silently falls back to the interpreter when the pair is outside the compiled
-fragment — the decision is recorded on the returned runner (and, when the
-caller passes a :class:`~repro.engine.session.ProgramSession`, on the
-session) so diagnostics can report which runtime actually served a request.
-Every fallback increments ``repro_compiled_fallback_total{reason=...}`` with
-a normalized reason label so operators can see *why* compiled requests are
-being served by the interpreter.
+fragment, or a host argument carries a distribution or closure — the
+decision is recorded on the returned runner (and, when the caller passes a
+:class:`~repro.engine.session.ProgramSession`, on the session) so
+diagnostics can report which runtime actually served a request.  Every
+fallback increments ``repro_compiled_fallback_total{reason=...}`` with one
+of two normalized reason labels, so operators can see *why* compiled
+requests are being served by the interpreter: ``unsupported-fragment`` (the
+whole request runs interpreted) and ``rescore-divert`` (one SVI rescore of
+one recorded group replays on the interpreter, e.g. because a pure branch
+flipped under ``θ ± ε``).  A runner that starts compiled runs every forward
+pass compiled: both backends merge each lane ``if`` the same way, so there
+is no runtime fallback.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from repro.compiler.codegen import CompiledKernel, load_kernel
 from repro.core import ast
 from repro.core.semantics import traces as tr
 from repro.engine.vectorize import (
+    _WHOLE,
+    PARTICLE_RUN_SECONDS,
     ParticleVectorizer,
-    VectorizationUnsupported,
     VectorRunResult,
 )
 from repro.errors import CompilationError, InferenceError
@@ -73,11 +80,8 @@ _COMPILED_FALLBACK = REGISTRY.counter(
     "repro_compiled_fallback_total",
     "Compiled-backend requests (or sub-passes) served by the interpreter "
     "instead, by normalized reason: 'unsupported-fragment' (the pair is "
-    "outside the compiled fragment), 'runtime-unsupported' (a runtime-only "
-    "unsupported feature forced the sequential fallback mid-run), "
-    "'rescore-divert' (the compiled rescore pass diverted to interpretive "
-    "replay), 'rescore-unstamped' (a leaf reached rescoring without a "
-    "compiled path stamp, e.g. across a process boundary).",
+    "outside the compiled fragment), 'rescore-divert' (the compiled rescore "
+    "pass diverted to interpretive replay).",
     labels=("reason",),
 )
 
@@ -95,6 +99,19 @@ def validate_backend(backend: str) -> str:
 def record_compiled_fallback(reason: str) -> None:
     """Count one compiled→interp fallback under its normalized reason label."""
     _COMPILED_FALLBACK.labels(reason=reason).inc()
+
+
+def _holds_whole_values(args: Sequence[object]) -> bool:
+    """Whether host arguments carry a distribution or closure (tuples recurse).
+
+    The gate keeps first-class distributions and functions out of compiled
+    programs, which is what lets a kernel merge every lane ``if``; a host
+    argument is the one other way such a value reaches a kernel.
+    """
+    return any(
+        _holds_whole_values(arg) if isinstance(arg, tuple) else isinstance(arg, _WHOLE)
+        for arg in args
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,38 +201,14 @@ class CompiledParticleRunner(ParticleVectorizer):
 
     def run(self, num_particles: int, rng=None) -> VectorRunResult:
         """Execute ``num_particles`` particles through the compiled kernel."""
-        from repro.engine.vectorize import PARTICLE_RUN_SECONDS
-
         if num_particles <= 0:
             raise InferenceError("num_particles must be positive")
         rng = ensure_rng(rng)
         started = time.perf_counter()
-        try:
-            with span("particles.run", backend="compiled", particles=num_particles):
-                leaves = self.kernel.run(
-                    rng, num_particles, self.obs_trace, self.model_args, self.guide_args,
-                    ledgers=not self.trim_site_scores,
-                )
-        except VectorizationUnsupported as exc:
-            # Runtime-only unsupported feature (e.g. a tuple-valued arm under
-            # a lane-varying conditional): take the same whole-batch
-            # sequential fallback the interpretive vectorizer takes.  The
-            # kernel consumes the RNG in the interpreter's schedule order up
-            # to the raise, so the fallback stream — and hence the result —
-            # is identical to the interp backend's.
-            record_compiled_fallback("runtime-unsupported")
-            leaves = self._run_sequential(num_particles, rng)
-            PARTICLE_RUN_SECONDS.labels(backend="interp").observe(
-                time.perf_counter() - started
-            )
-            return VectorRunResult(
-                num_particles,
-                leaves,
-                latent_channel=self.latent_channel,
-                obs_channel=self.obs_channel,
-                vectorized=False,
-                backend="interp",
-                fallback_reason=str(exc),
+        with span("particles.run", backend="compiled", particles=num_particles):
+            leaves = self.kernel.run(
+                rng, num_particles, self.obs_trace, self.model_args, self.guide_args,
+                ledgers=not self.trim_site_scores,
             )
         PARTICLE_RUN_SECONDS.labels(backend="compiled").observe(
             time.perf_counter() - started
@@ -225,19 +218,18 @@ class CompiledParticleRunner(ParticleVectorizer):
             leaves,
             latent_channel=self.latent_channel,
             obs_channel=self.obs_channel,
-            vectorized=True,
             backend="compiled",
         )
 
     def rescore_group(self, leaf, rng=None):
-        """Compiled path replay, diverting to interpretive replay if needed."""
+        """Compiled path replay, diverting to interpretive replay if needed.
+
+        A leaf without a path stamp (an interpreted leaf) diverts too: the
+        kernel raises :class:`~repro.compiler.batched_runtime.RescoreDivert`
+        for it.
+        """
         from repro.compiler.batched_runtime import RescoreDivert
 
-        if getattr(leaf, "path_id", None) is None:
-            # Produced by another backend or stripped crossing a process
-            # boundary — the compiled pass cannot identify the path.
-            record_compiled_fallback("rescore-unstamped")
-            return super().rescore_group(leaf, rng)
         try:
             with span("particles.rescore", backend="compiled"):
                 return self.kernel.rescore(
@@ -320,6 +312,11 @@ def make_particle_runner(
             kernel, reason = kernel_for(
                 model_program, guide_program, model_entry, guide_entry,
                 latent_channel=latent_channel, obs_channel=obs_channel,
+            )
+        if kernel is not None and _holds_whole_values((*model_args, *guide_args)):
+            kernel, reason = None, (
+                "compiled backend does not support first-class distribution "
+                "or function values passed as arguments"
             )
         if kernel is not None:
             return CompiledParticleRunner(kernel, trim_site_scores=trim_site_scores, **kwargs)

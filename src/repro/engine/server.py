@@ -53,10 +53,13 @@ from repro.engine.api import (
     InferenceRequest,
     available_engines,
     coalescable,
+    require_count,
+    require_flag,
     run_engine,
     run_engine_batch,
 )
 from repro.engine.session import ProgramSession, cached_session, session_key
+from repro.engine.shard import resolve_shards
 from repro.engine.streaming import (
     CODE_SESSION_EXPIRED,
     CODE_SESSION_LIMIT,
@@ -690,7 +693,12 @@ class InferenceService:
         bad = sorted(set(params) - REQUEST_FIELDS)
         if bad:
             raise InferenceError(f"unknown InferenceRequest fields {bad}")
+        force = require_flag(payload.get("force", False), "force")
+        for flag in ("rejuvenate", "rao_blackwellize"):
+            if flag in params:
+                require_flag(params[flag], flag)
         params.setdefault("workers", self.workers)
+        resolve_shards(params["workers"], params.get("shards"))
         if params["workers"] > self.workers:
             raise InferenceError(
                 f"workers {params['workers']} exceeds the service's pool of "
@@ -711,7 +719,7 @@ class InferenceService:
             session = await asyncio.get_running_loop().run_in_executor(
                 None, ProgramSession.prepare, key
             )
-        if not session.certified and not payload.get("force", False):
+        if not session.certified and not force:
             raise InferenceError(
                 f"model/guide pair is not certified: {session.certification_reason} "
                 "(pass force: true to run anyway)"
@@ -719,10 +727,7 @@ class InferenceService:
         request = InferenceRequest(**params)
         # Refuse bad execution controls here, before anything is queued.
         request.resolved_backend()
-        request.resolved_shards()
-        particles = request.num_particles
-        if isinstance(particles, bool) or not isinstance(particles, int) or particles < 1:
-            raise InferenceError(f"num_particles must be a positive integer, got {particles!r}")
+        require_count(request.num_particles, "num_particles")
         sites = self._validate_sites(payload)
         return _Pending(
             payload=payload,

@@ -140,6 +140,8 @@ def resolve_shards(workers: int, shards: Optional[int]) -> int:
     common case).  Pin ``shards`` explicitly to make results independent of
     how many workers happen to serve the request.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise InferenceError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise InferenceError("workers must be >= 1")
     if shards is None:
@@ -196,13 +198,9 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """One shard's finished leaves plus the run flags the merge needs."""
+    """One shard's finished leaves, with the task's wall time, payload and trace."""
 
     leaves: List[_Leaf]
-    vectorized: bool
-    backend: str
-    #: Compiled→interp fallback reason observed inside the shard, if any.
-    fallback_reason: Optional[str] = None
     #: Wall time of the shard task in its executing process.
     wall_s: float = 0.0
     #: Array bytes the result carried across the process boundary (0 when it
@@ -251,13 +249,7 @@ def run_shard_task(task: ShardTask) -> ShardResult:
             replace(leaf, model_site_scores=None, guide_site_scores=None) for leaf in leaves
         ]
     _SHARD_PARTICLES.observe(task.count)
-    return ShardResult(
-        leaves=leaves,
-        vectorized=run.vectorized,
-        backend=run.backend,
-        fallback_reason=getattr(run, "fallback_reason", None),
-        wall_s=time.perf_counter() - started,
-    )
+    return ShardResult(leaves=leaves, wall_s=time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,8 @@ class _ArrayPacker:
 
 def _map_leaf(leaf: _Leaf, take) -> _Leaf:
     """Apply ``take`` to every array slot of one leaf (pack and unpack share this)."""
-    return _Leaf(
+    return replace(
+        leaf,
         indices=take(leaf.indices),
         model_log_weights=take(leaf.model_log_weights),
         guide_log_weights=take(leaf.guide_log_weights),
@@ -302,9 +295,7 @@ def _map_leaf(leaf: _Leaf, take) -> _Leaf:
             name: [VecMessage(m.kind, m.provider, take(m.payload)) for m in messages]
             for name, messages in leaf.recorded.items()
         },
-        obs_scores=(
-            None if leaf.obs_scores is None else [take(s) for s in leaf.obs_scores]
-        ),
+        obs_scores=[take(s) for s in leaf.obs_scores],
         model_value=take(leaf.model_value),
         guide_value=take(leaf.guide_value),
         model_site_scores=(
@@ -686,7 +677,7 @@ class ShardedParticleRunner:
         # still saw the pre-resolution default).  ``effective_backend`` is
         # what every shard of every run of this runner executes.
         self.requested_backend = backend
-        self.fallback_reason: Optional[str] = getattr(self.local, "fallback_reason", None)
+        self.fallback_reason: Optional[str] = self.local.fallback_reason
         self.effective_backend: str = (
             backend if self.fallback_reason is None else "interp"
         )
@@ -750,10 +741,9 @@ class ShardedParticleRunner:
         downstream consumers see one coherent population.  Worker-captured
         trace events are ingested into the parent recorder here (one named
         track per shard), and each shard's wall time feeds the shard-run
-        histogram.  A runtime fallback arrives stamped by the compiled shard
-        runner; a gate-level one (unsupported fragment) was resolved at
-        construction, so the shard runners never saw it, and its reason is
-        stamped here.
+        histogram.  Every shard ran this runner's ``effective_backend``,
+        resolved at construction with its ``fallback_reason``, so the merged
+        run is stamped with those.
         """
         merge_started = time.perf_counter()
         recorder = obs_trace_mod.current_recorder()
@@ -774,15 +764,8 @@ class ShardedParticleRunner:
             leaves,
             latent_channel=self.latent_channel,
             obs_channel=self.obs_channel,
-            vectorized=all(r.vectorized for r in results),
-            backend=(
-                "compiled"
-                if results and all(r.backend == "compiled" for r in results)
-                else "interp"
-            ),
-            fallback_reason=next(
-                (r.fallback_reason for r in results if r.fallback_reason), self.fallback_reason
-            ),
+            backend=self.effective_backend,
+            fallback_reason=self.fallback_reason,
         )
 
     def run(self, num_particles: int, rng=None) -> VectorRunResult:

@@ -228,12 +228,6 @@ def smc(
             time.perf_counter() - sample_started
         )
         scores = run.obs_score_rows()
-        if scores is None:
-            raise InferenceError(
-                "SMC needs per-observation likelihood terms, which the "
-                "sequential fallback does not decompose; this model is not "
-                "vectorizable — use the 'is-sequential' or 'mh' engine instead"
-            )
         with np.errstate(invalid="ignore"):
             prior = run.model_log_weights - sum_rows(scores)
         prior[np.isneginf(run.model_log_weights)] = -np.inf

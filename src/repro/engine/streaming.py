@@ -51,7 +51,13 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.api import EngineResult, InferenceRequest, run_engine
+from repro.engine.api import (
+    EngineResult,
+    InferenceRequest,
+    require_count,
+    require_flag,
+    run_engine,
+)
 from repro.engine.backend import validate_backend
 from repro.engine.session import ProgramSession
 from repro.engine.shard import resolve_shards
@@ -186,8 +192,19 @@ class StreamingConfig:
             raise StreamingError(
                 "invalid_request", f"unknown session.open params {bad}"
             )
+        try:
+            # The screens one-shot admission uses, before any session exists.
+            grow = require_flag(payload.get("grow", False), "grow")
+            force = require_flag(payload.get("force", False), "force")
+            rejuvenate = require_flag(params.get("rejuvenate", True), "rejuvenate")
+            num_particles = require_count(params.get("num_particles", 1000), "num_particles")
+            max_steps = require_count(payload.get("max_steps", 256), "max_steps")
+            workers = params.get("workers", default_workers)
+            resolve_shards(workers, params.get("shards"))
+            backend = validate_backend(params.get("backend", "interp"))
+        except InferenceError as exc:
+            raise StreamingError("invalid_request", f"bad session.open params: {exc}") from exc
         benchmark = payload.get("benchmark")
-        grow = bool(payload.get("grow", False))
         model = payload.get("model")
         guide = payload.get("guide")
         if grow:
@@ -237,27 +254,20 @@ class StreamingConfig:
                 obs_channel=payload.get("obs_channel", "obs"),
                 benchmark=benchmark if isinstance(benchmark, str) else None,
                 grow=grow,
-                num_particles=int(params.get("num_particles", 1000)),
+                num_particles=num_particles,
                 seed=seed,
-                backend=str(params.get("backend", "interp")),
+                backend=backend,
                 shards=params.get("shards"),
-                workers=int(params.get("workers", default_workers)),
+                workers=workers,
                 ess_threshold=float(params.get("ess_threshold", 0.5)),
-                rejuvenate=bool(params.get("rejuvenate", True)),
+                rejuvenate=rejuvenate,
                 model_args=tuple(params.get("model_args") or ()),
                 guide_args=tuple(params.get("guide_args") or ()),
-                force=bool(payload.get("force", False)),
-                max_steps=int(payload.get("max_steps", 256)),
+                force=force,
+                max_steps=max_steps,
             )
-            # The validators one-shot admission uses, before any session exists.
-            validate_backend(config.backend)
-            resolve_shards(config.workers, config.shards)
-        except (InferenceError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise StreamingError("invalid_request", f"bad session.open params: {exc}") from exc
-        if config.num_particles <= 0:
-            raise StreamingError("invalid_request", "num_particles must be positive")
-        if config.max_steps <= 0:
-            raise StreamingError("invalid_request", "max_steps must be positive")
         if config.workers > default_workers:
             raise StreamingError(
                 "invalid_request",

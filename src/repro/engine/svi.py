@@ -285,7 +285,7 @@ def elbo_and_score_gradient(
                         # contributes nothing to this coordinate's gradient.
                         valid[leaf.indices] = False
                         continue
-                    if rao_blackwellize and leaf.guide_site_scores is not None:
+                    if rao_blackwellize:
                         leaf_contrib, leaf_valid = _rao_blackwell_contrib(
                             leaf, res_plus, res_minus,
                             f[leaf.indices], baseline[leaf.indices],
@@ -550,9 +550,8 @@ class SVIEngineResult(EngineResult):
         run = getattr(self._importance, "run", None)
         if run is not None:
             out["backend"] = run.backend
-            reason = getattr(run, "fallback_reason", None)
-            if reason is not None:
-                out["fallback_reason"] = reason
+            if run.fallback_reason is not None:
+                out["fallback_reason"] = run.fallback_reason
         return out
 
 

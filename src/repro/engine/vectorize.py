@@ -23,13 +23,13 @@ the sequential interpreter — splitting only partitions execution.  Recursive
 models (e.g. the Fig. 6 PCFG) therefore still run correctly; they simply
 degrade towards per-particle groups as paths diverge.
 
-Programs that use features outside the vectorized expression language
-(closures applied to arrays, tuple-valued branches, ...) raise
-:class:`VectorizationUnsupported`; :class:`ParticleVectorizer` then discards
-the attempt wholesale and re-runs *every* particle through the sequential
-scheduler.  Discarding all particles keeps the fallback unbiased — dropping
-only the particles that hit the unsupported path would condition the kept
-ones on not having hit it.
+An ``if`` expression whose condition spans the particle axis is a branch
+too.  Over numbers it evaluates both arms and merges them lane by lane;
+tuples merge component by component.  A closure or distribution cannot be
+merged, so an ``if`` choosing one is taken whole where its condition is
+uniform over the group and splits the group where it is mixed, exactly as a
+pure ``if`` command does.  Every program therefore runs on the lockstep
+path; there is no second, per-particle execution of a batch.
 
 Lane helpers
 ------------
@@ -60,7 +60,6 @@ from repro.core.coroutines.runner import (
     ChannelSpec,
     CoroutineSpec,
     DEFAULT_MAX_OPS,
-    run_model_guide,
 )
 from repro.core.semantics import traces as tr
 from repro.dists.base import Distribution
@@ -82,23 +81,15 @@ from repro.obs import REGISTRY, span
 from repro.utils.recursion import deep_recursion
 from repro.utils.rng import ensure_rng
 
-#: One particle-population pass through a runner (interpretive or compiled,
-#: including the sequential fallback); labelled by the backend that actually
-#: executed it.  Shared with :mod:`repro.engine.backend`.
+#: One particle-population pass through a runner (interpretive or compiled);
+#: labelled by the backend that actually executed it.  Shared with
+#: :mod:`repro.engine.backend`.
 PARTICLE_RUN_SECONDS = REGISTRY.histogram(
     "repro_particle_run_seconds",
     "Wall time of one particle-population pass (sample all particles in "
     "lockstep), by executing backend.",
     labels=("backend",),
 )
-
-
-class VectorizationUnsupported(Exception):
-    """The program uses a feature outside the vectorized evaluator.
-
-    Internal control-flow signal: :class:`ParticleVectorizer` catches it and
-    falls back to the sequential scheduler for the whole batch.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +115,37 @@ def as_bool(value: object, what: str) -> object:
     raise EvaluationError(f"{what}: expected a Boolean, got {value!r}")
 
 
-def merge_lanes(cond: np.ndarray, then_value: object, else_value: object) -> np.ndarray:
+#: Values an ``if`` under a lane condition merges lane by lane.
+_LANEWISE = (np.ndarray, int, float, bool, np.bool_)
+
+
+def merge_lanes(cond: np.ndarray, then_value: object, else_value: object) -> object:
     """Merge both strictly evaluated arms of an ``if`` under a lane condition.
 
-    An arm that is neither a number nor an array raises
-    :class:`VectorizationUnsupported`, which sends the whole batch to the
-    sequential fallback on either backend.
+    Numbers merge lane by lane, tuples component by component and units to
+    unit.  A closure or distribution arm is taken whole where the condition
+    is uniform; where it is mixed the group must split, as at a pure branch.
     """
-    for value in (then_value, else_value):
-        if not (isinstance(value, np.ndarray) or isinstance(value, (int, float, bool))):
-            raise VectorizationUnsupported(
-                f"if-expression over a particle axis with non-scalar arm {value!r}"
-            )
     if type(then_value) is float and type(else_value) is float and cond.ndim == 1:
         # Two literal arms: gather from a two-entry table, bitwise what
         # ``np.where`` builds without its scalar broadcast.
         return np.array([else_value, then_value]).take(cond.view(np.int8))
+    if (
+        isinstance(then_value, tuple)
+        and isinstance(else_value, tuple)
+        and len(then_value) == len(else_value)
+    ):
+        return tuple(merge_lanes(cond, a, b) for a, b in zip(then_value, else_value))
+    if then_value is None and else_value is None:
+        return None
+    if isinstance(then_value, _WHOLE) or isinstance(else_value, _WHOLE):
+        selection = uniform_or_none(cond)
+        if selection is None:
+            raise _SplitRequired(cond, None, None)
+        return then_value if selection else else_value
+    for value in (then_value, else_value):
+        if not isinstance(value, _LANEWISE):
+            raise EvaluationError(f"if-expression arm: expected a number, got {value!r}")
     return np.where(cond, then_value, else_value)
 
 
@@ -365,6 +371,10 @@ class VecClosure:
     body: ast.Expr
 
 
+#: Values an ``if`` under a lane condition takes whole, never lane by lane.
+_WHOLE = (VecClosure, BatchedDist, Distribution)
+
+
 #: The strict binary operators (``&&`` and ``||`` short-circuit, so
 #: :func:`eval_expr_vec` handles them itself).
 _BINARY = {
@@ -394,7 +404,7 @@ def eval_expr_vec(env: Dict[str, object], expr: ast.Expr, n: int) -> object:
 
     Scalars mean "the same value for every particle".  Divergences from the
     scalar evaluator: both branches of an ``if`` with an array condition are
-    evaluated strictly (merged with ``np.where``), and partial arithmetic
+    evaluated strictly (merged by :func:`merge_lanes`), and partial arithmetic
     errors in unselected lanes (division by zero, log of a non-positive
     number) yield ``inf``/``nan`` lanes instead of raising.
     """
@@ -995,14 +1005,16 @@ class _Leaf:
     model_log_weights: np.ndarray
     guide_log_weights: np.ndarray
     recorded: Dict[str, List[VecMessage]]
-    obs_scores: Optional[List[object]]  # model-side likelihood terms, in order
+    obs_scores: List[object]  # model-side likelihood terms, in order
     model_value: object = None
     guide_value: object = None
     #: Per-site ``(channel, scores)`` ledgers in each task's op order; ``None``
-    #: when the group came from the sequential fallback (which does not
-    #: decompose weights per site).
+    #: when the run trimmed them (IS and SMC never read them).
     model_site_scores: Optional[List[Tuple[str, np.ndarray]]] = None
     guide_site_scores: Optional[List[Tuple[str, np.ndarray]]] = None
+    #: A compiled leaf's fork directions, which its kernel's rescore pass
+    #: replays; ``None`` on an interpreted leaf.
+    path_id: Optional[Tuple[bool, ...]] = None
 
 
 class ParticleVectorizer:
@@ -1013,6 +1025,10 @@ class ParticleVectorizer:
     channel, model provides the observation channel, observations replayed
     from ``obs_trace`` when given).
     """
+
+    #: Why a compiled request is served by this interpreter instead (set by
+    #: :func:`~repro.engine.backend.make_particle_runner`); ``None`` otherwise.
+    fallback_reason: Optional[str] = None
 
     def __init__(
         self,
@@ -1064,15 +1080,7 @@ class ParticleVectorizer:
         rng = ensure_rng(rng)
         started = time.perf_counter()
         with span("particles.run", backend="interp", particles=num_particles):
-            try:
-                leaves = self._run_vectorized(num_particles, rng)
-                vectorized = True
-            except VectorizationUnsupported:
-                # Unsupported feature somewhere in the batch: discard every
-                # draw and redo the whole batch sequentially, which keeps the
-                # result unbiased (see module docstring).
-                leaves = self._run_sequential(num_particles, rng)
-                vectorized = False
+            leaves = self._run_vectorized(num_particles, rng)
         PARTICLE_RUN_SECONDS.labels(backend="interp").observe(
             time.perf_counter() - started
         )
@@ -1081,10 +1089,7 @@ class ParticleVectorizer:
             leaves,
             latent_channel=self.latent_channel,
             obs_channel=self.obs_channel,
-            vectorized=vectorized,
-            # Set by make_particle_runner when this interp runner is serving
-            # a compiled request whose pair is outside the compiled fragment.
-            fallback_reason=getattr(self, "fallback_reason", None),
+            fallback_reason=self.fallback_reason,
         )
 
     def rescore_group(self, leaf: _Leaf, rng=None) -> _GroupResult:
@@ -1121,8 +1126,9 @@ class ParticleVectorizer:
             result = scheduler.run()
         except _SplitRequired as split:
             raise ChannelProtocolError(
-                "rescore: a pure branch predicate diverged within the group; the "
-                "replayed execution left the recorded control path"
+                "rescore: a pure branch predicate or if-expression condition "
+                "diverged within the group; the replayed execution left the "
+                "recorded control path"
             ) from split
         for name, state in scheduler.channels.items():
             if state.replay is None and state.log_pos < len(state.log):
@@ -1187,52 +1193,6 @@ class ParticleVectorizer:
             subgroups.append((indices[mask], logs))
         return subgroups
 
-    # -- whole-batch sequential fallback ---------------------------------------
-
-    def _run_sequential(self, num_particles: int, rng) -> List[_Leaf]:
-        leaves = []
-        for i in range(num_particles):
-            joint = run_model_guide(
-                self.model_program,
-                self.guide_program,
-                self.model_entry,
-                self.guide_entry,
-                obs_trace=self.obs_trace,
-                rng=rng,
-                model_args=self.model_args,
-                guide_args=self.guide_args,
-                latent_channel=self.latent_channel,
-                obs_channel=self.obs_channel,
-            )
-            recorded = {
-                name: [_vec_message_of(m) for m in trace]
-                for name, trace in joint.traces.items()
-            }
-            leaves.append(
-                _Leaf(
-                    indices=np.asarray([i]),
-                    model_log_weights=np.asarray([joint.log_weights["model"]]),
-                    guide_log_weights=np.asarray([joint.log_weights["guide"]]),
-                    recorded=recorded,
-                    obs_scores=None,
-                    model_value=joint.values["model"],
-                    guide_value=joint.values["guide"],
-                )
-            )
-        return leaves
-
-
-def _vec_message_of(message: tr.Message) -> VecMessage:
-    if isinstance(message, tr.ValP):
-        return VecMessage("val", True, message.value)
-    if isinstance(message, tr.ValC):
-        return VecMessage("val", False, message.value)
-    if isinstance(message, tr.DirP):
-        return VecMessage("dir", True, message.value)
-    if isinstance(message, tr.DirC):
-        return VecMessage("dir", False, message.value)
-    return VecMessage("fold", True)
-
 
 class VectorRunResult:
     """Columnar result of a vectorized multi-particle run.
@@ -1249,7 +1209,6 @@ class VectorRunResult:
         leaves: List[_Leaf],
         latent_channel: str = "latent",
         obs_channel: str = "obs",
-        vectorized: bool = True,
         backend: str = "interp",
         fallback_reason: Optional[str] = None,
     ):
@@ -1257,10 +1216,8 @@ class VectorRunResult:
         self.leaves = leaves
         self.latent_channel = latent_channel
         self.obs_channel = obs_channel
-        self.vectorized = vectorized
         #: Which execution strategy produced the leaves: ``"interp"`` (the
-        #: lockstep interpreter, possibly via its sequential fallback) or
-        #: ``"compiled"`` (a compiled batched kernel).
+        #: lockstep interpreter) or ``"compiled"`` (a compiled batched kernel).
         self.backend = backend
         #: Why a compiled-backend run was served by the interpreter instead
         #: (``None`` when no fallback happened).
@@ -1282,9 +1239,8 @@ class VectorRunResult:
 
         Both runners start from ``np.arange(n)`` and shrink a group only by
         splitting it into two non-empty parts that keep their order (a
-        Boolean mask, ``np.flatnonzero``); shards shift their leaves by
-        disjoint offsets, and the sequential fallback makes one leaf per
-        particle.  A leaf holding all ``n`` particles therefore holds
+        Boolean mask, ``np.flatnonzero``), and shards shift their leaves by
+        disjoint offsets.  A leaf holding all ``n`` particles therefore holds
         ``0..n-1`` in order, and a straight slice replaces the scatter
         through its indices (``tests/test_engine_vectorize.py`` checks the
         order on every library pair).
@@ -1301,19 +1257,15 @@ class VectorRunResult:
             weights = self.model_log_weights - self.guide_log_weights
         return np.where(np.isneginf(self.guide_log_weights), -np.inf, weights)
 
-    def obs_score_rows(self) -> Optional[np.ndarray]:
+    def obs_score_rows(self) -> np.ndarray:
         """Per-observation, per-particle log-likelihood terms (``(T, n)``).
 
         Row ``t`` holds every particle's ``t``-th observation score, so a
         tempering step reads one contiguous row; each row is filled by one
         scatter from the groups whose control path reaches step ``t``.
-        ``None`` when the run fell back to the sequential scheduler (which
-        does not decompose the model weight).  Groups whose control path
-        emits fewer observation messages than the longest path are padded
-        with zero contributions.
+        Groups whose control path emits fewer observation messages than the
+        longest path are padded with zero contributions.
         """
-        if any(leaf.obs_scores is None for leaf in self.leaves):
-            return None
         num_steps = max((len(leaf.obs_scores) for leaf in self.leaves), default=0)
         rows = np.zeros((num_steps, self.num_particles))
         for t, row in enumerate(rows):

@@ -218,7 +218,7 @@ def test_mega_rescore_bitwise_matches_interp_replay(bench):
     run = compiled.run(200, np.random.default_rng(11))
     assert run.backend == "compiled"
     for leaf in run.leaves:
-        assert getattr(leaf, "path_id", None) is not None
+        assert leaf.path_id is not None
         gi = interp.rescore_group(leaf)
         gm = compiled.rescore_group(leaf)
         assert np.array_equal(gi.log_weights["model"], gm.log_weights["model"]), bench.name
@@ -231,9 +231,8 @@ def test_mega_rescore_bitwise_matches_interp_replay(bench):
 
 
 def test_mega_rescore_delegates_unstamped_leaves():
-    """A leaf without a path stamp (another backend's, or one that crossed a
-    process boundary) must divert to the interpretive replay — counted, not
-    crashed."""
+    """A leaf without a path stamp (an interpreted leaf) must divert to the
+    interpretive replay — counted as a rescore divert, not crashed."""
     bench = get_benchmark("switching")
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     common = _runner_common(bench, obs)
@@ -246,7 +245,7 @@ def test_mega_rescore_delegates_unstamped_leaves():
         gm = compiled.rescore_group(leaf)
         assert np.array_equal(gi.log_weights["guide"], gm.log_weights["guide"])
     moved = REGISTRY.delta(mark)
-    key = 'repro_compiled_fallback_total{reason="rescore-unstamped"}'
+    key = 'repro_compiled_fallback_total{reason="rescore-divert"}'
     assert moved.get(key) == float(len(run.leaves)), moved
 
 

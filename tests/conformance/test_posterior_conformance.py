@@ -22,12 +22,14 @@ import pytest
 
 from repro.engine import ProgramSession
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
 
 ENGINES = ("is", "smc", "mh", "svi")
 
 #: CI sets REPRO_CONFORMANCE_WORKERS=2 on one job so the sharded process-pool
-#: path is exercised against the golden posteriors on every PR; the engines
-#: that ignore shard controls (mh here) simply run as usual.
+#: path is exercised against the golden posteriors on every PR, compiled SVI
+#: rescoring included; the engines that ignore shard controls (mh here)
+#: simply run as usual.
 WORKERS = int(os.environ.get("REPRO_CONFORMANCE_WORKERS", "1"))
 
 
@@ -98,7 +100,7 @@ def _session(case: ConformanceCase) -> ProgramSession:
     )
 
 
-def _run(case: ConformanceCase, engine: str, seed: int):
+def _run(case: ConformanceCase, engine: str, seed: int, backend: str = "interp"):
     bench = get_benchmark(case.name)
     kwargs: Dict[str, object] = dict(
         num_particles=case.num_particles,
@@ -106,6 +108,7 @@ def _run(case: ConformanceCase, engine: str, seed: int):
         seed=seed,
         guide_args=case.guide_args,
         workers=WORKERS,
+        backend=backend,
     )
     if engine == "svi":
         kwargs.update(case.svi)
@@ -129,6 +132,25 @@ def test_engines_agree_with_exact_posterior(case: ConformanceCase, engine: str):
             f"{case.name}/{engine}: site {site} posterior mean {measured:.4f} "
             f"vs exact {exact:.4f} (tol {tolerance})"
         )
+
+
+def test_fitted_svi_on_the_compiled_backend():
+    """Fitted SVI on the compiled backend reaches the golden mean and
+    rescores every recorded group on the compiled pass: no compiled-backend
+    fallback is counted, across shards and either shard transport when
+    ``REPRO_CONFORMANCE_WORKERS`` is above one."""
+    case = next(case for case in CASES if case.svi)
+    mark = REGISTRY.mark()
+    result = _run(case, "svi", seed=0, backend="compiled")
+    moved = {
+        key: change
+        for key, change in REGISTRY.delta(mark).items()
+        if key.startswith("repro_compiled_fallback_total")
+    }
+    assert moved == {}, moved
+    assert result.diagnostics()["backend"] == "compiled"
+    for site, exact in case.golden.items():
+        assert result.posterior_mean(site) == pytest.approx(exact, abs=case.tolerance)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)

@@ -5,8 +5,8 @@ weights accumulated by the vectorized scheduler must *exactly* match the
 big-step evaluator's ``log_density`` of that particle's materialised trace —
 the same cross-validation the sequential coroutine scheduler is tested
 against.  On top of that, estimator-level agreement with the sequential
-importance sampler, group-splitting behaviour at divergent branches, and
-the unbiased whole-batch sequential fallback.
+importance sampler, and group-splitting behaviour at divergent branches,
+including ``if`` expressions over tuples, closures and distributions.
 """
 
 import dataclasses
@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 
 from repro.compiler import batched_runtime as _rt
+from repro.compiler import compiled_unsupported_reason
 from repro.core import ast
 from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
 from repro.core.semantics.evaluate import log_density
 from repro.engine import BatchedDist, vectorized_importance
+from repro.engine.backend import CompiledParticleRunner, make_particle_runner
+from repro.engine.smc import smc
 from repro.engine.vectorize import (
     ParticleVectorizer,
     VecMessage,
-    VectorizationUnsupported,
     eval_expr_vec,
     interpret_command_vec,
     interpret_procedure_vec,
@@ -233,7 +235,6 @@ class TestRunStructure:
         never alias the leaves' arrays."""
         from repro.bench.snapshot import load_snapshot, runnable_models
         from repro.engine import ProgramSession
-        from repro.engine.backend import make_particle_runner
         from repro.errors import ReproError
 
         whole = 0
@@ -317,31 +318,91 @@ class TestRunStructure:
             )
 
 
-class TestSequentialFallback:
-    def test_unsupported_feature_falls_back_to_sequential_batch(self, monkeypatch):
-        bench = get_benchmark("ex-1")
-        vectorizer = ParticleVectorizer(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=(tr.ValP(0.8),),
+#: Lane ``if``s over every kind of value the language has, as one model line
+#: each: ``(line, arms a kernel can merge, groups the lockstep run ends in)``.
+#: A closure or distribution arm cannot be merged, so its group splits on
+#: ``x > 0`` (two groups); a tuple merges component by component (one group).
+LANE_IF_ARMS = {
+    "let-tuple": (
+        "y <- return((let t = (x, 1.0) in let u = (1.0, x) in if x > 0.0 then t else u).0);",
+        True, 1,
+    ),
+    "syntactic-tuple": (
+        "y <- return((if x > 0.0 then (x, 1.0) else (1.0, x)).1);",
+        True, 1,
+    ),
+    "closure": (
+        "y <- return(let f = (if x > 0.0 then fun(z) z + 1.0 else fun(z) z - 1.0) in f(x));",
+        False, 2,
+    ),
+    "distribution": (
+        "y <- sample.recv{latent}(if x > 0.0 then Normal(1.0, 1.0) else Normal(-1.0, 2.0));",
+        False, 2,
+    ),
+}
+
+
+def _lane_if_pair(name):
+    line = LANE_IF_ARMS[name][0]
+    model = parse_program(
+        f"""
+        proc M() consume latent provide obs {{
+          x <- sample.recv{{latent}}(Normal(0.0, 1.0));
+          {line}
+          _ <- sample.send{{obs}}(Normal(y, 1.0));
+          return(y)
+        }}
+        """
+    )
+    second = (
+        "y <- sample.send{latent}(Normal(0.0, 2.0));" if name == "distribution" else ""
+    )
+    guide = parse_program(
+        f"""
+        proc G() provide latent {{
+          x <- sample.send{{latent}}(Normal(0.0, 2.0));
+          {second}
+          return(x)
+        }}
+        """
+    )
+    return model, guide
+
+
+@pytest.mark.parametrize("name", sorted(LANE_IF_ARMS))
+def test_lane_if_runs_lockstep_over_every_kind_of_value(name):
+    """An ``if`` under a per-particle condition is total over the language's
+    values: tuples merge, closures and distributions split the group.  Every
+    run stays one lockstep run, exact against ``log_density``, on both
+    backends, and SMC runs it."""
+    _, mergeable, groups = LANE_IF_ARMS[name]
+    model, guide = _lane_if_pair(name)
+    obs = (tr.ValP(0.4),)
+    runs = {}
+    for backend in ("interp", "compiled"):
+        runner = make_particle_runner(
+            model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
+            obs_trace=obs, backend=backend,
         )
-
-        def refuse(*_args, **_kwargs):
-            raise VectorizationUnsupported("forced by test")
-
-        monkeypatch.setattr(vectorizer, "_run_vectorized", refuse)
-        run = vectorizer.run(80, rng=np.random.default_rng(4))
-        assert not run.vectorized
-        assert run.num_particles == 80
-        assert run.obs_score_rows() is None  # sequential path does not decompose
-        # Still exact: the fallback reuses the reference scheduler.
-        model = bench.model_program()
-        for i in range(0, 80, 13):
+        assert isinstance(runner, CompiledParticleRunner) == (backend == "compiled" and mergeable)
+        run = runner.run(300, np.random.default_rng(9))
+        runs[backend] = run
+        assert run.num_groups == groups
+        assert run.obs_score_rows().shape == (1, 300)
+        for i in range(0, 300, 23):
             trace = run.trace_for(i)
-            model_lw = log_density(
-                model, bench.model_entry, {"latent": trace, "obs": (tr.ValP(0.8),)}
-            )
+            model_lw = log_density(model, "M", {"latent": trace, "obs": obs})
+            guide_lw = log_density(guide, "G", {"latent": trace})
             assert run.model_log_weights[i] == pytest.approx(model_lw, abs=1e-9)
+            assert run.guide_log_weights[i] == pytest.approx(guide_lw, abs=1e-9)
+    if mergeable:
+        assert compiled_unsupported_reason(model, guide, "M", "G") is None
+        assert runs["compiled"].backend == "compiled"
+        for side in ("model_log_weights", "guide_log_weights"):
+            assert np.array_equal(getattr(runs["interp"], side), getattr(runs["compiled"], side))
+        assert np.array_equal(runs["interp"].site_values(0), runs["compiled"].site_values(0))
+    result = smc(model, guide, "M", "G", obs, 200, rng=np.random.default_rng(3))
+    assert np.isfinite(result.posterior_mean(0))
 
 
 class TestVectorizedExpressions:
@@ -357,12 +418,6 @@ class TestVectorizedExpressions:
         dist_expr = expr.first.dist
         values = eval_expr_vec({"x": np.asarray([-2.0, 3.0])}, dist_expr, 2)
         assert isinstance(values, BatchedDist)
-
-    def test_array_condition_with_nonscalar_arm_is_unsupported(self):
-        cond = ast.PrimOp(ast.BinOp.LT, ast.Var("x"), ast.RealLit(0.0))
-        bad = ast.IfExpr(cond, ast.Lam("y", ast.Var("y")), ast.RealLit(1.0))
-        with pytest.raises(VectorizationUnsupported):
-            eval_expr_vec({"x": np.asarray([-1.0, 1.0])}, bad, 2)
 
     def test_batched_dist_array_params_match_scalar_loop(self):
         rng = np.random.default_rng(0)
@@ -560,7 +615,7 @@ class TestVectorizedExpressions:
             _rt.ifexp(np.asarray([True, False]), lambda: np.asarray([1.0, 2.0]), lambda: 5.0),
             [1.0, 5.0],
         )
-        with pytest.raises(VectorizationUnsupported):
+        with pytest.raises(EvaluationError, match="if-expression arm: expected a number"):
             _rt.ifexp(np.asarray([True, False]), lambda: (1.0,), lambda: 5.0)
 
     @pytest.mark.parametrize(

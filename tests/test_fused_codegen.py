@@ -38,16 +38,18 @@ from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
 from repro.dists import FAMILIES
 from repro.dists.continuous import (
+    Normal,
     beta_log_prob_kernel,
     gamma_log_prob_kernel,
     normal_log_prob_kernel,
 )
 from repro.dists.discrete import poisson_log_prob_kernel
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
-from repro.engine.backend import CompiledParticleRunner, make_particle_runner
+from repro.engine.backend import make_particle_runner
 from repro.engine.batched import BatchedDist
 from repro.errors import CompilationError, EvaluationError, InferenceError
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -459,46 +461,95 @@ def test_session_cache_key_includes_typechecker_version(monkeypatch):
     clear_session_cache()
 
 
-def test_runtime_tuple_arm_falls_back_like_interp():
-    """Regression: a tuple-typed conditional arm that only *runtime* analysis
-    can see (the arms are variables, not tuple literals) must not crash the
-    compiled backend — both backends take the whole-batch sequential fallback
-    and produce identical results."""
-    model_src = """
-proc M() consume latent provide obs {
-  x <- sample.recv{latent}(Normal(0.0, 1.0));
-  y <- return((let t = (x, 1.0) in if x > 0.0 then t else t).0);
-  _ <- sample.send{obs}(Normal(y, 1.0));
-  return(y)
-}
-"""
+def test_runtime_tuple_arm_merges_like_interp():
+    """Regression: a tuple-typed conditional arm under a per-particle
+    condition merges component by component on both backends, whether only
+    runtime analysis can see the tuples (``let``-bound variables) or the arms
+    are tuple literals.  The compiled kernel runs it itself, in one group,
+    bit for bit what the interpreter computes, and so does its rescore pass."""
     guide_src = """
 proc G() provide latent {
   x <- sample.send{latent}(Normal(0.0, 2.0));
   return(x)
 }
 """
-    model, guide = parse_program(model_src), parse_program(guide_src)
-    assert compiled_unsupported_reason(model, guide, "M", "G") is None
+    guide = parse_program(guide_src)
     obs = (tr.ValP(0.4),)
+    for arm in (
+        "(let t = (x, 1.0) in let u = (1.0, x) in if x > 0.0 then t else u).0",
+        "(if x > 0.0 then (x, 1.0) else (1.0, x)).1",
+    ):
+        model = parse_program(
+            f"""
+proc M() consume latent provide obs {{
+  x <- sample.recv{{latent}}(Normal(0.0, 1.0));
+  y <- return({arm});
+  _ <- sample.send{{obs}}(Normal(y, 1.0));
+  return(y)
+}}
+"""
+        )
+        assert compiled_unsupported_reason(model, guide, "M", "G") is None
+        runners, runs = {}, {}
+        for backend in ("interp", "compiled"):
+            runners[backend] = make_particle_runner(
+                model_program=model, guide_program=guide, model_entry="M",
+                guide_entry="G", obs_trace=obs, backend=backend,
+            )
+            runs[backend] = runners[backend].run(40, np.random.default_rng(9))
+            assert runs[backend].backend == backend
+            assert runs[backend].num_groups == 1
+        assert np.array_equal(
+            runs["interp"].model_log_weights, runs["compiled"].model_log_weights
+        )
+        assert np.array_equal(
+            runs["interp"].guide_log_weights, runs["compiled"].guide_log_weights
+        )
+        leaf = runs["compiled"].leaves[0]
+        replayed = {backend: runner.rescore_group(leaf) for backend, runner in runners.items()}
+        for side in ("model", "guide"):
+            assert np.array_equal(
+                replayed["interp"].log_weights[side], replayed["compiled"].log_weights[side]
+            )
+
+
+def test_distribution_host_arguments_run_on_the_interpreter():
+    """The gate keeps first-class distributions out of compiled programs, but
+    a host argument can still carry one into an ``if`` under a per-particle
+    condition, where the group must split — which only the interpreter's
+    scheduler does.  ``backend="compiled"`` serves such a request on the
+    interpreter, counted and reasoned like a gate refusal."""
+    model = parse_program("""
+proc M(d: dist(real), e: dist(real)) consume latent provide obs {
+  x <- sample.recv{latent}(Normal(0.0, 1.0));
+  y <- sample.recv{latent}(if x > 0.0 then d else e);
+  _ <- sample.send{obs}(Normal(y, 1.0));
+  return(y)
+}
+""")
+    guide = parse_program("""
+proc G() provide latent {
+  x <- sample.send{latent}(Normal(0.0, 2.0));
+  y <- sample.send{latent}(Normal(0.0, 2.0));
+  return(x)
+}
+""")
+    assert compiled_unsupported_reason(model, guide, "M", "G") is None
     runs = {}
+    mark = REGISTRY.mark()
     for backend in ("interp", "compiled"):
         runner = make_particle_runner(
-            model_program=model, guide_program=guide, model_entry="M",
-            guide_entry="G", obs_trace=obs, backend=backend,
+            model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
+            obs_trace=(tr.ValP(0.4),), model_args=(Normal(1.0, 1.0), Normal(-1.0, 2.0)),
+            backend=backend,
         )
-        if backend == "compiled":
-            assert isinstance(runner, CompiledParticleRunner)
-        runs[backend] = runner.run(40, np.random.default_rng(9))
-    for run in runs.values():
-        assert run.vectorized is False  # both hit the sequential fallback
-        assert run.backend == "interp"
-    assert np.array_equal(
-        runs["interp"].model_log_weights, runs["compiled"].model_log_weights
-    )
-    assert np.array_equal(
-        runs["interp"].guide_log_weights, runs["compiled"].guide_log_weights
-    )
+        runs[backend] = runner.run(100, np.random.default_rng(0))
+    moved = REGISTRY.delta(mark)
+    assert moved.get('repro_compiled_fallback_total{reason="unsupported-fragment"}') == 1.0
+    assert runs["compiled"].backend == "interp"
+    assert "passed as arguments" in runs["compiled"].fallback_reason
+    assert runs["compiled"].num_groups == 2
+    assert np.array_equal(runs["interp"].model_log_weights, runs["compiled"].model_log_weights)
 
 
 # ---------------------------------------------------------------------------

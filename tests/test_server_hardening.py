@@ -189,7 +189,41 @@ BAD_CONTROLS = [
 ] + [
     ("session.open", "ess_threshold", "x"),
     ("session.open", "max_steps", "many"),
+] + [
+    # Switches take JSON Booleans only: the string "false" is truthy.
+    (path, field, value)
+    for path in ("infer", "session.open")
+    for field, value in (("force", "false"), ("force", "no"), ("rejuvenate", "false"))
+] + [
+    ("infer", "rao_blackwellize", "no"),
+    ("session.open", "grow", "false"),
+] + [
+    # Counts take integers only: never truncated, never a Boolean.
+    (path, "workers", value) for path in ("infer", "session.open") for value in (1.5, True)
+] + [
+    ("session.open", field, value)
+    for field in ("num_particles", "max_steps")
+    for value in (100.7, True)
 ]
+
+#: ``BAD_CONTROLS`` fields that sit at a payload's top level, not in ``params``.
+TOP_LEVEL_CONTROLS = {"force", "grow", "max_steps"}
+
+#: A pair outside the certified fragment: the guide proposes a Normal for the
+#: model's Gamma latent, so its proposals leave the model's support.
+UNCERTIFIED_MODEL = """
+proc M() consume latent provide obs {
+  v <- sample.recv{latent}(Gamma(2.0, 1.0));
+  _ <- sample.send{obs}(Normal(v, 1.0));
+  return(v)
+}
+"""
+UNCERTIFIED_GUIDE = """
+proc G() provide latent {
+  v <- sample.send{latent}(Normal(2.0, 1.0));
+  return(v)
+}
+"""
 
 
 class TestAdmissionValidation:
@@ -292,18 +326,19 @@ class TestAdmissionValidation:
     ):
         """A field that no run could use is refused with ``invalid_request``:
         a one-shot before it is queued, a ``session.open`` before the
-        session (and its checkpoint) exists."""
+        session (and its checkpoint) exists.  The service has a 2-worker
+        pool, so a ``workers`` value under it is refused for its type, not
+        its size."""
         if path == "infer":
             payload = _payload(request_id="bad")
-            payload["params"][field] = value
         else:
             payload = {"id": "bad", "op": "session.open", "session_id": "s",
                        "benchmark": "stream_rw", "grow": True,
                        "params": {"num_particles": 100, "seed": 5}}
-            (payload if field == "max_steps" else payload["params"])[field] = value
+        (payload if field in TOP_LEVEL_CONTROLS else payload["params"])[field] = value
 
         async def go():
-            service = await _start_service(checkpoint_dir=str(tmp_path))
+            service = await _start_service(checkpoint_dir=str(tmp_path), workers=2)
             server, reader, writer = await _connect(service)
             try:
                 await _send(writer, payload)
@@ -321,6 +356,27 @@ class TestAdmissionValidation:
         if path == "infer":
             assert stats["counters"]["waves_total"] == 0  # never queued
         assert not list(tmp_path.iterdir())
+
+    def test_uncertified_pair_with_string_force_is_refused_and_never_runs(self):
+        from repro.engine import ProgramSession
+
+        assert not ProgramSession.from_sources(UNCERTIFIED_MODEL, UNCERTIFIED_GUIDE).certified
+        payload = {"id": "u", "model": UNCERTIFIED_MODEL, "guide": UNCERTIFIED_GUIDE,
+                   "engine": "is", "force": "false",
+                   "params": {"num_particles": 50, "seed": 0, "obs_values": [1.0]}}
+
+        async def go():
+            service = await _start_service()
+            try:
+                return await service.submit(payload), service.counters.waves_total
+            finally:
+                await service.stop()
+
+        response, waves = asyncio.run(go())
+        assert response["ok"] is False, response
+        assert response["code"] == CODE_INVALID_REQUEST
+        assert "force must be true or false" in response["error"]
+        assert waves == 0
 
     def test_too_deeply_nested_program_is_invalid_request(self):
         """A program nested too deeply to parse or certify exhausts Python's

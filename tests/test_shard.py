@@ -86,13 +86,15 @@ def _weight_task(count=64, seed_entropy=0, backend="interp"):
 
 
 def test_shared_memory_round_trip_preserves_leaves():
-    result = run_shard_task(_weight_task(count=64))
+    """A compiled shard's leaves cross the shared-memory block whole,
+    including the path stamps the compiled rescore pass replays."""
+    result = run_shard_task(_weight_task(count=2048, backend="compiled"))
     encoded = pack_result(result)
+    assert encoded[0] == "shm"
     restored = unpack_result(encoded)
-    assert restored.vectorized == result.vectorized
-    assert restored.backend == result.backend
     assert len(restored.leaves) == len(result.leaves)
     for a, b in zip(result.leaves, restored.leaves):
+        assert isinstance(a.path_id, tuple) and b.path_id == a.path_id
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.model_log_weights, b.model_log_weights)
         np.testing.assert_array_equal(a.guide_log_weights, b.guide_log_weights)
@@ -108,8 +110,9 @@ def test_shared_memory_round_trip_preserves_leaves():
 
 def test_small_result_round_trips_through_pickle():
     """A result under ``SHM_MIN_BYTES`` crosses the pipe as a plain pickle
-    (no shared-memory block) and unpacks to the same leaves."""
-    result = run_shard_task(_weight_task(count=8))
+    (no shared-memory block) and unpacks to the same leaves, path stamps
+    included."""
+    result = run_shard_task(_weight_task(count=8, backend="compiled"))
     encoded = pack_result(result)
     kind, payload, name = encoded
     assert kind == "pickle" and name is None
@@ -117,6 +120,7 @@ def test_small_result_round_trips_through_pickle():
     restored = unpack_result(pickle.loads(pickle.dumps(encoded)))
     assert len(restored.leaves) == len(result.leaves)
     for a, b in zip(result.leaves, restored.leaves):
+        assert isinstance(a.path_id, tuple) and b.path_id == a.path_id
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.model_log_weights, b.model_log_weights)
         np.testing.assert_array_equal(a.guide_log_weights, b.guide_log_weights)
@@ -130,7 +134,6 @@ def test_pool_and_inline_execution_agree():
         pytest.skip("no multiprocessing pool in this environment")
     pooled = execute_tasks(tasks, workers=2)
     for a, b in zip(inline, pooled):
-        assert a.backend == b.backend and a.vectorized == b.vectorized
         for leaf_a, leaf_b in zip(a.leaves, b.leaves):
             np.testing.assert_array_equal(leaf_a.model_log_weights, leaf_b.model_log_weights)
             np.testing.assert_array_equal(leaf_a.guide_log_weights, leaf_b.guide_log_weights)
@@ -138,7 +141,35 @@ def test_pool_and_inline_execution_agree():
 
 def test_compiled_task_runs_in_worker():
     result = run_shard_task(_weight_task(count=16, backend="compiled"))
-    assert result.backend == "compiled"
+    assert all(isinstance(leaf.path_id, tuple) for leaf in result.leaves)
+    run = _sharded_runner("weight", backend="compiled").run(32, np.random.default_rng(0))
+    assert run.backend == "compiled"
+    assert all(isinstance(leaf.path_id, tuple) for leaf in run.leaves)
+
+
+def test_sharded_compiled_svi_rescores_on_the_compiled_pass():
+    """Merged compiled leaves keep their path stamps, so sharded SVI with
+    fitted guide parameters rescores every group on the compiled pass and
+    counts no compiled-backend fallback, as unsharded SVI does."""
+    from repro.obs import REGISTRY
+
+    bench = get_benchmark("weight")
+    session = ProgramSession(
+        bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
+    )
+    mark = REGISTRY.mark()
+    result = session.infer(
+        "svi", backend="compiled", shards=2, num_particles=200, num_steps=2,
+        obs_values=bench.obs_values, seed=0,
+        guide_params={"loc": 8.5, "log_scale": 0.0},
+    )
+    moved = {
+        key: change
+        for key, change in REGISTRY.delta(mark).items()
+        if key.startswith("repro_compiled_fallback_total")
+    }
+    assert moved == {}, moved
+    assert result.diagnostics()["backend"] == "compiled"
 
 
 def test_task_error_in_pool_does_not_poison_it():
