@@ -24,6 +24,7 @@ with a string:
 from __future__ import annotations
 
 import abc
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -147,11 +148,28 @@ def require_flag(value: object, what: str) -> bool:
     return value
 
 
-def require_count(value: object, what: str) -> int:
-    """A wire count: a positive integer, never a Boolean or a fraction."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InferenceError(f"{what} must be a positive integer, got {value!r}")
+def require_count(value: object, what: str, minimum: int = 1) -> int:
+    """A wire count: an integer of at least ``minimum`` (1 or 0), never a
+    Boolean or a fraction."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum > 0 else "non-negative"
+        raise InferenceError(f"{what} must be a {kind} integer, got {value!r}")
     return value
+
+
+def require_real(value: object, what: str, positive: bool = False) -> float:
+    """A wire real, as a float: a finite number, never a Boolean, above zero
+    when ``positive`` and at least zero otherwise."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not ((number > 0 if positive else number >= 0) and number < math.inf):
+        kind = "positive" if positive else "non-negative"
+        raise InferenceError(f"{what} must be a finite {kind} number, got {value!r}")
+    return number
 
 
 class EngineResult(abc.ABC):

@@ -25,6 +25,20 @@ tenant's burst cannot starve another's.  Every rejection is a structured
 hang on a silently dropped request, including across :meth:`stop`, which
 resolves both queued and in-flight requests before returning.
 
+Each group runs on a thread the dispatcher picks by a prediction from the
+last run of each member's shape.  A group whose request shapes last ran,
+together, within one GIL switch interval (``sys.getswitchinterval()``) runs
+on the event-loop thread: a worker thread running Python already holds the
+loop off the GIL that long, so the group is predicted to block the loop no
+longer than a worker could, and it skips the hop to an executor thread and
+back.  The prediction is no bound: a run whose time depends on its seed can
+overrun it once, and its shape then goes back to the worker.  Every other
+group (a shape with no recorded run on its prepared session, a slower one,
+a session op, a coalesced wave) runs on an executor thread.  A shape is the
+request's session, engine and ``params`` without ``seed``; every run records
+its time, building the response included, under its shape and prepared
+session, in a memo of :data:`SHAPE_MEMO_CAPACITY` entries.
+
 Results stream back as each request completes (futures resolve
 out-of-order), and the service keeps throughput/latency counters
 (:class:`ServerCounters`) that the benchmark harness exports into
@@ -43,7 +57,9 @@ import asyncio
 import dataclasses
 import json
 import math
+import sys
 import time
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -55,6 +71,7 @@ from repro.engine.api import (
     coalescable,
     require_count,
     require_flag,
+    require_real,
     run_engine,
     run_engine_batch,
 )
@@ -69,6 +86,7 @@ from repro.engine.streaming import (
 )
 from repro.errors import InferenceError, ReproError
 from repro.obs import REGISTRY, HistogramValue, percentile_keys
+from repro.utils.lru import LruCache
 
 _REQUESTS = REGISTRY.counter(
     "repro_requests_total",
@@ -90,7 +108,9 @@ _REQUEST_RUN = REGISTRY.histogram(
 )
 _SERVER_BATCHES = REGISTRY.counter(
     "repro_server_batches_total",
-    "Dispatch groups executed by the batching dispatcher.",
+    "Dispatch groups executed by the batching dispatcher, by where they ran "
+    "(loop: on the event-loop thread; worker: on an executor thread).",
+    labels=("site",),
 )
 _SERVER_COALESCED = REGISTRY.counter(
     "repro_server_coalesced_requests_total",
@@ -196,6 +216,10 @@ SHED_CODES = frozenset(
 #: Tenant requests fall back to this bucket when the payload names none.
 DEFAULT_TENANT = "default"
 
+#: Request shapes whose last run time the dispatcher remembers.  A fixed
+#: cap, so a client cycling shapes cannot grow the memo.
+SHAPE_MEMO_CAPACITY = 256
+
 
 @dataclass
 class ServerCounters:
@@ -286,10 +310,11 @@ class ServerCounters:
         _REQUESTS.labels(status="shed").inc()
         _SERVER_SHED.labels(reason=reason).inc()
 
-    def observe_batch(self, group_size: int) -> None:
-        """Record one executed dispatch group of ``group_size`` requests."""
+    def observe_batch(self, group_size: int, site: str) -> None:
+        """Record one dispatch group of ``group_size`` requests run at
+        ``site`` (``loop`` or ``worker``)."""
         self.batches_total += 1
-        _SERVER_BATCHES.inc()
+        _SERVER_BATCHES.labels(site=site).inc()
         _SERVER_BATCH_SIZE.observe(group_size)
         if group_size > 1:
             self.coalesced_requests_total += group_size
@@ -360,6 +385,10 @@ class _Pending:
     #: one shard).  Decided once, at admission; the batch window is held only
     #: while such a request is queued.
     coalescable: bool = False
+    #: The key of the request's recorded run time: its session key, engine
+    #: and canonical ``params`` without ``seed``.  ``None`` for session ops
+    #: and for params that do not serialise, which are never measured.
+    shape: Optional[Tuple] = None
 
 
 class _TokenBucket:
@@ -444,6 +473,11 @@ class InferenceService:
         self._queued = 0
         self._buckets: Dict[str, _TokenBucket] = {}
         self._inflight: "set[_Pending]" = set()
+        #: The last run time of each request shape, in seconds, with a weak
+        #: reference to the prepared session it ran on.
+        self._run_times: "LruCache[Tuple, Tuple[weakref.ref, float]]" = LruCache(
+            SHAPE_MEMO_CAPACITY
+        )
         self._wake: Optional[asyncio.Event] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._sweeper: Optional[asyncio.Task] = None
@@ -725,9 +759,18 @@ class InferenceService:
                 "(pass force: true to run anyway)"
             )
         request = InferenceRequest(**params)
-        # Refuse bad execution controls here, before anything is queued.
+        # Refuse bad execution controls and engine knobs here, before
+        # anything is queued, whatever the engine.  ``ess_threshold`` has no
+        # upper bound: above 1 it forces resampling at every step.
         request.resolved_backend()
-        require_count(request.num_particles, "num_particles")
+        for name in ("num_particles", "num_steps", "num_chains"):
+            require_count(getattr(request, name), name)
+        require_count(request.burn_in, "burn_in", minimum=0)
+        if request.final_particles is not None:
+            require_count(request.final_particles, "final_particles")
+        require_real(request.ess_threshold, "ess_threshold")
+        for name in ("learning_rate", "score_epsilon"):
+            require_real(getattr(request, name), name, positive=True)
         sites = self._validate_sites(payload)
         return _Pending(
             payload=payload,
@@ -740,6 +783,7 @@ class InferenceService:
             deadline_at=deadline_at,
             enqueued_at=arrived_at,
             coalescable=coalescable(engine, request),
+            shape=_shape(key, engine, params),
         )
 
     # -- dispatch ----------------------------------------------------------
@@ -751,9 +795,14 @@ class InferenceService:
         tenants, so a burst is served in bounded waves (bounded coalesced-wave
         memory) and no tenant's backlog can monopolise dispatch.  The batch
         window is held only while a queued request is coalescable; any other
-        wave is built as soon as the dispatcher wakes.  On cancellation
-        (``stop()``), any wave already in hand resolves with a structured
-        ``shutting_down`` response instead of being abandoned.
+        wave is built as soon as the dispatcher wakes.  The wave's groups run
+        one at a time: a group predicted to finish within one GIL switch
+        interval (:meth:`_runs_on_loop`) runs right here on the event-loop
+        thread, followed by one yield so reads, admissions and writes go on
+        between groups, and every other group runs on an executor thread.
+        On cancellation (``stop()``), any request of the wave not yet
+        answered resolves with a structured ``shutting_down`` response
+        instead of being abandoned.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -774,9 +823,14 @@ class InferenceService:
             self._inflight.update(batch)
             try:
                 for group in self._group(batch):
-                    self.counters.observe_batch(len(group))
+                    on_loop = self._runs_on_loop(group)
+                    self.counters.observe_batch(len(group), "loop" if on_loop else "worker")
                     try:
-                        await loop.run_in_executor(None, self._run_group, group)
+                        if on_loop:
+                            self._run_group(group)
+                            await asyncio.sleep(0)
+                        else:
+                            await loop.run_in_executor(None, self._run_group, group)
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:  # noqa: BLE001 - dispatcher must survive
@@ -790,12 +844,31 @@ class InferenceService:
                 # stop() raced a dispatch: the executor may or may not get to
                 # these futures, and _resolve_future is first-write-wins on
                 # the loop thread — either way each caller sees one response.
+                # A request answered on this thread is already done here.
                 for pending in batch:
                     if not pending.future.done():
                         self._shed(pending, CODE_SHUTTING_DOWN, "server shutting down")
                 raise
             finally:
                 self._inflight.difference_update(batch)
+
+    def _runs_on_loop(self, group: List[_Pending]) -> bool:
+        """Whether ``group`` runs on the event-loop thread (see the module
+        docstring): it is no coalesced wave, and its members' shapes (a
+        session op has none) all have recorded run times that sum to at most
+        ``sys.getswitchinterval()``."""
+        if sum(pending.coalescable for pending in group) > 1:
+            return False
+        predicted = 0.0
+        for pending in group:
+            entry = None if pending.shape is None else self._run_times.get(pending.shape)
+            # A time recorded on another prepared session of the same source
+            # (the cached one was evicted and prepared again) does not count:
+            # the new session's first run may compile its kernel.
+            if entry is None or entry[0]() is not pending.session:
+                return False
+            predicted += entry[1]
+        return predicted <= sys.getswitchinterval()
 
     def _collect_wave(self) -> List[_Pending]:
         """Take up to ``max_batch`` queued requests, one per tenant per round.
@@ -859,7 +932,7 @@ class InferenceService:
         return list(groups.values())
 
     def _run_group(self, group: List[_Pending]) -> None:
-        """Execute one same-session group (worker thread).
+        """Execute one same-session group (event-loop or worker thread).
 
         Two or more coalescable members run as one pool wave through
         :func:`~repro.engine.api.run_engine_batch` (should the wave itself
@@ -871,7 +944,9 @@ class InferenceService:
 
         A member whose deadline passed between wave collection and this
         thread getting scheduled is shed here — the last gate before engine
-        execution, so an expired request is never executed.
+        execution, so an expired request is never executed.  Each run's
+        shape records the time from the start of the run to its answer,
+        building the response included.
         """
         now = time.monotonic()
         live: List[_Pending] = []
@@ -895,6 +970,7 @@ class InferenceService:
                     # Every member perceives the whole wave's wall time but
                     # accounts for only its share of engine busy time.
                     self._finish(pending, outcome, wave_s, wave_s / len(wave))
+                    self._record_run(pending, time.monotonic() - started)
                 live = [pending for pending in live if not pending.coalescable]
         for pending in live:
             started = time.monotonic()
@@ -906,6 +982,13 @@ class InferenceService:
             except Exception as exc:  # noqa: BLE001 - answered per request
                 outcome = exc
             self._finish(pending, outcome, time.monotonic() - started)
+            self._record_run(pending, time.monotonic() - started)
+
+    def _record_run(self, pending: _Pending, run_s: float) -> None:
+        """Remember ``run_s`` as the last run time of the request's shape
+        on its prepared session."""
+        if pending.shape is not None:
+            self._run_times.put(pending.shape, (weakref.ref(pending.session), run_s))
 
     def _finish(
         self,
@@ -1012,10 +1095,36 @@ def _resolve_future(future: "asyncio.Future", response: Dict[str, object]) -> No
 
 
 def _answer(pending: _Pending, response: Dict[str, object]) -> None:
-    """Resolve a request's future on its event loop, from either thread."""
-    pending.future.get_loop().call_soon_threadsafe(
-        _resolve_future, pending.future, response
-    )
+    """Resolve a request's future on its event loop, from either thread.
+
+    On the loop's own thread the future resolves at once, so ``done()`` is
+    exact as soon as a group there answers: the dispatcher's handlers (for
+    a group that raised, or for ``stop()`` cancelling it) never answer or
+    count a request a second time.
+    """
+    loop = pending.future.get_loop()
+    try:
+        on_loop = asyncio.get_running_loop() is loop
+    except RuntimeError:  # a worker thread runs no event loop
+        on_loop = False
+    if on_loop:
+        _resolve_future(pending.future, response)
+    else:
+        loop.call_soon_threadsafe(_resolve_future, pending.future, response)
+
+
+def _shape(key: Tuple, engine: str, params: Dict[str, object]) -> Optional[Tuple]:
+    """A request's shape: its session key, engine, and ``params`` without
+    ``seed`` as canonical JSON; ``None`` when the params do not serialise
+    (an in-process caller's NumPy values, say)."""
+    try:
+        canonical = json.dumps(
+            {name: value for name, value in params.items() if name != "seed"},
+            sort_keys=True,
+        )
+    except (TypeError, ValueError):
+        return None
+    return (key, engine, canonical)
 
 
 def _json_safe(value):

@@ -56,6 +56,7 @@ from repro.engine.api import (
     InferenceRequest,
     require_count,
     require_flag,
+    require_real,
     run_engine,
 )
 from repro.engine.backend import validate_backend
@@ -199,6 +200,7 @@ class StreamingConfig:
             rejuvenate = require_flag(params.get("rejuvenate", True), "rejuvenate")
             num_particles = require_count(params.get("num_particles", 1000), "num_particles")
             max_steps = require_count(payload.get("max_steps", 256), "max_steps")
+            ess_threshold = require_real(params.get("ess_threshold", 0.5), "ess_threshold")
             workers = params.get("workers", default_workers)
             resolve_shards(workers, params.get("shards"))
             backend = validate_backend(params.get("backend", "interp"))
@@ -259,7 +261,7 @@ class StreamingConfig:
                 backend=backend,
                 shards=params.get("shards"),
                 workers=workers,
-                ess_threshold=float(params.get("ess_threshold", 0.5)),
+                ess_threshold=ess_threshold,
                 rejuvenate=rejuvenate,
                 model_args=tuple(params.get("model_args") or ()),
                 guide_args=tuple(params.get("guide_args") or ()),

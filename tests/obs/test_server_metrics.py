@@ -98,10 +98,15 @@ class TestPercentiles:
 
     def test_observe_batch_tracks_groups_and_coalescing(self):
         counters = ServerCounters()
-        counters.observe_batch(1)
-        counters.observe_batch(3)
-        assert counters.batches_total == 2
+        mark = REGISTRY.mark()
+        counters.observe_batch(1, "loop")
+        counters.observe_batch(3, "worker")
+        counters.observe_batch(1, "worker")
+        assert counters.batches_total == 3
         assert counters.coalesced_requests_total == 3
+        moved = REGISTRY.delta(mark)
+        assert moved['repro_server_batches_total{site="loop"}'] == 1
+        assert moved['repro_server_batches_total{site="worker"}'] == 2
 
 
 async def _serving(run, workers=1):

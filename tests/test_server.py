@@ -2,12 +2,16 @@
 
 import asyncio
 import json
+import sys
+import threading
+import time
 
 import pytest
 
-from repro.engine import ProgramSession
+from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
 from repro.engine.server import InferenceService, ServerCounters, _Pending, serve_tcp
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
 
 BENCH = get_benchmark("weight")
 
@@ -561,3 +565,239 @@ class TestResilience:
         responses = asyncio.run(_with_service(go))
         assert {r["id"] for r in responses} == {"h0", "h1"}
         assert all(r["ok"] for r in responses)
+
+
+def _solo(seed=0, request_id=None, engine="is", particles=400):
+    """A ``weight`` request that cannot join a coalesced wave (one shard)."""
+    payload = _payload(seed=seed, request_id=request_id, particles=particles, engine=engine)
+    payload["params"]["shards"] = 1
+    return payload
+
+
+def _record_sites(service):
+    """Wrap the service's ``_run_group``: the returned list gets, per group,
+    its members' ids and ``"loop"`` or ``"worker"`` for the thread it ran on."""
+    loop_thread = threading.get_ident()
+    run_group = service._run_group
+    sites = []
+
+    def recording(group):
+        on_loop = threading.get_ident() == loop_thread
+        sites.append(([p.payload.get("id") for p in group], "loop" if on_loop else "worker"))
+        run_group(group)
+
+    service._run_group = recording
+    return sites
+
+
+class TestWhereGroupsRun:
+    """A group runs on the event-loop thread only when its shapes last ran,
+    together, within the switch interval; everything else keeps the hop.
+
+    The bound is patched to 50 ms so that a busy machine cannot make a
+    400-particle run look slow; a slow run is made slow on purpose."""
+
+    @pytest.fixture(autouse=True)
+    def _bound(self, monkeypatch):
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 0.05)
+
+    def test_unmeasured_shape_runs_on_a_worker_and_its_repeat_on_the_loop(self):
+        def batches():
+            samples = REGISTRY.snapshot()["repro_server_batches_total"]["samples"]
+            by_site = {s["labels"].get("site"): s["value"] for s in samples}
+            return {site: by_site.get(site, 0) for site in ("loop", "worker")}
+
+        async def go(service):
+            sites = _record_sites(service)
+            before = batches()
+            responses = [
+                await service.submit(_solo(request_id="first")),
+                await service.submit(_solo(seed=1, request_id="repeat")),
+                await service.submit(_solo(request_id="changed", particles=401)),
+            ]
+            after = batches()
+            return sites, responses, {site: after[site] - before[site] for site in after}
+
+        sites, responses, moved = asyncio.run(_with_service(go))
+        assert all(r["ok"] for r in responses), responses
+        assert sites == [(["first"], "worker"), (["repeat"], "loop"), (["changed"], "worker")]
+        assert moved == {"loop": 1, "worker": 2}
+
+    def test_shape_recorded_slower_than_the_bound_goes_back_to_the_worker(self, monkeypatch):
+        import repro.engine.server as server
+
+        real = server.run_engine
+
+        def slow_on_the_loop(name, session, request):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.1)
+            return real(name, session, request)
+
+        monkeypatch.setattr(server, "run_engine", slow_on_the_loop)
+
+        async def go(service):
+            sites = _record_sites(service)
+            for i in range(4):
+                response = await service.submit(_solo(seed=i, request_id=f"r{i}"))
+                assert response["ok"], response
+            return sites
+
+        sites = asyncio.run(_with_service(go))
+        assert [site for _, site in sites] == ["worker", "loop", "worker", "loop"]
+
+    def test_shape_measured_on_an_evicted_session_runs_on_a_worker(self):
+        """A session prepared again after the caches dropped it compiles its
+        kernel on its first run, so the time its shape recorded on the old
+        session does not count."""
+
+        def compiled(seed, request_id):
+            payload = _solo(seed=seed, request_id=request_id)
+            payload["params"]["backend"] = "compiled"
+            return payload
+
+        async def go(service):
+            sites = _record_sites(service)
+            responses = [await service.submit(compiled(0, "first")),
+                         await service.submit(compiled(1, "repeat"))]
+            clear_session_cache()
+            clear_kernel_cache()
+            responses += [await service.submit(compiled(2, "prepared-again")),
+                          await service.submit(compiled(3, "repeat-again"))]
+            return sites, responses
+
+        sites, responses = asyncio.run(_with_service(go))
+        assert all(r["ok"] for r in responses), responses
+        assert sites == [
+            (["first"], "worker"), (["repeat"], "loop"),
+            (["prepared-again"], "worker"), (["repeat-again"], "loop"),
+        ]
+
+    def test_session_ops_and_coalesced_waves_never_run_on_the_loop(self):
+        opened = {"op": "session.open", "id": "open", "session_id": "s",
+                  "benchmark": "stream_rw", "grow": True,
+                  "params": {"num_particles": 200, "seed": 5}}
+
+        async def go(service):
+            sites = _record_sites(service)
+            responses = [await service.submit(opened)]
+            for i in range(3):
+                responses.append(await service.submit(
+                    {"op": "session.push", "id": f"push{i}", "session_id": "s",
+                     "values": [0.1 * i]}
+                ))
+            # A coalescable shape, measured alone, then repeated alone.
+            responses.append(await service.submit(_payload(request_id="alone0")))
+            responses.append(await service.submit(_payload(seed=1, request_id="alone1")))
+            responses += await asyncio.gather(
+                *[service.submit(_payload(seed=s, request_id=f"w{s}")) for s in range(3)]
+            )
+            return sites, responses
+
+        sites, responses = asyncio.run(_with_service(go))
+        assert all(r["ok"] for r in responses), responses
+        assert sites == [
+            (["open"], "worker"), (["push0"], "worker"), (["push1"], "worker"),
+            (["push2"], "worker"), (["alone0"], "worker"), (["alone1"], "loop"),
+            (["w0", "w1", "w2"], "worker"),
+        ]
+
+    def test_stop_racing_inline_requests_answers_each_exactly_once(self, monkeypatch):
+        import repro.engine.server as server
+
+        answered = []
+        real_answer = server._answer
+
+        def counting(pending, response):
+            answered.append(pending.payload["id"])
+            real_answer(pending, response)
+
+        monkeypatch.setattr(server, "_answer", counting)
+        submitted = 50
+
+        async def go():
+            service = InferenceService(batch_window_s=0.0, max_batch=4)
+            await service.start()
+            sites = _record_sites(service)
+            for engine in ("is", "smc"):  # measure both shapes
+                warm = _solo(request_id=f"warm-{engine}", engine=engine, particles=100)
+                assert (await service.submit(warm))["ok"]
+            tasks = [
+                asyncio.ensure_future(service.submit(_solo(
+                    seed=i, request_id=f"r{i}", engine=("is", "smc")[i % 2], particles=100
+                )))
+                for i in range(submitted)
+            ]
+
+            async def some_answered():
+                while sum(task.done() for task in tasks) < 10:
+                    await asyncio.sleep(0)
+
+            await asyncio.wait_for(some_answered(), timeout=60)
+            await service.stop()
+            return sites, await asyncio.gather(*tasks), service.counters.requests_total
+
+        sites, responses, requests_total = asyncio.run(go())
+        assert len(responses) == submitted
+        assert all(r["ok"] or r["code"] == "shutting_down" for r in responses), responses
+        assert any(r["ok"] for r in responses)
+        assert any(not r["ok"] for r in responses)
+        assert len(answered) == len(set(answered)) == submitted + 2
+        assert requests_total == submitted + 2
+        assert {site for ids, site in sites if ids[0].startswith("r")} == {"loop"}
+
+    def test_group_failing_on_the_loop_answers_each_member_once(self, monkeypatch):
+        """A group that raises on the loop thread after answering a member:
+        the dispatcher answers only the rest, because an answer given on
+        the loop thread resolves its future at once."""
+        import repro.engine.server as server
+
+        answered = []
+        real_answer = server._answer
+
+        def counting(pending, response):
+            answered.append(pending.payload["id"])
+            real_answer(pending, response)
+
+        monkeypatch.setattr(server, "_answer", counting)
+
+        async def go(service):
+            sites = _record_sites(service)
+            assert (await service.submit(_solo(request_id="warm")))["ok"]
+            record_run = service._record_run
+
+            def poisoned(pending, run_s):
+                if pending.payload["id"] == "first":  # answered already
+                    raise RuntimeError("poisoned group")
+                record_run(pending, run_s)
+
+            service._record_run = poisoned
+            responses = await asyncio.gather(
+                service.submit(_solo(seed=1, request_id="first")),
+                service.submit(_solo(seed=2, request_id="second")),
+            )
+            return sites, responses, service.counters.requests_total
+
+        sites, (first, second), requests_total = asyncio.run(_with_service(go))
+        assert sites == [(["warm"], "worker"), (["first", "second"], "loop")]
+        assert first["ok"], first
+        assert second["code"] == "engine_error" and "poisoned group" in second["error"]
+        assert sorted(answered) == ["first", "second", "warm"]
+        assert requests_total == 3
+
+    def test_inline_run_metrics_carry_the_worker_runs_keys(self):
+        async def go(service):
+            sites = _record_sites(service)
+            warm = await service.submit(_solo(request_id="warm"))
+            worker = await service.submit(_solo(request_id="worker", particles=401))
+            inline = await service.submit(_solo(seed=1, request_id="inline"))
+            return sites, warm, worker, inline
+
+        sites, warm, worker, inline = asyncio.run(_with_service(go))
+        assert [site for _, site in sites] == ["worker", "worker", "loop"]
+        worker_metrics = worker["diagnostics"]["run_metrics"]
+        inline_metrics = inline["diagnostics"]["run_metrics"]
+        assert set(inline_metrics) == set(worker_metrics)
+        assert set(inline_metrics["metrics"]) == set(worker_metrics["metrics"])
+        # Attribution stays the run's own: nothing the server counts lands
+        # in an inline run's ledger.
+        assert not [key for key in inline_metrics["metrics"] if "server" in key or "request" in key]

@@ -204,6 +204,20 @@ BAD_CONTROLS = [
     ("session.open", field, value)
     for field in ("num_particles", "max_steps")
     for value in (100.7, True)
+] + [
+    # Engine knobs are screened whatever the engine (these rows run `is`):
+    # counts are integers, rates finite non-Boolean numbers above zero
+    # (`ess_threshold` at least zero).
+    ("infer", field, value)
+    for field, value in (
+        ("ess_threshold", "0.5"), ("ess_threshold", True),
+        ("ess_threshold", float("nan")), ("ess_threshold", -0.5),
+        ("num_steps", 2.5), ("final_particles", 10.5),
+        ("learning_rate", "x"), ("learning_rate", 0.0), ("score_epsilon", -1.0),
+        ("num_chains", "4"), ("burn_in", 1.5), ("burn_in", -3),
+    )
+] + [
+    ("session.open", "ess_threshold", value) for value in ("0.5", True, float("nan"), -0.5)
 ]
 
 #: ``BAD_CONTROLS`` fields that sit at a payload's top level, not in ``params``.
