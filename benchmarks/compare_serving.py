@@ -9,8 +9,10 @@ and with 300 tenants, then runs closed-loop chunks of 120 requests over two
 connections, one request in flight on each.  Every round runs one chunk per
 tree, with the same payloads, and flips which tree goes first, so a drift
 in the machine's speed lands on both sides alike.  Prints each tree's median
-chunk rate with its quartiles, its closed-loop latency p50, and the rounds
-the head won; exits 1 if any response fails.
+chunk rate with its quartiles, its closed-loop latency p50, its server's
+peak RSS (``VmHWM``, read after the last round) and its time from launch
+to the listening banner, and the rounds the head won; exits 1 if any
+response fails.
 
 The shapes and the client are perfbench's own (``perfbench/pbench``), so
 this probe drives the servers exactly as the ``serve_light`` workload does.
@@ -58,9 +60,12 @@ class TreeServer(ServerProcess):
     def __init__(self, tree: Path, log_path: Path):
         super().__init__(log_path)
         self.tree = tree
+        #: Seconds from launch to the listening banner.
+        self.banner_s = 0.0
 
     def start(self) -> None:
         self._log = open(self.log_path, "ab")
+        self.launched_at = time.monotonic()
         self.proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0"],
             stdout=subprocess.PIPE,
@@ -72,6 +77,7 @@ class TreeServer(ServerProcess):
             match = _BANNER.search(line.decode("utf-8", "replace"))
             if match:
                 self.port = int(match.group(1))
+                self.banner_s = time.monotonic() - self.launched_at
                 return
         self.stop()
         log = self.log_path.read_text(encoding="utf-8", errors="replace")
@@ -117,6 +123,7 @@ async def compare(trees: dict, rounds: int, logs: Path) -> int:
                 rates[side].append(ok.count(True) / elapsed)
                 latencies[side] += [received - sent for _, sent, received, _ in results]
             head_wins += rates["head"][-1] > rates["base"][-1]
+        peak_rss = {side: server.peak_rss_mb() for side, server in servers.items()}
     finally:
         for side, server in servers.items():
             await close_all(conns.get(side, ()))
@@ -125,7 +132,9 @@ async def compare(trees: dict, rounds: int, logs: Path) -> int:
         q1, median, q3 = quartiles(rates[side])
         p50 = statistics.median(latencies[side]) * 1e3
         print(f"{side} ({trees[side]}): rate {median:.0f} req/s "
-              f"(quartiles {q1:.0f}-{q3:.0f}), closed-loop p50 {p50:.2f} ms")
+              f"(quartiles {q1:.0f}-{q3:.0f}), closed-loop p50 {p50:.2f} ms, "
+              f"peak RSS {peak_rss[side]:.1f} MB, "
+              f"launch to banner {servers[side].banner_s:.2f} s")
     print(f"head won {head_wins}/{rounds} rounds; {failed} failed response(s)")
     return 1 if failed else 0
 

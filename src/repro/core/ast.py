@@ -461,6 +461,24 @@ def command_children(cmd: Command) -> Tuple[Command, ...]:
     raise TypeError(f"unknown command node: {cmd!r}")
 
 
+def command_exprs(cmd: Command) -> Tuple[Expr, ...]:
+    """Return the pure expressions ``cmd`` itself evaluates (not those of
+    its sub-commands)."""
+    if isinstance(cmd, Ret):
+        return (cmd.expr,)
+    if isinstance(cmd, (SampleRecv, SampleSend)):
+        return (cmd.dist,)
+    if isinstance(cmd, (CondSend, CondPure)):
+        return (cmd.cond,)
+    if isinstance(cmd, Call):
+        return (cmd.arg,)
+    if isinstance(cmd, Observe):
+        return (cmd.dist, cmd.value)
+    if isinstance(cmd, (Bnd, CondRecv)):
+        return ()
+    raise TypeError(f"unknown command node: {cmd!r}")
+
+
 def free_vars(expr: Expr) -> frozenset[str]:
     """Compute the free variables of a pure expression."""
     if isinstance(expr, Var):

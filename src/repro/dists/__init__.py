@@ -21,7 +21,10 @@ supports are written once, in the typing rule
 holds one run-time guard per base type, which every check of a value reads
 (:mod:`repro.dists.base`).  :data:`FAMILIES` holds one record per family
 with its typed parameters, support, array sampler and density kernels
-(:mod:`repro.dists.families`); every backend reads it.
+(:mod:`repro.dists.families`); every backend reads it.  The Gamma, Beta and
+Poisson kernels call :func:`repro.dists.special.gammaln`, which answers
+small integer arguments from an exact table and imports ``scipy.special``
+only for the others.
 """
 
 from repro.dists.base import Distribution

@@ -1,15 +1,21 @@
-"""Continuous primitive distributions: Normal, Gamma, Beta, Uniform(0,1)."""
+"""Continuous primitive distributions: Normal, Gamma, Beta, Uniform(0,1).
+
+The Gamma and Beta densities call :func:`repro.dists.special.gammaln`,
+which imports ``scipy.special`` only for an argument outside its exact
+table of small integers; ``TruncatedNormal`` imports ``scipy.stats`` in the
+methods that use it.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core import ast
 from repro.core import types as ty
 from repro.dists.base import Distribution, as_float_batch, is_real_number
+from repro.dists.special import gammaln
 
 LOG_2PI = math.log(2.0 * math.pi)
 

@@ -1,4 +1,9 @@
-"""Discrete primitive distributions: Bernoulli, Categorical, Geometric, Poisson."""
+"""Discrete primitive distributions: Bernoulli, Categorical, Geometric, Poisson.
+
+The Poisson density calls :func:`repro.dists.special.gammaln` on ``k + 1``
+for every count it scores, which leaves that function's exact table, so a
+pair with a ``Pois`` loads ``scipy.special`` when its session is built.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,11 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core import ast
 from repro.core import types as ty
 from repro.dists.base import GUARDS, Distribution, as_float_batch, is_integer_number
+from repro.dists.special import gammaln
 
 
 def _integral_batch(arr: np.ndarray) -> np.ndarray:

@@ -360,7 +360,7 @@ class ServerCounters:
         return out
 
 
-@dataclass(eq=False)  # identity semantics: instances live in the in-flight set
+@dataclass(eq=False)  # identity semantics: equal fields are still two requests
 class _Pending:
     """One accepted request waiting in (or moving through) the queue."""
 
@@ -472,7 +472,6 @@ class InferenceService:
         self._queues: "OrderedDict[str, Deque[_Pending]]" = OrderedDict()
         self._queued = 0
         self._buckets: Dict[str, _TokenBucket] = {}
-        self._inflight: "set[_Pending]" = set()
         #: The last run time of each request shape, in seconds, with a weak
         #: reference to the prepared session it ran on.
         self._run_times: "LruCache[Tuple, Tuple[weakref.ref, float]]" = LruCache(
@@ -518,9 +517,10 @@ class InferenceService:
         """Stop the dispatcher; resolve every queued and in-flight request.
 
         No accepted request is abandoned: requests still queued (and any
-        wave the cancelled dispatcher had in hand) resolve with a structured
-        ``shutting_down`` response, and requests already executing are
-        awaited, so every caller gets exactly one response.  Streaming
+        of the cancelled dispatcher's wave not yet started) resolve with a
+        structured ``shutting_down`` response, and requests already
+        executing are awaited and answered with their own outcome, so every
+        caller gets exactly one response.  Streaming
         sessions are not abandoned either: queued/in-flight session ops
         resolve like any other request (``shutting_down``), and the session
         table itself is checkpointed to disk (when a checkpoint directory is
@@ -547,13 +547,9 @@ class InferenceService:
         self._queues.clear()
         self._queued = 0
         _SERVER_QUEUE_DEPTH.set(0)
-        if self._inflight:
-            await asyncio.gather(
-                *(pending.future for pending in list(self._inflight)),
-                return_exceptions=True,
-            )
-        # Only after every in-flight push has resolved is the table quiescent
-        # and safe to persist.
+        # The dispatcher has waited for any group it handed to a worker, so
+        # every in-flight push has resolved: the table is quiescent and safe
+        # to persist.
         await asyncio.get_running_loop().run_in_executor(None, self.sessions.shutdown)
 
     # -- request intake ----------------------------------------------------
@@ -800,9 +796,11 @@ class InferenceService:
         interval (:meth:`_runs_on_loop`) runs right here on the event-loop
         thread, followed by one yield so reads, admissions and writes go on
         between groups, and every other group runs on an executor thread.
-        On cancellation (``stop()``), any request of the wave not yet
-        answered resolves with a structured ``shutting_down`` response
-        instead of being abandoned.
+        On cancellation (``stop()``), a group running on a worker is waited
+        for: it answers each member it started with that member's outcome
+        and sheds the rest (:meth:`_run_group` reads ``_stopping``).  Then
+        every request of the wave not yet answered resolves with a
+        structured ``shutting_down`` response instead of being abandoned.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -820,7 +818,7 @@ class InferenceService:
             now = time.monotonic()
             for pending in batch:
                 pending.dispatched_at = now
-            self._inflight.update(batch)
+            running: Optional[asyncio.Future] = None
             try:
                 for group in self._group(batch):
                     on_loop = self._runs_on_loop(group)
@@ -830,7 +828,10 @@ class InferenceService:
                             self._run_group(group)
                             await asyncio.sleep(0)
                         else:
-                            await loop.run_in_executor(None, self._run_group, group)
+                            running = loop.run_in_executor(None, self._run_group, group)
+                            # Shielded, so that cancelling the dispatcher
+                            # leaves the run to be awaited below.
+                            await asyncio.shield(running)
                     except asyncio.CancelledError:
                         raise
                     except Exception as exc:  # noqa: BLE001 - dispatcher must survive
@@ -841,16 +842,15 @@ class InferenceService:
                             if not pending.future.done():
                                 self._finish(pending, exc, 0.0)
             except asyncio.CancelledError:
-                # stop() raced a dispatch: the executor may or may not get to
-                # these futures, and _resolve_future is first-write-wins on
-                # the loop thread — either way each caller sees one response.
-                # A request answered on this thread is already done here.
+                # stop() cancelled a dispatch.  The worker's answers reach
+                # the loop before its run completes, so once the run is
+                # awaited, a request not done here was never started.
+                if running is not None:
+                    await asyncio.gather(running, return_exceptions=True)
                 for pending in batch:
                     if not pending.future.done():
                         self._shed(pending, CODE_SHUTTING_DOWN, "server shutting down")
                 raise
-            finally:
-                self._inflight.difference_update(batch)
 
     def _runs_on_loop(self, group: List[_Pending]) -> bool:
         """Whether ``group`` runs on the event-loop thread (see the module
@@ -944,7 +944,8 @@ class InferenceService:
 
         A member whose deadline passed between wave collection and this
         thread getting scheduled is shed here — the last gate before engine
-        execution, so an expired request is never executed.  Each run's
+        execution, so an expired request is never executed — and so is each
+        member not yet started once :meth:`stop` has begun.  Each run's
         shape records the time from the start of the run to its answer,
         building the response included.
         """
@@ -956,7 +957,7 @@ class InferenceService:
             else:
                 live.append(pending)
         wave = [pending for pending in live if pending.coalescable]
-        if len(wave) > 1:
+        if len(wave) > 1 and not self._stopping:
             started = time.monotonic()
             try:
                 outcomes = run_engine_batch(
@@ -973,6 +974,9 @@ class InferenceService:
                     self._record_run(pending, time.monotonic() - started)
                 live = [pending for pending in live if not pending.coalescable]
         for pending in live:
+            if self._stopping:  # stop() began: run nothing more
+                self._shed(pending, CODE_SHUTTING_DOWN, "server shutting down")
+                continue
             started = time.monotonic()
             try:
                 if pending.session_op is not None:

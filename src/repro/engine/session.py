@@ -20,6 +20,7 @@ from repro.core.typecheck import (
     check_model_guide_pair,
     infer_guide_types,
 )
+from repro.dists import special
 from repro.engine.api import EngineResult, InferenceRequest, run_engine
 from repro.errors import InferenceError
 from repro.obs import REGISTRY, span
@@ -107,6 +108,10 @@ class ProgramSession:
                 self.guide_entry,
                 latent_channel=latent_channel,
             )
+        # A density that may leave gammaln's exact table imports scipy
+        # here, where a server builds sessions off its event loop, rather
+        # than on the first run.
+        special.load_for((model_program, guide_program))
 
     @property
     def model_guide_types(self):

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import stats
 
 from repro.core import ast
 from repro.core import types as ty
+from repro.core.parser import parse_program
 from repro.dists import (
     Bernoulli,
     Beta,
@@ -19,9 +21,12 @@ from repro.dists import (
     Uniform01,
     make_distribution,
 )
+from repro.dists import special
 from repro.dists.continuous import TruncatedNormal
 from repro.dists.discrete import Delta
+from repro.engine import ProgramSession
 from repro.errors import EvaluationError
+from repro.models import get_benchmark
 
 RNG = np.random.default_rng(7)
 
@@ -207,3 +212,97 @@ class TestFactory:
     def test_factory_rejects_bad_values(self):
         with pytest.raises(EvaluationError):
             make_distribution(ast.DistKind.GAMMA, (-1.0, 1.0))
+
+
+def _hexes(value):
+    return [float(v).hex() for v in np.ravel(value)]
+
+
+class TestGammaln:
+    """``repro.dists.special.gammaln`` answers scalar integers 1-12 from its
+    table and everything else through scipy, equal to
+    ``scipy.special.gammaln`` bit for bit and in type either way."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("kind", [float, np.float64, int])
+    def test_table_matches_scipy(self, k, kind):
+        x = kind(k)
+        want = scipy.special.gammaln(x)
+        got = special.gammaln(x)
+        assert special.in_table(x)
+        assert type(got) is type(want) is np.float64
+        assert float(got).hex() == float(want).hex()
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.arange(1.0, 13.0),
+            np.array([0.5, 2.0, 12.5, 13.0]),
+            np.array(3.0),
+            0.5, 12.5, 13.0, 13, 0.0, 0, -1.0, -1, -2.5, 1e300,
+            math.nan, math.inf, -math.inf, np.float32(3.0), True,
+        ],
+        ids=repr,
+    )
+    def test_other_arguments_go_to_scipy(self, x):
+        want = scipy.special.gammaln(x)
+        got = special.gammaln(x)
+        assert not special.in_table(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert _hexes(got) == _hexes(want)
+
+    @staticmethod
+    def _pair(dist: str):
+        body = "x <- sample.{}{{latent}}(" + dist + "); return(x)"
+        return (
+            parse_program("proc M() consume latent { " + body.format("recv") + " }"),
+            parse_program("proc G() provide latent { " + body.format("send") + " }"),
+        )
+
+    @pytest.mark.parametrize(
+        "dist,leaves",
+        [
+            ("Beta(2.0, 2.0)", False),
+            ("Beta(2, 10)", False),
+            ("Gamma(12.0, 0.5)", False),
+            ("Normal(0.0, 1.0)", False),
+            ("Beta(6.0, 7.0)", True),  # gammaln(alpha + beta) = gammaln(13)
+            ("Beta(0.5, 2.0)", True),
+            ("Gamma(12.5, 1.0)", True),
+            ("Gamma(2.0 * 1.0, 1.0)", True),  # no number literal
+            ("Pois(3.0)", True),
+        ],
+    )
+    def test_a_pair_leaves_the_table_through_its_gammaln_arguments(self, dist, leaves):
+        assert special.leaves_table(self._pair(dist)) is leaves
+
+    @pytest.mark.parametrize(
+        "name", ["lr", "aircraft", "ex-1", "gp-dsl", "coin", "jump", "seasonal", "branching"]
+    )
+    def test_only_a_pair_that_leaves_the_table_calls_scipy(self, name, monkeypatch):
+        """Every library pair with a Gamma or Beta site: one the predicate
+        keeps inside the table never reaches scipy on either backend."""
+        calls = []
+        real = scipy.special.gammaln
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        bench = get_benchmark(name)
+        session = ProgramSession.from_sources(
+            bench.model_source, bench.guide_source,
+            model_entry=bench.model_entry, guide_entry=bench.guide_entry,
+        )
+        monkeypatch.setattr(scipy.special, "gammaln", counting)
+        for backend in ("interp", "compiled"):
+            for engine in ("is", "smc"):
+                session.infer(
+                    engine, num_particles=100, seed=1, backend=backend,
+                    obs_values=list(bench.obs_values),
+                    guide_args=tuple(bench.guide_param_inits.values()),
+                )
+        leaves = special.leaves_table((session.model_program, session.guide_program))
+        assert leaves is (name == "branching")
+        assert bool(calls) is leaves

@@ -745,6 +745,63 @@ class TestWhereGroupsRun:
         assert requests_total == submitted + 2
         assert {site for ids, site in sites if ids[0].startswith("r")} == {"loop"}
 
+    def test_stop_waits_for_a_group_running_on_a_worker(self, monkeypatch):
+        """``stop()`` while a worker runs a group of three: the member it
+        started is answered with its own outcome, the two it had not started
+        are shed once and never run, each request is counted once, and
+        ``stop()`` returns only after the worker's run has ended."""
+        import repro.engine.server as server
+
+        real = server.run_engine
+        started = []
+        ended = threading.Event()
+        service = InferenceService(batch_window_s=0.0)
+
+        def held_until_stop(name, session, request):
+            started.append(request.seed)
+            deadline = time.monotonic() + 30
+            while not service._stopping and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return real(name, session, request)
+
+        async def go():
+            await service.start()
+            assert (await service.submit(_solo(request_id="warm")))["ok"]
+            run_group = service._run_group
+
+            def run_then_mark(group):
+                try:
+                    run_group(group)
+                finally:
+                    ended.set()
+
+            service._run_group = run_then_mark
+            monkeypatch.setattr(server, "run_engine", held_until_stop)
+            tasks = [
+                asyncio.ensure_future(
+                    service.submit(_solo(seed=i, request_id=f"r{i}", engine="smc"))
+                )
+                for i in range(3)
+            ]
+
+            async def one_started():
+                while not started:
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(one_started(), timeout=60)
+            await service.stop()
+            worker_done_at_return = ended.is_set()
+            return worker_done_at_return, await asyncio.gather(*tasks)
+
+        worker_done_at_return, responses = asyncio.run(go())
+        assert worker_done_at_return
+        assert len(started) == 1
+        assert [r["ok"] for r in responses] == [True, False, False], responses
+        assert [r.get("code") for r in responses[1:]] == ["shutting_down"] * 2
+        # Read after asyncio.run has joined the executor's threads.
+        assert service.counters.requests_total == 4
+        assert service.counters.shed_total == {"shutting_down": 2}
+
     def test_group_failing_on_the_loop_answers_each_member_once(self, monkeypatch):
         """A group that raises on the loop thread after answering a member:
         the dispatcher answers only the rest, because an answer given on
