@@ -15,3 +15,13 @@ def fresh_bench_results():
     """
     _record.reset_results()
     yield
+
+
+@pytest.fixture
+def fresh_registry():
+    """The process-wide metrics registry, emptied of samples, so the
+    server counters a test reads back (maxima included) are its own."""
+    from repro.obs import REGISTRY
+
+    REGISTRY.reset()
+    return REGISTRY

@@ -20,7 +20,7 @@ from repro.engine.shard import shutdown_pool
 FAST = bool(os.environ.get("REPRO_FAST_BENCH"))
 
 
-def test_overload_sheds_structurally_and_stays_up():
+def test_overload_sheds_structurally_and_stays_up(fresh_registry):
     outcome = run_overload_harness(
         duration_s=1.5 if FAST else 3.0,
         rate_multiplier=2.0,

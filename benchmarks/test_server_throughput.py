@@ -51,12 +51,18 @@ def test_server_burst_coalesces_and_exports_counters():
         service = InferenceService(workers=2, batch_window_s=0.005)
         await service.start()
         try:
+            before = service.counters.snapshot()
             started = time.perf_counter()
             responses = await asyncio.gather(
                 *[service.submit(_payload(seed)) for seed in range(NUM_REQUESTS)]
             )
             elapsed = time.perf_counter() - started
-            return responses, elapsed, service.counters.snapshot()
+            counters = service.counters.snapshot()
+            # The counts are the process's: this burst's share is the growth.
+            for key in ("coalesced_requests_total", "batches_total", "requests_total",
+                        "particles_total"):
+                counters[key] -= before[key]
+            return responses, elapsed, counters
         finally:
             await service.stop()
 

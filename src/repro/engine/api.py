@@ -157,15 +157,21 @@ def require_count(value: object, what: str, minimum: int = 1) -> int:
     return value
 
 
+def wire_float(value: object) -> float:
+    """A wire number as a float, or ``nan`` (which no guard admits) for a
+    Boolean, a non-number or an integer beyond the float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def require_real(value: object, what: str, positive: bool = False) -> float:
     """A wire real, as a float: a finite number, never a Boolean, above zero
     when ``positive`` and at least zero otherwise."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
+    number = wire_float(value)
     if not ((number > 0 if positive else number >= 0) and number < math.inf):
         kind = "positive" if positive else "non-negative"
         raise InferenceError(f"{what} must be a finite {kind} number, got {value!r}")

@@ -54,16 +54,6 @@ from repro.obs import REGISTRY, span
 from repro.utils.lru import LruCache
 from repro.utils.rng import ensure_rng
 
-_CACHE_EVICTIONS = REGISTRY.counter(
-    "repro_cache_evictions_total",
-    "Entries evicted from a cross-request cache by capacity pressure.",
-    labels=("cache",),
-)
-_CACHE_SIZE = REGISTRY.gauge(
-    "repro_cache_size",
-    "Current entry count of a cross-request cache.",
-    labels=("cache",),
-)
 _KERNEL_CACHE_EVENTS = REGISTRY.counter(
     "repro_kernel_cache_total",
     "Compiled-kernel LRU lookups by outcome (a miss triggers a compile attempt; "
@@ -119,14 +109,13 @@ def _holds_whole_values(args: Sequence[object]) -> bool:
 # ---------------------------------------------------------------------------
 
 _KERNEL_CACHE: "LruCache[Tuple, Tuple[Optional[CompiledKernel], Optional[str]]]" = LruCache(
-    64, on_evict=lambda _key, _value: _CACHE_EVICTIONS.labels(cache="kernel").inc()
+    64, name="kernel"
 )
 
 
 def set_kernel_cache_capacity(capacity: int) -> None:
     """Re-cap the compiled-kernel LRU (``repro serve --kernel-cache``)."""
     _KERNEL_CACHE.set_capacity(capacity)
-    _CACHE_SIZE.labels(cache="kernel").set(len(_KERNEL_CACHE))
 
 
 def kernel_cache_len() -> int:
@@ -164,14 +153,12 @@ def kernel_for(
             entry = (None, str(exc))
     _KERNEL_COMPILE_SECONDS.observe(time.perf_counter() - started)
     _KERNEL_CACHE.put(key, entry)
-    _CACHE_SIZE.labels(cache="kernel").set(len(_KERNEL_CACHE))
     return entry
 
 
 def clear_kernel_cache() -> None:
     """Drop all cached compiled kernels (tests and long-running servers)."""
     _KERNEL_CACHE.clear()
-    _CACHE_SIZE.labels(cache="kernel").set(0)
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,15 @@ back.  The prediction is no bound: a run whose time depends on its seed can
 overrun it once, and its shape then goes back to the worker.  Every other
 group (a shape with no recorded run on its prepared session, a slower one,
 a session op, a coalesced wave) runs on an executor thread.  A shape is the
-request's session, engine and ``params`` without ``seed``; every run records
-its time, building the response included, under its shape and prepared
-session, in a memo of :data:`SHAPE_MEMO_CAPACITY` entries.
+request's session, engine, ``sites`` and ``params`` without ``seed``; every
+run records its time, building the response included, under its shape and
+prepared session, in a memo of :data:`SHAPE_MEMO_CAPACITY` entries.
 
 Results stream back as each request completes (futures resolve
-out-of-order), and the service keeps throughput/latency counters
-(:class:`ServerCounters`) that the benchmark harness exports into
+out-of-order).  Each answered, refused or shed request is counted once, in
+the process-wide metrics registry that ``GET /metrics`` and ``op: metrics``
+render; ``op: stats`` reads its throughput/latency counters back from there
+(:class:`ServerCounters`), and the benchmark harness exports them into
 ``BENCH_results.json``.
 
 :func:`serve_tcp` exposes the service over a newline-delimited-JSON TCP
@@ -216,6 +218,10 @@ SHED_CODES = frozenset(
 #: Tenant requests fall back to this bucket when the payload names none.
 DEFAULT_TENANT = "default"
 
+#: The longest request line the TCP front-end reads (asyncio's default
+#: stream limit); a longer one is answered ``invalid_request``.
+MAX_LINE_BYTES = 2**16
+
 #: Request shapes whose last run time the dispatcher remembers.  A fixed
 #: cap, so a client cycling shapes cannot grow the memo.
 SHAPE_MEMO_CAPACITY = 256
@@ -223,141 +229,68 @@ SHAPE_MEMO_CAPACITY = 256
 
 @dataclass
 class ServerCounters:
-    """Throughput and latency counters for one service instance.
+    """The ``op: stats`` counters, read from the registry families above.
 
-    All times are seconds.  ``queue_wait`` measures enqueue-to-dispatch,
-    ``run`` measures engine execution, and ``latency`` measures
-    enqueue-to-response — the numbers a capacity plan needs.
-
-    Failed requests count toward ``requests_total``/``failures_total`` (and
-    their particles toward ``particles_total``) but are *excluded* from every
-    latency aggregate: a request rejected at validation in microseconds — or
-    one that blew up mid-run — says nothing about serving latency, and
-    folding it in used to drag the means toward zero.  The instance also
-    feeds the process-wide metrics registry, so a ``/metrics`` scrape sees
-    the same story as an ``op: stats`` snapshot.
+    Every answered, refused and shed request is written once, to those
+    families, which ``/metrics`` and ``op: metrics`` render too, so the
+    counts are the process's (``repro serve`` runs one service per process);
+    only the uptime is the instance's own.
     """
 
-    requests_total: int = 0
-    failures_total: int = 0
-    batches_total: int = 0
-    #: Requests that shared a dispatch batch with at least one other request
-    #: for the same session (i.e. rode a coalesced wave).
-    coalesced_requests_total: int = 0
-    particles_total: int = 0
-    #: Requests the server declined to run, keyed by shed reason
-    #: (``overloaded``, ``quota_exceeded``, ``deadline_exceeded``,
-    #: ``shutting_down``).  Sheds also count toward ``requests_total`` and
-    #: ``failures_total``.
-    shed_total: Dict[str, int] = field(default_factory=dict)
-    #: Dispatch waves collected so far, and the largest one — under a burst
-    #: the max pins the ``max_batch`` bound.
-    waves_total: int = 0
-    wave_size_max: int = 0
-    queue_wait_s_total: float = 0.0
-    run_s_total: float = 0.0
-    latency_s_total: float = 0.0
-    latency_s_max: float = 0.0
     started_at: float = field(default_factory=time.monotonic)
-    latency_hist: HistogramValue = field(default_factory=HistogramValue, repr=False)
-    queue_wait_hist: HistogramValue = field(default_factory=HistogramValue, repr=False)
-    run_hist: HistogramValue = field(default_factory=HistogramValue, repr=False)
-
-    def observe(
-        self,
-        queue_wait_s: float,
-        run_s: float,
-        particles: int,
-        ok: bool,
-        latency_s: float,
-        busy_s: Optional[float] = None,
-    ) -> None:
-        """Fold one finished request into the counters.
-
-        ``run_s`` is the request's perceived execution time (for latency);
-        ``busy_s``, when given, is its share of actual engine busy time —
-        requests that rode one coalesced wave each perceive the whole wave
-        but only account for a fraction of it, so throughput rates stay
-        honest.  ``latency_s`` is the measured enqueue-to-response time; it
-        covers validation and response serialisation too, so it is always
-        ``>= queue_wait_s + run_s``.  Failures are tallied but kept out of
-        the latency aggregates.
-        """
-        self.requests_total += 1
-        self.particles_total += int(particles)
-        _REQUESTS.labels(status="ok" if ok else "error").inc()
-        _SERVER_PARTICLES.inc(int(particles))
-        if not ok:
-            self.failures_total += 1
-            return
-        busy = run_s if busy_s is None else busy_s
-        self.queue_wait_s_total += queue_wait_s
-        self.run_s_total += busy
-        self.latency_s_total += latency_s
-        self.latency_s_max = max(self.latency_s_max, latency_s)
-        self.latency_hist.observe(latency_s)
-        self.queue_wait_hist.observe(queue_wait_s)
-        self.run_hist.observe(busy)
-        _REQUEST_LATENCY.observe(latency_s)
-        _REQUEST_QUEUE_WAIT.observe(queue_wait_s)
-        _REQUEST_RUN.observe(busy)
-
-    def observe_shed(self, reason: str) -> None:
-        """Record one request the server declined to run (``reason`` code)."""
-        self.requests_total += 1
-        self.failures_total += 1
-        self.shed_total[reason] = self.shed_total.get(reason, 0) + 1
-        _REQUESTS.labels(status="shed").inc()
-        _SERVER_SHED.labels(reason=reason).inc()
-
-    def observe_batch(self, group_size: int, site: str) -> None:
-        """Record one dispatch group of ``group_size`` requests run at
-        ``site`` (``loop`` or ``worker``)."""
-        self.batches_total += 1
-        _SERVER_BATCHES.labels(site=site).inc()
-        _SERVER_BATCH_SIZE.observe(group_size)
-        if group_size > 1:
-            self.coalesced_requests_total += group_size
-            _SERVER_COALESCED.inc(group_size)
-
-    def observe_wave(self, wave_size: int) -> None:
-        """Record one collected dispatch wave of ``wave_size`` requests."""
-        self.waves_total += 1
-        self.wave_size_max = max(self.wave_size_max, wave_size)
-        _SERVER_WAVE_SIZE.observe(wave_size)
 
     def snapshot(self) -> Dict[str, object]:
         """The counters plus derived rates and percentiles, as one JSON dict.
 
-        Means and percentiles cover successful requests only (see the class
-        docstring); the percentile keys (``latency_s_p50``/``p90``/``p99``
-        and friends) are histogram-derived estimates, ``nan`` until the
-        first success lands.
+        Times are seconds (``queue_wait`` enqueue-to-dispatch, ``run`` a
+        request's share of engine busy time, ``latency`` arrival-to-response).
+        Sheds and failures count toward ``requests_total`` and
+        ``failures_total`` but reach no latency aggregate: means and the
+        histogram-derived percentiles cover successes only, and each
+        percentile is ``None`` until the first success lands.
         """
         uptime = max(time.monotonic() - self.started_at, 1e-9)
-        succeeded = max(self.requests_total - self.failures_total, 1)
+        status = _counts(_REQUESTS)
+        shed = _counts(_SERVER_SHED)
+        latency, queue_wait, run, waves = (
+            family.children().get(()) or HistogramValue()
+            for family in (_REQUEST_LATENCY, _REQUEST_QUEUE_WAIT, _REQUEST_RUN, _SERVER_WAVE_SIZE)
+        )
+        requests = sum(status.values())
+        particles = _total(_SERVER_PARTICLES)
+        succeeded = max(status.get("ok", 0), 1)
         out: Dict[str, object] = {
-            "requests_total": self.requests_total,
-            "failures_total": self.failures_total,
-            "batches_total": self.batches_total,
-            "coalesced_requests_total": self.coalesced_requests_total,
-            "particles_total": self.particles_total,
-            "shed_total": sum(self.shed_total.values()),
-            "shed_by_reason": dict(self.shed_total),
-            "waves_total": self.waves_total,
-            "wave_size_max": self.wave_size_max,
+            "requests_total": requests,
+            "failures_total": requests - status.get("ok", 0),
+            "batches_total": _total(_SERVER_BATCHES),
+            "coalesced_requests_total": _total(_SERVER_COALESCED),
+            "particles_total": particles,
+            "shed_total": sum(shed.values()),
+            "shed_by_reason": shed,
+            "waves_total": waves.count,
+            "wave_size_max": int(waves.max),
             "uptime_s": uptime,
-            "requests_per_s": self.requests_total / uptime,
-            "particles_per_s": self.particles_total / max(self.run_s_total, 1e-9),
-            "queue_wait_s_mean": self.queue_wait_s_total / succeeded,
-            "run_s_mean": self.run_s_total / succeeded,
-            "latency_s_mean": self.latency_s_total / succeeded,
-            "latency_s_max": self.latency_s_max,
+            "requests_per_s": requests / uptime,
+            "particles_per_s": particles / max(run.total, 1e-9),
+            "queue_wait_s_mean": queue_wait.total / succeeded,
+            "run_s_mean": run.total / succeeded,
+            "latency_s_mean": latency.total / succeeded,
+            "latency_s_max": latency.max,
         }
-        out.update(percentile_keys(self.latency_hist, "latency_s"))
-        out.update(percentile_keys(self.queue_wait_hist, "queue_wait_s"))
-        out.update(percentile_keys(self.run_hist, "run_s"))
-        return out
+        out.update(percentile_keys(latency, "latency_s"))
+        out.update(percentile_keys(queue_wait, "queue_wait_s"))
+        out.update(percentile_keys(run, "run_s"))
+        return _json_safe(out)
+
+
+def _counts(family) -> Dict[str, int]:
+    """A one-label counter family's counts by label value."""
+    return {key[0]: int(child.value) for key, child in family.children().items()}
+
+
+def _total(family) -> int:
+    """A counter family's count over all its children."""
+    return int(sum(child.value for child in family.children().values()))
 
 
 @dataclass(eq=False)  # identity semantics: equal fields are still two requests
@@ -572,8 +505,7 @@ class InferenceService:
                     "program is nested too deeply to parse or certify "
                     "(Python recursion limit exceeded)"
                 )
-            elapsed = time.monotonic() - started
-            self.counters.observe(0.0, elapsed, 0, ok=False, latency_s=elapsed)
+            _REQUESTS.labels(status="error").inc()
             return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)
         _SERVER_TENANT_REQUESTS.labels(tenant=pending.tenant).inc()
         # The stopping check precedes the not-started check: a submit racing
@@ -622,7 +554,8 @@ class InferenceService:
         the response too, for admission-time rejections, which ``submit``
         hands back without awaiting the future.
         """
-        self.counters.observe_shed(code)
+        _REQUESTS.labels(status="shed").inc()
+        _SERVER_SHED.labels(reason=code).inc()
         response = self._error_response(pending.payload, InferenceError(detail), code=code)
         _answer(pending, response)
         return response
@@ -779,7 +712,7 @@ class InferenceService:
             deadline_at=deadline_at,
             enqueued_at=arrived_at,
             coalescable=coalescable(engine, request),
-            shape=_shape(key, engine, params),
+            shape=_shape(key, engine, params, sites),
         )
 
     # -- dispatch ----------------------------------------------------------
@@ -814,7 +747,7 @@ class InferenceService:
                 self._wake.clear()
             if not batch:
                 continue
-            self.counters.observe_wave(len(batch))
+            _SERVER_WAVE_SIZE.observe(len(batch))
             now = time.monotonic()
             for pending in batch:
                 pending.dispatched_at = now
@@ -822,7 +755,10 @@ class InferenceService:
             try:
                 for group in self._group(batch):
                     on_loop = self._runs_on_loop(group)
-                    self.counters.observe_batch(len(group), "loop" if on_loop else "worker")
+                    _SERVER_BATCHES.labels(site="loop" if on_loop else "worker").inc()
+                    _SERVER_BATCH_SIZE.observe(len(group))
+                    if len(group) > 1:
+                        _SERVER_COALESCED.inc(len(group))
                     try:
                         if on_loop:
                             self._run_group(group)
@@ -1005,9 +941,12 @@ class InferenceService:
 
         ``outcome`` is an engine result, a session op's response body, or
         the exception its execution raised: a :class:`StreamingError` keeps
-        its structured code, anything else is ``engine_error``.  ``busy_s``
-        is the request's share of engine busy time (see
-        :meth:`ServerCounters.observe`).
+        its structured code, anything else is ``engine_error``.  ``run_s``
+        is the run's wall time as the request perceived it; ``busy_s``,
+        when given, is its share of engine busy time (each member of a
+        coalesced wave perceives the whole wave but accounts for a fraction
+        of it, so throughput rates stay honest).  A failure is counted, but
+        its timings reach no latency aggregate.
         """
         queue_wait = pending.dispatched_at - pending.enqueued_at
         try:
@@ -1027,9 +966,12 @@ class InferenceService:
             particles = int(pending.request.num_particles)
         except (AttributeError, TypeError, ValueError):
             particles = 0  # a session op, or a request that failed on its count
-        self.counters.observe(
-            queue_wait, run_s, particles, ok, busy_s=busy_s, latency_s=latency_s
-        )
+        _REQUESTS.labels(status="ok" if ok else "error").inc()
+        _SERVER_PARTICLES.inc(particles)
+        if ok:
+            _REQUEST_LATENCY.observe(latency_s)
+            _REQUEST_QUEUE_WAIT.observe(queue_wait)
+            _REQUEST_RUN.observe(run_s if busy_s is None else busy_s)
         _answer(pending, response)
 
     def _execute_session_op(self, pending: _Pending) -> Dict[str, object]:
@@ -1059,20 +1001,18 @@ class InferenceService:
         response: Dict[str, object] = {"id": pending.payload.get("id"), "ok": True}
         if isinstance(result, EngineResult):
             means: Dict[str, float] = {}
-            for site in pending.sites:
+            for site in dict.fromkeys(pending.sites):  # each distinct site once
                 try:
                     means[str(site)] = float(result.posterior_mean(site))
                 except ReproError:
                     means[str(site)] = None
-            log_evidence = result.log_evidence()
-            ess = result.effective_sample_size()
-            response.update(
-                engine=pending.engine,
-                posterior_means=means,
-                log_evidence=None if log_evidence is None else float(log_evidence),
-                effective_sample_size=None if ess is None else float(ess),
-                diagnostics=_json_safe(result.diagnostics_with_metrics()),
-            )
+            response.update(_json_safe({
+                "engine": pending.engine,
+                "posterior_means": means,
+                "log_evidence": result.log_evidence(),
+                "effective_sample_size": result.effective_sample_size(),
+                "diagnostics": result.diagnostics_with_metrics(),
+            }))
         else:
             response["op"] = pending.payload.get("op")
             response.update(_json_safe(result))
@@ -1117,10 +1057,13 @@ def _answer(pending: _Pending, response: Dict[str, object]) -> None:
         loop.call_soon_threadsafe(_resolve_future, pending.future, response)
 
 
-def _shape(key: Tuple, engine: str, params: Dict[str, object]) -> Optional[Tuple]:
-    """A request's shape: its session key, engine, and ``params`` without
-    ``seed`` as canonical JSON; ``None`` when the params do not serialise
-    (an in-process caller's NumPy values, say)."""
+def _shape(
+    key: Tuple, engine: str, params: Dict[str, object], sites: List[int]
+) -> Optional[Tuple]:
+    """A request's shape: its session key, engine, ``sites``, and ``params``
+    without ``seed``, as canonical JSON; ``None`` when the params do not
+    serialise (an in-process caller's NumPy values, say).  The sites' text
+    is no longer than the request line that carried it."""
     try:
         canonical = json.dumps(
             {name: value for name, value in params.items() if name != "seed"},
@@ -1128,23 +1071,24 @@ def _shape(key: Tuple, engine: str, params: Dict[str, object]) -> Optional[Tuple
         )
     except (TypeError, ValueError):
         return None
-    return (key, engine, canonical)
+    return (key, engine, canonical, json.dumps(sites, separators=(",", ":")))
 
 
 def _json_safe(value):
-    """Coerce numpy scalars/arrays so the response serialises as JSON."""
+    """Coerce numpy scalars/arrays so the response serialises as strict
+    JSON: every non-finite float becomes ``None``."""
     import numpy as np
 
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _json_safe(value.tolist())
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -1167,7 +1111,7 @@ async def _handle_connection(
         if not task.cancelled():
             task.exception()  # retrieved here, as the EOF gather retrieves it
 
-    def spawn(line: bytes) -> None:
+    def spawn(line: Optional[bytes]) -> None:
         task = asyncio.create_task(handle_line(line))
         tasks.add(task)
         task.add_done_callback(finished)
@@ -1177,7 +1121,11 @@ async def _handle_connection(
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
 
-    async def handle_line(line: bytes) -> None:
+    async def handle_line(line: Optional[bytes]) -> None:
+        if line is None:
+            await respond({"id": None, "ok": False, "code": CODE_INVALID_REQUEST,
+                           "error": f"request line exceeds {MAX_LINE_BYTES} bytes"})
+            return
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -1197,7 +1145,7 @@ async def _handle_connection(
                            "pool": {"worker_pids": pool_worker_pids()}})
         elif op == "metrics":
             await respond({"id": payload.get("id"), "ok": True,
-                           "metrics": REGISTRY.snapshot()})
+                           "metrics": _json_safe(REGISTRY.snapshot())})
         elif op == "infer" or op in SESSION_OPS:
             await respond(await service.submit(payload))
         else:
@@ -1210,7 +1158,11 @@ async def _handle_connection(
     first_line = True
     try:
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                first_line = False
+                spawn(None)
+                continue
             if not line:
                 break
             if line.startswith(b"GET ") and first_line:
@@ -1242,6 +1194,22 @@ async def _handle_connection(
             pass
 
 
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line, ``b""`` at EOF, or ``None`` for a line longer than
+    :data:`MAX_LINE_BYTES`, which is read through its newline and dropped."""
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: an unterminated last line, or nothing
+        except asyncio.LimitOverrunError as exc:
+            overlong = True  # drop what precedes the newline, or all buffered so far
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if overlong else line
+
+
 async def _serve_http_scrape(
     reader: asyncio.StreamReader, writer: asyncio.StreamWriter, request_line: bytes
 ) -> None:
@@ -1253,7 +1221,7 @@ async def _serve_http_scrape(
     pulling an HTTP framework into the server.
     """
     while True:  # drain request headers up to the blank line
-        header = await reader.readline()
+        header = await _read_line(reader)
         if not header or header in (b"\r\n", b"\n"):
             break
     parts = request_line.decode("latin-1").split()
@@ -1279,7 +1247,7 @@ async def _serve_http_scrape(
 async def serve_tcp(service: InferenceService, host: str, port: int) -> "asyncio.AbstractServer":
     """Start the JSONL TCP front-end for an already-started service."""
     return await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
+        lambda r, w: _handle_connection(service, r, w), host, port, limit=MAX_LINE_BYTES
     )
 
 

@@ -26,16 +26,6 @@ from repro.errors import InferenceError
 from repro.obs import REGISTRY, span
 from repro.utils.lru import LruCache
 
-_CACHE_EVICTIONS = REGISTRY.counter(
-    "repro_cache_evictions_total",
-    "Entries evicted from a cross-request cache by capacity pressure.",
-    labels=("cache",),
-)
-_CACHE_SIZE = REGISTRY.gauge(
-    "repro_cache_size",
-    "Current entry count of a cross-request cache.",
-    labels=("cache",),
-)
 _SESSION_CACHE_EVENTS = REGISTRY.counter(
     "repro_session_cache_total",
     "Session LRU lookups by outcome (hit: prepared pair reused; miss: full "
@@ -240,7 +230,6 @@ class ProgramSession:
             )
         _SESSION_PREPARE_SECONDS.observe(time.perf_counter() - started)
         _SESSION_CACHE.put(key, session)
-        _CACHE_SIZE.labels(cache="session").set(len(_SESSION_CACHE))
         return session
 
 
@@ -277,15 +266,12 @@ def cached_session(key: Tuple) -> Optional[ProgramSession]:
     return session
 
 
-_SESSION_CACHE: "LruCache[Tuple, ProgramSession]" = LruCache(
-    64, on_evict=lambda _key, _value: _CACHE_EVICTIONS.labels(cache="session").inc()
-)
+_SESSION_CACHE: "LruCache[Tuple, ProgramSession]" = LruCache(64, name="session")
 
 
 def set_session_cache_capacity(capacity: int) -> None:
     """Re-cap the session LRU (``repro serve --session-cache``)."""
     _SESSION_CACHE.set_capacity(capacity)
-    _CACHE_SIZE.labels(cache="session").set(len(_SESSION_CACHE))
 
 
 def session_cache_len() -> int:
@@ -296,4 +282,3 @@ def session_cache_len() -> int:
 def clear_session_cache() -> None:
     """Drop all cached sessions (used by tests and long-running servers)."""
     _SESSION_CACHE.clear()
-    _CACHE_SIZE.labels(cache="session").set(0)

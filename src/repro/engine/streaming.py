@@ -51,6 +51,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import types as ty
+from repro.dists.base import GUARDS
 from repro.engine.api import (
     EngineResult,
     InferenceRequest,
@@ -58,6 +60,7 @@ from repro.engine.api import (
     require_flag,
     require_real,
     run_engine,
+    wire_float,
 )
 from repro.engine.backend import validate_backend
 from repro.engine.session import ProgramSession
@@ -135,12 +138,6 @@ class StreamingError(ReproError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(message)
-
-
-def _require_number(value: object, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StreamingError("invalid_request", f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -380,7 +377,13 @@ class StreamingSession:
         """
         if not values:
             raise StreamingError("invalid_request", "session.push needs values")
-        numbers = [_require_number(v, "observation") for v in values]
+        real = GUARDS[ty.REAL]
+        numbers = [wire_float(value) for value in values]
+        for value, number in zip(values, numbers):
+            if not real.holds(number):
+                raise StreamingError(
+                    "invalid_request", f"observation {real.message}, got {value!r}"
+                )
         if len(self.journal) + len(numbers) > self.config.max_steps:
             raise StreamingError(
                 CODE_SESSION_LIMIT,
@@ -398,7 +401,7 @@ class StreamingSession:
         body = self.describe()
         means: Dict[str, Optional[float]] = {}
         if self.result is not None:
-            for site in sites:
+            for site in dict.fromkeys(sites):  # each distinct site once
                 try:
                     means[str(int(site))] = float(self.result.posterior_mean(int(site)))
                 except ReproError:

@@ -127,14 +127,17 @@ def _record(ledgers: Tuple["weakref.ref[_Ledger]", ...], key: str, change: float
 
 
 class HistogramValue:
-    """One histogram's state: fixed bucket counts, a sum, and a count.
+    """One histogram's state: fixed bucket counts, a sum, a count, and the
+    largest observation.
 
-    Standalone (registry-free) instances back per-object aggregates such as
-    :class:`~repro.engine.server.ServerCounters`'s latency distributions;
-    registered :class:`Histogram` children wrap one of these per label set.
+    Observations are non-negative (the quantile estimate interpolates the
+    first bucket from 0), so ``max`` reads 0 before the first.  Registered
+    :class:`Histogram` children wrap one of these per label set; standalone
+    instances back client-side aggregates such as
+    :class:`~repro.engine.loadgen.LoadReport`'s latency distribution.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "total", "count")
+    __slots__ = ("bounds", "bucket_counts", "total", "count", "max")
 
     def __init__(self, bounds: Sequence[float] = DEFAULT_TIME_BUCKETS):
         if not bounds or list(bounds) != sorted(set(float(b) for b in bounds)):
@@ -143,6 +146,7 @@ class HistogramValue:
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)  # +1 for +Inf
         self.total = 0.0
         self.count = 0
+        self.max = 0.0
 
     def observe(self, value: float) -> None:
         """Fold one observation into the bucket counts."""
@@ -150,6 +154,8 @@ class HistogramValue:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.total += value
         self.count += 1
+        if value > self.max:
+            self.max = value
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile from the bucket counts.
@@ -270,6 +276,13 @@ class _Family:
         if self.label_names:
             raise ValueError(f"metric {self.name!r} has labels; address a child via .labels()")
         return self.labels()
+
+    def children(self) -> Dict[Tuple[str, ...], object]:
+        """Every child created so far, keyed by its label values in
+        ``label_names`` order (``()`` for an unlabeled family).  A read:
+        unlike :meth:`labels`, it creates none."""
+        with self._registry._lock:
+            return dict(self._children)
 
     def _samples(self) -> List[Tuple[Dict[str, str], object]]:
         """``(labels-dict, child)`` pairs in creation order."""

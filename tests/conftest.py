@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.parser import parse_program
 from repro.minipyro import clear_param_store
+from repro.obs import REGISTRY
 
 FIG5_MODEL_SOURCE = """
 proc Model() consume latent provide obs {
@@ -104,3 +105,33 @@ def _clean_param_store():
     clear_param_store()
     yield
     clear_param_store()
+
+
+@pytest.fixture
+def fresh_registry():
+    """The process-wide metrics registry, emptied of samples.  The server
+    counts every request there and ``op: stats`` reads it back, so with this
+    fixture a test's maxima and percentiles are its own (counts can also be
+    read as deltas, see :func:`stats_delta`)."""
+    REGISTRY.reset()
+    return REGISTRY
+
+
+#: The ``op: stats`` counters that only go up.
+STATS_COUNTS = (
+    "requests_total", "failures_total", "batches_total", "coalesced_requests_total",
+    "particles_total", "shed_total", "waves_total",
+)
+
+
+def stats_delta(before, after):
+    """What the server counted between two ``op: stats`` counter blocks:
+    each count's growth, and the shed reasons that grew, by how much."""
+    delta = {key: after[key] - before[key] for key in STATS_COUNTS}
+    shed_before = before["shed_by_reason"]
+    delta["shed_by_reason"] = {
+        reason: count - shed_before.get(reason, 0)
+        for reason, count in after["shed_by_reason"].items()
+        if count != shed_before.get(reason, 0)
+    }
+    return delta

@@ -138,3 +138,27 @@ def test_get_survives_an_eviction_between_lookup_and_promotion():
     assert "a" not in cache
     assert cache.values() == [2]
     assert cache.evictions == 1
+
+
+def test_named_cache_publishes_its_size_and_evictions():
+    """A named cache keeps ``repro_cache_size{cache}`` and
+    ``repro_cache_evictions_total{cache}`` itself, through every change;
+    an unnamed one publishes nothing."""
+    from repro.obs import REGISTRY
+
+    mark = REGISTRY.mark()
+    LruCache(capacity=1).put("x", 1)
+    assert REGISTRY.delta(mark) == {}
+    cache = LruCache(capacity=2, name="lru-test")
+    size = 'repro_cache_size{cache="lru-test"}'
+    evictions = 'repro_cache_evictions_total{cache="lru-test"}'
+    for key in "abc":
+        cache.put(key, key)
+    assert REGISTRY.delta(mark) == {size: 2.0, evictions: 1.0}
+    cache.pop("c")
+    assert REGISTRY.delta(mark)[size] == 1.0
+    cache.set_capacity(3)
+    cache.put("d", "d")
+    assert REGISTRY.delta(mark)[size] == 2.0
+    cache.clear()
+    assert REGISTRY.delta(mark) == {evictions: 1.0}

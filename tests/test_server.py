@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import logging
 import sys
 import threading
 import time
@@ -9,9 +10,16 @@ import time
 import pytest
 
 from repro.engine import ProgramSession, clear_kernel_cache, clear_session_cache
-from repro.engine.server import InferenceService, ServerCounters, _Pending, serve_tcp
+from repro.engine.server import (
+    MAX_LINE_BYTES,
+    InferenceService,
+    ServerCounters,
+    _Pending,
+    serve_tcp,
+)
 from repro.models import get_benchmark
 from repro.obs import REGISTRY
+from tests.conftest import stats_delta
 
 BENCH = get_benchmark("weight")
 
@@ -315,22 +323,24 @@ class TestValidation:
 class TestCounters:
     def test_counters_track_requests_and_coalescing(self):
         async def go(service):
+            before = service.counters.snapshot()
             await asyncio.gather(
                 *[service.submit(_payload(seed=s)) for s in range(3)]
             )
             await service.submit(_payload(model="broken source"))
-            return service.counters.snapshot()
+            return before, service.counters.snapshot()
 
-        snap = asyncio.run(_with_service(go))
-        assert snap["requests_total"] == 4
-        assert snap["failures_total"] == 1
-        assert snap["particles_total"] == 3 * 400
-        assert snap["batches_total"] >= 1
+        before, snap = asyncio.run(_with_service(go))
+        delta = stats_delta(before, snap)
+        assert delta["requests_total"] == 4
+        assert delta["failures_total"] == 1
+        assert delta["particles_total"] == 3 * 400
+        assert delta["batches_total"] >= 1
         assert snap["latency_s_max"] >= snap["queue_wait_s_mean"]
         assert snap["requests_per_s"] > 0
 
     def test_counters_snapshot_is_json_serialisable(self):
-        json.dumps(ServerCounters().snapshot())
+        json.dumps(ServerCounters().snapshot(), allow_nan=False)
 
 
 class TestTCP:
@@ -359,6 +369,90 @@ class TestTCP:
         assert by_id["stats"]["ok"] and "requests_total" in by_id["stats"]["counters"]
         assert not by_id[None]["ok"] and "bad JSON" in by_id[None]["error"]
         assert not by_id["w"]["ok"] and "unknown op" in by_id["w"]["error"]
+
+    def test_oversized_line_is_refused_and_the_connection_reads_on(self, caplog):
+        """A request line over the stream limit is answered
+        ``invalid_request`` naming the limit, the next line on the same
+        connection is answered too, and nothing is logged as unhandled."""
+        big = _payload(request_id="big", sites=[0] * 34_000)
+        line = json.dumps(big).encode() + b"\n"
+        assert len(line) > 100_000
+
+        async def go(service):
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(line + b'{"op": "stats", "id": "stats"}\n')
+            await writer.drain()
+            responses = [
+                json.loads(await asyncio.wait_for(reader.readline(), 30)) for _ in range(2)
+            ]
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return {r["id"]: r for r in responses}
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            by_id = asyncio.run(_with_service(go))
+        assert by_id[None] == {
+            "id": None, "ok": False, "code": "invalid_request",
+            "error": f"request line exceeds {MAX_LINE_BYTES} bytes",
+        }
+        assert by_id["stats"]["ok"] and "requests_total" in by_id["stats"]["counters"]
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_every_response_kind_is_strict_json(self, fresh_registry):
+        """``NaN`` and ``Infinity`` never reach the wire: every engine's
+        answer (``mh`` with one chain has no R-hat), ``op: stats`` fresh and
+        warm, ``op: metrics`` and each session op parse as strict JSON."""
+        svi = {"num_steps": 2, "guide_params": {"loc": 8.5, "log_scale": 0.0}}
+        engines = {
+            "is": {}, "is-sequential": {}, "smc": {},
+            "mh": {"num_chains": 1, "burn_in": 5}, "svi": svi, "svi-fd": svi,
+        }
+        requests = [{"id": "fresh", "op": "stats"}]
+        for engine, params in engines.items():
+            payload = _solo(request_id=engine, engine=engine, particles=100)
+            payload["params"].update(params)
+            if engine.startswith("svi"):
+                del payload["params"]["guide_args"]
+            requests.append(payload)
+        requests += [
+            {"id": "warm", "op": "stats"},
+            {"id": "metrics", "op": "metrics"},
+            {"id": "open", "op": "session.open", "session_id": "k", "benchmark": "kalman",
+             "params": {"num_particles": 100, "seed": 0}},
+            {"id": "push", "op": "session.push", "session_id": "k", "values": [0.4, 0.9, 1.3, 1.9]},
+            {"id": "query", "op": "session.query", "session_id": "k", "sites": [0]},
+            {"id": "close", "op": "session.close", "session_id": "k"},
+        ]
+
+        def refuse(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        async def go(service):
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            lines = []
+            for request in requests:  # one at a time: stats must follow the runs
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                lines.append(await asyncio.wait_for(reader.readline(), 60))
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return lines
+
+        lines = asyncio.run(_with_service(go))
+        responses = {}
+        for line in lines:
+            response = json.loads(line, parse_constant=refuse)
+            responses[response["id"]] = response
+        assert all(r["ok"] for r in responses.values()), responses
+        assert responses["mh"]["diagnostics"]["gelman_rubin_site0"] is None
+        assert responses["fresh"]["counters"]["latency_s_p50"] is None
+        assert responses["warm"]["counters"]["latency_s_p50"] > 0.0
 
     def test_finished_requests_do_not_stay_alive_on_the_connection(self):
         """A long-lived connection keeps only its unfinished line handlers:
@@ -623,6 +717,35 @@ class TestWhereGroupsRun:
         assert sites == [(["first"], "worker"), (["repeat"], "loop"), (["changed"], "worker")]
         assert moved == {"loop": 1, "worker": 2}
 
+    def test_sites_are_part_of_the_shape_and_each_is_computed_once(self, monkeypatch):
+        """A request that repeats a measured run but asks for 20 000 sites is
+        a new shape, so it runs on a worker; its repeated site is computed
+        once (the response's keys dedupe them)."""
+        from repro.engine.api import ImportanceEngineResult
+
+        calls = []
+        real = ImportanceEngineResult.posterior_mean
+
+        def counted(result, site):
+            calls.append(site)
+            return real(result, site)
+
+        monkeypatch.setattr(ImportanceEngineResult, "posterior_mean", counted)
+
+        async def go(service):
+            sites = _record_sites(service)
+            fast = await service.submit(_solo(request_id="fast", particles=1000))
+            calls.clear()
+            many = _solo(seed=1, request_id="many", particles=1000)
+            many["sites"] = [0] * 20_000
+            return sites, fast, await service.submit(many)
+
+        sites, fast, many = asyncio.run(_with_service(go))
+        assert fast["ok"] and many["ok"], (fast, many)
+        assert sites == [(["fast"], "worker"), (["many"], "worker")]
+        assert calls == [0]
+        assert list(many["posterior_means"]) == ["0"]
+
     def test_shape_recorded_slower_than_the_bound_goes_back_to_the_worker(self, monkeypatch):
         import repro.engine.server as server
 
@@ -718,6 +841,7 @@ class TestWhereGroupsRun:
             service = InferenceService(batch_window_s=0.0, max_batch=4)
             await service.start()
             sites = _record_sites(service)
+            before = service.counters.snapshot()
             for engine in ("is", "smc"):  # measure both shapes
                 warm = _solo(request_id=f"warm-{engine}", engine=engine, particles=100)
                 assert (await service.submit(warm))["ok"]
@@ -734,7 +858,9 @@ class TestWhereGroupsRun:
 
             await asyncio.wait_for(some_answered(), timeout=60)
             await service.stop()
-            return sites, await asyncio.gather(*tasks), service.counters.requests_total
+            responses = await asyncio.gather(*tasks)
+            delta = stats_delta(before, service.counters.snapshot())
+            return sites, responses, delta["requests_total"]
 
         sites, responses, requests_total = asyncio.run(go())
         assert len(responses) == submitted
@@ -766,6 +892,7 @@ class TestWhereGroupsRun:
 
         async def go():
             await service.start()
+            before = service.counters.snapshot()
             assert (await service.submit(_solo(request_id="warm")))["ok"]
             run_group = service._run_group
 
@@ -791,16 +918,17 @@ class TestWhereGroupsRun:
             await asyncio.wait_for(one_started(), timeout=60)
             await service.stop()
             worker_done_at_return = ended.is_set()
-            return worker_done_at_return, await asyncio.gather(*tasks)
+            return before, worker_done_at_return, await asyncio.gather(*tasks)
 
-        worker_done_at_return, responses = asyncio.run(go())
+        before, worker_done_at_return, responses = asyncio.run(go())
         assert worker_done_at_return
         assert len(started) == 1
         assert [r["ok"] for r in responses] == [True, False, False], responses
         assert [r.get("code") for r in responses[1:]] == ["shutting_down"] * 2
         # Read after asyncio.run has joined the executor's threads.
-        assert service.counters.requests_total == 4
-        assert service.counters.shed_total == {"shutting_down": 2}
+        delta = stats_delta(before, service.counters.snapshot())
+        assert delta["requests_total"] == 4
+        assert delta["shed_by_reason"] == {"shutting_down": 2}
 
     def test_group_failing_on_the_loop_answers_each_member_once(self, monkeypatch):
         """A group that raises on the loop thread after answering a member:
@@ -819,6 +947,7 @@ class TestWhereGroupsRun:
 
         async def go(service):
             sites = _record_sites(service)
+            before = service.counters.snapshot()
             assert (await service.submit(_solo(request_id="warm")))["ok"]
             record_run = service._record_run
 
@@ -832,7 +961,8 @@ class TestWhereGroupsRun:
                 service.submit(_solo(seed=1, request_id="first")),
                 service.submit(_solo(seed=2, request_id="second")),
             )
-            return sites, responses, service.counters.requests_total
+            delta = stats_delta(before, service.counters.snapshot())
+            return sites, responses, delta["requests_total"]
 
         sites, (first, second), requests_total = asyncio.run(_with_service(go))
         assert sites == [(["warm"], "worker"), (["first", "second"], "loop")]

@@ -22,10 +22,11 @@ from repro.engine.server import (
     CODE_SHUTTING_DOWN,
     SHED_CODES,
     InferenceService,
-    ServerCounters,
     serve_tcp,
 )
 from repro.models import get_benchmark
+from repro.obs import REGISTRY
+from tests.conftest import stats_delta
 
 BENCH = get_benchmark("weight")
 
@@ -106,22 +107,22 @@ class TestDeadlines:
                 await _send(writer, _payload(request_id="warm"))
                 warm = await _recv(reader)
                 assert warm["ok"], warm
-                batches_before = service.counters.batches_total
+                before = service.counters.snapshot()
                 await _send(writer, _payload(request_id="doomed", deadline_ms=50, shards=2))
                 response = await _recv(reader)
-                return service, response, batches_before
+                return response, stats_delta(before, service.counters.snapshot())
             finally:
                 await _close(server, writer)
                 await service.stop()
 
-        service, response, batches_before = asyncio.run(go())
+        response, delta = asyncio.run(go())
         assert response["id"] == "doomed"
         assert response["ok"] is False
         assert response["code"] == CODE_DEADLINE_EXCEEDED
         assert "while queued" in response["error"]
         # The engine never ran it: no new dispatch batch was executed.
-        assert service.counters.batches_total == batches_before
-        assert service.counters.shed_total[CODE_DEADLINE_EXCEEDED] == 1
+        assert delta["batches_total"] == 0
+        assert delta["shed_by_reason"] == {CODE_DEADLINE_EXCEEDED: 1}
 
     def test_expired_deadline_rejected_at_admission(self):
         async def go():
@@ -355,20 +356,23 @@ class TestAdmissionValidation:
             service = await _start_service(checkpoint_dir=str(tmp_path), workers=2)
             server, reader, writer = await _connect(service)
             try:
+                await _send(writer, {"id": "before", "op": "stats"})
+                before = await _recv(reader)
                 await _send(writer, payload)
                 response = await _recv(reader)
                 await _send(writer, {"id": "stats", "op": "stats"})
-                return response, await _recv(reader)
+                return before, response, await _recv(reader)
             finally:
                 await _close(server, writer)
                 await service.stop()
 
-        response, stats = asyncio.run(go())
+        before, response, stats = asyncio.run(go())
         assert response["ok"] is False, response
         assert response["code"] == CODE_INVALID_REQUEST, response
         assert stats["sessions"]["live"] == 0
         if path == "infer":
-            assert stats["counters"]["waves_total"] == 0  # never queued
+            # Never queued.
+            assert stats_delta(before["counters"], stats["counters"])["waves_total"] == 0
         assert not list(tmp_path.iterdir())
 
     def test_uncertified_pair_with_string_force_is_refused_and_never_runs(self):
@@ -382,7 +386,9 @@ class TestAdmissionValidation:
         async def go():
             service = await _start_service()
             try:
-                return await service.submit(payload), service.counters.waves_total
+                before = service.counters.snapshot()
+                response = await service.submit(payload)
+                return response, stats_delta(before, service.counters.snapshot())["waves_total"]
             finally:
                 await service.stop()
 
@@ -447,7 +453,7 @@ class TestBackpressure:
         # The admitted requests still completed normally.
         assert len(ok) >= 2
 
-    def test_burst_of_200_is_served_in_bounded_waves(self):
+    def test_burst_of_200_is_served_in_bounded_waves(self, fresh_registry):
         """Satellite regression: a 200-request burst must not dispatch as
         one giant wave — every wave stays within ``max_batch``."""
 
@@ -463,15 +469,15 @@ class TestBackpressure:
                         for i in range(200)
                     )
                 )
-                return service.counters, responses
+                return service.counters.snapshot(), responses
             finally:
                 await service.stop()
 
         counters, responses = asyncio.run(go())
         assert all(r["ok"] for r in responses)
-        assert counters.wave_size_max <= 8
+        assert counters["wave_size_max"] <= 8
         # 200 requests at <=8 per wave needs at least 25 waves.
-        assert counters.waves_total >= 25
+        assert counters["waves_total"] >= 25
 
 
 class TestQuotas:
@@ -606,21 +612,16 @@ class TestShutdown:
 
 
 class TestLatencyInvariant:
-    def test_observe_uses_measured_latency_not_the_sum(self):
-        counters = ServerCounters()
-        counters.observe(0.1, 0.2, 10, ok=True, latency_s=0.5)
-        assert counters.latency_s_total == pytest.approx(0.5)
-        assert counters.latency_s_max == pytest.approx(0.5)
-
-    def test_response_latency_covers_queue_wait_plus_run(self):
+    def test_response_latency_covers_queue_wait_plus_run(self, fresh_registry):
         """The measured enqueue-to-response latency is always >= the sum of
-        its parts (the old ``queue_wait + run`` undercounted)."""
+        its parts (the old ``queue_wait + run`` undercounted), and the ledger
+        records that measured latency, not the sum."""
 
         async def go():
             service = await _start_service()
             try:
                 response = await service.submit(_payload(request_id="solo"))
-                return response, service.counters
+                return response, service.counters.snapshot()
             finally:
                 await service.stop()
 
@@ -628,9 +629,9 @@ class TestLatencyInvariant:
         assert response["ok"], response
         server = response["server"]
         assert server["latency_s"] >= server["queue_wait_s"] + server["run_s"]
-        assert counters.latency_s_total >= (
-            counters.queue_wait_s_total + counters.run_s_total
-        )
+        assert counters["latency_s_max"] == counters["latency_s_mean"] == server["latency_s"]
+        assert counters["queue_wait_s_mean"] == server["queue_wait_s"]
+        assert counters["run_s_mean"] == server["run_s"]
 
 
 class TestErrorCodes:
@@ -661,29 +662,37 @@ class TestErrorCodes:
             assert response["ok"] is False
             assert response["code"] == CODE_INVALID_REQUEST
 
-    def test_stats_exposes_shed_accounting(self):
+    def test_stats_exposes_shed_accounting(self, fresh_registry):
         async def go():
             service = await _start_service(max_queue=1, batch_window_s=0.3)
             server, reader, writer = await _connect(service)
             try:
                 await _send(writer, _payload(request_id="warm"))
                 assert (await _recv(reader))["ok"]
+                await _send(writer, {"id": "before", "op": "stats"})
+                before = await _recv(reader)
                 for i in range(4):
                     await _send(writer, _payload(request_id=f"r{i}", seed=i, shards=2))
                 await _recv_many(reader, 4)
                 await _send(writer, {"id": "st", "op": "stats"})
-                return await _recv(reader)
+                return before, await _recv(reader)
             finally:
                 await _close(server, writer)
                 await service.stop()
 
-        stats = asyncio.run(go())
+        before, stats = asyncio.run(go())
         assert stats["ok"]
-        counters = stats["counters"]
-        assert counters["shed_total"] >= 1
-        assert counters["shed_by_reason"].get("overloaded", 0) >= 1
-        assert counters["waves_total"] >= 1
-        assert counters["wave_size_max"] >= 1
+        delta = stats_delta(before["counters"], stats["counters"])
+        assert delta["shed_total"] >= 1
+        assert delta["shed_by_reason"].get("overloaded", 0) >= 1
+        assert delta["waves_total"] >= 1
+        assert stats["counters"]["wave_size_max"] >= 1
+
+
+def _cache_size(cache):
+    """``repro_cache_size{cache}`` as the registry holds it now."""
+    samples = REGISTRY.snapshot()["repro_cache_size"]["samples"]
+    return {s["labels"]["cache"]: s["value"] for s in samples}[cache]
 
 
 class TestCacheCapacity:
@@ -699,6 +708,7 @@ class TestCacheCapacity:
         clear_session_cache()
         set_session_cache_capacity(2)
         evictions_before = _SESSION_CACHE.evictions
+        mark = REGISTRY.mark()
         try:
             # Three source-distinct (but semantically identical) programs.
             for i in range(3):
@@ -707,6 +717,9 @@ class TestCacheCapacity:
                 )
             assert session_cache_len() <= 2
             assert _SESSION_CACHE.evictions == evictions_before + 1
+            # The cache publishes its own evictions and size.
+            assert REGISTRY.delta(mark)['repro_cache_evictions_total{cache="session"}'] == 1
+            assert _cache_size("session") == session_cache_len()
             # The survivors are the two most recently used variants.
             ProgramSession.from_sources(
                 BENCH.model_source + "\n# variant 2\n", BENCH.guide_source
@@ -740,9 +753,11 @@ class TestCacheCapacity:
                 kernel_for(model, guide, model_entry, guide_entry)
             assert kernel_cache_len() == 1
             assert _KERNEL_CACHE.evictions == evictions_before + 1
+            assert _cache_size("kernel") == 1
         finally:
             set_kernel_cache_capacity(64)
             clear_kernel_cache()
+        assert _cache_size("kernel") == 0
 
     def test_shrinking_capacity_evicts_immediately(self):
         from repro.utils.lru import LruCache

@@ -245,6 +245,61 @@ class TestWireVerbs:
             assert op in response["error"]
 
 
+class TestNonFinitePush:
+    """``NaN`` and ``Infinity`` decode from the wire as floats; a push
+    carrying one is refused before it reaches the journal, whether the
+    session is still buffering or already active."""
+
+    def test_non_finite_push_is_refused_in_both_states(self):
+        async def go():
+            service = await _start_service()
+            server, reader, writer = await _connect(service)
+
+            async def push(request_id, values_text):
+                # Literal JSON text: NaN/Infinity as Python's json writes them.
+                writer.write(
+                    b'{"id": "%s", "op": "session.push", "session_id": "k", "values": %s}\n'
+                    % (request_id.encode(), values_text.encode())
+                )
+                await writer.drain()
+                return await _recv(reader)
+
+            def journal():
+                return list(service.sessions.get("default", "k").journal)
+
+            try:
+                await _send(writer, {"id": "open", "op": "session.open", "session_id": "k",
+                                     "benchmark": "kalman",
+                                     "params": {"num_particles": 200, "seed": 0}})
+                assert (await _recv(reader))["ok"]
+                steps = []
+                for request_id, text in (
+                    ("first", "[0.4]"), ("nan", "[0.9, NaN]"), ("buffered", "[0.9]"),
+                    ("rest", "[1.3, 1.9]"), ("inf", "[-Infinity]"), ("inf2", "[Infinity]"),
+                    ("after", "[2.2]"),
+                ):
+                    steps.append((request_id, await push(request_id, text), journal()))
+                return steps
+            finally:
+                await _close(server, writer)
+                await service.stop()
+
+        steps = {request_id: rest for request_id, *rest in asyncio.run(go())}
+        assert steps["first"][0]["status"] == "buffering"
+        for refused, before in (("nan", "first"), ("inf", "rest"), ("inf2", "rest")):
+            response, journal = steps[refused]
+            assert response["ok"] is False and response["code"] == "invalid_request", response
+            assert "must be a finite real" in response["error"]
+            assert journal == steps[before][1]
+        buffered, journal = steps["buffered"]
+        assert buffered["ok"] and buffered["status"] == "buffering" and buffered["steps"] == 2
+        assert journal == [0.4, 0.9]
+        rest = steps["rest"][0]
+        assert rest["ok"] and rest["status"] == "active" and rest["steps"] == 4, rest
+        after, journal = steps["after"]
+        assert after["ok"] and after["steps"] == 5 and journal == [0.4, 0.9, 1.3, 1.9, 2.2]
+
+
 class TestShutdown:
     def test_stop_resolves_queued_session_ops_with_shutting_down(self):
         async def go():
