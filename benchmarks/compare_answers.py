@@ -12,8 +12,8 @@ Usage::
 
     python benchmarks/compare_answers.py BASE_DIR HEAD_DIR
 
-The ``same-answers`` job in ``.github/workflows/ci.yml`` runs the six
-rows (118 points) on a pull request's base and head, in one environment, and
+The ``same-answers`` job in ``.github/workflows/ci.yml`` runs the eight
+rows (220 points) on a pull request's base and head, in one environment, and
 then this comparison.
 """
 
@@ -25,9 +25,9 @@ import sys
 
 
 def stats(root: str) -> dict:
-    """``(row, model, engine, backend, particles) -> stats`` for every point."""
+    """``(row, model, engine, backend, particles, shards) -> stats`` for every point."""
     return {
-        (run.name, p["model"], p["engine"], p["backend"], p["particles"]): p["stats"]
+        (run.name, p["model"], p["engine"], p["backend"], p["particles"], p["shards"]): p["stats"]
         for run in sorted(pathlib.Path(root).iterdir())
         for p in json.loads((run / "results.json").read_text())["points"]
     }

@@ -36,7 +36,7 @@ import pytest
 
 import _record
 from repro.core.semantics import traces as tr
-from repro.engine import make_particle_runner
+from repro.engine import InferenceRequest, ProgramSession, make_particle_runner
 from repro.models import all_benchmarks, get_benchmark
 
 #: The CI fast-benchmark smoke job sets REPRO_FAST_BENCH=1 to run with
@@ -53,16 +53,18 @@ HEADLINE_MODELS = ("switching", "jump", "randomwalk")
 
 def _runners(name: str):
     bench = get_benchmark(name)
-    model, guide = bench.model_program(), bench.guide_program()
+    session = ProgramSession(
+        bench.model_program(), bench.guide_program(),
+        bench.model_entry, bench.guide_entry, typecheck=False,
+    )
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     guide_args = tuple(bench.guide_param_inits.values()) if bench.guide_param_inits else ()
-    common = dict(
-        model_program=model, guide_program=guide,
-        model_entry=bench.model_entry, guide_entry=bench.guide_entry,
-        obs_trace=obs, guide_args=guide_args,
+    interp, compiled = (
+        make_particle_runner(
+            session, InferenceRequest(obs_trace=obs, guide_args=guide_args, backend=backend)
+        )
+        for backend in ("interp", "compiled")
     )
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
     return interp, compiled
 
 
@@ -132,8 +134,6 @@ def test_compiled_backend_recorded_across_library():
 
 def test_compiled_backend_serves_smc_and_svi():
     """The backend flag reaches the other engines (smoke, with parity)."""
-    from repro.engine import ProgramSession
-
     bench = get_benchmark("switching")
     session = ProgramSession(
         bench.model_program(), bench.guide_program(),
@@ -146,4 +146,4 @@ def test_compiled_backend_serves_smc_and_svi():
     assert smc_c.posterior_mean(0) == smc_i.posterior_mean(0)
     assert smc_c.log_evidence() == smc_i.log_evidence()
     assert smc_c.diagnostics()["backend"] == "compiled"
-    assert session.compiled_backend_supported is True
+    assert session.compiled_kernel()[0] is not None

@@ -24,7 +24,7 @@ import pytest
 
 import _record
 from repro.core.semantics import traces as tr
-from repro.engine import smc, vectorized_importance
+from repro.engine import InferenceRequest, ProgramSession, smc, vectorized_importance
 from repro.inference import importance_sampling
 from repro.models import get_benchmark
 
@@ -47,6 +47,11 @@ def _pair():
 _best_of = _record.best_of
 
 
+def _session():
+    model, guide, model_entry, guide_entry = _pair()
+    return ProgramSession(model, guide, model_entry, guide_entry, typecheck=False)
+
+
 def test_vectorized_is_10k_particles_at_least_5x_faster():
     """Acceptance: >= 5x over the sequential loop at 10k particles on ex-1."""
     model, guide, model_entry, guide_entry = _pair()
@@ -60,14 +65,9 @@ def test_vectorized_is_10k_particles_at_least_5x_faster():
             rng=np.random.default_rng(0),
         ),
     )
-    vec_seconds, vec_result = _best_of(
-        3,
-        lambda: vectorized_importance(
-            model, guide, model_entry, guide_entry,
-            obs_trace=obs, num_particles=NUM_PARTICLES,
-            rng=np.random.default_rng(0),
-        ),
-    )
+    session = _session()
+    request = InferenceRequest(obs_trace=obs, num_particles=NUM_PARTICLES, seed=0)
+    vec_seconds, vec_result = _best_of(3, lambda: vectorized_importance(session, request))
 
     speedup = seq_seconds / vec_seconds
     print(
@@ -95,8 +95,7 @@ def test_vectorized_is_matches_sequential_at_modest_size():
     model, guide, model_entry, guide_entry = _pair()
     obs = (tr.ValP(OBSERVED_Z),)
     vec = vectorized_importance(
-        model, guide, model_entry, guide_entry,
-        obs_trace=obs, num_particles=2000, rng=np.random.default_rng(7),
+        _session(), InferenceRequest(obs_trace=obs, num_particles=2000, seed=7)
     )
     seq = importance_sampling(
         model, guide, model_entry, guide_entry,
@@ -111,13 +110,12 @@ def test_smc_recovers_fig2_posterior():
     """Acceptance: SMC agrees with the Fig. 2 posterior (IS reference)."""
     model, guide, model_entry, guide_entry = _pair()
     obs = (tr.ValP(OBSERVED_Z),)
+    session = _session()
+    request = InferenceRequest(obs_trace=obs, num_particles=4000, seed=0)
 
     smc_seconds, smc_result = _best_of(
         1,
-        lambda: smc(
-            model, guide, model_entry, guide_entry,
-            obs_trace=obs, num_particles=4000, rng=np.random.default_rng(0),
-        ),
+        lambda: smc(session, request),
     )
     _record.record(
         suite="engine_throughput", model="ex-1", engine="smc", backend="interp",

@@ -105,18 +105,15 @@ def _refuse_uncertified(session: ProgramSession, args: argparse.Namespace) -> bo
     return False
 
 
-def _print_backend(session, diagnostics: dict) -> None:
+def _print_backend(diagnostics: dict) -> None:
     """Report which particle runtime actually served the request.
 
-    The fallback reason is surfaced uniformly across ``run-is``/``run-smc``/
-    ``run-svi``: the per-run diagnostics win (they carry runtime fallbacks
-    like a mid-run sequential divert), with the session's compile-gate
-    verdict as the fallback source.
+    Reported uniformly across ``run-is``/``run-smc``/``run-svi`` from the
+    run's diagnostics; engines that never touch the particle runtime
+    report none.
     """
     backend = diagnostics.get("backend")
-    if backend is None and session.compiled_backend_supported is None:
-        return
-    reason = diagnostics.get("fallback_reason") or session.compiled_fallback_reason
+    reason = diagnostics.get("fallback_reason")
     if reason is not None:
         print(f"backend                 : interp (compiled fallback: {reason})")
     elif backend is not None:
@@ -209,7 +206,7 @@ def cmd_run_is(args: argparse.Namespace) -> int:
         diagnostics = result.diagnostics()
         if "num_groups" in diagnostics:
             print(f"control-flow groups     : {diagnostics['num_groups']}")
-        _print_backend(session, diagnostics)
+        _print_backend(diagnostics)
         _print_sharding(args)
         return 0
     finally:
@@ -242,7 +239,7 @@ def cmd_run_smc(args: argparse.Namespace) -> int:
         rates = diagnostics["rejuvenation_rates"]
         if rates:
             print(f"rejuvenation acceptance : {', '.join(f'{r:.2f}' for r in rates)}")
-        _print_backend(session, diagnostics)
+        _print_backend(diagnostics)
         _print_sharding(args)
         return 0
     finally:
@@ -316,7 +313,7 @@ def cmd_run_svi(args: argparse.Namespace) -> int:
         # Evidence/ESS/posterior all come from the final pass through the fitted
         # guide, so report that pass's particle count, not the fit batch size.
         _print_engine_summary(result, args.final_particles or args.particles)
-        _print_backend(session, diagnostics)
+        _print_backend(diagnostics)
         _print_sharding(args)
         return 0
     finally:

@@ -24,14 +24,19 @@ with a string:
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 import time
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.semantics import traces as tr
+from repro.engine.backend import validate_backend
+from repro.engine.params import get_optimizer, get_transform
+from repro.engine.shard import resolve_shards
 from repro.errors import InferenceError
 from repro.obs import REGISTRY, span
 from repro.utils.rng import SeedLike, ensure_rng, fork_rng
@@ -73,7 +78,7 @@ class InferenceRequest:
     #: :func:`repro.compiler.codegen.compile_kernel_pair` (bitwise-identical
     #: results, no per-site op dispatch, SVI rescoring compiled too),
     #: falling back to the interpreter for pairs outside the compiled
-    #: fragment (e.g. non-tail recursion) — the decision is recorded on the session
+    #: fragment (e.g. non-tail recursion) — the decision is recorded on the run
     #: and surfaced in diagnostics.  Engines that never touch the vectorized
     #: runtime (``is-sequential``, ``mh``, ``svi-fd``) ignore this field.
     backend: str = "interp"
@@ -106,30 +111,46 @@ class InferenceRequest:
     #: (defaults to ``num_particles``).
     final_particles: Optional[int] = None
 
-    def resolved_backend(self) -> str:
-        """The validated particle-runtime backend name."""
-        from repro.engine.backend import validate_backend
+    def __post_init__(self) -> None:
+        """Refuse a field no run could use, whoever builds the request.
 
-        return validate_backend(self.backend)
+        The one screen for both wire admissions (one-shot requests and
+        ``session.open``), for in-process callers (:meth:`ProgramSession.infer
+        <repro.engine.session.ProgramSession.infer>`, the CLI) and for every
+        pass an engine derives with :func:`dataclasses.replace`.  Counts are
+        integers, rates finite numbers and switches Booleans, never a
+        stand-in of another type.  ``ess_threshold`` has no upper bound:
+        above 1 it forces resampling at every step.
+        """
+        require_count(self.num_particles, "num_particles")
+        resolve_shards(self.workers, self.shards)
+        validate_backend(self.backend)
+        require_seed(self.seed)
+        for name in ("obs_values", "obs_trace"):
+            if getattr(self, name) is not None:
+                require_sequence(getattr(self, name), name)
+        for name in ("model_args", "guide_args"):
+            require_sequence(getattr(self, name), name)
+        require_real(self.ess_threshold, "ess_threshold")
+        for name in ("rejuvenate", "rao_blackwellize"):
+            require_flag(getattr(self, name), name)
+        require_count(self.num_chains, "num_chains")
+        require_count(self.burn_in, "burn_in", minimum=0)
+        require_count(self.num_steps, "num_steps", minimum=0)
+        get_optimizer(self.optimizer)
+        for name in ("learning_rate", "score_epsilon"):
+            require_real(getattr(self, name), name, positive=True)
+        if self.guide_params is not None:
+            require_mapping(self.guide_params, "guide_params")
+        if self.param_constraints is not None:
+            for constraint in require_mapping(self.param_constraints, "param_constraints").values():
+                get_transform(constraint)
+        if self.final_particles is not None:
+            require_count(self.final_particles, "final_particles")
 
     def resolved_shards(self) -> int:
-        """The validated shard count (``shards``, defaulting to ``workers``)."""
-        from repro.engine.shard import resolve_shards
-
+        """The shard count (``shards``, defaulting to ``workers``)."""
         return resolve_shards(self.workers, self.shards)
-
-    def runner_options(self) -> Dict[str, object]:
-        """Keyword arguments selecting this request's execution strategy.
-
-        Bundles the backend and shard controls for
-        :func:`repro.engine.backend.make_particle_runner`, so engines thread
-        one dict instead of tracking each knob separately.
-        """
-        return {
-            "backend": self.resolved_backend(),
-            "workers": self.workers,
-            "shards": self.resolved_shards(),
-        }
 
     def resolved_obs_trace(self) -> Optional[tr.Trace]:
         """The observation trace, built from ``obs_trace`` or ``obs_values``."""
@@ -176,6 +197,58 @@ def require_real(value: object, what: str, positive: bool = False) -> float:
         kind = "positive" if positive else "non-negative"
         raise InferenceError(f"{what} must be a finite {kind} number, got {value!r}")
     return number
+
+
+def require_seed(value: object) -> None:
+    """A seed: ``None``, a non-negative integer (never a Boolean), or an
+    in-process generator."""
+    if value is None or isinstance(value, np.random.Generator):
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InferenceError(
+            f"seed must be null, a non-negative integer or a generator, got {value!r}"
+        )
+
+
+def require_sequence(value: object, what: str) -> None:
+    """Arguments or observations: a list, tuple or array, never a string."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, (Sequence, np.ndarray)):
+        raise InferenceError(f"{what} must be a sequence, got {value!r}")
+
+
+def require_mapping(value: object, what: str) -> Mapping:
+    """A name-to-value table (``guide_params``, ``param_constraints``)."""
+    if not isinstance(value, Mapping):
+        raise InferenceError(f"{what} must map names to values, got {value!r}")
+    return value
+
+
+#: Fields a wire payload may set on :class:`InferenceRequest`.
+REQUEST_FIELDS = frozenset(f.name for f in dataclasses.fields(InferenceRequest))
+
+
+def admit_request(
+    params: Mapping[str, object], pool: int, fields: Iterable[str] = REQUEST_FIELDS
+) -> InferenceRequest:
+    """The request a wire payload's ``params`` describe, for a service whose
+    pool has ``pool`` workers.
+
+    Both admissions, one-shot requests and ``session.open``, build their
+    runs here: ``params`` may set only ``fields``, ``workers`` defaults to
+    the pool and may not exceed it, and :class:`InferenceRequest` screens
+    the rest.  ``obs_trace`` cannot travel: its messages are Python objects.
+    """
+    unknown = sorted(set(params) - set(fields))
+    if unknown:
+        raise InferenceError(f"unknown request params {unknown}")
+    if "obs_trace" in params:
+        raise InferenceError("obs_trace cannot be sent over the wire; send obs_values")
+    request = InferenceRequest(**{"workers": pool, **params})
+    if request.workers > pool:
+        raise InferenceError(
+            f"workers {request.workers} exceeds the service's pool of {pool} worker(s)"
+        )
+    return request
 
 
 class EngineResult(abc.ABC):
@@ -370,26 +443,6 @@ class VectorizedImportanceEngine(InferenceEngine):
     description = "importance sampling, all particles executed in lockstep"
 
     @staticmethod
-    def _runner(session: "ProgramSession", request: InferenceRequest):
-        from repro.engine.backend import make_particle_runner
-
-        return make_particle_runner(
-            session.model_program,
-            session.guide_program,
-            session.model_entry,
-            session.guide_entry,
-            obs_trace=request.resolved_obs_trace(),
-            model_args=request.model_args,
-            guide_args=request.guide_args,
-            latent_channel=session.latent_channel,
-            obs_channel=session.obs_channel,
-            session=session,
-            # IS never reads the per-site score ledgers; keep them off the wire.
-            trim_site_scores=True,
-            **request.runner_options(),
-        )
-
-    @staticmethod
     def _result(run) -> EngineResult:
         from repro.engine.vectorize import importance_result
 
@@ -397,8 +450,9 @@ class VectorizedImportanceEngine(InferenceEngine):
 
     def run(self, session: "ProgramSession", request: InferenceRequest) -> EngineResult:
         """Draw one weighted particle population through the request's runner."""
-        runner = self._runner(session, request)
-        return self._result(runner.run(request.num_particles, ensure_rng(request.seed)))
+        from repro.engine.vectorize import vectorized_importance
+
+        return ImportanceEngineResult(vectorized_importance(session, request))
 
     def run_batch(
         self, session: "ProgramSession", requests: Sequence[InferenceRequest]
@@ -412,12 +466,13 @@ class VectorizedImportanceEngine(InferenceEngine):
         in-process on its own generator, as it would alone.
         """
         from repro.engine.shard import execute_tasks
+        from repro.engine.vectorize import importance_runner
 
         outcomes: List[object] = [None] * len(requests)
         waves = []
         for i, request in enumerate(requests):
             try:
-                runner = self._runner(session, request)
+                runner = importance_runner(session, request)
                 rng = ensure_rng(request.seed)
                 wave = runner.prepare(request.num_particles, rng)
                 if wave is None:
@@ -508,24 +563,7 @@ class SMCEngine(InferenceEngine):
         """Anneal the request's particle population over its observations."""
         from repro.engine.smc import smc
 
-        result = smc(
-            session.model_program,
-            session.guide_program,
-            session.model_entry,
-            session.guide_entry,
-            obs_trace=request.resolved_obs_trace(),
-            num_particles=request.num_particles,
-            rng=ensure_rng(request.seed),
-            ess_threshold=request.ess_threshold,
-            rejuvenate=request.rejuvenate,
-            model_args=request.model_args,
-            guide_args=request.guide_args,
-            latent_channel=session.latent_channel,
-            obs_channel=session.obs_channel,
-            session=session,
-            **request.runner_options(),
-        )
-        return SMCEngineResult(result)
+        return SMCEngineResult(smc(session, request))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +637,6 @@ class ParallelMHEngine(InferenceEngine):
         """Run ``num_chains`` sequential chains and pool their states."""
         from repro.inference.mcmc import independence_proposal, metropolis_hastings
 
-        if request.num_chains <= 0:
-            raise InferenceError("num_chains must be positive")
         samples_per_chain = max(1, request.num_particles // request.num_chains)
         rngs = fork_rng(ensure_rng(request.seed), request.num_chains)
         proposal_args = independence_proposal(request.guide_args)

@@ -19,11 +19,12 @@ Two backends execute a model/guide pair over the particle axis:
     numbers, so selecting it is a pure execution-strategy change.
 
 :func:`make_particle_runner` is the single seam the inference engines go
-through: ``backend="compiled"`` compiles (or fetches a cached kernel) and
+through, from a prepared :class:`~repro.engine.session.ProgramSession` and an
+:class:`~repro.engine.api.InferenceRequest`: ``backend="compiled"`` takes the
+session's kernel (compiled once per session, from a shared cache) and
 silently falls back to the interpreter when the pair is outside the compiled
 fragment, or a host argument carries a distribution or closure — the
-decision is recorded on the returned runner (and, when the caller passes a
-:class:`~repro.engine.session.ProgramSession`, on the session) so
+decision is recorded on the returned runner and on every run it makes, so
 diagnostics can report which runtime actually served a request.  Every
 fallback increments ``repro_compiled_fallback_total{reason=...}`` with one
 of two normalized reason labels, so operators can see *why* compiled
@@ -38,11 +39,10 @@ is no runtime fallback.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.compiler.codegen import CompiledKernel, load_kernel
 from repro.core import ast
-from repro.core.semantics import traces as tr
 from repro.engine.vectorize import (
     _WHOLE,
     PARTICLE_RUN_SECONDS,
@@ -53,6 +53,10 @@ from repro.errors import CompilationError, InferenceError
 from repro.obs import REGISTRY, span
 from repro.utils.lru import LruCache
 from repro.utils.rng import ensure_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.api import InferenceRequest
+    from repro.engine.session import ProgramSession
 
 _KERNEL_CACHE_EVENTS = REGISTRY.counter(
     "repro_kernel_cache_total",
@@ -228,87 +232,51 @@ class CompiledParticleRunner(ParticleVectorizer):
 
 
 def make_particle_runner(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    obs_trace: Optional[Sequence[tr.Message]] = None,
-    model_args: Tuple[object, ...] = (),
-    guide_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-    trim_site_scores: bool = False,
+    session: "ProgramSession", request: "InferenceRequest", trim_site_scores: bool = False
 ) -> ParticleVectorizer:
-    """Build the particle runner for one request, honouring the backend choice.
+    """Build the particle runner for one run of ``session``'s pair.
 
-    ``backend="compiled"`` resolves a compiled kernel (from the session's
-    cache when a session is given, else the module-level cache) and falls
-    back to the interpreter when the pair is outside the compiled fragment;
-    the fallback reason is exposed as ``runner.fallback_reason`` and
-    recorded on the session.
+    ``request`` supplies the run: its observations and host arguments, its
+    backend and its shard controls.  ``backend="compiled"`` takes the
+    session's compiled kernel and falls back to the interpreter when the
+    pair is outside the compiled fragment or a host argument carries a
+    distribution or closure; the fallback reason is exposed as
+    ``runner.fallback_reason`` and stamped on every run the runner makes.
 
-    ``workers``/``shards`` select the sharded scale-out layer
-    (:mod:`repro.engine.shard`): with more than one shard the returned
+    More than one shard (:meth:`InferenceRequest.resolved_shards`) selects
+    the sharded scale-out layer (:mod:`repro.engine.shard`): the returned
     runner splits each particle population into per-shard RNG streams and
-    distributes them over a persistent process pool.  The defaults
-    (``workers=1``, ``shards=None``) resolve to a single shard executed
-    in-process — bit-identical to the pre-sharding path.
+    distributes them over a persistent process pool.  One shard runs
+    in-process, bit-identical to the pre-sharding path.
     ``trim_site_scores=True`` lets runs drop the SVI-only per-site score
     ledgers (weights, traces, and observation scores are unaffected).
     """
-    validate_backend(backend)
-    from repro.engine.shard import ShardedParticleRunner, resolve_shards
+    if request.resolved_shards() > 1:
+        from repro.engine.shard import ShardedParticleRunner
 
-    num_shards = resolve_shards(workers, shards)
-    if num_shards > 1:
-        return ShardedParticleRunner(
-            model_program,
-            guide_program,
-            model_entry,
-            guide_entry,
-            obs_trace=obs_trace,
-            model_args=model_args,
-            guide_args=guide_args,
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
-            backend=backend,
-            session=session,
-            workers=workers,
-            shards=num_shards,
-            trim_site_scores=trim_site_scores,
-        )
-    kwargs = dict(
-        model_program=model_program,
-        guide_program=guide_program,
-        model_entry=model_entry,
-        guide_entry=guide_entry,
-        obs_trace=obs_trace,
-        model_args=model_args,
-        guide_args=guide_args,
-        latent_channel=latent_channel,
-        obs_channel=obs_channel,
+        return ShardedParticleRunner(session, request, trim_site_scores)
+    pair = dict(
+        model_program=session.model_program,
+        guide_program=session.guide_program,
+        model_entry=session.model_entry,
+        guide_entry=session.guide_entry,
+        obs_trace=request.resolved_obs_trace(),
+        model_args=request.model_args,
+        guide_args=request.guide_args,
+        latent_channel=session.latent_channel,
+        obs_channel=session.obs_channel,
     )
-    if backend == "compiled":
-        if session is not None:
-            kernel, reason = session.compiled_kernel()
-        else:
-            kernel, reason = kernel_for(
-                model_program, guide_program, model_entry, guide_entry,
-                latent_channel=latent_channel, obs_channel=obs_channel,
-            )
-        if kernel is not None and _holds_whole_values((*model_args, *guide_args)):
+    if request.backend == "compiled":
+        kernel, reason = session.compiled_kernel()
+        if kernel is not None and _holds_whole_values((*request.model_args, *request.guide_args)):
             kernel, reason = None, (
                 "compiled backend does not support first-class distribution "
                 "or function values passed as arguments"
             )
         if kernel is not None:
-            return CompiledParticleRunner(kernel, trim_site_scores=trim_site_scores, **kwargs)
+            return CompiledParticleRunner(kernel, trim_site_scores=trim_site_scores, **pair)
         record_compiled_fallback("unsupported-fragment")
-        runner = ParticleVectorizer(**kwargs)
+        runner = ParticleVectorizer(**pair)
         runner.fallback_reason = reason
         return runner
-    return ParticleVectorizer(**kwargs)
+    return ParticleVectorizer(**pair)

@@ -36,6 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InferenceError
+from repro.minipyro.infer.optim import SGD, Adam, Optimizer
 
 
 class Transform:
@@ -159,9 +160,27 @@ TRANSFORMS: Dict[str, Transform] = {
 def get_transform(name: str) -> Transform:
     try:
         return TRANSFORMS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown or unhashable name
         known = ", ".join(sorted(TRANSFORMS))
         raise InferenceError(f"unknown parameter constraint {name!r} (known: {known})")
+
+
+#: The optimisers an SVI request may name, shared with the compiled mini-Pyro
+#: runtime (:mod:`repro.minipyro.infer.optim`).
+OPTIMIZERS: Dict[str, type] = {"adam": Adam, "sgd": SGD}
+
+
+def get_optimizer(name: str) -> type:
+    try:
+        return OPTIMIZERS[name]
+    except (KeyError, TypeError):  # an unknown or unhashable name
+        known = ", ".join(sorted(OPTIMIZERS))
+        raise InferenceError(f"unknown optimizer {name!r} (known: {known})")
+
+
+def make_optimizer(name: str, learning_rate: float) -> Optimizer:
+    """Instantiate one of the shared parameter-store optimisers by name."""
+    return get_optimizer(name)(lr=learning_rate)
 
 
 @dataclass

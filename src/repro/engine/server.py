@@ -56,7 +56,6 @@ drives it at a configured offered rate.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import math
 import sys
@@ -69,16 +68,14 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.engine.api import (
     EngineResult,
     InferenceRequest,
+    admit_request,
     available_engines,
     coalescable,
-    require_count,
     require_flag,
-    require_real,
     run_engine,
     run_engine_batch,
 )
 from repro.engine.session import ProgramSession, cached_session, session_key
-from repro.engine.shard import resolve_shards
 from repro.engine.streaming import (
     CODE_SESSION_EXPIRED,
     CODE_SESSION_LIMIT,
@@ -150,9 +147,6 @@ _SERVER_WAVE_SIZE = REGISTRY.histogram(
     "Requests collected into one dispatch wave (bounded by max_batch).",
     buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
 )
-
-#: Fields a request payload may set on :class:`InferenceRequest`.
-REQUEST_FIELDS = frozenset(f.name for f in dataclasses.fields(InferenceRequest))
 
 #: Payload keys interpreted by the service itself (everything else under
 #: ``params`` must be an :class:`InferenceRequest` field).
@@ -505,8 +499,7 @@ class InferenceService:
                     "program is nested too deeply to parse or certify "
                     "(Python recursion limit exceeded)"
                 )
-            _REQUESTS.labels(status="error").inc()
-            return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)
+            return self.refuse(payload, exc)
         _SERVER_TENANT_REQUESTS.labels(tenant=pending.tenant).inc()
         # The stopping check precedes the not-started check: a submit racing
         # (or trailing) stop() gets a structured response, never an exception.
@@ -546,6 +539,17 @@ class InferenceService:
         _SERVER_QUEUE_DEPTH.set(self._queued)
         self._wake.set()
         return await pending.future
+
+    def refuse(self, payload: object, exc: Exception) -> Dict[str, object]:
+        """Count and answer one request refused before it was queued.
+
+        Admission refuses a payload no run could use; the TCP front-end
+        refuses a line that is no request at all (bad JSON, a non-object, an
+        unknown op, an over-long line).  Either way the answer is
+        ``invalid_request`` and the request counts once, as an error.
+        """
+        _REQUESTS.labels(status="error").inc()
+        return self._error_response(payload, exc, code=CODE_INVALID_REQUEST)
 
     def _shed(self, pending: _Pending, code: str, detail: str) -> Dict[str, object]:
         """Count and answer one request the server declined to run.
@@ -653,20 +657,8 @@ class InferenceService:
                 f"unknown engine {engine!r} (known: {', '.join(available_engines())})"
             )
         params = dict(payload.get("params") or {})
-        bad = sorted(set(params) - REQUEST_FIELDS)
-        if bad:
-            raise InferenceError(f"unknown InferenceRequest fields {bad}")
         force = require_flag(payload.get("force", False), "force")
-        for flag in ("rejuvenate", "rao_blackwellize"):
-            if flag in params:
-                require_flag(params[flag], flag)
-        params.setdefault("workers", self.workers)
-        resolve_shards(params["workers"], params.get("shards"))
-        if params["workers"] > self.workers:
-            raise InferenceError(
-                f"workers {params['workers']} exceeds the service's pool of "
-                f"{self.workers} worker(s)"
-            )
+        request = admit_request(params, self.workers)
         key = session_key(
             payload["model"],
             payload["guide"],
@@ -687,19 +679,6 @@ class InferenceService:
                 f"model/guide pair is not certified: {session.certification_reason} "
                 "(pass force: true to run anyway)"
             )
-        request = InferenceRequest(**params)
-        # Refuse bad execution controls and engine knobs here, before
-        # anything is queued, whatever the engine.  ``ess_threshold`` has no
-        # upper bound: above 1 it forces resampling at every step.
-        request.resolved_backend()
-        for name in ("num_particles", "num_steps", "num_chains"):
-            require_count(getattr(request, name), name)
-        require_count(request.burn_in, "burn_in", minimum=0)
-        if request.final_particles is not None:
-            require_count(request.final_particles, "final_particles")
-        require_real(request.ess_threshold, "ess_threshold")
-        for name in ("learning_rate", "score_epsilon"):
-            require_real(getattr(request, name), name, positive=True)
         sites = self._validate_sites(payload)
         return _Pending(
             payload=payload,
@@ -1123,20 +1102,20 @@ async def _handle_connection(
 
     async def handle_line(line: Optional[bytes]) -> None:
         if line is None:
-            await respond({"id": None, "ok": False, "code": CODE_INVALID_REQUEST,
-                           "error": f"request line exceeds {MAX_LINE_BYTES} bytes"})
+            refused = InferenceError(f"request line exceeds {MAX_LINE_BYTES} bytes")
+            await respond(service.refuse(None, refused))
             return
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            await respond({"id": None, "ok": False, "error": f"bad JSON: {exc}",
-                           "code": CODE_INVALID_REQUEST})
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            await respond(service.refuse(None, InferenceError(f"bad JSON: {exc}")))
             return
-        op = payload.get("op", "infer") if isinstance(payload, dict) else "infer"
         if not isinstance(payload, dict):
-            await respond({"id": None, "ok": False, "error": "request must be a JSON object",
-                           "code": CODE_INVALID_REQUEST})
-        elif op == "stats":
+            refused = InferenceError("request must be a JSON object")
+            await respond(service.refuse(payload, refused))
+            return
+        op = payload.get("op", "infer")
+        if op == "stats":
             from repro.engine.shard import pool_worker_pids
 
             await respond({"id": payload.get("id"), "ok": True,
@@ -1146,13 +1125,12 @@ async def _handle_connection(
         elif op == "metrics":
             await respond({"id": payload.get("id"), "ok": True,
                            "metrics": _json_safe(REGISTRY.snapshot())})
-        elif op == "infer" or op in SESSION_OPS:
+        elif op == "infer" or (isinstance(op, str) and op in SESSION_OPS):
             await respond(await service.submit(payload))
         else:
             known = ", ".join(["infer", "metrics", "stats"] + sorted(SESSION_OPS))
-            await respond({"id": payload.get("id"), "ok": False,
-                           "error": f"unknown op {op!r} (known: {known})",
-                           "code": CODE_INVALID_REQUEST})
+            refused = InferenceError(f"unknown op {op!r} (known: {known})")
+            await respond(service.refuse(payload, refused))
 
     cancelled = False
     first_line = True

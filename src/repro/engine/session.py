@@ -79,13 +79,6 @@ class ProgramSession:
         self._guide_guide_types = None
         #: ``(kernel, reason)`` memo, filled in lazily by :meth:`compiled_kernel`.
         self._kernel = None
-        #: Compiled-backend feature check, filled in lazily by
-        #: :meth:`compiled_kernel`: ``None`` until a compiled-backend request
-        #: arrives, then ``True``/``False``.
-        self.compiled_backend_supported: Optional[bool] = None
-        #: Why the compiled backend fell back to the interpreter (``None``
-        #: while undecided or when the pair compiles).
-        self.compiled_fallback_reason: Optional[str] = None
         self.check = None
         if typecheck:
             # check_model_guide_pair runs guide-type inference on both
@@ -150,9 +143,7 @@ class ProgramSession:
         """The pair's compiled batched kernel, compiled once and cached.
 
         Returns ``(kernel, None)`` when the pair is inside the compiled
-        fragment and ``(None, reason)`` otherwise; the decision is recorded
-        on :attr:`compiled_backend_supported` /
-        :attr:`compiled_fallback_reason`.
+        fragment and ``(None, reason)`` otherwise.
         """
         if self._kernel is None:
             from repro.engine.backend import kernel_for
@@ -165,9 +156,6 @@ class ProgramSession:
                 latent_channel=self.latent_channel,
                 obs_channel=self.obs_channel,
             )
-        kernel, reason = self._kernel
-        self.compiled_backend_supported = kernel is not None
-        self.compiled_fallback_reason = reason
         return self._kernel
 
     # -- serving ---------------------------------------------------------------

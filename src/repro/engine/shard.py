@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core import ast
 from repro.core.semantics import traces as tr
-from repro.engine.vectorize import VecMessage, VectorRunResult, _Leaf
+from repro.engine.vectorize import ParticleVectorizer, VecMessage, VectorRunResult, _Leaf
 from repro.errors import InferenceError
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, span
 from repro.obs import trace as obs_trace_mod
@@ -211,16 +211,35 @@ class ShardResult:
     trace_events: Optional[List[dict]] = None
 
 
+def _task_runner(task: ShardTask) -> ParticleVectorizer:
+    """The runner the parent resolved for a task, built from the task's own
+    fields: a worker holds no session, only its module-level kernel cache,
+    which stays warm across tasks, so a pair compiles at most once per
+    worker."""
+    from repro.engine.backend import CompiledParticleRunner, kernel_for
+
+    pair = dict(
+        model_program=task.model_program,
+        guide_program=task.guide_program,
+        model_entry=task.model_entry,
+        guide_entry=task.guide_entry,
+        obs_trace=task.obs_trace,
+        model_args=task.model_args,
+        guide_args=task.guide_args,
+        latent_channel=task.latent_channel,
+        obs_channel=task.obs_channel,
+    )
+    if task.backend == "compiled":
+        kernel, _ = kernel_for(
+            task.model_program, task.guide_program, task.model_entry, task.guide_entry,
+            latent_channel=task.latent_channel, obs_channel=task.obs_channel,
+        )
+        return CompiledParticleRunner(kernel, trim_site_scores=task.trim_site_scores, **pair)
+    return ParticleVectorizer(**pair)
+
+
 def run_shard_task(task: ShardTask) -> ShardResult:
-    """Execute one shard in the current process (worker entry point).
-
-    Builds a runner through the ordinary backend seam — the worker process
-    keeps its module-level compiled-kernel cache warm across tasks, so repeated
-    requests against the same model/guide pair compile at most once per
-    worker.
-    """
-    from repro.engine.backend import make_particle_runner
-
+    """Execute one shard in the current process (worker entry point)."""
     started = time.perf_counter()
     with span(
         "shard.run",
@@ -229,20 +248,7 @@ def run_shard_task(task: ShardTask) -> ShardResult:
         particles=task.count,
         backend=task.backend,
     ):
-        runner = make_particle_runner(
-            task.model_program,
-            task.guide_program,
-            task.model_entry,
-            task.guide_entry,
-            obs_trace=task.obs_trace,
-            model_args=task.model_args,
-            guide_args=task.guide_args,
-            latent_channel=task.latent_channel,
-            obs_channel=task.obs_channel,
-            backend=task.backend,
-            trim_site_scores=task.trim_site_scores,
-        )
-        run = runner.run(task.count, np.random.default_rng(task.seed))
+        run = _task_runner(task).run(task.count, np.random.default_rng(task.seed))
     leaves = run.leaves
     if task.trim_site_scores:
         leaves = [
@@ -630,67 +636,37 @@ class ShardedParticleRunner:
     shard.
     """
 
-    def __init__(
-        self,
-        model_program: ast.Program,
-        guide_program: ast.Program,
-        model_entry: str,
-        guide_entry: str,
-        obs_trace: Optional[Sequence[tr.Message]] = None,
-        model_args: Tuple[object, ...] = (),
-        guide_args: Tuple[object, ...] = (),
-        latent_channel: str = "latent",
-        obs_channel: str = "obs",
-        backend: str = "interp",
-        session=None,
-        workers: int = 1,
-        shards: int = 1,
-        trim_site_scores: bool = False,
-    ):
+    def __init__(self, session, request, trim_site_scores: bool = False):
         from repro.engine.backend import make_particle_runner
 
-        self.workers = max(1, int(workers))
-        self.num_shards = max(1, int(shards))
-        self.latent_channel = latent_channel
-        self.obs_channel = obs_channel
-        self.obs_trace = tuple(obs_trace) if obs_trace is not None else None
-        #: In-process runner: serves 1-shard runs (bit-identical legacy path)
-        #: and SVI group rescoring.
-        self.local = make_particle_runner(
-            model_program,
-            guide_program,
-            model_entry,
-            guide_entry,
-            obs_trace=obs_trace,
-            model_args=model_args,
-            guide_args=guide_args,
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
-            backend=backend,
-            session=session,
-            trim_site_scores=trim_site_scores,
-        )
+        self.workers = request.workers
+        self.num_shards = request.resolved_shards()
+        self.latent_channel = session.latent_channel
+        self.obs_channel = session.obs_channel
+        #: In-process runner: serves runs that do not shard (on the caller's
+        #: generator, bit-identical to the unsharded path) and SVI group
+        #: rescoring.
+        self.local = make_particle_runner(session, replace(request, shards=1), trim_site_scores)
+        self.obs_trace = self.local.obs_trace
         # Fallback state is resolved ONCE here, at construction, and frozen
-        # on the runner itself.  It used to be read through ``self.local`` on
-        # every access, which let concurrently-running requests observe a
-        # torn view (one thread seeing the compiled verdict while another
-        # still saw the pre-resolution default).  ``effective_backend`` is
-        # what every shard of every run of this runner executes.
-        self.requested_backend = backend
+        # on the runner itself, so concurrently running requests never see a
+        # torn view.  ``effective_backend`` is what every shard of every run
+        # of this runner executes.
+        self.requested_backend = request.backend
         self.fallback_reason: Optional[str] = self.local.fallback_reason
         self.effective_backend: str = (
-            backend if self.fallback_reason is None else "interp"
+            request.backend if self.fallback_reason is None else "interp"
         )
         self._task_template = ShardTask(
-            model_program=model_program,
-            guide_program=guide_program,
-            model_entry=model_entry,
-            guide_entry=guide_entry,
+            model_program=session.model_program,
+            guide_program=session.guide_program,
+            model_entry=session.model_entry,
+            guide_entry=session.guide_entry,
             obs_trace=self.obs_trace,
-            model_args=model_args,
-            guide_args=guide_args,
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
+            model_args=request.model_args,
+            guide_args=request.guide_args,
+            latent_channel=session.latent_channel,
+            obs_channel=session.obs_channel,
             # Freeze the *resolved* backend so workers never re-attempt a
             # compilation the parent already knows falls back.
             backend=self.effective_backend,

@@ -28,11 +28,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core import ast
 from repro.core.semantics import traces as tr
 from repro.engine.vectorize import VectorRunResult, weighted_site_mean
 from repro.errors import InferenceError
@@ -161,27 +160,11 @@ class SMCResult:
         return run.trace_for(int(self.src_idx[particle]))
 
 
-def smc(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    obs_trace: Sequence[tr.Message],
-    num_particles: int,
-    rng=None,
-    ess_threshold: float = 0.5,
-    rejuvenate: bool = True,
-    model_args: Tuple[object, ...] = (),
-    guide_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-) -> SMCResult:
-    """Run Sequential Monte Carlo with ``num_particles`` lockstep particles.
+def smc(session, request) -> SMCResult:
+    """Run Sequential Monte Carlo over ``request``'s observations.
 
+    ``request`` supplies the particle count, the seed, the tempering knobs
+    (``ess_threshold``, ``rejuvenate``) and the execution strategy.
     ``backend="compiled"`` draws every population (initial and rejuvenation
     proposals) through the compiled batched kernel when available; results are
     bitwise-identical to the interpretive backend under the same seed.
@@ -191,34 +174,18 @@ def smc(
     the parent on the exactly merged population, so sharding never changes
     what SMC computes.
     """
-    if num_particles <= 0:
-        raise InferenceError("num_particles must be positive")
-    if obs_trace is None or len(obs_trace) == 0:
+    if not request.resolved_obs_trace():
         raise InferenceError(
             "SMC requires a non-empty observation trace to anneal over; "
             "use importance sampling for unconditioned models"
         )
-    rng = ensure_rng(rng)
+    num_particles = request.num_particles
+    rng = ensure_rng(request.seed)
 
     from repro.engine.backend import make_particle_runner
 
-    vectorizer = make_particle_runner(
-        model_program,
-        guide_program,
-        model_entry,
-        guide_entry,
-        obs_trace=obs_trace,
-        model_args=model_args,
-        guide_args=guide_args,
-        latent_channel=latent_channel,
-        obs_channel=obs_channel,
-        backend=backend,
-        session=session,
-        workers=workers,
-        shards=shards,
-        # SMC consumes weights and observation scores, never site ledgers.
-        trim_site_scores=True,
-    )
+    # SMC consumes weights and observation scores, never site ledgers.
+    vectorizer = make_particle_runner(session, request, trim_site_scores=True)
 
     def fresh_population() -> Tuple[VectorRunResult, np.ndarray, np.ndarray, np.ndarray]:
         sample_started = time.perf_counter()
@@ -277,7 +244,7 @@ def smc(
         ess_history.append(ess)
         _SMC_ESS.observe(ess)
 
-        if ess < ess_threshold * num_particles:
+        if ess < request.ess_threshold * num_particles:
             resample_steps.append(t)
             _SMC_RESAMPLES.inc()
             resample_started = time.perf_counter()
@@ -293,7 +260,7 @@ def smc(
                 time.perf_counter() - resample_started
             )
 
-            if rejuvenate:
+            if request.rejuvenate:
                 rejuvenate_started = time.perf_counter()
                 with span("smc.rejuvenate", particles=num_particles, step=t):
                     proposal_run, prop_prior, prop_guide, prop_scores = fresh_population()

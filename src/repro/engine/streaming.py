@@ -49,22 +49,20 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core import types as ty
 from repro.dists.base import GUARDS
 from repro.engine.api import (
     EngineResult,
     InferenceRequest,
+    admit_request,
     require_count,
     require_flag,
-    require_real,
     run_engine,
     wire_float,
 )
-from repro.engine.backend import validate_backend
 from repro.engine.session import ProgramSession
-from repro.engine.shard import resolve_shards
 from repro.errors import InferenceError, ReproError, TraceExhausted
 from repro.obs import REGISTRY
 from repro.utils.lru import LruCache
@@ -116,19 +114,18 @@ _CHECKPOINT_BYTES = REGISTRY.histogram(
     buckets=(256, 1024, 4096, 16384, 65536, 262144, 1048576),
 )
 
-#: ``params`` keys a ``session.open`` payload may set.
-OPEN_PARAM_FIELDS = frozenset(
-    {
-        "num_particles",
-        "seed",
-        "backend",
-        "shards",
-        "workers",
-        "ess_threshold",
-        "rejuvenate",
-        "model_args",
-        "guide_args",
-    }
+#: ``params`` keys a ``session.open`` payload may set: the run fields a
+#: session pins, in the order its checkpoint's ``config`` writes them.
+OPEN_PARAM_FIELDS = (
+    "num_particles",
+    "seed",
+    "backend",
+    "shards",
+    "workers",
+    "ess_threshold",
+    "rejuvenate",
+    "model_args",
+    "guide_args",
 )
 
 
@@ -156,22 +153,33 @@ class StreamingConfig:
     #: Re-unroll a growable family (:data:`STREAMING_FAMILIES`) to the
     #: journal length on every push instead of running fixed sources.
     grow: bool = False
-    num_particles: int = 1000
-    #: The pinned integer seed: together with the journal it *is* the
-    #: session state (replay-from-seed determinism).
-    seed: int = 0
-    backend: str = "interp"
-    shards: Optional[int] = None
-    workers: int = 1
-    ess_threshold: float = 0.5
-    rejuvenate: bool = True
-    model_args: Tuple[object, ...] = ()
-    guide_args: Tuple[object, ...] = ()
+    #: The run ``session.open`` admitted, with its seed pinned: together with
+    #: the journal it *is* the session state (replay-from-seed determinism).
+    #: Every replay replaces its ``obs_values`` with the journal.
+    request: InferenceRequest = field(default_factory=InferenceRequest)
     #: Run even if the pair is not certified (mirrors the one-shot wire flag).
     force: bool = False
     #: Hard cap on journal length (pushes beyond it fail with
     #: ``session_limit``); bounds both replay cost and checkpoint size.
     max_steps: int = 256
+
+    def to_dict(self) -> Dict[str, object]:
+        """The checkpoint's ``config`` object: each field in order, with the
+        request written as its :data:`OPEN_PARAM_FIELDS`."""
+        out: Dict[str, object] = {}
+        for name in (f.name for f in dataclasses.fields(self)):
+            if name == "request":
+                out.update((key, getattr(self.request, key)) for key in OPEN_PARAM_FIELDS)
+            else:
+                out[name] = getattr(self, name)
+        return out
+
+    @classmethod
+    def from_dict(cls, raw: Dict[str, object]) -> "StreamingConfig":
+        """Rebuild a config from its checkpoint form (:meth:`to_dict`)."""
+        raw = dict(raw)
+        run = {key: raw.pop(key) for key in OPEN_PARAM_FIELDS if key in raw}
+        return cls(request=InferenceRequest(**run), **raw)
 
     @classmethod
     def from_payload(
@@ -180,100 +188,68 @@ class StreamingConfig:
         """Build and validate a config from a ``session.open`` payload.
 
         ``default_workers`` is the service's pool size: the worker count a
-        payload gets by default, and the most it may ask for.
+        payload gets by default, and the most it may ask for.  The run
+        fields pass the one-shot admission's screen
+        (:func:`~repro.engine.api.admit_request`) before any session exists.
         """
         from repro.models import STREAMING_FAMILIES, get_benchmark
 
         params = dict(payload.get("params") or {})
-        bad = sorted(set(params) - OPEN_PARAM_FIELDS)
-        if bad:
-            raise StreamingError(
-                "invalid_request", f"unknown session.open params {bad}"
-            )
-        try:
-            # The screens one-shot admission uses, before any session exists.
-            grow = require_flag(payload.get("grow", False), "grow")
-            force = require_flag(payload.get("force", False), "force")
-            rejuvenate = require_flag(params.get("rejuvenate", True), "rejuvenate")
-            num_particles = require_count(params.get("num_particles", 1000), "num_particles")
-            max_steps = require_count(payload.get("max_steps", 256), "max_steps")
-            ess_threshold = require_real(params.get("ess_threshold", 0.5), "ess_threshold")
-            workers = params.get("workers", default_workers)
-            resolve_shards(workers, params.get("shards"))
-            backend = validate_backend(params.get("backend", "interp"))
-        except InferenceError as exc:
-            raise StreamingError("invalid_request", f"bad session.open params: {exc}") from exc
         benchmark = payload.get("benchmark")
         model = payload.get("model")
         guide = payload.get("guide")
-        if grow:
-            if not isinstance(benchmark, str) or benchmark not in STREAMING_FAMILIES:
-                known = ", ".join(sorted(STREAMING_FAMILIES))
-                raise StreamingError(
-                    "invalid_request",
-                    f"grow: true needs a growable benchmark (known: {known})",
+        try:
+            grow = require_flag(payload.get("grow", False), "grow")
+            force = require_flag(payload.get("force", False), "force")
+            max_steps = require_count(payload.get("max_steps", 256), "max_steps")
+            if grow:
+                if not isinstance(benchmark, str) or benchmark not in STREAMING_FAMILIES:
+                    known = ", ".join(sorted(STREAMING_FAMILIES))
+                    raise InferenceError(f"grow: true needs a growable benchmark (known: {known})")
+                if model is not None or guide is not None:
+                    raise InferenceError(
+                        "growable sessions take benchmark:, not model:/guide: sources"
+                    )
+            elif isinstance(benchmark, str):
+                try:
+                    bench = get_benchmark(benchmark)
+                except KeyError:
+                    raise InferenceError(f"unknown benchmark {benchmark!r}")
+                model, guide = bench.model_source, bench.guide_source
+                if params.get("model_args") is None and bench.model_args:
+                    params["model_args"] = list(bench.model_args)
+                if params.get("guide_args") is None and bench.guide_param_inits:
+                    params["guide_args"] = list(bench.guide_param_inits.values())
+            if not grow and (not isinstance(model, str) or not isinstance(guide, str)):
+                raise InferenceError(
+                    "session.open needs model/guide source text, a benchmark name, "
+                    "or grow: true with a growable benchmark"
                 )
-            if model is not None or guide is not None:
-                raise StreamingError(
-                    "invalid_request",
-                    "growable sessions take benchmark:, not model:/guide: sources",
-                )
-        elif isinstance(benchmark, str):
-            try:
-                bench = get_benchmark(benchmark)
-            except KeyError:
-                raise StreamingError(
-                    "invalid_request", f"unknown benchmark {benchmark!r}"
-                )
-            model, guide = bench.model_source, bench.guide_source
-            if params.get("model_args") is None and bench.model_args:
-                params["model_args"] = list(bench.model_args)
-            if params.get("guide_args") is None and bench.guide_param_inits:
-                params["guide_args"] = list(bench.guide_param_inits.values())
-        if not grow and (not isinstance(model, str) or not isinstance(guide, str)):
-            raise StreamingError(
-                "invalid_request",
-                "session.open needs model/guide source text, a benchmark name, "
-                "or grow: true with a growable benchmark",
-            )
-        seed = params.get("seed")
-        if seed is None:
-            seed = int.from_bytes(os.urandom(4), "big")
-        if isinstance(seed, bool) or not isinstance(seed, int):
+            for key in ("model_args", "guide_args", "seed"):
+                if key in params and params[key] is None:
+                    del params[key]  # null asks for the default
+            # The seed is journaled: a session without one draws it here.
+            params.setdefault("seed", int.from_bytes(os.urandom(4), "big"))
+            request = admit_request(params, default_workers, OPEN_PARAM_FIELDS)
+        except InferenceError as exc:
+            raise StreamingError("invalid_request", f"bad session.open: {exc}") from exc
+        if not isinstance(request.seed, int):
             raise StreamingError(
                 "invalid_request", "session seed must be an integer (it is journaled)"
             )
-        try:
-            config = cls(
-                model_source=model if not grow else None,
-                guide_source=guide if not grow else None,
-                model_entry=payload.get("model_entry"),
-                guide_entry=payload.get("guide_entry"),
-                latent_channel=payload.get("latent_channel", "latent"),
-                obs_channel=payload.get("obs_channel", "obs"),
-                benchmark=benchmark if isinstance(benchmark, str) else None,
-                grow=grow,
-                num_particles=num_particles,
-                seed=seed,
-                backend=backend,
-                shards=params.get("shards"),
-                workers=workers,
-                ess_threshold=ess_threshold,
-                rejuvenate=rejuvenate,
-                model_args=tuple(params.get("model_args") or ()),
-                guide_args=tuple(params.get("guide_args") or ()),
-                force=force,
-                max_steps=max_steps,
-            )
-        except (TypeError, ValueError) as exc:
-            raise StreamingError("invalid_request", f"bad session.open params: {exc}") from exc
-        if config.workers > default_workers:
-            raise StreamingError(
-                "invalid_request",
-                f"workers {config.workers} exceeds the service's pool of "
-                f"{default_workers} worker(s)",
-            )
-        return config
+        return cls(
+            model_source=model if not grow else None,
+            guide_source=guide if not grow else None,
+            model_entry=payload.get("model_entry"),
+            guide_entry=payload.get("guide_entry"),
+            latent_channel=payload.get("latent_channel", "latent"),
+            obs_channel=payload.get("obs_channel", "obs"),
+            benchmark=benchmark if isinstance(benchmark, str) else None,
+            grow=grow,
+            request=request,
+            force=force,
+            max_steps=max_steps,
+        )
 
 
 class StreamingSession:
@@ -339,20 +315,8 @@ class StreamingSession:
         """
         if not journal:
             return None
-        config = self.config
         session = self._program_session(len(journal))
-        request = InferenceRequest(
-            num_particles=config.num_particles,
-            workers=config.workers,
-            shards=config.shards,
-            backend=config.backend,
-            obs_values=list(journal),
-            seed=config.seed,
-            model_args=config.model_args,
-            guide_args=config.guide_args,
-            ess_threshold=config.ess_threshold,
-            rejuvenate=config.rejuvenate,
-        )
+        request = dataclasses.replace(self.config.request, obs_values=list(journal))
         try:
             return run_engine("smc", session, request)
         except TraceExhausted:
@@ -440,9 +404,9 @@ class StreamingSession:
             "version": CHECKPOINT_VERSION,
             "session_id": self.session_id,
             "tenant": self.tenant,
-            "seed": self.config.seed,
+            "seed": self.config.request.seed,
             "journal": list(self.journal),
-            "config": dataclasses.asdict(self.config),
+            "config": self.config.to_dict(),
             "status": self.status,
             "steps_applied": self.steps_applied,
             "created_wall": self.created_wall,
@@ -470,11 +434,7 @@ class StreamingSession:
         body = {k: v for k, v in data.items() if k != "digest"}
         if expected != _digest(body):
             raise StreamingError("invalid_request", "checkpoint digest mismatch")
-        raw_config = dict(data["config"])
-        raw_config["model_args"] = tuple(raw_config.get("model_args") or ())
-        raw_config["guide_args"] = tuple(raw_config.get("guide_args") or ())
-        raw_config["shards"] = raw_config.get("shards")
-        config = StreamingConfig(**raw_config)
+        config = StreamingConfig.from_dict(data["config"])
         session = cls(str(data["session_id"]), str(data["tenant"]), config)
         journal = [float(v) for v in data["journal"]]
         session.created_wall = float(data["created_wall"])
@@ -588,7 +548,7 @@ class SessionManager:
                 "session_id": session_id,
                 "status": session.status,
                 "steps": 0,
-                "seed": config.seed,
+                "seed": config.request.seed,
                 "grow": config.grow,
             }
 

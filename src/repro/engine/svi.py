@@ -39,24 +39,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import ast
-from repro.core.semantics import traces as tr
 from repro.engine.api import (
     EngineResult,
     InferenceEngine,
     InferenceRequest,
     register_engine,
 )
-from repro.engine.params import ParamStore, store_from_inits
+from repro.engine.params import ParamStore, make_optimizer, store_from_inits
 from repro.engine.vectorize import ParticleVectorizer, vectorized_importance
 from repro.errors import ChannelProtocolError, EvaluationError, InferenceError
 from repro.inference.vi import ELBOEstimate
-from repro.minipyro.infer.optim import Adam, Optimizer, SGD
+from repro.minipyro.infer.optim import Optimizer
 from repro.obs import REGISTRY, span
 from repro.utils.rng import ensure_rng
 
@@ -74,15 +73,6 @@ _SVI_STEPS = REGISTRY.counter(
 )
 
 
-def make_optimizer(name: str, learning_rate: float) -> Optimizer:
-    """Instantiate one of the shared parameter-store optimisers by name."""
-    if name == "adam":
-        return Adam(lr=learning_rate)
-    if name == "sgd":
-        return SGD(lr=learning_rate)
-    raise InferenceError(f"unknown optimizer {name!r} (known: adam, sgd)")
-
-
 def guide_entry_params(guide_program: ast.Program, guide_entry: str) -> Tuple[str, ...]:
     """The guide entry procedure's parameter names, in declaration order."""
     return tuple(guide_program.procedure(guide_entry).params)
@@ -93,51 +83,19 @@ def guide_entry_params(guide_program: ast.Program, guide_entry: str) -> Tuple[st
 # ---------------------------------------------------------------------------
 
 
-def estimate_elbo_batched(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    obs_trace: Optional[Sequence[tr.Message]],
-    num_particles: int,
-    rng=None,
-    model_args: Tuple[object, ...] = (),
-    guide_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-) -> ELBOEstimate:
-    """Monte-Carlo ELBO with all particles drawn in one lockstep pass.
+def estimate_elbo_batched(session, request: InferenceRequest) -> ELBOEstimate:
+    """Monte-Carlo ELBO with all of ``request``'s particles drawn in one lockstep pass.
 
     Estimator-identical to :func:`repro.inference.vi.estimate_elbo` (same
     per-particle terms, ``-inf`` as soon as any particle leaves the model's
-    support); only the execution strategy differs.  ``backend="compiled"``
-    draws the batch through the compiled kernel when the pair supports it, and
-    ``workers``/``shards`` distribute the batch over the sharded layer.
+    support); only the execution strategy differs, as the request's backend
+    and shard controls select it.
     """
     from repro.engine.backend import make_particle_runner
 
-    vectorizer = make_particle_runner(
-        model_program,
-        guide_program,
-        model_entry,
-        guide_entry,
-        obs_trace=obs_trace,
-        model_args=model_args,
-        guide_args=guide_args,
-        latent_channel=latent_channel,
-        obs_channel=obs_channel,
-        backend=backend,
-        session=session,
-        workers=workers,
-        shards=shards,
-        # The ELBO needs only the per-particle weight terms.
-        trim_site_scores=True,
-    )
-    run = vectorizer.run(num_particles, ensure_rng(rng))
+    # The ELBO needs only the per-particle weight terms.
+    vectorizer = make_particle_runner(session, request, trim_site_scores=True)
+    run = vectorizer.run(request.num_particles, ensure_rng(request.seed))
     terms = run.log_weights()
     value = float(np.mean(terms)) if bool(np.all(np.isfinite(terms))) else -math.inf
     return ELBOEstimate(value=value, particle_terms=tuple(float(t) for t in terms))
@@ -171,23 +129,7 @@ class ScoreGradient:
 
 
 def elbo_and_score_gradient(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    store: ParamStore,
-    obs_trace: Optional[Sequence[tr.Message]],
-    num_particles: int,
-    rng=None,
-    model_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    rao_blackwellize: bool = False,
-    score_epsilon: float = DEFAULT_SCORE_EPSILON,
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
+    session, request: InferenceRequest, store: ParamStore, rng=None
 ) -> ScoreGradient:
     """Estimate the ELBO and its score-function gradient in one batch.
 
@@ -208,39 +150,30 @@ def elbo_and_score_gradient(
     arm change, which is the correct (if large) sensitivity at such a
     boundary but makes gradients near branch thresholds high-variance.
     """
-    rng = ensure_rng(rng)
-    param_names = guide_entry_params(guide_program, guide_entry)
+    rng = ensure_rng(request.seed) if rng is None else rng
+    num_particles = request.num_particles
+    param_names = guide_entry_params(session.guide_program, session.guide_entry)
 
     from repro.engine.backend import make_particle_runner
 
-    def vectorizer_at(at: ParamStore, at_shards: Optional[int] = 1) -> ParticleVectorizer:
+    def vectorizer_at(at: ParamStore, **changes) -> ParticleVectorizer:
         # The sampling pass honours the shard choice.  The ±ε *rescoring*
-        # passes run in-process (rescore_group is replay machinery that
-        # consumes no randomness, so there is nothing to shard); under
-        # ``backend="compiled"`` they replay through the compiled rescore
-        # pass, which is bitwise-identical to the interpretive replay.
+        # passes run in-process on one shard (rescore_group is replay
+        # machinery that consumes no randomness, so there is nothing to
+        # shard); under ``backend="compiled"`` they replay through the
+        # compiled rescore pass, which is bitwise-identical to the
+        # interpretive replay.
         return make_particle_runner(
-            model_program,
-            guide_program,
-            model_entry,
-            guide_entry,
-            obs_trace=obs_trace,
-            model_args=model_args,
-            guide_args=at.guide_args(param_names),
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
-            backend=backend,
-            session=session,
-            workers=workers,
-            shards=at_shards,
+            session,
+            replace(request, guide_args=at.guide_args(param_names), **changes),
             # The guide-side ledgers feed Rao-Blackwellized signals only;
             # without them the gradient uses whole-trace rescores.
-            trim_site_scores=not rao_blackwellize,
+            trim_site_scores=not request.rao_blackwellize,
         )
 
     sample_started = time.perf_counter()
     with span("svi.sample", particles=num_particles):
-        run = vectorizer_at(store, shards).run(num_particles, rng)
+        run = vectorizer_at(store).run(num_particles, rng)
     _SVI_PHASE_SECONDS.labels(phase="sample").observe(
         time.perf_counter() - sample_started
     )
@@ -265,12 +198,12 @@ def elbo_and_score_gradient(
     baseline[finite] = (total - f[finite]) / (num_finite - 1)
 
     num_dropped = 0
-    eps = float(score_epsilon)
+    eps = float(request.score_epsilon)
     rescore_started = time.perf_counter()
     with span("svi.rescore", particles=num_particles):
         for name, index in store.coordinates():
-            plus = vectorizer_at(store.perturbed(name, index, +eps))
-            minus = vectorizer_at(store.perturbed(name, index, -eps))
+            plus = vectorizer_at(store.perturbed(name, index, +eps), shards=1)
+            minus = vectorizer_at(store.perturbed(name, index, -eps), shards=1)
             contrib = np.zeros(f.size)
             valid = finite.copy()
             with np.errstate(invalid="ignore"):
@@ -285,11 +218,11 @@ def elbo_and_score_gradient(
                         # contributes nothing to this coordinate's gradient.
                         valid[leaf.indices] = False
                         continue
-                    if rao_blackwellize:
+                    if request.rao_blackwellize:
                         leaf_contrib, leaf_valid = _rao_blackwell_contrib(
                             leaf, res_plus, res_minus,
                             f[leaf.indices], baseline[leaf.indices],
-                            eps, latent_channel,
+                            eps, session.latent_channel,
                         )
                     else:
                         scores = (
@@ -388,70 +321,42 @@ class VectorizedSVIResult:
 
 
 def fit_svi(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
+    session,
+    request: InferenceRequest,
     store: ParamStore,
-    obs_trace: Optional[Sequence[tr.Message]],
-    num_steps: int,
-    num_particles: int = 64,
     optimizer: Optional[Optimizer] = None,
     rng=None,
-    model_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    rao_blackwellize: bool = False,
-    score_epsilon: float = DEFAULT_SCORE_EPSILON,
     grad_clip_norm: Optional[float] = 10.0,
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
 ) -> VectorizedSVIResult:
     """Maximise the ELBO with batched score-function gradient ascent.
 
-    The ``store`` is updated in place (and also returned inside the result);
-    constraints are enforced by its transforms, so no projection/clamping
-    happens between steps.  Steps whose batch has fewer than two in-support
-    particles leave the parameters untouched — stepping on a gradient
-    estimated from nothing (the failure mode of the old finite-difference
-    path) is never an improvement.
+    Takes ``request.num_steps`` steps of ``request.num_particles`` particles
+    each, drawn from ``rng`` (default: the request's seed), with
+    ``optimizer`` (default: the request's ``optimizer`` at its
+    ``learning_rate``).  An empty store has nothing to fit: it takes no
+    steps and draws nothing.  The ``store`` is updated in place (and also
+    returned inside the result); constraints are enforced by its
+    transforms, so no projection/clamping happens between steps.  Steps
+    whose batch has fewer than two in-support particles leave the
+    parameters untouched — stepping on a gradient estimated from nothing
+    (the failure mode of the old finite-difference path) is never an
+    improvement.
     """
-    if num_steps < 0:
-        raise InferenceError("num_steps must be non-negative")
+    num_particles = request.num_particles
     if num_particles <= 1:
         raise InferenceError("vectorized SVI needs at least 2 particles per step")
-    rng = ensure_rng(rng)
-    optimizer = optimizer if optimizer is not None else Adam(lr=0.05)
+    rng = ensure_rng(request.seed) if rng is None else rng
+    if optimizer is None:
+        optimizer = make_optimizer(request.optimizer, request.learning_rate)
     result = VectorizedSVIResult(store=store)
 
-    for _ in range(num_steps):
+    for _ in range(request.num_steps if store.size else 0):
         _SVI_STEPS.inc()
-        estimate = elbo_and_score_gradient(
-            model_program,
-            guide_program,
-            model_entry,
-            guide_entry,
-            store,
-            obs_trace,
-            num_particles,
-            rng=rng,
-            model_args=model_args,
-            latent_channel=latent_channel,
-            obs_channel=obs_channel,
-            rao_blackwellize=rao_blackwellize,
-            score_epsilon=score_epsilon,
-            backend=backend,
-            session=session,
-            workers=workers,
-            shards=shards,
-        )
+        estimate = elbo_and_score_gradient(session, request, store, rng)
         result.elbo_history.append(estimate.finite_mean)
         result.num_infinite_history.append(estimate.num_infinite)
 
-        num_finite = num_particles - estimate.num_infinite
-        if store.size == 0 or num_finite < 2:
+        if num_particles - estimate.num_infinite < 2:
             result.grad_norm_history.append(0.0)
             result.param_history.append(store.constrained_values())
             continue
@@ -474,18 +379,19 @@ def fit_svi(
 # ---------------------------------------------------------------------------
 
 
-def _final_particle_count(request: InferenceRequest) -> int:
-    """Particles for the posterior pass (defaults to the fit batch size)."""
-    if request.final_particles is None:
-        return request.num_particles
-    if request.final_particles <= 0:
-        raise InferenceError("final_particles must be positive")
-    return request.final_particles
+def _final_pass(session, request: InferenceRequest, store: ParamStore) -> InferenceRequest:
+    """The posterior pass through the fitted guide: ``final_particles``
+    particles (default: the fit's batch size) at the fitted guide arguments
+    (the request's own when nothing was fitted)."""
+    param_names = guide_entry_params(session.guide_program, session.guide_entry)
+    return replace(
+        request,
+        num_particles=request.final_particles or request.num_particles,
+        guide_args=store.guide_args(param_names) if store.size else request.guide_args,
+    )
 
 
-def _store_from_request(
-    guide_program: ast.Program, guide_entry: str, request: InferenceRequest
-) -> ParamStore:
+def _store_from_request(session, request: InferenceRequest) -> ParamStore:
     """Build the variational parameter store an inference request describes.
 
     ``request.guide_params`` maps guide procedure parameters to constrained
@@ -497,7 +403,7 @@ def _store_from_request(
     if not request.guide_params:
         return ParamStore()
     store = store_from_inits(request.guide_params, request.param_constraints)
-    param_names = guide_entry_params(guide_program, guide_entry)
+    param_names = guide_entry_params(session.guide_program, session.guide_entry)
     missing = [p for p in param_names if p not in store]
     extra = sorted(set(store.names()) - set(param_names))
     if missing or extra:
@@ -564,45 +470,9 @@ class VectorizedSVIEngine(InferenceEngine):
     def run(self, session, request: InferenceRequest) -> EngineResult:
         """Fit the guide's parameters, then answer queries through the fit."""
         rng = ensure_rng(request.seed)
-        store = _store_from_request(session.guide_program, session.guide_entry, request)
-        param_names = guide_entry_params(session.guide_program, session.guide_entry)
-        obs_trace = request.resolved_obs_trace()
-
-        fit = fit_svi(
-            session.model_program,
-            session.guide_program,
-            session.model_entry,
-            session.guide_entry,
-            store,
-            obs_trace,
-            num_steps=request.num_steps if store.size else 0,
-            num_particles=request.num_particles,
-            optimizer=make_optimizer(request.optimizer, request.learning_rate),
-            rng=rng,
-            model_args=request.model_args,
-            latent_channel=session.latent_channel,
-            obs_channel=session.obs_channel,
-            rao_blackwellize=request.rao_blackwellize,
-            score_epsilon=request.score_epsilon,
-            session=session,
-            **request.runner_options(),
-        )
-        final_args = store.guide_args(param_names) if store.size else request.guide_args
-        importance = vectorized_importance(
-            session.model_program,
-            session.guide_program,
-            session.model_entry,
-            session.guide_entry,
-            obs_trace=obs_trace,
-            num_particles=_final_particle_count(request),
-            rng=rng,
-            model_args=request.model_args,
-            guide_args=final_args,
-            latent_channel=session.latent_channel,
-            obs_channel=session.obs_channel,
-            session=session,
-            **request.runner_options(),
-        )
+        store = _store_from_request(session, request)
+        fit = fit_svi(session, request, store, rng=rng)
+        importance = vectorized_importance(session, _final_pass(session, request, store), rng)
         return SVIEngineResult(fit, importance, self.name)
 
 
@@ -623,7 +493,7 @@ class FiniteDifferenceSVIEngine(InferenceEngine):
                 "the vectorized 'svi' engine; finite differences have none"
             )
         rng = ensure_rng(request.seed)
-        store = _store_from_request(session.guide_program, session.guide_entry, request)
+        store = _store_from_request(session, request)
         param_names = guide_entry_params(session.guide_program, session.guide_entry)
         obs_trace = request.resolved_obs_trace()
 
@@ -651,17 +521,17 @@ class FiniteDifferenceSVIEngine(InferenceEngine):
             )
             store.load_vector(fit.theta)
 
-        final_args = store.guide_args(param_names) if store.size else request.guide_args
+        final = _final_pass(session, request, store)
         importance = importance_sampling(
             session.model_program,
             session.guide_program,
             session.model_entry,
             session.guide_entry,
             obs_trace=obs_trace,
-            num_samples=_final_particle_count(request),
+            num_samples=final.num_particles,
             rng=rng,
             model_args=request.model_args,
-            guide_args=final_args,
+            guide_args=final.guide_args,
             latent_channel=session.latent_channel,
             obs_channel=session.obs_channel,
         )

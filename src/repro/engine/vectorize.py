@@ -1411,52 +1411,28 @@ class VectorizedISResult:
         return ImportanceResult(samples)
 
 
-def vectorized_importance(
-    model_program: ast.Program,
-    guide_program: ast.Program,
-    model_entry: str,
-    guide_entry: str,
-    obs_trace: Optional[Sequence[tr.Message]],
-    num_particles: int,
-    rng=None,
-    model_args: Tuple[object, ...] = (),
-    guide_args: Tuple[object, ...] = (),
-    latent_channel: str = "latent",
-    obs_channel: str = "obs",
-    backend: str = "interp",
-    session=None,
-    workers: int = 1,
-    shards: Optional[int] = None,
-) -> VectorizedISResult:
-    """Importance sampling with all particles executed in lockstep.
+def importance_runner(session, request) -> ParticleVectorizer:
+    """The particle runner of one importance-sampling run of ``request``.
 
-    The estimator is identical to :func:`repro.inference.importance_sampling`
-    (same proposal, same weights); only the execution strategy differs.
-    ``backend="compiled"`` runs the compiled batched kernel when the pair is in
-    the compiled fragment (bitwise-identical results, lower dispatch cost);
-    ``workers``/``shards`` distribute the population over the sharded
-    execution layer (:mod:`repro.engine.shard`).
+    IS never reads the per-site score ledgers, so its runs keep them off the
+    wire.
     """
     from repro.engine.backend import make_particle_runner
 
-    vectorizer = make_particle_runner(
-        model_program,
-        guide_program,
-        model_entry,
-        guide_entry,
-        obs_trace=obs_trace,
-        model_args=model_args,
-        guide_args=guide_args,
-        latent_channel=latent_channel,
-        obs_channel=obs_channel,
-        backend=backend,
-        session=session,
-        workers=workers,
-        shards=shards,
-        # IS never reads the per-site score ledgers; keep them off the wire.
-        trim_site_scores=True,
-    )
-    return importance_result(vectorizer.run(num_particles, rng))
+    return make_particle_runner(session, request, trim_site_scores=True)
+
+
+def vectorized_importance(session, request, rng=None) -> VectorizedISResult:
+    """Importance sampling with all particles executed in lockstep.
+
+    The estimator is identical to :func:`repro.inference.importance_sampling`
+    (same proposal, same weights); only the execution strategy differs, as
+    ``request``'s backend and shard controls select it.  The particles draw
+    from ``rng`` when given (a caller feeding several passes from one
+    generator), else from the request's seed.
+    """
+    rng = ensure_rng(request.seed) if rng is None else rng
+    return importance_result(importance_runner(session, request).run(request.num_particles, rng))
 
 
 def importance_result(run: VectorRunResult) -> VectorizedISResult:

@@ -262,7 +262,8 @@ def _run_oracles(case: FuzzCase, config: FuzzConfig, report: CaseReport) -> None
         )
         if compiled is None:
             continue
-        label = "backend-parity" if session.compiled_backend_supported else "backend-fallback-parity"
+        fallback = compiled.diagnostics().get("fallback_reason")
+        label = "backend-fallback-parity" if fallback else "backend-parity"
         report.checks[f"{label}/compiled/shards={shards}"] = True
         detail = bitwise_mismatch(interp, compiled, num_sites)
         if detail:

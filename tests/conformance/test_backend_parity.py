@@ -50,6 +50,7 @@ from repro.fuzz.generator import synthesize_family
 from repro.fuzz.oracles import default_obs_values
 from repro.models import all_benchmarks, get_benchmark
 from repro.obs import REGISTRY
+from tests.conftest import session_request
 
 #: Guide arguments for benchmarks whose guides take per-run parameters.
 GUIDE_ARGS = {"outliers": (True,)}
@@ -81,8 +82,8 @@ def _runner_common(bench, obs):
 def _pair_of_runs(bench, obs, seed):
     """(interp, compiled) runs under common random numbers."""
     common = _runner_common(bench, obs)
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
+    interp = make_particle_runner(*session_request(backend="interp", **common))
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     assert isinstance(compiled, CompiledParticleRunner)
     return (
         interp.run(NUM_PARTICLES, np.random.default_rng(seed)),
@@ -172,8 +173,7 @@ def test_engines_identical_across_backends(name, engine, kwargs):
     assert interp.log_evidence() == compiled.log_evidence()
     assert interp.effective_sample_size() == compiled.effective_sample_size()
     assert compiled.diagnostics().get("backend") == "compiled"
-    assert session.compiled_backend_supported is True
-    assert session.compiled_fallback_reason is None
+    assert session.compiled_kernel()[1] is None
 
 
 @pytest.mark.parametrize(
@@ -213,8 +213,8 @@ def test_mega_rescore_bitwise_matches_interp_replay(bench):
     consume — against the interpretive ``rescore_group``."""
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     common = _runner_common(bench, obs)
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
+    interp = make_particle_runner(*session_request(backend="interp", **common))
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     run = compiled.run(200, np.random.default_rng(11))
     assert run.backend == "compiled"
     for leaf in run.leaves:
@@ -236,8 +236,8 @@ def test_mega_rescore_delegates_unstamped_leaves():
     bench = get_benchmark("switching")
     obs = tuple(tr.ValP(v) for v in bench.obs_values)
     common = _runner_common(bench, obs)
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
+    interp = make_particle_runner(*session_request(backend="interp", **common))
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     run = interp.run(100, np.random.default_rng(2))  # interp leaves: no stamps
     mark = REGISTRY.mark()
     for leaf in run.leaves:
@@ -255,18 +255,15 @@ def test_recursive_models_fall_back_with_reason(bench):
         bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry
     )
     assert reason is not None and "recursive" in reason
-    runner = make_particle_runner(
-        model_program=bench.model_program(),
-        guide_program=bench.guide_program(),
-        model_entry=bench.model_entry,
-        guide_entry=bench.guide_entry,
-        obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
-        backend="compiled",
-    )
+    runner = make_particle_runner(*session_request(
+        model_program=bench.model_program(), guide_program=bench.guide_program(),
+        model_entry=bench.model_entry, guide_entry=bench.guide_entry,
+        obs_trace=tuple(tr.ValP(v) for v in bench.obs_values), backend="compiled",
+    ))
     assert not isinstance(runner, CompiledParticleRunner)
     assert "recursive" in runner.fallback_reason
-    # The fallback still runs (through the interpreter) and the session
-    # records the decision for diagnostics.
+    # The fallback still runs (through the interpreter) and the run reports
+    # the decision in its diagnostics.
     session = ProgramSession(
         bench.model_program(), bench.guide_program(),
         bench.model_entry, bench.guide_entry, typecheck=False,
@@ -278,10 +275,8 @@ def test_recursive_models_fall_back_with_reason(bench):
         )
         assert result.diagnostics()["backend"] == "interp"
         assert "recursive" in result.diagnostics().get("fallback_reason", "")
-    else:
-        session.compiled_kernel()
-    assert session.compiled_backend_supported is False
-    assert "recursive" in session.compiled_fallback_reason
+    kernel, reason = session.compiled_kernel()
+    assert kernel is None and "recursive" in reason
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +379,8 @@ def test_mutually_tail_recursive_pair_identical_across_backends():
         model_program=session.model_program, guide_program=session.guide_program,
         model_entry="M", guide_entry="G", obs_trace=(tr.ValP(1.5),),
     )
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
+    interp = make_particle_runner(*session_request(backend="interp", **common))
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     r1, r2 = (r.run(NUM_PARTICLES, np.random.default_rng(5)) for r in (interp, compiled))
     assert r2.backend == "compiled"
     _assert_bitwise_equal_runs(r1, r2, "mutual recursion")
@@ -442,7 +437,7 @@ def test_loop_kernel_rescoring_never_falls_back(name):
     the compiled pass: the fallback metric family does not move."""
     bench = get_benchmark(name)
     common = _runner_common(bench, tuple(tr.ValP(v) for v in bench.obs_values))
-    compiled = make_particle_runner(backend="compiled", **common)
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     run = compiled.run(NUM_PARTICLES, np.random.default_rng(13))
     assert run.backend == "compiled"
     deepest = max(len(dirs) for dirs in compiled.kernel.path_dirs)
@@ -517,11 +512,13 @@ def test_loop_rescore_rechecks_every_unfolding_under_perturbed_args(side):
         model_entry="M", guide_entry="G", obs_trace=(tr.ValP(1.5),),
     )
     args = f"{side}_args"
-    forward = make_particle_runner(backend="compiled", **{args: (0.8,)}, **common)
+    forward = make_particle_runner(*session_request(
+        backend="compiled", **{args: (0.8,)}, **common,
+    ))
     run = forward.run(2000, np.random.default_rng(3))
     compiled_depth = max(len(dirs) for dirs in forward.kernel.path_dirs)
     interp, compiled = (
-        make_particle_runner(backend=backend, **{args: (0.3,)}, **common)
+        make_particle_runner(*session_request(backend=backend, **{args: (0.3,)}, **common))
         for backend in ("interp", "compiled")
     )
     deep = 0
@@ -638,7 +635,7 @@ def test_parameter_check_errors_match_across_backends(family, bad, proven):
                 "is", num_particles=1000, seed=3, backend=backend, guide_args=guide_args
             )
         messages[backend] = str(raised.value)
-    assert session.compiled_backend_supported is True
+    assert session.compiled_kernel()[0] is not None
     assert messages["interp"] == messages["compiled"]
     name = _CHECKED[family][bad][0]
     assert messages["compiled"].startswith(f"invalid parameters for {family}: {name} "), messages
@@ -744,5 +741,5 @@ def test_observed_numbers_of_any_kind_agree_across_backends(family, value):
     guide = f"proc G() provide latent {{\n  x <- sample.send{{latent}}({prior});\n  return(x)\n}}\n"
     session = ProgramSession.from_sources(model, guide, "M", "G")
     interp, compiled = (_outcome(session, backend, value) for backend in ("interp", "compiled"))
-    assert session.compiled_backend_supported is True
+    assert session.compiled_kernel()[0] is not None
     assert interp == compiled

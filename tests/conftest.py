@@ -135,3 +135,19 @@ def stats_delta(before, after):
         if count != shed_before.get(reason, 0)
     }
     return delta
+
+
+def session_request(
+    model_program, guide_program, model_entry, guide_entry,
+    latent_channel="latent", obs_channel="obs", **request_fields,
+):
+    """The ``(session, request)`` pair the engine layer takes, for a pair of
+    parsed programs (typechecking skipped) and the request's fields."""
+    from repro.engine.api import InferenceRequest
+    from repro.engine.session import ProgramSession
+
+    session = ProgramSession(
+        model_program, guide_program, model_entry, guide_entry,
+        latent_channel=latent_channel, obs_channel=obs_channel, typecheck=False,
+    )
+    return session, InferenceRequest(**request_fields)

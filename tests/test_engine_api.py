@@ -18,6 +18,7 @@ from repro.engine.smc import systematic_resample
 from repro.errors import InferenceError
 from repro.models import get_benchmark
 from repro.utils.numerics import sum_rows
+from tests.conftest import session_request
 
 #: Conjugate normal-normal posterior mean for the "weight" model at y = 9.5.
 WEIGHT_POSTERIOR_MEAN = (8.5 / 1.0 + 9.5 / 0.5625) / (1.0 / 1.0 + 1.0 / 0.5625)
@@ -104,27 +105,64 @@ class TestProgramSession:
         assert InferenceRequest().resolved_obs_trace() is None
 
 
+class TestRequestScreen:
+    """A request refuses any field no run could use when it is built, so
+    in-process callers meet the wire's screen."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_particles", 0, "num_particles"), ("workers", 0, "workers"),
+            ("shards", 1.5, "shards"), ("backend", "gpu", "backend"),
+            ("seed", -1, "seed"), ("seed", True, "seed"), ("seed", "abc", "seed"),
+            ("model_args", 5, "model_args"), ("guide_args", "x", "guide_args"),
+            ("obs_values", 3, "obs_values"), ("ess_threshold", -0.5, "ess_threshold"),
+            ("rejuvenate", "no", "rejuvenate"), ("num_chains", 0, "num_chains"),
+            ("burn_in", -1, "burn_in"), ("num_steps", -1, "num_steps"),
+            ("optimizer", "nope", "optimizer"), ("learning_rate", 0.0, "learning_rate"),
+            ("guide_params", 5, "guide_params"),
+            ("param_constraints", {"loc": "nope"}, "constraint"),
+            ("param_constraints", {"loc": []}, "constraint"), ("optimizer", [], "optimizer"),
+            ("score_epsilon", float("inf"), "score_epsilon"),
+            ("final_particles", 0, "final_particles"),
+        ],
+        ids=repr,
+    )
+    def test_unusable_fields_are_refused_at_construction(self, field, value, message):
+        with pytest.raises(InferenceError, match=message):
+            InferenceRequest(**{field: value})
+
+    def test_in_process_values_are_admitted(self):
+        request = InferenceRequest(
+            seed=np.random.default_rng(0), obs_values=np.array([0.5, 1.0]),
+            obs_trace=(tr.ValP(1.0),), model_args=[1.0], num_steps=0,
+        )
+        assert request.resolved_obs_trace() == (tr.ValP(1.0),)
+
+    def test_engines_meet_the_screen_in_process(self, ex1_session):
+        with pytest.raises(InferenceError, match="num_chains"):
+            ex1_session.infer("mh", num_chains=0, obs_values=[0.8])
+        with pytest.raises(InferenceError, match="seed"):
+            ex1_session.infer("is", seed=-1, obs_values=[0.8])
+
+
 class TestSMC:
     def test_recovers_conjugate_posterior(self):
         bench = get_benchmark("weight")
-        result = smc(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=(tr.ValP(9.5),), num_particles=4000,
-            rng=np.random.default_rng(0), guide_args=(8.5, 0.0),
-        )
+        result = smc(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=(tr.ValP(9.5),), num_particles=4000, guide_args=(8.5, 0.0), seed=0,
+        ))
         assert result.posterior_mean(0) == pytest.approx(WEIGHT_POSTERIOR_MEAN, abs=0.15)
         assert math.isfinite(result.log_evidence())
 
     def test_multi_step_annealing_resamples_on_ess_collapse(self):
         bench = get_benchmark("kalman")
         obs_trace = tuple(tr.ValP(v) for v in bench.obs_values)
-        result = smc(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=1500,
-            rng=np.random.default_rng(0), ess_threshold=0.9,
-        )
+        result = smc(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=1500, ess_threshold=0.9, seed=0,
+        ))
         assert len(result.ess_history) == len(bench.obs_values)
         assert result.resample_steps, "a 0.9 ESS threshold must trigger resampling"
         assert len(result.rejuvenation_rates) == len(result.resample_steps)
@@ -143,12 +181,10 @@ class TestSMC:
     def test_rejuvenation_can_be_disabled(self):
         bench = get_benchmark("kalman")
         obs_trace = tuple(tr.ValP(v) for v in bench.obs_values)
-        result = smc(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=500,
-            rng=np.random.default_rng(0), ess_threshold=0.9, rejuvenate=False,
-        )
+        result = smc(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=500, ess_threshold=0.9, rejuvenate=False, seed=0,
+        ))
         assert result.rejuvenation_rates == []
 
     def test_branch_dependent_observation_counts_are_handled(self):
@@ -183,11 +219,10 @@ class TestSMC:
         )
         for seed in range(4):
             try:
-                result = smc(
-                    model, guide, "M", "G",
-                    obs_trace=(tr.ValP(0.1),), num_particles=16,
-                    rng=np.random.default_rng(seed), ess_threshold=1.01,
-                )
+                result = smc(*session_request(
+                    model, guide, "M", "G", obs_trace=(tr.ValP(0.1),), num_particles=16,
+                    ess_threshold=1.01, seed=seed,
+                ))
             except InferenceError as err:
                 # A proposal path revealed more steps than the schedule: the
                 # engine must refuse loudly, never broadcast-corrupt weights.
@@ -198,20 +233,18 @@ class TestSMC:
     def test_requires_observations(self):
         bench = get_benchmark("ex-1")
         with pytest.raises(InferenceError, match="non-empty observation trace"):
-            smc(
-                bench.model_program(), bench.guide_program(),
-                bench.model_entry, bench.guide_entry,
+            smc(*session_request(
+                bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
                 obs_trace=None, num_particles=10,
-            )
+            ))
 
     def test_log_evidence_matches_importance_sampling(self):
         bench = get_benchmark("ex-1")
         obs_trace = (tr.ValP(0.8),)
-        result = smc(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=4000, rng=np.random.default_rng(2),
-        )
+        result = smc(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=4000, seed=2,
+        ))
         from repro.inference import importance_sampling
 
         reference = importance_sampling(
@@ -339,12 +372,9 @@ class TestObsScoreRows:
 
         bench = get_benchmark("jump")
         session = ProgramSession.from_sources(bench.model_source, bench.guide_source)
-        runner = make_particle_runner(
-            session.model_program, session.guide_program,
-            session.model_entry, session.guide_entry,
-            obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
-            backend="compiled", session=session,
-        )
+        runner = make_particle_runner(session, InferenceRequest(
+            obs_trace=tuple(tr.ValP(v) for v in bench.obs_values), backend="compiled",
+        ))
         run = runner.run(20000, np.random.default_rng(2))
         assert len(run.leaves) == 32
         rows = run.obs_score_rows()

@@ -21,7 +21,7 @@ from repro.core import ast
 from repro.core.parser import parse_program
 from repro.core.semantics import traces as tr
 from repro.core.semantics.evaluate import log_density
-from repro.engine import BatchedDist, vectorized_importance
+from repro.engine import BatchedDist, InferenceRequest, vectorized_importance
 from repro.engine.backend import CompiledParticleRunner, make_particle_runner
 from repro.engine.smc import smc
 from repro.engine.vectorize import (
@@ -41,6 +41,7 @@ from repro.errors import (
 )
 from repro.inference import importance_sampling
 from repro.models import get_benchmark
+from tests.conftest import session_request
 
 #: A recursive pair whose recursion terminates with probability one (the
 #: Fig. 6 PCFG is supercritical for half its ``k`` draws, so it is not
@@ -106,12 +107,10 @@ class TestExactness:
     def test_per_particle_weights_match_the_evaluator(self, name, site):
         bench = get_benchmark(name)
         obs_trace = tuple(tr.ValP(v) for v in bench.obs_values) or None
-        result = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=400,
-            rng=np.random.default_rng(5),
-        )
+        result = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=400, seed=5,
+        ))
         _cross_check_densities(result.run, bench, obs_trace)
         # Sanity: the estimator is usable.
         assert math.isfinite(result.log_evidence())
@@ -120,12 +119,10 @@ class TestExactness:
     def test_guide_arguments_thread_through(self):
         bench = get_benchmark("weight")
         obs_trace = (tr.ValP(9.5),)
-        result = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=3000,
-            rng=np.random.default_rng(0), guide_args=(8.5, 0.0),
-        )
+        result = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=3000, guide_args=(8.5, 0.0), seed=0,
+        ))
         _cross_check_densities(result.run, bench, obs_trace, guide_args=(8.5, 0.0))
         # Conjugate normal-normal posterior mean: 9.1379...
         assert result.posterior_expectation_of_site(0) == pytest.approx(9.138, abs=0.15)
@@ -134,10 +131,9 @@ class TestExactness:
         model = parse_program(SUBCRITICAL_CHAIN_MODEL)
         guide = parse_program(SUBCRITICAL_CHAIN_GUIDE)
         obs_trace = (tr.ValP(1.2),)
-        result = vectorized_importance(
-            model, guide, "Chain", "ChainGuide",
-            obs_trace=obs_trace, num_particles=600, rng=np.random.default_rng(3),
-        )
+        result = vectorized_importance(*session_request(
+            model, guide, "Chain", "ChainGuide", obs_trace=obs_trace, num_particles=600, seed=3,
+        ))
         run = result.run
         # Recursion depth differs across particles: there must be one group
         # per realised unfolding depth, all exact.
@@ -154,11 +150,10 @@ class TestEstimatorAgreement:
     def test_posterior_mean_matches_sequential_path(self):
         bench = get_benchmark("ex-1")
         obs_trace = (tr.ValP(0.8),)
-        vec = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=4000, rng=np.random.default_rng(1),
-        )
+        vec = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=4000, seed=1,
+        ))
         seq = importance_sampling(
             bench.model_program(), bench.guide_program(),
             bench.model_entry, bench.guide_entry,
@@ -172,11 +167,10 @@ class TestEstimatorAgreement:
     def test_to_importance_result_materialises_equivalent_samples(self):
         bench = get_benchmark("ex-1")
         obs_trace = (tr.ValP(0.8),)
-        vec = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=300, rng=np.random.default_rng(1),
-        )
+        vec = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=300, seed=1,
+        ))
         materialised = vec.to_importance_result()
         assert materialised.num_samples == 300
         assert materialised.posterior_expectation_of_site(0) == pytest.approx(
@@ -191,11 +185,10 @@ class TestEstimatorAgreement:
 class TestRunStructure:
     def test_branch_split_produces_two_groups(self):
         bench = get_benchmark("ex-1")
-        result = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=(tr.ValP(0.8),), num_particles=500, rng=np.random.default_rng(0),
-        )
+        result = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=(tr.ValP(0.8),), num_particles=500, seed=0,
+        ))
         run = result.run
         assert run.num_groups == 2
         # Group membership agrees with the branch predicate v < 2.0.
@@ -207,11 +200,10 @@ class TestRunStructure:
     def test_obs_score_matrix_decomposes_model_weight(self):
         bench = get_benchmark("kalman")
         obs_trace = tuple(tr.ValP(v) for v in bench.obs_values)
-        result = vectorized_importance(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=obs_trace, num_particles=200, rng=np.random.default_rng(0),
-        )
+        result = vectorized_importance(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=obs_trace, num_particles=200, seed=0,
+        ))
         run = result.run
         scores = run.obs_score_rows()
         assert scores.shape == (len(bench.obs_values), 200)
@@ -248,12 +240,10 @@ class TestRunStructure:
                 ("interp", 1, 1), ("interp", 1, 97), ("compiled", 1, 1),
                 ("compiled", 1, 97), ("compiled", 2, 97),
             ):
-                runner = make_particle_runner(
-                    session.model_program, session.guide_program,
-                    session.model_entry, session.guide_entry, obs_trace=obs,
-                    guide_args=tuple(entry["guide_args"]), backend=backend,
-                    session=session, shards=shards,
-                )
+                runner = make_particle_runner(session, InferenceRequest(
+                    obs_trace=obs, guide_args=tuple(entry["guide_args"]), backend=backend,
+                    shards=shards,
+                ))
                 try:
                     run = runner.run(n, np.random.default_rng(7))
                 except ReproError:
@@ -311,11 +301,9 @@ class TestRunStructure:
             """
         )
         with pytest.raises(InferenceError):
-            vectorized_importance(
-                model, guide, "M", "G",
-                obs_trace=(tr.ValP(0.3),), num_particles=50,
-                rng=np.random.default_rng(6),
-            )
+            vectorized_importance(*session_request(
+                model, guide, "M", "G", obs_trace=(tr.ValP(0.3),), num_particles=50, seed=6,
+            ))
 
 
 #: Lane ``if``s over every kind of value the language has, as one model line
@@ -380,10 +368,10 @@ def test_lane_if_runs_lockstep_over_every_kind_of_value(name):
     obs = (tr.ValP(0.4),)
     runs = {}
     for backend in ("interp", "compiled"):
-        runner = make_particle_runner(
+        runner = make_particle_runner(*session_request(
             model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
             obs_trace=obs, backend=backend,
-        )
+        ))
         assert isinstance(runner, CompiledParticleRunner) == (backend == "compiled" and mergeable)
         run = runner.run(300, np.random.default_rng(9))
         runs[backend] = run
@@ -401,7 +389,9 @@ def test_lane_if_runs_lockstep_over_every_kind_of_value(name):
         for side in ("model_log_weights", "guide_log_weights"):
             assert np.array_equal(getattr(runs["interp"], side), getattr(runs["compiled"], side))
         assert np.array_equal(runs["interp"].site_values(0), runs["compiled"].site_values(0))
-    result = smc(model, guide, "M", "G", obs, 200, rng=np.random.default_rng(3))
+    result = smc(*session_request(
+        model, guide, "M", "G", obs_trace=obs, num_particles=200, seed=3,
+    ))
     assert np.isfinite(result.posterior_mean(0))
 
 

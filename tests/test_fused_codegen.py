@@ -50,6 +50,7 @@ from repro.engine.batched import BatchedDist
 from repro.errors import CompilationError, EvaluationError, InferenceError
 from repro.models import get_benchmark
 from repro.obs import REGISTRY
+from tests.conftest import session_request
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,7 @@ def test_session_compiles_kernel_once():
     kernel2, _ = session.compiled_kernel()
     assert reason1 is None
     assert kernel1 is kernel2
-    assert session.compiled_backend_supported is True
+    assert kernel1 is not None
 
 
 def test_backend_name_is_validated():
@@ -492,10 +493,10 @@ proc M() consume latent provide obs {{
         assert compiled_unsupported_reason(model, guide, "M", "G") is None
         runners, runs = {}, {}
         for backend in ("interp", "compiled"):
-            runners[backend] = make_particle_runner(
-                model_program=model, guide_program=guide, model_entry="M",
-                guide_entry="G", obs_trace=obs, backend=backend,
-            )
+            runners[backend] = make_particle_runner(*session_request(
+                model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
+                obs_trace=obs, backend=backend,
+            ))
             runs[backend] = runners[backend].run(40, np.random.default_rng(9))
             assert runs[backend].backend == backend
             assert runs[backend].num_groups == 1
@@ -538,11 +539,11 @@ proc G() provide latent {
     runs = {}
     mark = REGISTRY.mark()
     for backend in ("interp", "compiled"):
-        runner = make_particle_runner(
+        runner = make_particle_runner(*session_request(
             model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
             obs_trace=(tr.ValP(0.4),), model_args=(Normal(1.0, 1.0), Normal(-1.0, 2.0)),
             backend=backend,
-        )
+        ))
         runs[backend] = runner.run(100, np.random.default_rng(0))
     moved = REGISTRY.delta(mark)
     assert moved.get('repro_compiled_fallback_total{reason="unsupported-fragment"}') == 1.0
@@ -595,10 +596,10 @@ proc G() provide latent {
     obs = (tr.ValP(0.4),)
     runs = {}
     for backend in ("interp", "compiled"):
-        runner = make_particle_runner(
-            model_program=model, guide_program=guide, model_entry="M",
-            guide_entry="G", obs_trace=obs, backend=backend,
-        )
+        runner = make_particle_runner(*session_request(
+            model_program=model, guide_program=guide, model_entry="M", guide_entry="G",
+            obs_trace=obs, backend=backend,
+        ))
         runs[backend] = runner.run(64, np.random.default_rng(3))
     assert runs["compiled"].backend == "compiled"
     assert np.array_equal(
@@ -632,8 +633,8 @@ proc G() provide latent {
         model_program=model, guide_program=guide, model_entry="M",
         guide_entry="G", obs_trace=(tr.ValP(0.4),),
     )
-    interp = make_particle_runner(backend="interp", **common)
-    compiled = make_particle_runner(backend="compiled", **common)
+    interp = make_particle_runner(*session_request(backend="interp", **common))
+    compiled = make_particle_runner(*session_request(backend="compiled", **common))
     r_interp = interp.run(50, np.random.default_rng(1))
     r_compiled = compiled.run(50, np.random.default_rng(1))
     assert r_compiled.backend == "compiled"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.semantics import traces as tr
+from repro.engine.api import InferenceRequest
 from repro.engine.backend import (
     CompiledParticleRunner,
     clear_kernel_cache,
@@ -21,6 +22,7 @@ from repro.engine.backend import (
 )
 from repro.models import get_benchmark
 from repro.obs import REGISTRY
+from tests.conftest import session_request
 
 
 def _bench_pair(name="switching"):
@@ -33,15 +35,12 @@ def _bench_pair(name="switching"):
     )
 
 
-def _compiled_runner(name="switching", **kwargs):
+def _compiled_runner(name="switching", trim_site_scores=False):
     bench, pair = _bench_pair(name)
-    runner = make_particle_runner(
+    runner = make_particle_runner(*session_request(
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
-        guide_args=tuple(bench.guide_param_inits.values()),
-        backend="compiled",
-        **pair,
-        **kwargs,
-    )
+        guide_args=tuple(bench.guide_param_inits.values()), backend="compiled", **pair,
+    ), trim_site_scores=trim_site_scores)
     assert isinstance(runner, CompiledParticleRunner)
     return runner
 
@@ -83,10 +82,9 @@ def test_rescore_pass_compiles_on_first_use():
         runner = _compiled_runner()
         run = runner.run(200, np.random.default_rng(6))
         assert runner.kernel.rescore_entry is None
-        interp = make_particle_runner(
-            backend="interp", obs_trace=runner.obs_trace,
-            guide_args=runner.guide_args, **pair,
-        )
+        interp = make_particle_runner(*session_request(
+            backend="interp", obs_trace=runner.obs_trace, guide_args=runner.guide_args, **pair,
+        ))
         for leaf in run.leaves:
             expected = interp.rescore_group(leaf)
             got = runner.rescore_group(leaf)
@@ -253,11 +251,9 @@ def test_shared_lane_values_match_the_interpreter_with_and_without_obs(name):
     for obs in (tuple(tr.ValP(v) for v in entry["obs_values"]), None):
         runs = {}
         for backend in ("interp", "compiled"):
-            runner = make_particle_runner(
-                session.model_program, session.guide_program,
-                session.model_entry, session.guide_entry, obs_trace=obs,
-                guide_args=tuple(entry["guide_args"]), backend=backend, session=session,
-            )
+            runner = make_particle_runner(session, InferenceRequest(
+                obs_trace=obs, guide_args=tuple(entry["guide_args"]), backend=backend,
+            ))
             runs[backend] = runner.run(2000, np.random.default_rng(5))
         a, b = runs["interp"], runs["compiled"]
         assert b.backend == "compiled"

@@ -401,6 +401,50 @@ class TestTCP:
         assert by_id["stats"]["ok"] and "requests_total" in by_id["stats"]["counters"]
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
+    def test_front_end_refusals_count_once_each(self):
+        """A line the front-end refuses counts once, as an error, like a
+        payload admission refuses: bad JSON (or bytes that are not UTF-8),
+        a non-object, an unknown op (a name, or a value no op can have), an
+        over-long line and a refused payload on one connection are each
+        answered and move ``requests_total`` and ``failures_total`` by one,
+        and the ``op: stats`` reads around them count nothing."""
+        refused = [
+            b"not json",
+            b'{"id": "\xc3\x28"}',
+            b"[1, 2]",
+            b'{"op": "warp", "id": "w"}',
+            b'{"op": [], "id": "u"}',
+            json.dumps(_payload(request_id="big", sites=[0] * 34_000)).encode(),
+            json.dumps(_payload(request_id="bad", model="broken source")).encode(),
+        ]
+
+        async def go(service):
+            server = await serve_tcp(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def stats():
+                writer.write(b'{"op": "stats", "id": "stats"}\n')
+                await writer.drain()
+                return json.loads(await asyncio.wait_for(reader.readline(), 30))["counters"]
+
+            before = await stats()
+            writer.write(b"\n".join(refused) + b"\n")
+            await writer.drain()
+            responses = [
+                json.loads(await asyncio.wait_for(reader.readline(), 30)) for _ in refused
+            ]
+            after = await stats()
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return responses, stats_delta(before, after)
+
+        responses, delta = asyncio.run(_with_service(go))
+        assert [r["code"] for r in responses] == ["invalid_request"] * len(refused)
+        assert delta["requests_total"] == len(refused)
+        assert delta["failures_total"] == len(refused)
+
     def test_every_response_kind_is_strict_json(self, fresh_registry):
         """``NaN`` and ``Infinity`` never reach the wire: every engine's
         answer (``mh`` with one chain has no R-hat), ``op: stats`` fresh and

@@ -219,6 +219,25 @@ BAD_CONTROLS = [
     )
 ] + [
     ("session.open", "ess_threshold", value) for value in ("0.5", True, float("nan"), -0.5)
+] + [
+    # One screen for both admissions: a seed is null or a non-negative
+    # integer, arguments are lists.
+    (path, field, value)
+    for path in ("infer", "session.open")
+    for field, value in (
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("model_args", 5), ("guide_args", "x"),
+    )
+] + [
+    # Observations are a list of values; a trace's messages are Python
+    # objects that JSON cannot carry.  SVI's names and tables are screened
+    # whatever the engine.
+    ("infer", field, value)
+    for field, value in (
+        ("obs_values", "abc"), ("obs_values", 3), ("obs_trace", [1.0]),
+        ("optimizer", "nope"), ("param_constraints", {"loc": "nope"}),
+        ("guide_params", 5),
+    )
 ]
 
 #: ``BAD_CONTROLS`` fields that sit at a payload's top level, not in ``params``.

@@ -20,6 +20,7 @@ from repro.engine.shard import (
 )
 from repro.errors import InferenceError
 from repro.models import get_benchmark
+from tests.conftest import session_request
 
 
 def test_plan_shards_partitions_exactly():
@@ -256,17 +257,12 @@ def _sharded_runner(name, backend="interp", shards=2):
     from repro.engine.backend import make_particle_runner
 
     bench = get_benchmark(name)
-    return make_particle_runner(
-        bench.model_program(),
-        bench.guide_program(),
-        bench.model_entry,
-        bench.guide_entry,
+    return make_particle_runner(*session_request(
+        bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
         obs_trace=tuple(tr.ValP(v) for v in bench.obs_values),
-        guide_args=tuple(bench.guide_param_inits.values()),
-        backend=backend,
-        workers=1,
+        guide_args=tuple(bench.guide_param_inits.values()), backend=backend, workers=1,
         shards=shards,
-    )
+    ))
 
 
 def test_gate_fallback_freezes_interp_tasks():

@@ -212,6 +212,58 @@ class TestCheckpointDurability:
         assert fresh.get("t0", "bare").status == "buffering"
 
 
+#: A version-1 checkpoint written by an earlier build: tenant ``pinned``
+#: opened session ``kalman-v1`` with ``V1_OPEN_PAYLOAD`` (the compiled
+#: backend, a pinned seed) and pushed ``[0.4, 0.9]``, ``[1.3]`` and ``[1.9]``.
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data", "streaming_checkpoint_v1.json")
+V1_OPEN_PAYLOAD = {
+    "benchmark": "kalman",
+    "params": {"num_particles": 400, "seed": 20211, "backend": "compiled"},
+}
+#: The ``config`` keys of a version-1 checkpoint, in the order a session writes them.
+V1_CONFIG_KEYS = [
+    "model_source", "guide_source", "model_entry", "guide_entry", "latent_channel",
+    "obs_channel", "benchmark", "grow", "num_particles", "seed", "backend", "shards",
+    "workers", "ess_threshold", "rejuvenate", "model_args", "guide_args", "force",
+    "max_steps",
+]
+#: What the build that wrote the checkpoint answered after its third push.
+V1_MEANS = {"0": "0x1.b90385e5a2306p-2", "1": "0x1.d1e9d2ed067b0p-1", "2": "0x1.46f336251e91dp+0"}
+V1_LOG_EVIDENCE = "-0x1.2a2cdc5f55649p+2"
+V1_ESS = "0x1.8ffffffffffffp+8"
+
+
+class TestPinnedCheckpoint:
+    """Sessions on disk survive an upgrade: a checkpoint an earlier build
+    wrote restores to the same answers, and opening the same payload writes
+    the same ``config`` object."""
+
+    def test_version_1_checkpoint_restores_bit_identically(self, tmp_path):
+        with open(V1_CHECKPOINT, encoding="utf-8") as fh:
+            written = fh.read()
+        (tmp_path / checkpoint_filename("pinned", "kalman-v1")).write_text(written)
+        manager = SessionManager(checkpoint_dir=str(tmp_path), ttl_s=0)
+        body = manager.query("pinned", "kalman-v1", [0, 1, 2])
+        session = manager.get("pinned", "kalman-v1")
+        assert session.journal == [0.4, 0.9, 1.3, 1.9]
+        assert session.checkpoint_dict()["seed"] == 20211
+        assert (body["status"], body["steps"], body["steps_applied"]) == ("active", 4, 4)
+        assert {site: mean.hex() for site, mean in body["posterior_means"].items()} == V1_MEANS
+        assert body["log_evidence"].hex() == V1_LOG_EVIDENCE
+        assert body["effective_sample_size"].hex() == V1_ESS
+        assert body["diagnostics"]["backend"] == "compiled"
+
+    def test_open_writes_the_version_1_config(self, tmp_path):
+        manager = SessionManager(checkpoint_dir=str(tmp_path), ttl_s=0)
+        manager.open("pinned", json.loads(json.dumps(V1_OPEN_PAYLOAD)), session_id="kalman-v1")
+        config = manager.get("pinned", "kalman-v1").checkpoint_dict()["config"]
+        assert list(config) == V1_CONFIG_KEYS
+        with open(V1_CHECKPOINT, encoding="utf-8") as fh:
+            pinned = json.load(fh)["config"]
+        with open(tmp_path / checkpoint_filename("pinned", "kalman-v1"), encoding="utf-8") as fh:
+            assert json.load(fh)["config"] == pinned
+
+
 class TestAtomicPush:
     def test_failed_push_leaves_memory_and_checkpoint_unchanged(self, tmp_path, monkeypatch):
         """A push whose replay raises commits nothing: the in-memory state

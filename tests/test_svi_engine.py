@@ -26,6 +26,7 @@ from repro.errors import InferenceError
 from repro.inference.vi import estimate_elbo
 from repro.minipyro.infer.optim import Adam
 from repro.models import get_benchmark
+from tests.conftest import session_request
 
 WEIGHT_POSTERIOR_MEAN = (8.5 / 1.0 + 9.5 / 0.5625) / (1.0 / 1.0 + 1.0 / 0.5625)
 WEIGHT_POSTERIOR_STD = math.sqrt(1.0 / (1.0 / 1.0 + 1.0 / 0.5625))
@@ -118,11 +119,10 @@ class TestBatchedELBO:
         bench = get_benchmark("weight")
         model, guide = bench.model_program(), bench.guide_program()
 
-        batched = estimate_elbo_batched(
-            model, guide, bench.model_entry, bench.guide_entry,
-            obs_trace=(tr.ValP(9.5),), num_particles=4000,
-            rng=np.random.default_rng(0), guide_args=(8.5, 0.0),
-        )
+        batched = estimate_elbo_batched(*session_request(
+            model, guide, bench.model_entry, bench.guide_entry, obs_trace=(tr.ValP(9.5),),
+            num_particles=4000, guide_args=(8.5, 0.0), seed=0,
+        ))
 
         def family(theta):
             return guide, bench.guide_entry, (float(theta[0]), float(theta[1]))
@@ -138,12 +138,10 @@ class TestBatchedELBO:
     def test_elbo_bounded_by_log_evidence(self):
         bench = get_benchmark("weight")
         log_evidence = -0.5 * (9.5 - 8.5) ** 2 / 1.5625 - 0.5 * math.log(2 * math.pi * 1.5625)
-        estimate = estimate_elbo_batched(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            obs_trace=(tr.ValP(9.5),), num_particles=4000,
-            rng=np.random.default_rng(2), guide_args=(8.5, 0.0),
-        )
+        estimate = estimate_elbo_batched(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=(tr.ValP(9.5),), num_particles=4000, guide_args=(8.5, 0.0), seed=2,
+        ))
         assert estimate.value < log_evidence + 0.05
 
 
@@ -151,16 +149,12 @@ class TestFitSVI:
     def _fit(self, **kwargs):
         bench = get_benchmark("weight")
         store = store_from_inits({"loc": 8.5, "log_scale": 0.0})
-        defaults = dict(
-            num_steps=60, num_particles=64,
-            optimizer=Adam(lr=0.1), rng=np.random.default_rng(0),
-        )
+        defaults = dict(num_steps=60, num_particles=64, seed=0)
         defaults.update(kwargs)
-        return fit_svi(
-            bench.model_program(), bench.guide_program(),
-            bench.model_entry, bench.guide_entry,
-            store, (tr.ValP(9.5),), **defaults,
-        ), store
+        return fit_svi(*session_request(
+            bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+            obs_trace=(tr.ValP(9.5),), **defaults,
+        ), store, optimizer=Adam(lr=0.1)), store
 
     def test_converges_to_conjugate_posterior(self):
         result, store = self._fit()
@@ -186,11 +180,10 @@ class TestFitSVI:
         bench = get_benchmark("weight")
         store = store_from_inits({"loc": 8.5, "log_scale": 0.0})
         with pytest.raises(InferenceError):
-            fit_svi(
-                bench.model_program(), bench.guide_program(),
-                bench.model_entry, bench.guide_entry,
-                store, (tr.ValP(9.5),), num_steps=1, num_particles=1,
-            )
+            fit_svi(*session_request(
+                bench.model_program(), bench.guide_program(), bench.model_entry, bench.guide_entry,
+                obs_trace=(tr.ValP(9.5),), num_steps=1, num_particles=1,
+            ), store)
 
     def test_out_of_support_batches_do_not_move_parameters(self):
         # Gamma-supported latent, Normal guide centred at a negative value:
@@ -214,10 +207,10 @@ class TestFitSVI:
             """
         )
         store = store_from_inits({"loc": -40.0})
-        result = fit_svi(
-            model, guide, "M", "G", store, (tr.ValP(1.0),),
-            num_steps=5, num_particles=16, rng=np.random.default_rng(3),
-        )
+        result = fit_svi(*session_request(
+            model, guide, "M", "G", obs_trace=(tr.ValP(1.0),), num_steps=5, num_particles=16,
+            seed=3,
+        ), store)
         assert all(value == -math.inf for value in result.elbo_history)
         assert all(count == 16 for count in result.num_infinite_history)
         assert store.constrained("loc") == pytest.approx(-40.0)

@@ -39,6 +39,7 @@ from repro.models import (
     WEIGHT_GUIDE_POSITIVE_SOURCE,
     get_benchmark,
 )
+from tests.conftest import session_request
 
 NUM_PARTICLES = 4000
 SEED = 123
@@ -89,12 +90,10 @@ def _finite_difference_gradient(model, guide, model_entry, guide_entry, store, o
     for name, index in store.coordinates():
         values = []
         for delta in (+FD_EPSILON, -FD_EPSILON):
-            estimate = estimate_elbo_batched(
-                model, guide, model_entry, guide_entry,
-                obs_trace=obs, num_particles=NUM_PARTICLES,
-                rng=np.random.default_rng(SEED),
-                guide_args=store.perturbed(name, index, delta).guide_args(param_names),
-            )
+            estimate = estimate_elbo_batched(*session_request(
+                model, guide, model_entry, guide_entry, obs_trace=obs, num_particles=NUM_PARTICLES,
+                guide_args=store.perturbed(name, index, delta).guide_args(param_names), seed=SEED,
+            ))
             values.append(estimate.value)
         gradient.setdefault(name, {})[index] = (values[0] - values[1]) / (2.0 * FD_EPSILON)
     return gradient
@@ -115,10 +114,10 @@ def _assert_gradients_agree(score_grads, fd_grads, store, label):
 @pytest.mark.parametrize("family", sorted(_families()))
 def test_score_gradient_matches_finite_differences(family):
     model, guide, model_entry, guide_entry, store, obs = _families()[family]
-    estimate = elbo_and_score_gradient(
-        model, guide, model_entry, guide_entry, store, obs,
-        NUM_PARTICLES, rng=np.random.default_rng(SEED),
-    )
+    estimate = elbo_and_score_gradient(*session_request(
+        model, guide, model_entry, guide_entry, obs_trace=obs, num_particles=NUM_PARTICLES,
+        seed=SEED,
+    ), store)
     assert estimate.num_infinite == 0
     fd = _finite_difference_gradient(model, guide, model_entry, guide_entry, store, obs)
     _assert_gradients_agree(estimate.grads, fd, store, family)
@@ -128,10 +127,10 @@ def test_score_gradient_matches_finite_differences(family):
 def test_rao_blackwellized_gradient_matches_finite_differences(family):
     """Per-site RB changes the variance, never the target of the estimator."""
     model, guide, model_entry, guide_entry, store, obs = _families()[family]
-    estimate = elbo_and_score_gradient(
-        model, guide, model_entry, guide_entry, store, obs,
-        NUM_PARTICLES, rng=np.random.default_rng(SEED), rao_blackwellize=True,
-    )
+    estimate = elbo_and_score_gradient(*session_request(
+        model, guide, model_entry, guide_entry, obs_trace=obs, num_particles=NUM_PARTICLES,
+        rao_blackwellize=True, seed=SEED,
+    ), store)
     fd = _finite_difference_gradient(model, guide, model_entry, guide_entry, store, obs)
     _assert_gradients_agree(estimate.grads, fd, store, f"rb-{family}")
 
@@ -169,10 +168,9 @@ def test_parameter_branch_flip_under_perturbation_is_dropped_not_fatal():
         """
     )
     store = store_from_inits({"t": 0.0})  # exactly on the branch threshold
-    estimate = elbo_and_score_gradient(
-        model, guide, "M", "G", store, (tr.ValP(0.5),),
-        64, rng=np.random.default_rng(11),
-    )
+    estimate = elbo_and_score_gradient(*session_request(
+        model, guide, "M", "G", obs_trace=(tr.ValP(0.5),), num_particles=64, seed=11,
+    ), store)
     # At t=0 the else-arm runs (one latent site); the t-ε rescore takes the
     # then-arm, mismatches the recorded log, and every particle is dropped
     # for the 't' coordinate — the gradient defaults to zero, finitely.
@@ -237,9 +235,8 @@ def test_gradient_of_unused_coordinate_is_zero():
         """
     )
     store = store_from_inits({"loc": 9.0, "unused": 3.0})
-    estimate = elbo_and_score_gradient(
-        model, guide, "Weigh", "G", store, (tr.ValP(9.5),),
-        500, rng=np.random.default_rng(7),
-    )
+    estimate = elbo_and_score_gradient(*session_request(
+        model, guide, "Weigh", "G", obs_trace=(tr.ValP(9.5),), num_particles=500, seed=7,
+    ), store)
     assert float(np.asarray(estimate.grads["unused"])) == pytest.approx(0.0, abs=1e-9)
     assert float(np.asarray(estimate.grads["loc"])) != 0.0
